@@ -12,12 +12,6 @@
 //!   interpretation entirely;
 //! * **events/sec** of the retained [`ReferenceDetector`] (slow full-VC
 //!   baseline) — the speedup column is recomputed, never quoted;
-//! * **parallel replay events/sec** of the sharded engine
-//!   (`spinrace_core::parallel::run_sharded`) at [`PARALLEL_WORKERS`]
-//!   workers, plus a worker-count scaling curve on the longest stream —
-//!   the wall-clock payoff of partitioning detection along the shadow
-//!   shard seam (only meaningful on multi-core machines; the JSON records
-//!   the core count alongside);
 //! * **shadow bytes** retained by each after a full replay (pages and
 //!   cells never shrink, so the final figure is the peak);
 //! * **long-stream workload rows** (`spinrace-workloads`): generated
@@ -25,15 +19,8 @@
 //!   per-replay pool constants vanish and events/sec measures steady-state
 //!   cache behaviour. Each row's workload carries a ground-truth oracle,
 //!   which the measured detection is asserted against (a perf run that
-//!   miscounts contexts on known-truth input aborts). The scaling curve
-//!   runs on the longest of these streams instead of the old 151k-event
-//!   scaled-vips stream, whose size let the worker-pool spawn constant
-//!   colour the curve. Since schema v5 each row also records its
-//!   **per-shard occupancy histogram** (the skew the scheduler packs
-//!   around) and a **scheduled-vs-static pair** of parallel series: the
-//!   occupancy-balanced LPT schedule against static modular ownership,
-//!   on the same stream at the same width. Since schema v6 each row
-//!   also carries **trace-format figures**: bytes/event of the JSON and
+//!   miscounts contexts on known-truth input aborts). Since schema v6
+//!   each row also carries **trace-format figures**: bytes/event of the JSON and
 //!   binary encodings, columnar encode/decode throughput, and the peak
 //!   resident chunk bytes of streamed replay — the quick smoke gates the
 //!   binary size to ≤ 1/8 of JSON, the decode floor, and the streaming
@@ -50,6 +37,9 @@
 //!   against an in-process `spinrace-serve` instance under
 //!   [`SERVE_CLIENTS`] concurrent clients, reporting traces/sec and
 //!   p50/p99 end-to-end session latency.
+//!
+//! Schema v9 drops the parallel-replay series, the worker scaling curve
+//! and their gates along with the sharded engine they measured.
 //!
 //! Results land in `BENCH_detector.json` at the repo root — the perf
 //! trajectory the CI `perf-smoke` step guards.
@@ -68,11 +58,8 @@
 //! hash-table slip on the hot path), not CI-machine noise.
 
 use spinrace_bench::bench_tools;
-use spinrace_core::{parallel, DetectRequest, Schedule, Session, Tool};
-use spinrace_detector::{
-    shard_occupancy, AnyDetector, DetectorConfig, MsmMode, RaceDetector, ReferenceDetector,
-    NUM_SHARDS,
-};
+use spinrace_core::{DetectRequest, Session, Tool};
+use spinrace_detector::{AnyDetector, DetectorConfig, MsmMode, RaceDetector, ReferenceDetector};
 use spinrace_tracefmt::{decode_trace, encode_trace, ChunkedTraceReader, DEFAULT_CHUNK_EVENTS};
 use spinrace_vm::{Event, EventSink, Trace};
 use spinrace_workloads::{Family, WorkloadSpec};
@@ -84,14 +71,6 @@ use std::time::{Duration, Instant};
 /// from a ~13 M ev/s release-mode measurement; /5 leaves room for slow
 /// shared runners while still catching order-of-magnitude regressions.
 const FLOOR_EVENTS_PER_SEC: f64 = 10_000_000.0;
-
-/// Worker count of the per-row parallel series. Parallelism must never be
-/// a pessimization: on machines with ≥ 2 cores the quick smoke holds this
-/// series to the same floor as the sequential replay series.
-const PARALLEL_WORKERS: usize = 4;
-
-/// Worker counts of the scaling curve measured on the longest stream.
-const SCALING_WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 /// Floor for the long-stream workload sequential-replay series, in
 /// events/sec. Long streams run slower per event than the 10k-event
@@ -150,7 +129,6 @@ struct Row {
     events: usize,
     events_per_sec: f64,
     replay_events_per_sec: f64,
-    parallel_replay_events_per_sec: f64,
     ref_events_per_sec: f64,
     shadow_bytes: usize,
     ref_shadow_bytes: usize,
@@ -165,21 +143,10 @@ struct WorkloadRow {
     oracle: String,
     events: usize,
     replay_events_per_sec: f64,
-    /// Parallel series under the default occupancy-balanced schedule.
-    parallel_replay_events_per_sec: f64,
-    /// The same width under static modular ownership — the pair the
-    /// balanced-vs-static gates compare.
-    parallel_static_events_per_sec: f64,
-    /// Plain accesses per shadow shard: the skew the scheduler packs
-    /// around, recorded so imbalance is observable without re-deriving
-    /// it from the stream.
-    shard_occupancy: [u64; NUM_SHARDS],
     shadow_bytes: usize,
     contexts: usize,
     /// `sync_preserving` replay throughput over the same spec's
-    /// unmodified-module recording (the v8 addition). The predictive
-    /// pass is sequential-only, so this is the whole story — there is
-    /// no parallel column for it.
+    /// unmodified-module recording (the v8 addition).
     predict_events_per_sec: f64,
     /// Contexts the predictive pass reported on that recording, judged
     /// against the workload's ground truth before being recorded.
@@ -233,11 +200,9 @@ fn measure_codec(trace: &Trace, cfg: DetectorConfig, min_secs: f64) -> CodecRow 
 }
 
 /// The generated long streams: ≥1M events each, sized so steady-state
-/// cache behaviour — not pool constants — dominates. Quick mode keeps
-/// two: the skewed zipf stream (also the scaling-curve stream — the
-/// worst case for static shard ownership) and the even-distribution
-/// fanout stream, whose parallel/sequential ratio carries the
-/// favorable-stream speedup gate.
+/// cache behaviour — not per-replay constants — dominates. Quick mode
+/// keeps two: the skewed zipf stream and the even-distribution fanout
+/// stream.
 fn long_stream_specs(quick: bool) -> Vec<WorkloadSpec> {
     let zipf = WorkloadSpec::new(Family::Zipf)
         .threads(8)
@@ -266,19 +231,14 @@ fn long_stream_specs(quick: bool) -> Vec<WorkloadSpec> {
     }
 }
 
-/// Record and measure the long-stream workloads. Returns the rows plus
-/// the recorded **zipf** trace (the scaling-curve stream — selected by
-/// family, never by length, because the no-pessimization gate's relaxed
-/// bound is justified by that stream's deliberate skew) and its detector
-/// configuration. Every row's detection is held to the workload's own
-/// ground truth through the shared `judge_outcome` adapter — a
-/// throughput number measured on a miscounting detector would be
-/// worthless.
-fn measure_workloads(quick: bool, min_secs: f64) -> (Vec<WorkloadRow>, Trace, DetectorConfig) {
+/// Record and measure the long-stream workloads. Every row's detection
+/// is held to the workload's own ground truth through the shared
+/// `judge_outcome` adapter — a throughput number measured on a
+/// miscounting detector would be worthless.
+fn measure_workloads(quick: bool, min_secs: f64) -> Vec<WorkloadRow> {
     let tool = Tool::HelgrindLibSpin { window: 7 };
     let cfg = detector_config(tool);
     let mut rows = Vec::new();
-    let mut scaling_trace: Option<Trace> = None;
     for spec in long_stream_specs(quick) {
         let wl = spec.build();
         let run = Session::for_module(&wl.module)
@@ -289,15 +249,6 @@ fn measure_workloads(quick: bool, min_secs: f64) -> (Vec<WorkloadRow>, Trace, De
             .expect("vm run");
         let trace = run.trace();
         let replay_eps = measure_trace(trace, min_secs, || RaceDetector::new(cfg));
-        let par_eps = measure_parallel(&trace.events, cfg, PARALLEL_WORKERS, min_secs);
-        let par_static_eps = measure_parallel_scheduled(
-            &trace.events,
-            cfg,
-            PARALLEL_WORKERS,
-            Schedule::Static,
-            min_secs,
-        );
-        let occupancy = shard_occupancy(&trace.events);
         // One more replay with locations resolved, judged against the
         // workload's ground truth (exact victim/thread-pair matching —
         // valid for race-free and any future seeded spec alike).
@@ -309,8 +260,6 @@ fn measure_workloads(quick: bool, min_secs: f64) -> (Vec<WorkloadRow>, Trace, De
             spec.name(),
             tool.label(),
         );
-        let occ_max = occupancy.iter().copied().max().unwrap_or(0);
-        let occ_total: u64 = occupancy.iter().sum();
         let codec = measure_codec(trace, cfg, min_secs);
         // The predictive pass measures over its own recording: the
         // sync-preserving tool analyzes the *unmodified* module (no
@@ -335,14 +284,11 @@ fn measure_workloads(quick: bool, min_secs: f64) -> (Vec<WorkloadRow>, Trace, De
             sp_tool.label(),
         );
         println!(
-            "{:>14} {:<24} {:>8} events  (trace replay {:>6.2} M, parallel×{PARALLEL_WORKERS} balanced {:>6.2} M / static {:>6.2} M ev/s, hottest shard {:.2}x even)  shadow {} B [{}]",
+            "{:>14} {:<24} {:>8} events  (trace replay {:>6.2} M ev/s)  shadow {} B [{}]",
             wl.spec.family.name(),
             spec.name(),
             trace.events.len(),
             replay_eps / 1e6,
-            par_eps / 1e6,
-            par_static_eps / 1e6,
-            occ_max as f64 * NUM_SHARDS as f64 / occ_total.max(1) as f64,
             out.metrics.shadow_bytes,
             wl.oracle.describe(),
         );
@@ -359,7 +305,7 @@ fn measure_workloads(quick: bool, min_secs: f64) -> (Vec<WorkloadRow>, Trace, De
             codec.streaming_peak_resident_bytes / 1024,
         );
         println!(
-            "{:>14} {:<24} sync_preserving {:>6.2} M ev/s over {} events (sequential-only; {} context(s)) [{}]",
+            "{:>14} {:<24} sync_preserving {:>6.2} M ev/s over {} events ({} context(s)) [{}]",
             "",
             "",
             predict_eps / 1e6,
@@ -373,24 +319,14 @@ fn measure_workloads(quick: bool, min_secs: f64) -> (Vec<WorkloadRow>, Trace, De
             oracle: wl.oracle.describe(),
             events: trace.events.len(),
             replay_events_per_sec: replay_eps,
-            parallel_replay_events_per_sec: par_eps,
-            parallel_static_events_per_sec: par_static_eps,
-            shard_occupancy: occupancy,
             shadow_bytes: out.metrics.shadow_bytes,
             contexts: out.contexts,
             predict_events_per_sec: predict_eps,
             predict_contexts: sp_out.contexts,
             codec,
         });
-        if spec.family == Family::Zipf {
-            scaling_trace = Some(run.into_trace());
-        }
     }
-    (
-        rows,
-        scaling_trace.expect("the long-stream specs always include a zipf stream"),
-        cfg,
-    )
+    rows
 }
 
 fn main() {
@@ -429,13 +365,8 @@ fn main() {
             // (`Trace::replay`) — the series the session API's fan-out
             // paths actually exercise.
             let replay_eps = measure_trace(&trace, min_secs, || RaceDetector::new(cfg));
-            // The sharded engine end to end: promotion-seed pre-pass,
-            // event routing, worker pool, and fragment merge, each
-            // iteration — the real cost of `detect_parallel`.
-            let par_eps = measure_parallel(events, cfg, PARALLEL_WORKERS, min_secs);
 
-            // One more replay of each to read retained state, and hold the
-            // sharded engine to the sequential result while we're at it.
+            // One more replay of each to read retained state.
             let mut det = RaceDetector::new(cfg);
             replay(events, &mut det);
             let mut rdet = ReferenceDetector::new(cfg);
@@ -446,22 +377,13 @@ fn main() {
                 "fast and reference detectors disagree on {name}/{}",
                 tool.label()
             );
-            let merged = parallel::run_sharded(cfg, events, PARALLEL_WORKERS);
-            assert_eq!(
-                merged.reports.reports(),
-                det.reports().reports(),
-                "parallel replay diverged on {name}/{}",
-                tool.label()
-            );
-            assert_eq!(merged.metrics, det.metrics());
 
             println!(
-                "{name:>14} {:<24} {:>8} events  {:>7.2} M ev/s  (trace replay {:>6.2} M, parallel×{PARALLEL_WORKERS} {:>6.2} M, ref {:>6.2} M ev/s, {:>4.1}x)  shadow {} B (ref {} B)",
+                "{name:>14} {:<24} {:>8} events  {:>7.2} M ev/s  (trace replay {:>6.2} M, ref {:>6.2} M ev/s, {:>4.1}x)  shadow {} B (ref {} B)",
                 tool.label(),
                 events.len(),
                 eps / 1e6,
                 replay_eps / 1e6,
-                par_eps / 1e6,
                 ref_eps / 1e6,
                 eps / ref_eps,
                 det.metrics().shadow_bytes,
@@ -473,7 +395,6 @@ fn main() {
                 events: events.len(),
                 events_per_sec: eps,
                 replay_events_per_sec: replay_eps,
-                parallel_replay_events_per_sec: par_eps,
                 ref_events_per_sec: ref_eps,
                 shadow_bytes: det.metrics().shadow_bytes,
                 ref_shadow_bytes: rdet.shadow_bytes(),
@@ -482,25 +403,9 @@ fn main() {
         }
     }
 
-    // Long-stream workload rows (≥1M events each; the zipf stream is
-    // also the scaling-curve stream).
-    let (workload_rows, long_trace, long_cfg) = measure_workloads(quick, min_secs);
-
-    // Scaling curve on the longest generated stream, where the pool
-    // constant amortizes.
+    // Long-stream workload rows (≥1M events each).
+    let workload_rows = measure_workloads(quick, min_secs);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let scaling = scaling_curve(&long_trace, long_cfg, min_secs);
-    println!(
-        "parallel scaling on {} cores ({} events): {}",
-        cores,
-        scaling.events,
-        SCALING_WORKERS
-            .iter()
-            .zip(&scaling.events_per_sec)
-            .map(|(w, eps)| format!("{w}w {:.2} M", eps / 1e6))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
 
     let min_eps = rows
         .iter()
@@ -509,10 +414,6 @@ fn main() {
     let replay_min_eps = rows
         .iter()
         .map(|r| r.replay_events_per_sec)
-        .fold(f64::INFINITY, f64::min);
-    let parallel_min_eps = rows
-        .iter()
-        .map(|r| r.parallel_replay_events_per_sec)
         .fold(f64::INFINITY, f64::min);
     let workload_min_eps = workload_rows
         .iter()
@@ -529,12 +430,10 @@ fn main() {
         / rows.len() as f64)
         .exp();
     println!(
-        "min {:.2} M ev/s (trace replay min {:.2} M, parallel×{PARALLEL_WORKERS} min {:.2} M, \
-         long-stream min {:.2} M, sync_preserving min {:.2} M), geomean speedup over reference \
-         {geomean_speedup:.2}x",
+        "min {:.2} M ev/s (trace replay min {:.2} M, long-stream min {:.2} M, sync_preserving \
+         min {:.2} M), geomean speedup over reference {geomean_speedup:.2}x",
         min_eps / 1e6,
         replay_min_eps / 1e6,
-        parallel_min_eps / 1e6,
         workload_min_eps / 1e6,
         predict_min_eps / 1e6,
     );
@@ -550,13 +449,11 @@ fn main() {
         Summary {
             min_eps,
             replay_min_eps,
-            parallel_min_eps,
             workload_min_eps,
             predict_min_eps,
             geomean_speedup,
         },
         cores,
-        &scaling,
         &serve_row,
     );
     println!("wrote {out_path}");
@@ -641,129 +538,6 @@ fn main() {
             std::process::exit(1);
         }
     }
-    // Parallel replay must pay for itself — judged on the long scaling
-    // stream, where the scoped-pool spawn constant and the W× sync-event
-    // replication amortize (the quick rows' ~10k-event streams are
-    // dominated by exactly those constants, so gating on them would flake
-    // on healthy code), and against the *same stream's measured
-    // sequential replay*, not a static constant, so a genuine slowdown
-    // can't hide under the absolute floor. The scaling stream is the
-    // *skew-3 zipf workload* — deliberately the least favourable address
-    // distribution for shard partitioning (the hottest of 8 shards
-    // carries over a quarter of all plain reads). The occupancy-balanced
-    // LPT schedule packs that imbalance across workers, but even LPT
-    // cannot split the single hottest shard, so ≥4 cores demand a true
-    // no-pessimization bound here (≥ 1.0× — a silently rotted engine
-    // shows well under that, the single-core curve bottoms at ~0.65×);
-    // the balanced-vs-static gate below is where the scheduler's win on
-    // this stream is held. With 2-3 cores the pool is oversubscribed, so
-    // only an order-of-halving is flagged. Vacuous on a single core,
-    // where 4 workers time-slice one CPU.
-    let par4 = scaling.events_per_sec[SCALING_WORKERS
-        .iter()
-        .position(|&w| w == PARALLEL_WORKERS)
-        .expect("scaling curve covers the per-row worker count")];
-    let speedup = par4 / scaling.sequential_events_per_sec;
-    let required = if cores >= PARALLEL_WORKERS { 1.0 } else { 0.4 };
-    if quick && cores >= 2 && speedup < required {
-        eprintln!(
-            "PERF REGRESSION: parallel replay ({PARALLEL_WORKERS} workers on {cores} cores) at \
-             {par4:.0} ev/s is only {speedup:.2}x the same stream's sequential replay \
-             ({:.0} ev/s over {} events); required ≥ {required}x",
-            scaling.sequential_events_per_sec, scaling.events,
-        );
-        std::process::exit(1);
-    }
-    // The favorable-stream speedup gate: the even-distribution fanout
-    // long stream has no shard imbalance to hide behind, so with 4+ real
-    // cores its per-row 4-worker parallel replay must beat its own
-    // sequential replay by the margin the old vips-stream gate demanded
-    // (≥ 1.25× — well under the ~2× an even ≥1M-event stream achieves on
-    // dedicated cores, far above the ~1.05× a silently rotted engine
-    // shows). Together with the zipf no-pessimization bound above, CI
-    // checks both ends of the distribution spectrum.
-    if quick && cores >= PARALLEL_WORKERS {
-        let fanout = workload_rows
-            .iter()
-            .find(|r| r.family == "fanout")
-            .expect("quick mode measures the fanout long stream");
-        let ratio = fanout.parallel_replay_events_per_sec / fanout.replay_events_per_sec;
-        if ratio < 1.25 {
-            eprintln!(
-                "PERF REGRESSION: parallel replay of the even fanout long stream \
-                 ({PARALLEL_WORKERS} workers on {cores} cores) at {:.0} ev/s is only \
-                 {ratio:.2}x its sequential replay ({:.0} ev/s over {} events); required ≥ 1.25x",
-                fanout.parallel_replay_events_per_sec, fanout.replay_events_per_sec, fanout.events,
-            );
-            std::process::exit(1);
-        }
-    }
-    // The balanced-vs-static pair, both ends of the distribution
-    // spectrum (quick mode measures zipf + fanout): on the *skewed* zipf
-    // row LPT packing must beat static modular ownership — that gap is
-    // the whole point of the occupancy-aware scheduler — and on the
-    // *even* rows, where there is no imbalance to exploit, the balanced
-    // pre-pass must not cost more than a sliver (≥ 0.8× static covers
-    // timing noise; a real pessimization shows far below). Both gates
-    // need ≥ 4 real cores: on fewer, workers time-slice and the
-    // schedules are indistinguishable.
-    if quick && cores >= PARALLEL_WORKERS {
-        for row in &workload_rows {
-            let ratio = row.parallel_replay_events_per_sec / row.parallel_static_events_per_sec;
-            let (required, what) = if row.family == "zipf" {
-                (1.0, "must beat static on the skewed stream")
-            } else {
-                (0.8, "must not pessimize the even stream")
-            };
-            if ratio < required {
-                eprintln!(
-                    "PERF REGRESSION: balanced schedule on {} ({PARALLEL_WORKERS} workers on \
-                     {cores} cores) at {:.0} ev/s is {ratio:.2}x its static-schedule replay \
-                     ({:.0} ev/s over {} events); {what} (required ≥ {required}x)",
-                    row.spec,
-                    row.parallel_replay_events_per_sec,
-                    row.parallel_static_events_per_sec,
-                    row.events,
-                );
-                std::process::exit(1);
-            }
-        }
-    }
-    if quick && cores < 2 {
-        println!(
-            "note: single-core machine — the parallel speedup check is vacuous and was skipped"
-        );
-    }
-}
-
-/// The worker-count scaling curve on the longest generated stream, in
-/// events/sec per entry of [`SCALING_WORKERS`], plus the same stream's
-/// sequential `Trace::replay` throughput — the baseline the
-/// no-pessimization gate compares against.
-struct Scaling {
-    program: String,
-    tool: String,
-    events: usize,
-    events_per_sec: Vec<f64>,
-    sequential_events_per_sec: f64,
-}
-
-/// Measure the curve on an already-recorded long stream (the ≥1M-event
-/// zipf workload — skewed on purpose, so the curve shows what static
-/// shard ownership does under the least favourable address distribution).
-fn scaling_curve(trace: &Trace, cfg: DetectorConfig, min_secs: f64) -> Scaling {
-    let sequential_events_per_sec = measure_trace(trace, min_secs, || RaceDetector::new(cfg));
-    let events_per_sec = SCALING_WORKERS
-        .iter()
-        .map(|&w| measure_parallel(&trace.events, cfg, w, min_secs))
-        .collect();
-    Scaling {
-        program: trace.header.module_name.clone(),
-        tool: trace.header.tool_label.clone(),
-        events: trace.events.len(),
-        events_per_sec,
-        sequential_events_per_sec,
-    }
 }
 
 /// `BENCH_detector.json` at the repo root, resolved relative to this
@@ -831,27 +605,6 @@ fn measure<S: EventSink>(events: &[Event], min_secs: f64, mut mk: impl FnMut() -
     })
 }
 
-/// Events/sec of the sharded parallel engine end to end (seed pre-pass,
-/// plan, routing, worker pool, merge) at `workers` workers under the
-/// default balanced schedule.
-fn measure_parallel(events: &[Event], cfg: DetectorConfig, workers: usize, min_secs: f64) -> f64 {
-    measure_parallel_scheduled(events, cfg, workers, Schedule::Balanced, min_secs)
-}
-
-/// [`measure_parallel`] under an explicit scheduling mode.
-fn measure_parallel_scheduled(
-    events: &[Event],
-    cfg: DetectorConfig,
-    workers: usize,
-    schedule: Schedule,
-    min_secs: f64,
-) -> f64 {
-    timed_events_per_sec(events.len(), min_secs, || {
-        let merged = parallel::run_sharded_scheduled(cfg, events, workers, schedule);
-        std::hint::black_box(&merged);
-    })
-}
-
 /// Same as [`measure`], but through [`Trace::replay`] — the artifact path
 /// the session API's detect fan-out uses.
 fn measure_trace<S: EventSink>(trace: &Trace, min_secs: f64, mut mk: impl FnMut() -> S) -> f64 {
@@ -865,7 +618,6 @@ fn measure_trace<S: EventSink>(trace: &Trace, min_secs: f64, mut mk: impl FnMut(
 struct Summary {
     min_eps: f64,
     replay_min_eps: f64,
-    parallel_min_eps: f64,
     workload_min_eps: f64,
     predict_min_eps: f64,
     geomean_speedup: f64,
@@ -913,7 +665,6 @@ fn measure_serve(quick: bool) -> ServeRow {
         "127.0.0.1:0",
         spinrace_serve::ServeOptions {
             sessions: SERVE_CLIENTS,
-            cores: parallel::default_workers(),
             ..Default::default()
         },
     )
@@ -1007,7 +758,6 @@ fn print_serve_row(row: &ServeRow) {
     );
 }
 
-#[allow(clippy::too_many_arguments)]
 fn write_json(
     path: &str,
     quick: bool,
@@ -1015,7 +765,6 @@ fn write_json(
     workload_rows: &[WorkloadRow],
     summary: Summary,
     cores: usize,
-    scaling: &Scaling,
     serve: &ServeRow,
 ) {
     let results: Vec<serde_json::Value> = rows
@@ -1027,24 +776,11 @@ fn write_json(
                 "events": r.events as u64,
                 "events_per_sec": r.events_per_sec,
                 "replay_events_per_sec": r.replay_events_per_sec,
-                "parallel_replay_events_per_sec": r.parallel_replay_events_per_sec,
                 "ref_events_per_sec": r.ref_events_per_sec,
                 "speedup_vs_reference": r.events_per_sec / r.ref_events_per_sec,
                 "shadow_bytes": r.shadow_bytes as u64,
                 "ref_shadow_bytes": r.ref_shadow_bytes as u64,
                 "contexts": r.contexts as u64,
-            })
-        })
-        .collect();
-    let curve: Vec<serde_json::Value> = SCALING_WORKERS
-        .iter()
-        .zip(&scaling.events_per_sec)
-        .map(|(&w, &eps)| {
-            serde_json::json!({
-                "workers": w as u64,
-                "events_per_sec": eps,
-                "speedup_vs_1_worker": eps / scaling.events_per_sec[0],
-                "speedup_vs_sequential": eps / scaling.sequential_events_per_sec,
             })
         })
         .collect();
@@ -1057,11 +793,6 @@ fn write_json(
                 "oracle": r.oracle.as_str(),
                 "events": r.events as u64,
                 "replay_events_per_sec": r.replay_events_per_sec,
-                "parallel_replay_events_per_sec": r.parallel_replay_events_per_sec,
-                "parallel_static_events_per_sec": r.parallel_static_events_per_sec,
-                "balanced_over_static": r.parallel_replay_events_per_sec
-                    / r.parallel_static_events_per_sec,
-                "shard_occupancy": r.shard_occupancy.to_vec(),
                 "shadow_bytes": r.shadow_bytes as u64,
                 "contexts": r.contexts as u64,
                 "predict_events_per_sec": r.predict_events_per_sec,
@@ -1082,7 +813,7 @@ fn write_json(
         })
         .collect();
     let doc = serde_json::json!({
-        "schema": "spinrace-perf-v8",
+        "schema": "spinrace-perf-v9",
         "quick": quick,
         "cores": cores as u64,
         "floor_events_per_sec": FLOOR_EVENTS_PER_SEC,
@@ -1090,7 +821,6 @@ fn write_json(
         "predict_floor_events_per_sec": PREDICT_FLOOR_EVENTS_PER_SEC,
         "decode_floor_events_per_sec": DECODE_FLOOR_EVENTS_PER_SEC,
         "compression_gate_denom": COMPRESSION_GATE_DENOM as u64,
-        "parallel_workers": PARALLEL_WORKERS as u64,
         "results": serde_json::Value::Seq(results),
         "workloads": serde_json::Value::Seq(workloads),
         "serve": {
@@ -1103,17 +833,9 @@ fn write_json(
             "floor_traces_per_sec": SERVE_FLOOR_TRACES_PER_SEC,
             "p99_ceiling_ms": SERVE_P99_CEILING_MS,
         },
-        "parallel_scaling": {
-            "program": scaling.program.as_str(),
-            "tool": scaling.tool.as_str(),
-            "events": scaling.events as u64,
-            "sequential_events_per_sec": scaling.sequential_events_per_sec,
-            "curve": serde_json::Value::Seq(curve),
-        },
         "summary": {
             "min_events_per_sec": summary.min_eps,
             "replay_min_events_per_sec": summary.replay_min_eps,
-            "parallel_replay_min_events_per_sec": summary.parallel_min_eps,
             "workload_replay_min_events_per_sec": summary.workload_min_eps,
             "predict_replay_min_events_per_sec": summary.predict_min_eps,
             "geomean_speedup_vs_reference": summary.geomean_speedup,

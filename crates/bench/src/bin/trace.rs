@@ -12,44 +12,40 @@
 //!           [--events TOTAL] [--addr-space N] [--skew K] [--races N]
 //!           [--seed N] [--tool <TOOL>] [--out FILE] [--format json|binary]
 //!           [--json FILE]
-//! trace replay FILE [--tool <TOOL>] [--long-msm] [--cap N]
-//!              [--workers N] [--schedule static|balanced] [--json FILE]
-//!              [--fault panic:W:N|delay:W:N:MS|drop:W:N] [--watchdog MS]
-//!              [--handoff-timeout MS] [--max-events N] [--max-shadow-bytes N]
+//! trace replay FILE [--tool <TOOL>] [--long-msm] [--cap N] [--json FILE]
+//!              [--watchdog MS] [--max-events N] [--max-shadow-bytes N]
 //! trace convert IN OUT [--format json|binary] [--chunk-events N]
 //! trace inspect FILE [--events N]
 //! trace stats FILE
-//! trace serve [--addr HOST:PORT] [--sessions N] [--cores N] [--max-events N]
+//! trace serve [--addr HOST:PORT] [--sessions N] [--max-events N]
 //!             [--max-shadow-bytes N] [--watchdog MS] [--read-timeout MS]
 //!             [--write-timeout MS] [--stdin]
-//! trace client FILE --addr HOST:PORT [--tool <TOOL>] [--workers N]
-//!              [--schedule static|balanced] [--long-msm] [--cap N]
+//! trace client FILE --addr HOST:PORT [--tool <TOOL>] [--long-msm] [--cap N]
 //!              [--max-events N] [--max-shadow-bytes N] [--watchdog MS]
 //!              [--json FILE]
 //! ```
 //!
-//! Exit codes: `0` success, `1` runtime failure (I/O, engine error,
-//! oracle violation), `2` usage or malformed input (bad flags, bad
-//! fault spec, undecodable trace file).
+//! Exit codes: `0` success, `1` runtime failure (I/O, tripped limit,
+//! oracle violation), `2` usage or malformed input (bad flags,
+//! undecodable trace file).
 //!
 //! **Trace formats.** Every file-taking command auto-detects the on-disk
 //! encoding by its first bytes: the binary columnar format of
 //! `spinrace-tracefmt` (magic `SPINRTRC`) or the JSON debug format.
 //! `record` and `gen` write binary by default — `--format json`, or an
 //! `--out` path ending in `.json`, selects JSON. `convert` rewrites a
-//! trace in the other encoding (or an explicit `--format`). A
-//! **sequential** `replay` of a binary trace streams it chunk-by-chunk
-//! through the detector (decode one chunk ahead; peak memory O(chunk),
-//! detection starts before the file is fully read); parallel replay and
-//! JSON input decode the full stream first. The detection outcome is
-//! identical in all cases.
+//! trace in the other encoding (or an explicit `--format`). `replay` of
+//! a binary trace streams it chunk-by-chunk through the detector (decode
+//! one chunk ahead; peak memory O(chunk), detection starts before the
+//! file is fully read); a JSON trace has no chunk framing and is loaded
+//! whole first. Both feed the same replay loop, so the detection outcome
+//! is identical, and the printed rate is end to end (decode or load plus
+//! detection).
 //!
-//! `replay --fault` injects a deterministic fault into one pool worker
-//! (see `spinrace_core::parallel::FaultPlan`); `--watchdog` bounds the
-//! whole replay, `--max-events`/`--max-shadow-bytes` set resource
-//! budgets (`0` disables each). Any of these turns an engine failure
-//! into a one-line structured error and exit code 1 — never a hang or
-//! an abort.
+//! `replay --watchdog` bounds the whole replay, and
+//! `--max-events`/`--max-shadow-bytes` set resource budgets (`0`
+//! disables each), in either encoding. A tripped limit is a one-line
+//! structured error and exit code 1 — never a hang or an abort.
 //!
 //! `gen` records a trace of a *generated* workload
 //! (`spinrace-workloads`): a parameterized program with computable
@@ -62,23 +58,17 @@
 //!
 //! `<TOOL>` accepts the table labels (`Helgrind+ lib+spin(7)`) and the
 //! short forms `lib`, `lib+spin[(W)]`, `nolib+spin[(W)]`, `drd`,
-//! `sync-preserving`. The predictive `sync-preserving` tool is a single
-//! sequential pass: `replay` runs it streamed/sequential, and
-//! `--workers 2` or more is refused with a structured engine error.
-//! `record` tees a trace recorder with the tool's own detector, so the
-//! recording run also prints its racy contexts; `replay` re-prepares the
-//! named program, checks the module fingerprint, and replays the parsed
-//! stream into a fresh detector — on `--workers N` threads through the
-//! parallel sharded engine, whose output is bit-identical to sequential
-//! replay (and to the live run) for every worker count and either
-//! `--schedule` (occupancy-balanced LPT shard packing by default;
-//! `static` forces modular ownership).
+//! `sync-preserving`. `record` tees a trace recorder with the tool's own
+//! detector, so the recording run also prints its racy contexts;
+//! `replay` re-prepares the named program, checks the module
+//! fingerprint, and replays the parsed stream into a fresh detector —
+//! bit-identical to the live run.
 //!
 //! `--json FILE` writes the detection outcome (contexts, promoted
 //! locations, described reports, detector metrics, run summary) in a
 //! stable schema shared by `record` (live detection) and `replay`: the CI
-//! `replay-determinism` job byte-compares these files across worker
-//! counts and against the live run.
+//! `replay-determinism` job byte-compares replays of both encodings
+//! against the live run.
 //!
 //! `serve` runs the `spinrace-serve` analysis server (TCP, or one
 //! session over stdin/stdout with `--stdin`); `client` uploads a trace
@@ -87,12 +77,11 @@
 //! file, which the CI `serve-smoke` job checks.
 
 use spinrace_core::{
-    AnalysisOutcome, Budget, DetectRequest, EngineOptions, FaultPlan, Schedule, Session, Tool,
+    AnalysisOutcome, Budget, DetectRequest, EngineOptions, ExecutedRun, ReplayLoop, Session, Tool,
 };
-use spinrace_detector::MsmMode;
-use spinrace_detector::{shard_occupancy, NUM_SHARDS};
+use spinrace_detector::{AnyDetector, MsmMode};
 use spinrace_serve::outcome_json;
-use spinrace_suites::{all_programs, prepared_for_replay, rebuild_run, MAX_SCALE};
+use spinrace_suites::{all_programs, prepared_for_replay, MAX_SCALE};
 use spinrace_tracefmt::{ChunkedTraceReader, TraceFormat};
 use spinrace_vm::{Event, Trace, TraceHeader};
 use spinrace_workloads::{Family, WorkloadSpec};
@@ -426,9 +415,8 @@ fn gen(args: &[String]) -> i32 {
 fn replay(args: &[String]) -> i32 {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         eprintln!(
-            "usage: trace replay FILE [--tool T] [--long-msm] [--cap N] [--workers N] \
-             [--schedule static|balanced] [--json FILE] [--fault panic:W:N|delay:W:N:MS|drop:W:N] \
-             [--watchdog MS] [--handoff-timeout MS] [--max-events N] [--max-shadow-bytes N]"
+            "usage: trace replay FILE [--tool T] [--long-msm] [--cap N] [--json FILE] \
+             [--watchdog MS] [--max-events N] [--max-shadow-bytes N]"
         );
         return 2;
     };
@@ -439,64 +427,28 @@ fn replay(args: &[String]) -> i32 {
         MsmMode::Short
     };
     let cap: usize = num_opt(args, "--cap", 1000);
-    // `--workers 0` (the default) replays sequentially; any other count
-    // goes through the parallel sharded engine — same results either way.
-    let workers: usize = num_opt(args, "--workers", 0);
-    let schedule: Schedule = match opt(args, "--schedule") {
-        None => Schedule::default(),
-        Some(s) => match s.parse() {
-            Ok(sch) => sch,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        },
-    };
-    let fault: Option<FaultPlan> = match opt(args, "--fault") {
-        None => None,
-        Some(s) => match s.parse() {
-            Ok(f) => Some(f),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        },
-    };
     // `0` disables each limit (and is each one's default).
     let watchdog_ms: u64 = num_opt(args, "--watchdog", 0);
-    let handoff_ms: u64 = num_opt(args, "--handoff-timeout", 10_000);
     let max_events: u64 = num_opt(args, "--max-events", 0);
     let max_shadow: u64 = num_opt(args, "--max-shadow-bytes", 0);
-    if fault.is_some() && workers < 2 {
-        eprintln!("error: --fault injects into a pool worker; pass --workers 2 or more");
-        return 2;
-    }
-    if (watchdog_ms > 0 || max_events > 0 || max_shadow > 0) && workers == 0 {
-        eprintln!(
-            "error: --watchdog/--max-events/--max-shadow-bytes take the engine path; \
-             pass --workers (1 for a budgeted sequential replay)"
-        );
-        return 2;
-    }
     let opts = EngineOptions {
-        schedule,
-        handoff_timeout: Duration::from_millis(handoff_ms),
         watchdog: (watchdog_ms > 0).then(|| Duration::from_millis(watchdog_ms)),
         budget: Budget {
             max_events: (max_events > 0).then_some(max_events),
             max_shadow_bytes: (max_shadow > 0).then_some(max_shadow as usize),
         },
-        fault,
     };
 
-    // Sequential replay of a binary trace streams it chunk-by-chunk —
-    // O(chunk) peak memory, detection overlapped with decoding, same
-    // outcome. The parallel engine shards over a full event slice, and
-    // JSON has no chunk framing, so both take the full-decode path.
-    if format == TraceFormat::Binary && workers == 0 {
-        return replay_streamed(args, path, msm, cap);
+    // A binary trace streams chunk-by-chunk — O(chunk) peak memory,
+    // detection overlapped with decoding. JSON has no chunk framing, so
+    // it loads whole first. Same loop, same limits, same outcome.
+    if format == TraceFormat::Binary {
+        return replay_streamed(args, path, msm, cap, opts);
     }
+    let t0 = Instant::now();
     let trace = load(path);
+    let load_secs = t0.elapsed().as_secs_f64();
+    let events = trace.events.len();
     let tool = match opt(args, "--tool") {
         Some(s) => parse_tool(&s),
         None if trace.header.tool_label.is_empty() => {
@@ -505,6 +457,8 @@ fn replay(args: &[String]) -> i32 {
         }
         None => parse_tool(&trace.header.tool_label),
     };
+    // End-to-end rate of the whole-trace path: load plus detection.
+    let rate = |detect_secs: f64| events as f64 / (load_secs + detect_secs).max(1e-9) / 1e6;
 
     // Rebuild a prepared module the trace matches, so reports resolve to
     // source locations and the fingerprint check rejects stale traces.
@@ -513,113 +467,109 @@ fn replay(args: &[String]) -> i32 {
     // tool (e.g. lib and drd share the unmodified module). Otherwise fall
     // back to the recording tool's preparation and say plainly that the
     // results describe the recorded stream, not a live run of `tool`.
-    match rebuild_run(&trace, tool, msm, cap) {
-        Some(run) => {
-            let t0 = Instant::now();
-            let req = if workers > 0 {
-                DetectRequest::tool(tool).parallel(workers).options(opts)
-            } else {
-                DetectRequest::tool(tool).sequential()
-            };
-            let out = match run.try_run(&req) {
-                Ok(o) => o.into_single(),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 1;
-                }
-            };
-            let secs = t0.elapsed().as_secs_f64();
-            let mode = if workers > 0 {
-                format!("{workers} worker(s), {schedule}")
-            } else {
-                "sequential".to_string()
-            };
-            println!(
-                "replayed {} events under {} [{mode}]: {} racy context(s), {} promoted \
-                 location(s) ({:.2} M ev/s, detector only)",
-                trace.events.len(),
-                out.tool_label,
-                out.contexts,
-                out.promoted_locations,
-                trace.events.len() as f64 / secs.max(1e-9) / 1e6,
-            );
-            for r in out.reports.iter().take(10) {
-                println!(
-                    "  {:?} race on {} (t{} vs t{})",
-                    r.report.kind, r.location, r.report.prior.tid, r.report.current.tid
-                );
-            }
-            if out.reports.len() > 10 {
-                println!("  … {} more", out.reports.len() - 10);
-            }
-            maybe_write_json(args, &out)
+    let Some(prepared) = prepared_for_replay(&trace.header, tool, msm, cap) else {
+        if let Err(code) = unbound_note(args, &trace.header) {
+            return code;
         }
-        None => {
-            eprintln!(
-                "note: could not rebuild module {:?} (unknown program or fingerprint drift); \
-                 replaying without source locations",
-                trace.header.module_name
-            );
-            if opt(args, "--json").is_some() {
-                eprintln!("error: --json needs a rebuildable module (source locations)");
+        let t1 = Instant::now();
+        let mut replay = ReplayLoop::new([tool.detector_config(msm, cap)], opts, events as u64);
+        let det = match replay.feed(&trace.events).and_then(|()| replay.finish()) {
+            Ok(mut dets) => dets.remove(0),
+            Err(e) => {
+                eprintln!("error: {e}");
                 return 1;
             }
-            let cfg = tool.detector_config(msm, cap);
-            let t0 = Instant::now();
-            let (contexts, promoted, reports) = if workers > 0 {
-                let merged = match spinrace_core::parallel::try_run_sharded_opts(
-                    cfg,
-                    &trace.events,
-                    workers,
-                    opts,
-                ) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return 1;
-                    }
-                };
-                (
-                    merged.reports.contexts(),
-                    merged.promoted_locations,
-                    merged.reports.reports().to_vec(),
-                )
-            } else {
-                let mut det = spinrace_detector::AnyDetector::new(cfg);
-                trace.replay(&mut det);
-                (
-                    det.racy_contexts(),
-                    det.promoted_locations(),
-                    det.reports().reports().to_vec(),
-                )
-            };
-            let secs = t0.elapsed().as_secs_f64();
-            println!(
-                "replayed {} events under {}: {} racy context(s), {} promoted location(s) \
-                 ({:.2} M ev/s, detector only)",
-                trace.events.len(),
-                tool.label(),
-                contexts,
-                promoted,
-                trace.events.len() as f64 / secs.max(1e-9) / 1e6,
-            );
-            for r in reports.iter().take(10) {
-                println!(
-                    "  {:?} race at {:#x} (t{} vs t{})",
-                    r.kind, r.addr, r.prior.tid, r.current.tid
-                );
-            }
-            0
+        };
+        let detect_secs = t1.elapsed().as_secs_f64();
+        let how = format!("whole trace, {:.2} M ev/s, load+detect", rate(detect_secs));
+        print_unbound(tool, &det, &how);
+        return 0;
+    };
+    let run = match ExecutedRun::from_trace(prepared, trace) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return 1;
         }
+    };
+    let t1 = Instant::now();
+    let out = match run.try_run(&DetectRequest::tool(tool).options(opts)) {
+        Ok(o) => o.into_single(),
+        Err(e) => {
+            eprintln!("error: {e}");
+            return 1;
+        }
+    };
+    let detect_secs = t1.elapsed().as_secs_f64();
+    println!(
+        "replayed {events} events under {} [whole trace]: {} racy context(s), {} promoted \
+         location(s) ({:.2} M ev/s, load+detect)",
+        out.tool_label,
+        out.contexts,
+        out.promoted_locations,
+        rate(detect_secs),
+    );
+    print_reports(&out);
+    maybe_write_json(args, &out)
+}
+
+/// Print up to ten described reports of an outcome.
+fn print_reports(out: &AnalysisOutcome) {
+    for r in out.reports.iter().take(10) {
+        println!(
+            "  {:?} race on {} (t{} vs t{})",
+            r.report.kind, r.location, r.report.prior.tid, r.report.current.tid
+        );
+    }
+    if out.reports.len() > 10 {
+        println!("  … {} more", out.reports.len() - 10);
     }
 }
 
-/// Streaming sequential replay of a binary trace: the chunk reader
-/// decodes one chunk ahead of the detector, so the stream is never
-/// materialized. Outcome (and `--json` bytes) identical to the
-/// full-decode path.
-fn replay_streamed(args: &[String], path: &str, msm: MsmMode, cap: usize) -> i32 {
-    let reader = open_stream(path);
+/// Announce a replay whose module could not be rebuilt. Without source
+/// locations there is no outcome document, so `--json` fails the replay
+/// with exit code 1.
+fn unbound_note(args: &[String], header: &TraceHeader) -> Result<(), i32> {
+    eprintln!(
+        "note: could not rebuild module {:?} (unknown program or fingerprint drift); \
+         replaying without source locations",
+        header.module_name
+    );
+    if opt(args, "--json").is_some() {
+        eprintln!("error: --json needs a rebuildable module (source locations)");
+        return Err(1);
+    }
+    Ok(())
+}
+
+/// Print a replay without source locations: raw addresses only.
+fn print_unbound(tool: Tool, det: &AnyDetector, how: &str) {
+    println!(
+        "replayed {} events under {} [{how}]: {} racy context(s), {} promoted location(s)",
+        det.events_seen(),
+        tool.label(),
+        det.racy_contexts(),
+        det.promoted_locations(),
+    );
+    for r in det.reports().reports().iter().take(10) {
+        println!(
+            "  {:?} race at {:#x} (t{} vs t{})",
+            r.kind, r.addr, r.prior.tid, r.current.tid
+        );
+    }
+}
+
+/// Streaming replay of a binary trace: the chunk reader decodes one
+/// chunk ahead of the detector, so the stream is never materialized.
+/// Outcome (and `--json` bytes) identical to the whole-trace path.
+fn replay_streamed(
+    args: &[String],
+    path: &str,
+    msm: MsmMode,
+    cap: usize,
+    opts: EngineOptions,
+) -> i32 {
+    let mut reader = open_stream(path);
     let header = reader.header().clone();
     let tool = match opt(args, "--tool") {
         Some(s) => parse_tool(&s),
@@ -629,86 +579,72 @@ fn replay_streamed(args: &[String], path: &str, msm: MsmMode, cap: usize) -> i32
         }
         None => parse_tool(&header.tool_label),
     };
-    match prepared_for_replay(&header, tool, msm, cap) {
-        Some(prepared) => {
-            let t0 = Instant::now();
-            let req = DetectRequest::tool(tool).streamed();
-            let (out, stats) = match prepared.try_run_streamed(&req, reader) {
-                Ok((o, stats)) => (o.into_single(), stats),
-                Err(spinrace_core::AnalyzeError::Trace(e)) => {
+    let Some(prepared) = prepared_for_replay(&header, tool, msm, cap) else {
+        if let Err(code) = unbound_note(args, &header) {
+            return code;
+        }
+        // No module to bind: drive the replay loop chunk by chunk.
+        let t0 = Instant::now();
+        let mut replay = ReplayLoop::new([tool.detector_config(msm, cap)], opts, header.events);
+        let mut chunks = 0u32;
+        loop {
+            match reader.next_chunk() {
+                Ok(Some(chunk)) => {
+                    chunks += 1;
+                    if let Err(e) = replay.feed(&chunk) {
+                        eprintln!("error: {e}");
+                        return 1;
+                    }
+                }
+                Ok(None) => break,
+                Err(e) => {
                     eprintln!("error: {path}: {e}");
                     return 2;
                 }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 1;
-                }
-            };
-            let secs = t0.elapsed().as_secs_f64();
-            println!(
-                "replayed {} events under {} [sequential, streamed {} chunk(s), peak {} KiB \
-                 resident]: {} racy context(s), {} promoted location(s) ({:.2} M ev/s, \
-                 decode+detector)",
-                stats.events,
-                out.tool_label,
-                stats.chunks,
-                stats.peak_resident_bytes / 1024,
-                out.contexts,
-                out.promoted_locations,
-                stats.events as f64 / secs.max(1e-9) / 1e6,
-            );
-            for r in out.reports.iter().take(10) {
-                println!(
-                    "  {:?} race on {} (t{} vs t{})",
-                    r.report.kind, r.location, r.report.prior.tid, r.report.current.tid
-                );
             }
-            if out.reports.len() > 10 {
-                println!("  … {} more", out.reports.len() - 10);
-            }
-            maybe_write_json(args, &out)
         }
-        None => {
-            eprintln!(
-                "note: could not rebuild module {:?} (unknown program or fingerprint drift); \
-                 replaying without source locations",
-                header.module_name
-            );
-            if opt(args, "--json").is_some() {
-                eprintln!("error: --json needs a rebuildable module (source locations)");
+        let det = match replay.finish() {
+            Ok(mut dets) => dets.remove(0),
+            Err(e) => {
+                eprintln!("error: {e}");
                 return 1;
             }
-            let cfg = tool.detector_config(msm, cap);
-            let mut det = spinrace_detector::AnyDetector::new(cfg);
-            let t0 = Instant::now();
-            let stats = match reader.replay_into(&mut det) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return 2;
-                }
-            };
-            let secs = t0.elapsed().as_secs_f64();
-            println!(
-                "replayed {} events under {} [streamed {} chunk(s), peak {} KiB resident]: {} \
-                 racy context(s), {} promoted location(s) ({:.2} M ev/s, decode+detector)",
-                stats.events,
-                tool.label(),
-                stats.chunks,
-                stats.peak_resident_bytes / 1024,
-                det.racy_contexts(),
-                det.promoted_locations(),
-                stats.events as f64 / secs.max(1e-9) / 1e6,
-            );
-            for r in det.reports().reports().iter().take(10) {
-                println!(
-                    "  {:?} race at {:#x} (t{} vs t{})",
-                    r.kind, r.addr, r.prior.tid, r.current.tid
-                );
-            }
-            0
+        };
+        let eps = det.events_seen() as f64 / t0.elapsed().as_secs_f64().max(1e-9) / 1e6;
+        print_unbound(
+            tool,
+            &det,
+            &format!("streamed {chunks} chunk(s), {eps:.2} M ev/s, decode+detect"),
+        );
+        return 0;
+    };
+    let t0 = Instant::now();
+    let req = DetectRequest::tool(tool).options(opts);
+    let (out, stats) = match prepared.try_run_streamed(&req, reader) {
+        Ok((o, stats)) => (o.into_single(), stats),
+        Err(spinrace_core::AnalyzeError::Trace(e)) => {
+            eprintln!("error: {path}: {e}");
+            return 2;
         }
-    }
+        Err(e) => {
+            eprintln!("error: {e}");
+            return 1;
+        }
+    };
+    let secs = t0.elapsed().as_secs_f64();
+    println!(
+        "replayed {} events under {} [streamed {} chunk(s), peak {} KiB resident]: {} racy \
+         context(s), {} promoted location(s) ({:.2} M ev/s, decode+detect)",
+        stats.events,
+        out.tool_label,
+        stats.chunks,
+        stats.peak_resident_bytes / 1024,
+        out.contexts,
+        out.promoted_locations,
+        stats.events as f64 / secs.max(1e-9) / 1e6,
+    );
+    print_reports(&out);
+    maybe_write_json(args, &out)
 }
 
 /// `convert`: rewrite a trace in the other on-disk encoding (or an
@@ -863,7 +799,6 @@ struct StatsAcc {
     plain: u64,
     total: u64,
     addrs: std::collections::BTreeSet<u64>,
-    occ: [u64; NUM_SHARDS],
 }
 
 impl StatsAcc {
@@ -879,12 +814,6 @@ impl StatsAcc {
             }
         }
         self.total += events.len() as u64;
-        // Shard occupancy is a per-event histogram — additive across
-        // chunks.
-        let occ = shard_occupancy(events);
-        for (acc, c) in self.occ.iter_mut().zip(occ) {
-            *acc += c;
-        }
     }
 
     fn print(&self, file_bytes: u64) {
@@ -910,21 +839,6 @@ impl StatsAcc {
         for (t, c) in &self.per_thread {
             println!("  t{t:<15} {c:>10}");
         }
-        // Per-shard occupancy: how the parallel engine's shadow-shard
-        // partition sees this stream. `max/mean` > 1 quantifies skew —
-        // the imbalance the balanced schedule packs around and static
-        // ownership cannot.
-        let occ_total: u64 = self.occ.iter().sum();
-        let occ_max = self.occ.iter().copied().max().unwrap_or(0);
-        println!("shard occupancy (plain accesses per shadow shard):");
-        for (s, c) in self.occ.iter().enumerate() {
-            println!("  shard {s:<9} {c:>10}");
-        }
-        println!(
-            "  skew: hottest shard carries {:.2}x an even 1/{} share",
-            occ_max as f64 * NUM_SHARDS as f64 / occ_total.max(1) as f64,
-            NUM_SHARDS
-        );
     }
 }
 
@@ -962,7 +876,6 @@ fn serve_cmd(args: &[String]) -> i32 {
     let zero_is_none = |n: u64| (n > 0).then_some(n);
     let opts = spinrace_serve::ServeOptions {
         sessions: num_opt(args, "--sessions", 4),
-        cores: num_opt(args, "--cores", spinrace_core::default_workers()),
         max_events: zero_is_none(num_opt(args, "--max-events", 0)),
         max_shadow_bytes: zero_is_none(num_opt(args, "--max-shadow-bytes", 0)).map(|n| n as usize),
         watchdog_ms: zero_is_none(num_opt(args, "--watchdog", 0)),
@@ -1013,9 +926,8 @@ fn serve_cmd(args: &[String]) -> i32 {
 fn client_cmd(args: &[String]) -> i32 {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         eprintln!(
-            "usage: trace client FILE --addr HOST:PORT [--tool T] [--workers N] \
-             [--schedule static|balanced] [--long-msm] [--cap N] [--max-events N] \
-             [--max-shadow-bytes N] [--watchdog MS] [--json FILE]"
+            "usage: trace client FILE --addr HOST:PORT [--tool T] [--long-msm] [--cap N] \
+             [--max-events N] [--max-shadow-bytes N] [--watchdog MS] [--json FILE]"
         );
         return 2;
     };
@@ -1062,10 +974,6 @@ fn client_cmd(args: &[String]) -> i32 {
             serde_json::Value::Seq(vec![serde_json::Value::Str(tool.label())]),
         ),
         (
-            serde_json::Value::Str("workers".into()),
-            serde_json::Value::U64(num_opt(args, "--workers", 0)),
-        ),
-        (
             serde_json::Value::Str("cap".into()),
             serde_json::Value::U64(num_opt(args, "--cap", 1000)),
         ),
@@ -1074,12 +982,6 @@ fn client_cmd(args: &[String]) -> i32 {
             serde_json::Value::Bool(has(args, "--long-msm")),
         ),
     ];
-    if let Some(s) = opt(args, "--schedule") {
-        entries.push((
-            serde_json::Value::Str("schedule".into()),
-            serde_json::Value::Str(s),
-        ));
-    }
     for (flag, field) in [
         ("--max-events", "max_events"),
         ("--max-shadow-bytes", "max_shadow_bytes"),

@@ -12,7 +12,7 @@
 //!
 //! Shared helpers for the benches live here.
 
-use spinrace_core::{Analyzer, Tool};
+use spinrace_core::{Session, Tool};
 use spinrace_suites::all_programs;
 use spinrace_tir::Module;
 
@@ -38,9 +38,10 @@ pub fn bench_tools() -> Vec<(&'static str, Tool)> {
 
 /// One full pipeline run (panics on pipeline errors — benches only).
 pub fn run_once(tool: Tool, module: &Module) {
-    Analyzer::tool(tool)
+    Session::for_module(module)
         .long_msm()
-        .analyze(module)
+        .prepare(tool)
+        .and_then(|p| p.detect_live())
         .expect("bench run");
 }
 

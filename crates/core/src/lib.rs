@@ -5,11 +5,14 @@
 //! run, recorded as a [`spinrace_vm::Trace`]), **detect** (replay the
 //! trace under any number of detector configurations), **report**.
 //!
-//! The staged [`Session`] API is the primary interface — one execution
-//! fans out to many detections:
+//! The staged [`Session`] API is the one interface. A single live
+//! analysis is `Session::for_module(&m).prepare(tool)?.detect_live()`;
+//! one execution fans out to many detections through a
+//! [`DetectRequest`], and every detection — of a recorded trace or of a
+//! binary chunk stream — runs through the one replay loop in [`limits`]:
 //!
 //! ```
-//! use spinrace_core::{Session, Tool};
+//! use spinrace_core::{DetectRequest, Session, Tool};
 //! use spinrace_tir::ModuleBuilder;
 //!
 //! // A racy program: two threads increment without synchronization.
@@ -40,9 +43,10 @@
 //! // …then detect as often as needed on the recorded trace: the default
 //! // configuration, a capped variant, even another tool that shares the
 //! // same prepared module.
-//! let out = run.detect();
+//! let out = run.run(&DetectRequest::own()).into_single();
 //! assert!(out.has_race_on("g"));
-//! let capped = run.detect_with(run.prepared().default_config().with_cap(1));
+//! let cfg = run.prepared().default_config().with_cap(1);
+//! let capped = run.run(&DetectRequest::config(cfg)).into_single();
 //! assert_eq!(capped.contexts, 1);
 //!
 //! // The trace itself serializes; parsing it back replays identically.
@@ -50,25 +54,18 @@
 //! let parsed = spinrace_vm::Trace::from_json(&json).unwrap();
 //! assert_eq!(&parsed, run.trace());
 //! ```
-//!
-//! [`Analyzer`] remains as the one-call compatibility wrapper over a
-//! session (prepare → live detect, no recording).
 
-pub mod parallel;
+pub mod limits;
 pub mod request;
 pub mod session;
 
-pub use parallel::{
-    default_workers, Budget, BudgetResource, EngineError, EngineOptions, FaultKind, FaultPlan,
-    PartialMetrics, Schedule,
-};
-pub use request::{DetectMode, DetectOutcome, DetectRequest, DetectTarget};
+pub use limits::{Budget, BudgetResource, EngineError, EngineOptions, PartialMetrics, ReplayLoop};
+pub use request::{DetectOutcome, DetectRequest, DetectTarget};
 pub use session::{ExecutedRun, PreparedModule, Session, StreamProgress};
 
 use spinrace_detector::{DetectorMetrics, MsmMode, RaceReport};
-use spinrace_synclib::{LibStyle, LowerError};
-use spinrace_tir::Module;
-use spinrace_vm::{RunSummary, TraceError, VmConfig, VmError};
+use spinrace_synclib::LowerError;
+use spinrace_vm::{RunSummary, TraceError, VmError};
 use std::fmt;
 use std::str::FromStr;
 
@@ -92,8 +89,7 @@ pub enum Tool {
     Drd,
     /// Sync-preserving predictive detection: reports races in correct
     /// reorderings of the recorded trace (mutex edges kept only between
-    /// conflicting critical sections). Inherently sequential — parallel
-    /// replay refuses it with [`EngineError::Unsupported`].
+    /// conflicting critical sections).
     SyncPreserving,
 }
 
@@ -128,8 +124,7 @@ impl Tool {
         cfg.with_cap(cap)
     }
 
-    /// Is this a predictive (reordering-aware) tool? Predictive passes
-    /// are single-threaded: use sequential or streamed modes.
+    /// Is this a predictive (reordering-aware) tool?
     pub fn is_predictive(&self) -> bool {
         matches!(self, Tool::SyncPreserving)
     }
@@ -212,85 +207,6 @@ impl FromStr for Tool {
     }
 }
 
-/// A fully configured analysis pipeline — the one-call compatibility
-/// wrapper over [`Session`]: `analyze` prepares and runs the detector
-/// live in a single pass (no trace recording). Use [`Session`] when one
-/// execution should fan out to several detections.
-#[derive(Clone, Copy, Debug)]
-pub struct Analyzer {
-    /// The tool (detector + preparation steps).
-    pub tool: Tool,
-    /// Short or long memory state machine (hybrid tools).
-    pub msm: MsmMode,
-    /// VM configuration (scheduler, step limits).
-    pub vm: VmConfig,
-    /// Racy-context cap.
-    pub context_cap: usize,
-    /// Library flavour used when lowering for `nolib` tools. `Textbook`
-    /// primitives are fully detectable; `Obscure` models real library
-    /// internals whose condition-variable paths dodge the spin patterns
-    /// (used for the PARSEC nolib experiments).
-    pub nolib_style: LibStyle,
-}
-
-impl Analyzer {
-    /// Analyzer for a tool with short-MSM, round-robin defaults.
-    pub fn tool(tool: Tool) -> Analyzer {
-        Analyzer {
-            tool,
-            msm: MsmMode::Short,
-            vm: VmConfig::round_robin(),
-            context_cap: 1000,
-            nolib_style: LibStyle::Textbook,
-        }
-    }
-
-    /// Use the obscure library flavour for nolib lowering.
-    pub fn obscure_nolib(mut self) -> Analyzer {
-        self.nolib_style = LibStyle::Obscure;
-        self
-    }
-
-    /// Switch to the long-running MSM (integration-test mode).
-    pub fn long_msm(mut self) -> Analyzer {
-        self.msm = MsmMode::Long;
-        self
-    }
-
-    /// Use a seeded random scheduler.
-    pub fn seed(mut self, seed: u64) -> Analyzer {
-        self.vm = VmConfig::random(seed);
-        self
-    }
-
-    /// Override the VM configuration wholesale.
-    pub fn vm_config(mut self, vm: VmConfig) -> Analyzer {
-        self.vm = vm;
-        self
-    }
-
-    /// Override the racy-context cap.
-    pub fn cap(mut self, cap: usize) -> Analyzer {
-        self.context_cap = cap;
-        self
-    }
-
-    /// The session this analyzer's knobs describe.
-    pub fn session<'m>(&self, module: &'m Module) -> Session<'m> {
-        Session::for_module(module)
-            .msm(self.msm)
-            .vm_config(self.vm)
-            .cap(self.context_cap)
-            .nolib_style(self.nolib_style)
-    }
-
-    /// Run the full pipeline on `module`: prepare, then execute with the
-    /// detector attached live.
-    pub fn analyze(&self, module: &Module) -> Result<AnalysisOutcome, AnalyzeError> {
-        self.session(module).prepare(self.tool)?.detect_live()
-    }
-}
-
 /// A race report plus the human-readable location of the raced address
 /// (resolved against the analyzed module's globals).
 #[derive(Clone, Debug)]
@@ -357,8 +273,8 @@ pub enum AnalyzeError {
     },
     /// A trace file could not be read or decoded (either encoding).
     Trace(TraceError),
-    /// The replay engine failed or a resource budget tripped
-    /// ([`EngineError`] from a [`DetectRequest`] execution).
+    /// The watchdog or a resource budget tripped ([`EngineError`] from a
+    /// [`DetectRequest`] execution).
     Engine(EngineError),
 }
 
@@ -410,7 +326,16 @@ impl From<EngineError> for AnalyzeError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spinrace_tir::ModuleBuilder;
+    use spinrace_tir::{Module, ModuleBuilder};
+
+    /// One live analysis: prepare, then detect with the detector attached.
+    fn analyze(tool: Tool, m: &Module) -> AnalysisOutcome {
+        Session::for_module(m)
+            .prepare(tool)
+            .unwrap()
+            .detect_live()
+            .unwrap()
+    }
 
     /// Race-free flag handoff — the paper's canonical motivating example.
     fn flag_handoff() -> Module {
@@ -441,9 +366,7 @@ mod tests {
 
     #[test]
     fn lib_mode_floods_on_adhoc_sync() {
-        let out = Analyzer::tool(Tool::HelgrindLib)
-            .analyze(&flag_handoff())
-            .unwrap();
+        let out = analyze(Tool::HelgrindLib, &flag_handoff());
         assert!(out.contexts >= 2, "sync + apparent races reported");
         assert!(out.has_race_on("flag"), "synchronization race");
         assert!(out.has_race_on("data"), "apparent race");
@@ -451,9 +374,7 @@ mod tests {
 
     #[test]
     fn spin_mode_is_clean_on_adhoc_sync() {
-        let out = Analyzer::tool(Tool::HelgrindLibSpin { window: 7 })
-            .analyze(&flag_handoff())
-            .unwrap();
+        let out = analyze(Tool::HelgrindLibSpin { window: 7 }, &flag_handoff());
         assert!(out.is_clean(), "reports: {:?}", out.reports);
         assert_eq!(out.spin_loops_found, 1);
         assert!(out.promoted_locations >= 1);
@@ -461,7 +382,7 @@ mod tests {
 
     #[test]
     fn drd_also_floods_on_plain_flag() {
-        let out = Analyzer::tool(Tool::Drd).analyze(&flag_handoff()).unwrap();
+        let out = analyze(Tool::Drd, &flag_handoff());
         assert!(!out.is_clean());
     }
 
@@ -487,9 +408,7 @@ mod tests {
             f.ret(None);
         });
         let m = mb.finish().unwrap();
-        let out = Analyzer::tool(Tool::HelgrindNolibSpin { window: 7 })
-            .analyze(&m)
-            .unwrap();
+        let out = analyze(Tool::HelgrindNolibSpin { window: 7 }, &m);
         assert!(out.is_clean(), "reports: {:?}", out.reports);
         assert!(out.spin_loops_found >= 1, "TTAS loop instrumented");
     }
@@ -513,7 +432,7 @@ mod tests {
         });
         let m = mb.finish().unwrap();
         for tool in Tool::paper_lineup() {
-            let out = Analyzer::tool(tool).analyze(&m).unwrap();
+            let out = analyze(tool, &m);
             assert!(out.has_race_on("g"), "{} must catch the race", tool.label());
         }
     }

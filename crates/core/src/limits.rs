@@ -1,0 +1,456 @@
+//! Replay limits and the one replay loop that enforces them.
+//!
+//! Every detection replays its event stream through [`ReplayLoop`]: one
+//! in-order pass that feeds each event to every target's detector, in
+//! event-major order, and polls the optional wall-clock watchdog and the
+//! shadow-byte budget every 4096 events. The loop is fed chunks: the
+//! decode-ahead reader of [`PreparedModule::try_run_streamed`] hands it
+//! one decoded chunk at a time, and [`ExecutedRun::try_run`] hands it the
+//! whole in-memory trace as a single chunk. Both paths therefore trip
+//! the same limits at the same event with the same partial metrics.
+//!
+//! [`PreparedModule::try_run_streamed`]: crate::PreparedModule::try_run_streamed
+//! [`ExecutedRun::try_run`]: crate::ExecutedRun::try_run
+
+use spinrace_detector::{AnyDetector, DetectorConfig};
+use spinrace_vm::trace::TraceError;
+use spinrace_vm::{Event, EventSink};
+use std::fmt;
+use std::time::{Duration, Instant};
+
+/// How often (in events) the loop polls the watchdog and the shadow
+/// budget: every 4096 events, so the hot loop pays one masked compare per
+/// event in the common case.
+const PERIODIC_MASK: u64 = 0xFFF;
+
+/// A structured replay failure: a tripped limit, or a trace that could
+/// not be decoded.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum EngineError {
+    /// The whole detection ran past [`EngineOptions::watchdog`].
+    Watchdog {
+        /// The configured limit.
+        limit_ms: u64,
+    },
+    /// A resource budget was exhausted; detection terminated gracefully
+    /// with partial results.
+    BudgetExhausted {
+        /// Which budget tripped.
+        resource: BudgetResource,
+        /// The configured ceiling.
+        limit: u64,
+        /// The observed value that exceeded it.
+        used: u64,
+        /// What the detection had seen when it stopped.
+        partial: PartialMetrics,
+    },
+    /// The trace could not be decoded at all (wraps
+    /// [`spinrace_vm::trace::TraceError`] so callers that feed the loop
+    /// from serialized traces have one error type end to end).
+    Trace(TraceError),
+}
+
+impl fmt::Display for EngineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EngineError::Watchdog { limit_ms } => {
+                write!(f, "replay exceeded the {limit_ms} ms watchdog")
+            }
+            EngineError::BudgetExhausted {
+                resource,
+                limit,
+                used,
+                partial,
+            } => write!(
+                f,
+                "{resource} budget exhausted ({used} > {limit}); stopped after {} event(s), \
+                 {} racy context(s) so far",
+                partial.events_processed, partial.contexts
+            ),
+            EngineError::Trace(e) => write!(f, "trace decode failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for EngineError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            EngineError::Trace(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<TraceError> for EngineError {
+    fn from(e: TraceError) -> EngineError {
+        EngineError::Trace(e)
+    }
+}
+
+/// The resource whose [`Budget`] ceiling a detection ran into.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BudgetResource {
+    /// [`Budget::max_events`].
+    Events,
+    /// [`Budget::max_shadow_bytes`].
+    ShadowBytes,
+}
+
+impl fmt::Display for BudgetResource {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            BudgetResource::Events => "event",
+            BudgetResource::ShadowBytes => "shadow-byte",
+        })
+    }
+}
+
+/// What a budget-terminated detection had seen when it stopped — enough
+/// to report "analysis incomplete after N events, K contexts" the way a
+/// production tool would.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PartialMetrics {
+    /// Events processed before termination.
+    pub events_processed: u64,
+    /// Racy contexts recorded so far by the detector the error names
+    /// (the first target for an event-budget trip).
+    pub contexts: usize,
+    /// Shadow memory resident at termination.
+    pub shadow_bytes: usize,
+}
+
+/// Per-detection resource ceilings. `None` (the default) means
+/// unlimited; enforcement is free when unlimited.
+///
+/// * `max_events` bounds the number of events a detection may process.
+///   It is exact and deterministic: the affordable prefix is replayed
+///   for faithful partial metrics, then [`EngineError::BudgetExhausted`]
+///   is returned.
+/// * `max_shadow_bytes` bounds resident shadow memory. It is checked
+///   every 4096 events, and once more at the end of the stream, against
+///   a cheap O(shards) resident-size estimate of each target's detector.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Budget {
+    /// Maximum events one detection may process.
+    pub max_events: Option<u64>,
+    /// Maximum resident shadow bytes of any one target's detector.
+    pub max_shadow_bytes: Option<usize>,
+}
+
+impl Budget {
+    /// Is every ceiling disabled?
+    pub fn is_unlimited(&self) -> bool {
+        self.max_events.is_none() && self.max_shadow_bytes.is_none()
+    }
+
+    /// Bound the number of events one detection may process.
+    pub fn with_max_events(mut self, max_events: u64) -> Budget {
+        self.max_events = Some(max_events);
+        self
+    }
+
+    /// Bound the resident shadow bytes of one detection.
+    pub fn with_max_shadow_bytes(mut self, max_shadow_bytes: usize) -> Budget {
+        self.max_shadow_bytes = Some(max_shadow_bytes);
+        self
+    }
+}
+
+/// The limits one replay runs under. [`EngineOptions::default`] sets
+/// none: no watchdog and an unlimited budget.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EngineOptions {
+    /// Optional wall-clock ceiling for the whole detection
+    /// ([`EngineError::Watchdog`] when exceeded). `None` = unlimited.
+    pub watchdog: Option<Duration>,
+    /// Resource budgets.
+    pub budget: Budget,
+}
+
+impl EngineOptions {
+    /// Bound the whole detection by a wall-clock watchdog.
+    pub fn with_watchdog(mut self, limit: Duration) -> EngineOptions {
+        self.watchdog = Some(limit);
+        self
+    }
+
+    /// Set resource budgets.
+    pub fn with_budget(mut self, budget: Budget) -> EngineOptions {
+        self.budget = budget;
+        self
+    }
+}
+
+/// The one replay loop: feeds chunks of a `total`-event stream to one
+/// detector per target and enforces an [`EngineOptions`]' limits.
+///
+/// Sessions drive it for every [`DetectRequest`](crate::DetectRequest);
+/// it is public for callers that hold raw events but no prepared module
+/// (a trace whose module cannot be rebuilt).
+pub struct ReplayLoop {
+    dets: Vec<AnyDetector>,
+    events: u64,
+    total: u64,
+    /// Events the event budget affords (`total` when unlimited).
+    limit: u64,
+    deadline: Option<(Instant, Duration)>,
+    shadow_limit: usize,
+}
+
+impl ReplayLoop {
+    /// A loop over fresh detectors for `cfgs`, starting its watchdog now.
+    pub fn new(
+        cfgs: impl IntoIterator<Item = DetectorConfig>,
+        opts: EngineOptions,
+        total: u64,
+    ) -> ReplayLoop {
+        ReplayLoop {
+            dets: cfgs.into_iter().map(AnyDetector::new).collect(),
+            events: 0,
+            total,
+            limit: opts.budget.max_events.map_or(total, |m| m.min(total)),
+            deadline: opts.watchdog.map(|d| (Instant::now() + d, d)),
+            shadow_limit: opts.budget.max_shadow_bytes.unwrap_or(usize::MAX),
+        }
+    }
+
+    /// The detectors, in target order.
+    pub fn detectors(&self) -> &[AnyDetector] {
+        &self.dets
+    }
+
+    /// Events fed so far.
+    pub fn events(&self) -> u64 {
+        self.events
+    }
+
+    /// Feed the next chunk of the stream to every detector, event-major.
+    /// Fails on a tripped watchdog or shadow budget, and at the end of the
+    /// chunk in which the event budget runs out.
+    pub fn feed(&mut self, chunk: &[Event]) -> Result<(), EngineError> {
+        let affordable = (self.limit - self.events).min(chunk.len() as u64) as usize;
+        for ev in &chunk[..affordable] {
+            if self.events & PERIODIC_MASK == 0 {
+                self.poll()?;
+            }
+            for det in &mut self.dets {
+                det.on_event(ev);
+            }
+            self.events += 1;
+        }
+        if self.events == self.limit && self.limit < self.total {
+            let first = self.dets.first();
+            return Err(EngineError::BudgetExhausted {
+                resource: BudgetResource::Events,
+                limit: self.limit,
+                used: self.total,
+                partial: PartialMetrics {
+                    events_processed: self.limit,
+                    contexts: first.map_or(0, AnyDetector::racy_contexts),
+                    shadow_bytes: first.map_or(0, AnyDetector::shadow_resident_bytes),
+                },
+            });
+        }
+        Ok(())
+    }
+
+    /// End of stream: one last shadow check (the periodic poll samples
+    /// every 4096 events, so a short stream that ends over budget is
+    /// caught here), then hand back the detectors in target order.
+    pub fn finish(self) -> Result<Vec<AnyDetector>, EngineError> {
+        self.check_shadow()?;
+        Ok(self.dets)
+    }
+
+    fn poll(&self) -> Result<(), EngineError> {
+        if let Some((at, d)) = self.deadline {
+            if Instant::now() >= at {
+                return Err(EngineError::Watchdog {
+                    limit_ms: d.as_millis() as u64,
+                });
+            }
+        }
+        self.check_shadow()
+    }
+
+    fn check_shadow(&self) -> Result<(), EngineError> {
+        if self.shadow_limit == usize::MAX {
+            return Ok(());
+        }
+        for det in &self.dets {
+            let bytes = det.shadow_resident_bytes();
+            if bytes > self.shadow_limit {
+                return Err(EngineError::BudgetExhausted {
+                    resource: BudgetResource::ShadowBytes,
+                    limit: self.shadow_limit as u64,
+                    used: bytes as u64,
+                    partial: PartialMetrics {
+                        events_processed: self.events,
+                        contexts: det.racy_contexts(),
+                        shadow_bytes: bytes,
+                    },
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spinrace_detector::{MsmMode, RaceDetector};
+    use spinrace_tir::{Module, ModuleBuilder};
+    use spinrace_vm::{record_run, Trace, VmConfig};
+
+    /// Locked counters + an ad-hoc flag handoff + a deliberate race: all
+    /// detector features (locksets, promotion, HB reports) in one module.
+    fn mixed_trace() -> Trace {
+        let mut mb = ModuleBuilder::new("mixed");
+        let mu = mb.global("mu", 1);
+        let shared = mb.global("shared", 1);
+        let flag = mb.global("flag", 1);
+        let data = mb.global("data", 1);
+        let victim = mb.global("victim", 1);
+        let w = mb.function("w", 1, |f| {
+            f.lock(mu.at(0));
+            let v = f.load(shared.at(0));
+            let v2 = f.add(v, 1);
+            f.store(shared.at(0), v2);
+            f.unlock(mu.at(0));
+            let r = f.load(victim.at(0));
+            let r2 = f.add(r, 1);
+            f.store(victim.at(0), r2);
+            f.ret(None);
+        });
+        let waiter = mb.function("waiter", 1, |f| {
+            let head = f.new_block();
+            let done = f.new_block();
+            f.jump(head);
+            f.switch_to(head);
+            let v = f.load(flag.at(0));
+            f.branch(v, done, head);
+            f.switch_to(done);
+            let d = f.load(data.at(0));
+            f.output(d);
+            f.ret(None);
+        });
+        mb.entry("main", |f| {
+            let tw = f.spawn(waiter, 0);
+            let t1 = f.spawn(w, 0);
+            let t2 = f.spawn(w, 1);
+            f.store(data.at(0), 7);
+            f.store(flag.at(0), 1);
+            f.join(t1);
+            f.join(t2);
+            f.join(tw);
+            f.ret(None);
+        });
+        let m: Module = mb.finish().unwrap();
+        record_run(&m, VmConfig::round_robin(), "test").unwrap()
+    }
+
+    fn run(
+        cfgs: &[DetectorConfig],
+        events: &[Event],
+        opts: EngineOptions,
+        chunk: usize,
+    ) -> Result<Vec<AnyDetector>, EngineError> {
+        let mut lp = ReplayLoop::new(cfgs.iter().copied(), opts, events.len() as u64);
+        for c in events.chunks(chunk) {
+            lp.feed(c)?;
+        }
+        lp.finish()
+    }
+
+    /// One event-major pass over several detectors equals one plain
+    /// sequential detector per configuration, whatever the chunking.
+    #[test]
+    fn run_many_matches_individual_runs() {
+        let trace = mixed_trace();
+        let cfgs = [
+            DetectorConfig::helgrind_lib(MsmMode::Short),
+            DetectorConfig::helgrind_lib_spin(MsmMode::Long),
+            DetectorConfig::drd(),
+            DetectorConfig::sync_preserving(),
+        ];
+        for chunk in [1, 7, trace.events.len()] {
+            let dets = run(&cfgs, &trace.events, EngineOptions::default(), chunk).unwrap();
+            assert_eq!(dets.len(), cfgs.len());
+            for (cfg, det) in cfgs.iter().zip(&dets) {
+                let mut seq = AnyDetector::new(*cfg);
+                trace.replay(&mut seq);
+                assert_eq!(det.reports().reports(), seq.reports().reports());
+                assert_eq!(det.metrics(), seq.metrics(), "chunk {chunk}");
+                assert_eq!(det.promoted_locations(), seq.promoted_locations());
+            }
+        }
+    }
+
+    #[test]
+    fn event_budget_reports_partial_metrics_from_the_prefix() {
+        let trace = mixed_trace();
+        let cfg = DetectorConfig::helgrind_lib(MsmMode::Short);
+        let budget = (trace.events.len() / 2) as u64;
+        let opts = EngineOptions::default().with_budget(Budget::default().with_max_events(budget));
+        // Ground truth: a sequential detector over the affordable prefix.
+        let mut prefix = RaceDetector::new(cfg);
+        for ev in &trace.events[..budget as usize] {
+            prefix.on_event(ev);
+        }
+        for chunk in [1, 5, trace.events.len()] {
+            let err = run(&[cfg], &trace.events, opts, chunk)
+                .err()
+                .expect("budget must trip");
+            assert_eq!(
+                err,
+                EngineError::BudgetExhausted {
+                    resource: BudgetResource::Events,
+                    limit: budget,
+                    used: trace.events.len() as u64,
+                    partial: PartialMetrics {
+                        events_processed: budget,
+                        contexts: prefix.racy_contexts(),
+                        shadow_bytes: prefix.shadow_resident_bytes(),
+                    },
+                },
+                "chunk {chunk}"
+            );
+        }
+    }
+
+    #[test]
+    fn shadow_budget_trips_with_partial_metrics() {
+        let trace = mixed_trace();
+        let cfg = DetectorConfig::helgrind_lib(MsmMode::Short);
+        let opts = EngineOptions::default().with_budget(Budget::default().with_max_shadow_bytes(1));
+        for chunk in [3, trace.events.len()] {
+            let err = run(&[cfg], &trace.events, opts, chunk)
+                .err()
+                .expect("a 1-byte shadow budget must trip");
+            match err {
+                EngineError::BudgetExhausted {
+                    resource: BudgetResource::ShadowBytes,
+                    limit,
+                    used,
+                    partial,
+                } => {
+                    assert_eq!(limit, 1);
+                    assert!(used > 1);
+                    assert_eq!(partial.shadow_bytes as u64, used);
+                }
+                other => panic!("expected shadow-budget error, got {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn zero_watchdog_trips_on_the_first_event() {
+        let trace = mixed_trace();
+        let opts = EngineOptions::default().with_watchdog(Duration::ZERO);
+        let err = run(&[DetectorConfig::drd()], &trace.events, opts, 64)
+            .err()
+            .expect("a zero watchdog must trip");
+        assert_eq!(err, EngineError::Watchdog { limit_ms: 0 });
+    }
+}

@@ -1,18 +1,18 @@
-//! The unified detection request: **one** entry point over the whole
-//! `{tool source} × {sequential/parallel/streamed} × {schedule/options}`
-//! space the legacy `detect_*` method family spans.
+//! The detection request: **one** entry point over every detection a
+//! recorded or streamed trace supports.
 //!
 //! A [`DetectRequest`] names *what* to detect (its targets: the run's own
 //! tool, other tools sharing the prepared module, or explicit detector
-//! configurations), *how* (its [`DetectMode`]), and under which
-//! [`EngineOptions`] (schedule, watchdog, budgets, fault injection). It
-//! is executed by [`ExecutedRun::run`] / [`ExecutedRun::try_run`] against
-//! a recorded trace, and by [`PreparedModule::try_run_streamed`] against
-//! a binary chunk stream — the same request type a detection server
-//! decodes straight off the wire.
+//! configurations) and under which [`EngineOptions`] (watchdog and
+//! budgets). It is executed by [`ExecutedRun::run`] /
+//! [`ExecutedRun::try_run`] against a recorded trace, and by
+//! [`PreparedModule::try_run_streamed`] against a binary chunk stream —
+//! the same request type a detection server decodes straight off the
+//! wire. Either way every target is fed by one in-order pass over the
+//! events.
 //!
 //! ```
-//! use spinrace_core::{DetectRequest, Schedule, Session, Tool};
+//! use spinrace_core::{Budget, DetectRequest, Session, Tool};
 //! use spinrace_tir::ModuleBuilder;
 //!
 //! let mut mb = ModuleBuilder::new("racy");
@@ -38,25 +38,27 @@
 //!     .execute()
 //!     .unwrap();
 //!
-//! // Sequential replay under the run's own tool…
+//! // Replay under the run's own tool…
 //! let out = run.run(&DetectRequest::own()).into_single();
 //! assert!(out.has_race_on("g"));
 //!
-//! // …and the same request parallelized, scheduled, and fanned out over
-//! // two tools on one worker pool — byte-identical per target.
-//! let req = DetectRequest::tools(&[Tool::HelgrindLib, Tool::Drd])
-//!     .parallel(4)
-//!     .scheduled(Schedule::Balanced);
-//! let outs = run.run(&req).into_vec();
+//! // …and fanned out over two tools sharing the recording, on one pass.
+//! let outs = run
+//!     .run(&DetectRequest::tools(&[Tool::HelgrindLib, Tool::Drd]))
+//!     .into_vec();
 //! assert_eq!(outs.len(), 2);
 //! assert_eq!(outs[0].contexts, out.contexts);
+//!
+//! // An event budget stops the replay with partial metrics.
+//! let capped = DetectRequest::own().budget(Budget::default().with_max_events(3));
+//! assert!(run.try_run(&capped).is_err());
 //! ```
 //!
 //! [`ExecutedRun::run`]: crate::ExecutedRun::run
 //! [`ExecutedRun::try_run`]: crate::ExecutedRun::try_run
 //! [`PreparedModule::try_run_streamed`]: crate::PreparedModule::try_run_streamed
 
-use crate::parallel::{Budget, EngineOptions, FaultPlan, Schedule};
+use crate::limits::{Budget, EngineOptions};
 use crate::{AnalysisOutcome, Tool};
 use spinrace_detector::DetectorConfig;
 use std::time::Duration;
@@ -65,52 +67,26 @@ use std::time::Duration;
 /// request resolves against the prepared module it runs on.
 #[derive(Clone, Copy, Debug)]
 pub enum DetectTarget {
-    /// The run's own tool, under the session's MSM flavour and cap —
-    /// what the legacy `detect()` family used.
+    /// The run's own tool, under the session's MSM flavour and cap.
     Own,
     /// Another tool's configuration and label. Only valid when that
     /// tool's preparation of the same source module yields the same
-    /// fingerprint (the `detect_as` sharing contract).
+    /// fingerprint (the trace-sharing contract harnesses check).
     Tool(Tool),
     /// An explicit detector configuration, labelled with the run's own
-    /// tool (the `detect_with` form).
+    /// tool.
     Config(DetectorConfig),
 }
 
-/// How a request replays the stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DetectMode {
-    /// One in-order pass per target — the deterministic baseline.
-    Sequential,
-    /// The sharded parallel engine on `workers` threads (clamped to
-    /// `1..=NUM_SHARDS`); bit-identical to [`DetectMode::Sequential`]
-    /// at every width and schedule.
-    Parallel {
-        /// Worker thread count.
-        workers: usize,
-    },
-    /// Chunk-streamed sequential replay — O(chunk) peak memory, used by
-    /// [`PreparedModule::try_run_streamed`]. On an [`ExecutedRun`]
-    /// (where the stream is already materialized) this degenerates to
-    /// [`DetectMode::Sequential`].
-    ///
-    /// [`PreparedModule::try_run_streamed`]: crate::PreparedModule::try_run_streamed
-    /// [`ExecutedRun`]: crate::ExecutedRun
-    Streamed,
-}
-
-/// A unified detection request — see the [module docs](self) for the
-/// legacy-method mapping and examples.
+/// A detection request — see the [module docs](self) for examples.
 #[derive(Clone, Debug)]
 pub struct DetectRequest {
     targets: Vec<DetectTarget>,
-    mode: DetectMode,
     options: EngineOptions,
 }
 
 impl Default for DetectRequest {
-    /// [`DetectRequest::own`]: the run's own tool, sequentially, under
-    /// default engine options.
+    /// [`DetectRequest::own`]: the run's own tool, without limits.
     fn default() -> DetectRequest {
         DetectRequest::own()
     }
@@ -120,36 +96,33 @@ impl DetectRequest {
     fn with_targets(targets: Vec<DetectTarget>) -> DetectRequest {
         DetectRequest {
             targets,
-            mode: DetectMode::Sequential,
             options: EngineOptions::default(),
         }
     }
 
-    /// Detect under the run's own tool (the legacy `detect()` target).
+    /// Detect under the run's own tool.
     pub fn own() -> DetectRequest {
         DetectRequest::with_targets(vec![DetectTarget::Own])
     }
 
-    /// Detect under another tool's configuration and label (the legacy
-    /// `detect_as` target — the fingerprint-sharing contract applies).
+    /// Detect under another tool's configuration and label (the
+    /// fingerprint-sharing contract applies).
     pub fn tool(tool: Tool) -> DetectRequest {
         DetectRequest::with_targets(vec![DetectTarget::Tool(tool)])
     }
 
-    /// Fan out over several tools on one request (the legacy
-    /// `detect_many_as_parallel` targets).
+    /// Fan out over several tools on one request.
     pub fn tools(tools: &[Tool]) -> DetectRequest {
         DetectRequest::with_targets(tools.iter().map(|&t| DetectTarget::Tool(t)).collect())
     }
 
     /// Detect under an explicit configuration, labelled with the run's
-    /// own tool (the legacy `detect_with` target).
+    /// own tool.
     pub fn config(cfg: DetectorConfig) -> DetectRequest {
         DetectRequest::with_targets(vec![DetectTarget::Config(cfg)])
     }
 
-    /// Fan out over several explicit configurations (the legacy
-    /// `detect_many` targets).
+    /// Fan out over several explicit configurations.
     pub fn configs(cfgs: &[DetectorConfig]) -> DetectRequest {
         DetectRequest::with_targets(cfgs.iter().map(|&c| DetectTarget::Config(c)).collect())
     }
@@ -160,27 +133,10 @@ impl DetectRequest {
         self
     }
 
-    /// Replay sequentially (the default).
-    pub fn sequential(mut self) -> DetectRequest {
-        self.mode = DetectMode::Sequential;
-        self
-    }
-
-    /// Replay on the parallel sharded engine with `workers` threads.
-    pub fn parallel(mut self, workers: usize) -> DetectRequest {
-        self.mode = DetectMode::Parallel { workers };
-        self
-    }
-
-    /// Replay as a chunked stream (see [`DetectMode::Streamed`]).
-    pub fn streamed(mut self) -> DetectRequest {
-        self.mode = DetectMode::Streamed;
-        self
-    }
-
-    /// Select the shard-to-worker scheduling mode.
-    pub fn scheduled(mut self, schedule: Schedule) -> DetectRequest {
-        self.options.schedule = schedule;
+    /// Identity: every request replays through the same in-order loop,
+    /// whether fed a recorded trace or a chunk stream. Kept for source
+    /// compatibility with callers that marked streamed requests.
+    pub fn streamed(self) -> DetectRequest {
         self
     }
 
@@ -196,20 +152,8 @@ impl DetectRequest {
         self
     }
 
-    /// Override the per-handoff wait ceiling of the parallel engine.
-    pub fn handoff_timeout(mut self, limit: Duration) -> DetectRequest {
-        self.options.handoff_timeout = limit;
-        self
-    }
-
-    /// Arm deterministic fault injection (tests/CI only).
-    pub fn fault(mut self, fault: FaultPlan) -> DetectRequest {
-        self.options.fault = Some(fault);
-        self
-    }
-
-    /// Replace the engine options wholesale (schedule, watchdog,
-    /// budgets, and fault plan at once).
+    /// Replace the engine options wholesale (watchdog and budgets at
+    /// once).
     pub fn options(mut self, options: EngineOptions) -> DetectRequest {
         self.options = options;
         self
@@ -220,12 +164,7 @@ impl DetectRequest {
         &self.targets
     }
 
-    /// The replay mode.
-    pub fn mode(&self) -> DetectMode {
-        self.mode
-    }
-
-    /// The engine options the replay runs under.
+    /// The limits the replay runs under.
     pub fn engine_options(&self) -> EngineOptions {
         self.options
     }

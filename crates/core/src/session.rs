@@ -9,13 +9,15 @@
 //!    records the event stream as a replayable [`Trace`] inside an
 //!    [`ExecutedRun`];
 //! 3. [`ExecutedRun::run`] executes a [`DetectRequest`] — replay the
-//!    trace under any fan-out of tools/configurations, sequentially or
-//!    on the parallel sharded engine, with schedules, watchdogs, and
-//!    budgets — and each replay is equivalent to having run that
-//!    detector live (the VM hands events to sinks by reference,
-//!    synchronously, and detectors are deterministic). The historical
-//!    `detect_*` method family remains as thin wrappers over `run`;
-//!    see [`crate::request`] for the mapping.
+//!    trace under any fan-out of tools/configurations, in one pass,
+//!    under an optional watchdog and budgets — and each replay is
+//!    equivalent to having run that detector live (the VM hands events
+//!    to sinks by reference, synchronously, and detectors are
+//!    deterministic).
+//!
+//! [`PreparedModule::try_run_streamed`] executes the same request
+//! against a binary trace stream without materializing it. Both entry
+//! points drive the one replay loop in [`crate::limits`].
 //!
 //! Because the VM is deterministic, two tools whose preparation produced
 //! the same module (same [`Module::fingerprint`]) see the same stream —
@@ -23,26 +25,20 @@
 //! spin windows that accepted the same loops. Harnesses exploit this by
 //! caching [`ExecutedRun`]s per fingerprint and fanning detection out.
 
-use crate::parallel::{
-    expect_engine, BudgetResource, EngineError, EngineOptions, PartialMetrics, Schedule,
-    PERIODIC_MASK,
-};
-use crate::request::{DetectMode, DetectOutcome, DetectRequest, DetectTarget};
+use crate::limits::{EngineError, ReplayLoop};
+use crate::request::{DetectOutcome, DetectRequest, DetectTarget};
 use crate::{AnalysisOutcome, AnalyzeError, DescribedReport, Tool};
 use spinrace_detector::{AnyDetector, DetectorConfig, MsmMode};
 use spinrace_spinfind::{SpinCriteria, SpinFinder};
 use spinrace_synclib::{lower_to_spinlib_styled, LibStyle};
 use spinrace_tir::Module;
 use spinrace_tracefmt::{chunk_mem, ChunkedTraceReader, StreamStats};
-use spinrace_vm::{
-    run_module, Event, EventSink, RunSummary, Tee, Trace, TraceError, TraceRecorder, VmConfig,
-};
+use spinrace_vm::{run_module, Event, RunSummary, Tee, Trace, TraceError, TraceRecorder, VmConfig};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A configured analysis session over one source module.
 #[derive(Clone, Copy, Debug)]
@@ -55,8 +51,8 @@ pub struct Session<'m> {
 }
 
 impl<'m> Session<'m> {
-    /// Session with the defaults of [`crate::Analyzer::tool`]: short MSM,
-    /// round-robin scheduling, cap 1000, textbook nolib primitives.
+    /// Session with the defaults: short MSM, round-robin scheduling,
+    /// cap 1000, textbook nolib primitives.
     pub fn for_module(module: &'m Module) -> Session<'m> {
         Session {
             module,
@@ -202,9 +198,9 @@ impl PreparedModule {
     }
 
     /// Interpret the module once with the default detector attached
-    /// **live** — no event buffering. This is the classic `Analyzer`
-    /// single-shot path: use it when one detection per execution is all
-    /// that's needed (benches, overhead measurements).
+    /// **live** — no event buffering. The single-shot path: use it when
+    /// one detection per execution is all that's needed (benches,
+    /// overhead measurements, one-off analyses).
     pub fn detect_live(&self) -> Result<AnalysisOutcome, AnalyzeError> {
         let mut det = AnyDetector::new(self.default_config());
         let summary = run_module(&self.module, self.vm, &mut det)?;
@@ -230,29 +226,44 @@ impl PreparedModule {
         ))
     }
 
-    /// Resolve a request's targets against this prepared module: each
-    /// target becomes a `(tool label, detector configuration)` pair, in
-    /// request order.
-    pub(crate) fn resolve_targets(&self, req: &DetectRequest) -> Vec<(String, DetectorConfig)> {
-        req.targets()
+    /// Resolve a request's targets against this prepared module into
+    /// their tool labels, in request order, and a replay loop over one
+    /// detector per target for a `total`-event stream.
+    fn start_replay(&self, req: &DetectRequest, total: u64) -> (Vec<String>, ReplayLoop) {
+        let (labels, cfgs): (Vec<String>, Vec<DetectorConfig>) = req
+            .targets()
             .iter()
             .map(|t| match *t {
                 DetectTarget::Own => (self.tool.label(), self.default_config()),
                 DetectTarget::Tool(tool) => (tool.label(), self.config_for(tool)),
                 DetectTarget::Config(cfg) => (self.tool.label(), cfg),
             })
-            .collect()
+            .unzip();
+        (labels, ReplayLoop::new(cfgs, req.engine_options(), total))
+    }
+
+    /// End a replay and assemble one outcome per target.
+    fn finish_replay(
+        &self,
+        labels: Vec<String>,
+        replay: ReplayLoop,
+        summary: &RunSummary,
+    ) -> Result<DetectOutcome, EngineError> {
+        let outcomes = labels
+            .into_iter()
+            .zip(replay.finish()?)
+            .map(|(label, det)| self.assemble(label, det, summary.clone()))
+            .collect();
+        Ok(DetectOutcome { outcomes })
     }
 
     /// Execute a [`DetectRequest`] against a binary trace **stream**
     /// without materializing the event vector: the reader decodes one
     /// chunk ahead of the detectors, so peak memory is O(chunk) rather
     /// than O(trace) and detection starts before the stream has been
-    /// fully read. Replay is sequential regardless of the request's
-    /// [`DetectMode`] (the parallel engine shards over a full event
-    /// slice and goes through [`ExecutedRun`] instead), but the
-    /// request's targets fan out on one pass and its watchdog/budget
-    /// [`EngineOptions`] are enforced.
+    /// fully read. The request's targets fan out on one pass and its
+    /// watchdog and budgets are enforced exactly as
+    /// [`ExecutedRun::try_run`] enforces them.
     ///
     /// Fails with [`AnalyzeError::TraceMismatch`] when the stream's
     /// fingerprint does not match this prepared module, with
@@ -260,7 +271,7 @@ impl PreparedModule {
     /// detected per chunk, possibly mid-replay), and with
     /// [`AnalyzeError::Engine`] on a tripped watchdog or budget
     /// (event-budget trips replay exactly the affordable prefix and
-    /// carry faithful [`PartialMetrics`]).
+    /// carry faithful [`PartialMetrics`](crate::PartialMetrics)).
     pub fn try_run_streamed<R: io::Read + Send>(
         &self,
         req: &DetectRequest,
@@ -291,28 +302,17 @@ impl PreparedModule {
             });
         }
         let summary = reader.summary().clone();
-        let total = reader.header().events;
-        let resolved = self.resolve_targets(req);
-        let mut dets: Vec<AnyDetector> = resolved
-            .iter()
-            .map(|&(_, cfg)| AnyDetector::new(cfg))
-            .collect();
-        let mut seen: Vec<usize> = vec![0; dets.len()];
-        let opts = req.engine_options();
-        let limit = opts.budget.max_events.map_or(total, |m| m.min(total));
-        let truncated = limit < total;
-        let deadline = opts.watchdog.map(|d| (Instant::now() + d, d));
-        let shadow_limit = opts.budget.max_shadow_bytes.unwrap_or(usize::MAX);
+        let (labels, mut replay) = self.start_replay(req, reader.header().events);
+        let mut seen: Vec<usize> = vec![0; labels.len()];
 
         // The same decode-ahead pipeline as `ChunkedTraceReader::
-        // replay_into`, with the consumer side widened to many
-        // detectors plus budget/watchdog enforcement mirroring the
-        // engine's sequential pass (periodic checks every 4096 events).
+        // replay_into`, with the consumer side widened to many detectors
+        // plus the replay loop's limits.
         let resident = Arc::new(AtomicUsize::new(0));
         let peak = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = sync_channel::<Result<Vec<Event>, TraceError>>(1);
 
-        let stats = std::thread::scope(|scope| -> Result<StreamStats, AnalyzeError> {
+        let chunks = std::thread::scope(|scope| -> Result<u32, AnalyzeError> {
             let decoder_resident = Arc::clone(&resident);
             let decoder_peak = Arc::clone(&peak);
             let reader = &mut reader;
@@ -336,63 +336,14 @@ impl PreparedModule {
                 }
             });
 
-            let mut stats = StreamStats::default();
+            let mut chunks = 0u32;
             for msg in rx {
                 let chunk = msg.map_err(AnalyzeError::Trace)?;
-                for ev in &chunk {
-                    if truncated && stats.events == limit {
-                        break;
-                    }
-                    if stats.events & (PERIODIC_MASK as u64) == 0 {
-                        if let Some((at, d)) = deadline {
-                            if Instant::now() >= at {
-                                return Err(EngineError::Watchdog {
-                                    limit_ms: d.as_millis() as u64,
-                                }
-                                .into());
-                            }
-                        }
-                        if shadow_limit != usize::MAX {
-                            for det in &dets {
-                                let bytes = det.shadow_resident_bytes();
-                                if bytes > shadow_limit {
-                                    return Err(EngineError::BudgetExhausted {
-                                        resource: BudgetResource::ShadowBytes,
-                                        limit: shadow_limit as u64,
-                                        used: bytes as u64,
-                                        partial: PartialMetrics {
-                                            events_processed: stats.events,
-                                            contexts: det.racy_contexts(),
-                                            shadow_bytes: bytes,
-                                        },
-                                    }
-                                    .into());
-                                }
-                            }
-                        }
-                    }
-                    for det in &mut dets {
-                        det.on_event(ev);
-                    }
-                    stats.events += 1;
-                }
-                stats.chunks += 1;
+                let fed = replay.feed(&chunk);
                 resident.fetch_sub(chunk_mem(&chunk), Ordering::Relaxed);
-                if truncated && stats.events == limit {
-                    let first = &dets[0];
-                    return Err(EngineError::BudgetExhausted {
-                        resource: BudgetResource::Events,
-                        limit,
-                        used: total,
-                        partial: PartialMetrics {
-                            events_processed: limit,
-                            contexts: first.racy_contexts(),
-                            shadow_bytes: first.shadow_resident_bytes(),
-                        },
-                    }
-                    .into());
-                }
-                for (idx, det) in dets.iter().enumerate() {
+                fed?;
+                chunks += 1;
+                for (idx, det) in replay.detectors().iter().enumerate() {
                     let reports = det.reports().reports();
                     let new: Vec<DescribedReport> = reports[seen[idx]..]
                         .iter()
@@ -404,88 +355,23 @@ impl PreparedModule {
                     seen[idx] = reports.len();
                     observe(StreamProgress {
                         target: idx,
-                        tool_label: &resolved[idx].0,
-                        chunk: stats.chunks,
-                        events: stats.events,
+                        tool_label: &labels[idx],
+                        chunk: chunks,
+                        events: replay.events(),
                         contexts: det.racy_contexts(),
                         new_reports: &new,
                     });
                 }
             }
-            // Final shadow check: the periodic poll samples every 4096
-            // events, so a short stream that ends over budget lands here.
-            if shadow_limit != usize::MAX {
-                for det in &dets {
-                    let bytes = det.shadow_resident_bytes();
-                    if bytes > shadow_limit {
-                        return Err(EngineError::BudgetExhausted {
-                            resource: BudgetResource::ShadowBytes,
-                            limit: shadow_limit as u64,
-                            used: bytes as u64,
-                            partial: PartialMetrics {
-                                events_processed: stats.events,
-                                contexts: det.racy_contexts(),
-                                shadow_bytes: bytes,
-                            },
-                        }
-                        .into());
-                    }
-                }
-            }
-            Ok(stats)
+            Ok(chunks)
         })?;
 
-        let mut stats = stats;
-        stats.peak_resident_bytes = peak.load(Ordering::Relaxed);
-        let outcomes = resolved
-            .into_iter()
-            .zip(dets)
-            .map(|((label, _), det)| self.assemble(label, det, summary.clone()))
-            .collect();
-        Ok((DetectOutcome { outcomes }, stats))
-    }
-
-    /// Replay a binary trace stream under this module's own tool.
-    ///
-    /// Legacy wrapper: equivalent to
-    /// [`try_run_streamed`](Self::try_run_streamed) with
-    /// [`DetectRequest::own`] — prefer the request form.
-    pub fn try_detect_streamed<R: io::Read + Send>(
-        &self,
-        reader: ChunkedTraceReader<R>,
-    ) -> Result<(AnalysisOutcome, StreamStats), AnalyzeError> {
-        let (out, stats) = self.try_run_streamed(&DetectRequest::own(), reader)?;
-        Ok((out.into_single(), stats))
-    }
-
-    /// Streamed replay under an explicit detector configuration.
-    ///
-    /// Legacy wrapper: equivalent to
-    /// [`try_run_streamed`](Self::try_run_streamed) with
-    /// [`DetectRequest::config`] — prefer the request form.
-    pub fn try_detect_streamed_with<R: io::Read + Send>(
-        &self,
-        cfg: DetectorConfig,
-        reader: ChunkedTraceReader<R>,
-    ) -> Result<(AnalysisOutcome, StreamStats), AnalyzeError> {
-        let (out, stats) = self.try_run_streamed(&DetectRequest::config(cfg), reader)?;
-        Ok((out.into_single(), stats))
-    }
-
-    /// Streamed replay under *another tool's* configuration and label —
-    /// the fingerprint-sharing contract of [`ExecutedRun::detect_as`]
-    /// applies.
-    ///
-    /// Legacy wrapper: equivalent to
-    /// [`try_run_streamed`](Self::try_run_streamed) with
-    /// [`DetectRequest::tool`] — prefer the request form.
-    pub fn try_detect_streamed_as<R: io::Read + Send>(
-        &self,
-        tool: Tool,
-        reader: ChunkedTraceReader<R>,
-    ) -> Result<(AnalysisOutcome, StreamStats), AnalyzeError> {
-        let (out, stats) = self.try_run_streamed(&DetectRequest::tool(tool), reader)?;
-        Ok((out.into_single(), stats))
+        let stats = StreamStats {
+            events: replay.events(),
+            chunks,
+            peak_resident_bytes: peak.load(Ordering::Relaxed),
+        };
+        Ok((self.finish_replay(labels, replay, &summary)?, stats))
     }
 
     /// Build the user-facing outcome from a finished detector.
@@ -495,27 +381,8 @@ impl PreparedModule {
         det: AnyDetector,
         summary: RunSummary,
     ) -> AnalysisOutcome {
-        self.assemble_parts(
-            tool_label,
-            det.reports(),
-            det.metrics(),
-            det.promoted_locations(),
-            summary,
-        )
-    }
-
-    /// Build the user-facing outcome from detection parts — shared by the
-    /// live/sequential path ([`Self::assemble`]) and the parallel merge,
-    /// so the two can never diverge in how reports are described.
-    fn assemble_parts(
-        &self,
-        tool_label: String,
-        collector: &spinrace_detector::ReportCollector,
-        metrics: spinrace_detector::DetectorMetrics,
-        promoted_locations: usize,
-        summary: RunSummary,
-    ) -> AnalysisOutcome {
-        let reports: Vec<DescribedReport> = collector
+        let reports: Vec<DescribedReport> = det
+            .reports()
             .reports()
             .iter()
             .map(|r| DescribedReport {
@@ -526,10 +393,10 @@ impl PreparedModule {
         AnalysisOutcome {
             module_name: self.original_name.clone(),
             tool_label,
-            contexts: collector.contexts(),
+            contexts: det.racy_contexts(),
             reports,
-            metrics,
-            promoted_locations,
+            metrics: det.metrics(),
+            promoted_locations: det.promoted_locations(),
             spin_loops_found: self.spin_loops_found,
             summary,
         }
@@ -582,10 +449,9 @@ impl ExecutedRun {
     /// Rebuild an executed run from a trace **file** in either on-disk
     /// encoding (binary columnar or JSON, told apart by their first
     /// bytes) — the same fingerprint check as [`Self::from_trace`]. The
-    /// whole stream is materialized; it is the right entry point for the
-    /// parallel replay engine and detection fan-out. For bounded-memory
-    /// sequential replay, open a [`ChunkedTraceReader`] and use
-    /// [`PreparedModule::try_detect_streamed`].
+    /// whole stream is materialized. For bounded-memory replay of a
+    /// binary trace, open a [`ChunkedTraceReader`] and use
+    /// [`PreparedModule::try_run_streamed`].
     pub fn from_trace_file(
         prepared: PreparedModule,
         path: &Path,
@@ -614,362 +480,36 @@ impl ExecutedRun {
         &self.trace.summary
     }
 
-    // ---- the unified entry point ----
-
-    /// Execute a [`DetectRequest`] against the recorded trace: every
-    /// target replays on the mode the request selects (sequentially, or
-    /// on the parallel sharded engine — multi-target fan-outs share one
-    /// worker pool), under the request's schedule, watchdog, budget,
-    /// and fault options. Outcomes come back in target order and are
-    /// bit-identical across every mode, worker count, and schedule.
+    /// Execute a [`DetectRequest`] against the recorded trace: the whole
+    /// event vector is fed as one chunk to the replay loop, every target
+    /// on one event-major pass, under the request's watchdog and budgets.
+    /// Outcomes come back in target order and are identical to those of
+    /// [`PreparedModule::try_run_streamed`] over an encoding of the same
+    /// trace.
     ///
-    /// [`DetectMode::Streamed`] degenerates to sequential here: the
-    /// trace is already materialized. Bounded-memory streaming goes
-    /// through [`PreparedModule::try_run_streamed`] instead.
-    ///
-    /// Fails with a structured [`EngineError`] on a worker panic, lost
-    /// or timed-out handoff, watchdog trip, or exhausted budget;
-    /// without explicit options none of those can happen and
+    /// Fails with a structured [`EngineError`] on a watchdog trip or an
+    /// exhausted budget; without limits neither can happen and
     /// [`ExecutedRun::run`] is the convenient form.
     pub fn try_run(&self, req: &DetectRequest) -> Result<DetectOutcome, EngineError> {
-        let resolved = self.prepared.resolve_targets(req);
-        let workers = match req.mode() {
-            DetectMode::Parallel { workers } => workers,
-            DetectMode::Sequential | DetectMode::Streamed => 1,
-        };
-        let opts = req.engine_options();
-        let outcomes = if resolved.len() == 1 {
-            // The single-target path keeps the engine's full fault and
-            // error machinery exactly as the `try_detect_*` family
-            // exposed it.
-            let (label, cfg) = resolved.into_iter().next().unwrap();
-            let merged =
-                crate::parallel::try_run_sharded_opts(cfg, &self.trace.events, workers, opts)?;
-            vec![self.merged_outcome(label, merged)]
-        } else {
-            let cfgs: Vec<DetectorConfig> = resolved.iter().map(|&(_, cfg)| cfg).collect();
-            crate::parallel::try_run_many_sharded_opts(&cfgs, &self.trace.events, workers, opts)?
-                .into_iter()
-                .zip(resolved)
-                .map(|(merged, (label, _))| self.merged_outcome(label, merged))
-                .collect()
-        };
-        Ok(DetectOutcome { outcomes })
+        let events = &self.trace.events;
+        let (labels, mut replay) = self.prepared.start_replay(req, events.len() as u64);
+        replay.feed(events)?;
+        self.prepared
+            .finish_replay(labels, replay, &self.trace.summary)
     }
 
-    /// [`Self::try_run`], unwrapped: panics when the replay engine
-    /// fails (without explicit [`EngineOptions`] the only way that can
-    /// happen is a genuine worker panic).
+    /// [`Self::try_run`], unwrapped: panics when a limit the request set
+    /// trips (a request without limits never fails).
     pub fn run(&self, req: &DetectRequest) -> DetectOutcome {
-        expect_engine(self.try_run(req))
-    }
-
-    // ---- legacy wrappers over `run`/`try_run` ----
-
-    /// Replay under this module's own tool with the session's defaults.
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::own`] — prefer the request form.
-    pub fn detect(&self) -> AnalysisOutcome {
-        self.run(&DetectRequest::own()).into_single()
-    }
-
-    /// Replay under an explicit detector configuration (labelled with this
-    /// module's own tool).
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::config`] — prefer the request form.
-    pub fn detect_with(&self, cfg: DetectorConfig) -> AnalysisOutcome {
-        self.run(&DetectRequest::config(cfg)).into_single()
-    }
-
-    /// Replay once per configuration: one execution, many detections.
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::configs`] — prefer the request form.
-    pub fn detect_many(&self, cfgs: &[DetectorConfig]) -> Vec<AnalysisOutcome> {
-        self.run(&DetectRequest::configs(cfgs)).into_vec()
-    }
-
-    /// Replay under *another tool's* detector configuration. Only valid
-    /// when that tool's preparation of the same source module yields a
-    /// prepared module with the same fingerprint (e.g. `Helgrind+ lib`
-    /// and `DRD`, which both run the unmodified module) — harnesses check
-    /// fingerprints before sharing.
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::tool`] — prefer the request form.
-    pub fn detect_as(&self, tool: Tool) -> AnalysisOutcome {
-        self.run(&DetectRequest::tool(tool)).into_single()
-    }
-
-    // ---- parallel sharded replay (see `crate::parallel`) ----
-
-    /// Replay under this module's own tool on `workers` threads with the
-    /// default [`Schedule::Balanced`] plan. The outcome — reports,
-    /// contexts, metrics, promotions — is bit-identical to
-    /// [`ExecutedRun::detect`] for every worker count and schedule; at
-    /// 1 worker this takes the sequential fast path (no pool, no
-    /// ownership gate — same cost as [`ExecutedRun::detect`]).
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::own`]`.parallel(workers)` — prefer the request
-    /// form.
-    pub fn detect_parallel(&self, workers: usize) -> AnalysisOutcome {
-        self.run(&DetectRequest::own().parallel(workers))
-            .into_single()
-    }
-
-    /// [`ExecutedRun::detect_parallel`] with an explicit scheduling mode.
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::own`]`.parallel(workers).scheduled(schedule)`.
-    pub fn detect_parallel_scheduled(&self, workers: usize, schedule: Schedule) -> AnalysisOutcome {
-        self.run(&DetectRequest::own().parallel(workers).scheduled(schedule))
-            .into_single()
-    }
-
-    /// Parallel replay under an explicit detector configuration (labelled
-    /// with this module's own tool).
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::config`]`(cfg).parallel(workers)`.
-    pub fn detect_with_parallel(&self, cfg: DetectorConfig, workers: usize) -> AnalysisOutcome {
-        self.run(&DetectRequest::config(cfg).parallel(workers))
-            .into_single()
-    }
-
-    /// [`ExecutedRun::detect_with_parallel`] with an explicit schedule.
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::config`]`(cfg).parallel(workers).scheduled(schedule)`.
-    pub fn detect_with_parallel_scheduled(
-        &self,
-        cfg: DetectorConfig,
-        workers: usize,
-        schedule: Schedule,
-    ) -> AnalysisOutcome {
-        self.run(
-            &DetectRequest::config(cfg)
-                .parallel(workers)
-                .scheduled(schedule),
-        )
-        .into_single()
-    }
-
-    /// Parallel replay under *another tool's* configuration — the
-    /// fingerprint-sharing contract of [`ExecutedRun::detect_as`] applies.
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::tool`]`(tool).parallel(workers)`.
-    pub fn detect_as_parallel(&self, tool: Tool, workers: usize) -> AnalysisOutcome {
-        self.run(&DetectRequest::tool(tool).parallel(workers))
-            .into_single()
-    }
-
-    /// [`ExecutedRun::detect_as_parallel`] with an explicit schedule.
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::tool`]`(tool).parallel(workers).scheduled(schedule)`.
-    pub fn detect_as_parallel_scheduled(
-        &self,
-        tool: Tool,
-        workers: usize,
-        schedule: Schedule,
-    ) -> AnalysisOutcome {
-        self.run(
-            &DetectRequest::tool(tool)
-                .parallel(workers)
-                .scheduled(schedule),
-        )
-        .into_single()
-    }
-
-    /// Parallel fan-out: one recorded execution, many parallel detections
-    /// on **one** shared worker pool (threads are spawned once, not once
-    /// per configuration — see [`crate::parallel::run_many_sharded`]).
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::configs`]`(cfgs).parallel(workers)`.
-    pub fn detect_many_parallel(
-        &self,
-        cfgs: &[DetectorConfig],
-        workers: usize,
-    ) -> Vec<AnalysisOutcome> {
-        self.run(&DetectRequest::configs(cfgs).parallel(workers))
-            .into_vec()
-    }
-
-    /// Tool fan-out on one shared pool: replay once per tool in `tools`,
-    /// each labelled with its own tool. Every tool must satisfy the
-    /// fingerprint-sharing contract of [`ExecutedRun::detect_as`].
-    ///
-    /// Legacy wrapper: equivalent to [`run`](Self::run) with
-    /// [`DetectRequest::tools`]`(tools).parallel(workers)`.
-    pub fn detect_many_as_parallel(&self, tools: &[Tool], workers: usize) -> Vec<AnalysisOutcome> {
-        self.run(&DetectRequest::tools(tools).parallel(workers))
-            .into_vec()
-    }
-
-    // ---- fallible parallel replay ----
-
-    /// Fallible [`ExecutedRun::detect_parallel`]: a worker panic, handoff
-    /// timeout, watchdog trip, or exhausted budget comes back as a
-    /// structured [`EngineError`] instead of a panic or a hang.
-    ///
-    /// Legacy wrapper: equivalent to [`try_run`](Self::try_run) with
-    /// [`DetectRequest::own`]`.parallel(workers)`.
-    pub fn try_detect_parallel(&self, workers: usize) -> Result<AnalysisOutcome, EngineError> {
-        Ok(self
-            .try_run(&DetectRequest::own().parallel(workers))?
-            .into_single())
-    }
-
-    /// Fallible [`ExecutedRun::detect_parallel_scheduled`].
-    ///
-    /// Legacy wrapper: equivalent to [`try_run`](Self::try_run) with
-    /// [`DetectRequest::own`]`.parallel(workers).scheduled(schedule)`.
-    pub fn try_detect_parallel_scheduled(
-        &self,
-        workers: usize,
-        schedule: Schedule,
-    ) -> Result<AnalysisOutcome, EngineError> {
-        Ok(self
-            .try_run(&DetectRequest::own().parallel(workers).scheduled(schedule))?
-            .into_single())
-    }
-
-    /// Fallible [`ExecutedRun::detect_with_parallel`].
-    ///
-    /// Legacy wrapper: equivalent to [`try_run`](Self::try_run) with
-    /// [`DetectRequest::config`]`(cfg).parallel(workers)`.
-    pub fn try_detect_with_parallel(
-        &self,
-        cfg: DetectorConfig,
-        workers: usize,
-    ) -> Result<AnalysisOutcome, EngineError> {
-        Ok(self
-            .try_run(&DetectRequest::config(cfg).parallel(workers))?
-            .into_single())
-    }
-
-    /// Fallible [`ExecutedRun::detect_with_parallel_scheduled`].
-    ///
-    /// Legacy wrapper: equivalent to [`try_run`](Self::try_run) with
-    /// [`DetectRequest::config`]`(cfg).parallel(workers).scheduled(schedule)`.
-    pub fn try_detect_with_parallel_scheduled(
-        &self,
-        cfg: DetectorConfig,
-        workers: usize,
-        schedule: Schedule,
-    ) -> Result<AnalysisOutcome, EngineError> {
-        Ok(self
-            .try_run(
-                &DetectRequest::config(cfg)
-                    .parallel(workers)
-                    .scheduled(schedule),
-            )?
-            .into_single())
-    }
-
-    /// Fallible [`ExecutedRun::detect_as_parallel`].
-    ///
-    /// Legacy wrapper: equivalent to [`try_run`](Self::try_run) with
-    /// [`DetectRequest::tool`]`(tool).parallel(workers)`.
-    pub fn try_detect_as_parallel(
-        &self,
-        tool: Tool,
-        workers: usize,
-    ) -> Result<AnalysisOutcome, EngineError> {
-        Ok(self
-            .try_run(&DetectRequest::tool(tool).parallel(workers))?
-            .into_single())
-    }
-
-    /// Fallible [`ExecutedRun::detect_as_parallel_scheduled`].
-    ///
-    /// Legacy wrapper: equivalent to [`try_run`](Self::try_run) with
-    /// [`DetectRequest::tool`]`(tool).parallel(workers).scheduled(schedule)`.
-    pub fn try_detect_as_parallel_scheduled(
-        &self,
-        tool: Tool,
-        workers: usize,
-        schedule: Schedule,
-    ) -> Result<AnalysisOutcome, EngineError> {
-        Ok(self
-            .try_run(
-                &DetectRequest::tool(tool)
-                    .parallel(workers)
-                    .scheduled(schedule),
-            )?
-            .into_single())
-    }
-
-    /// Parallel replay under another tool's configuration with full
-    /// [`EngineOptions`] control — schedule, watchdogs, budgets, and
-    /// fault injection. This is the entry point `trace replay --fault`
-    /// drives.
-    ///
-    /// Legacy wrapper: equivalent to [`try_run`](Self::try_run) with
-    /// [`DetectRequest::tool`]`(tool).parallel(workers).options(opts)`.
-    pub fn try_detect_as_parallel_opts(
-        &self,
-        tool: Tool,
-        workers: usize,
-        opts: EngineOptions,
-    ) -> Result<AnalysisOutcome, EngineError> {
-        Ok(self
-            .try_run(&DetectRequest::tool(tool).parallel(workers).options(opts))?
-            .into_single())
-    }
-
-    /// Fallible [`ExecutedRun::detect_many_parallel`].
-    ///
-    /// Legacy wrapper: equivalent to [`try_run`](Self::try_run) with
-    /// [`DetectRequest::configs`]`(cfgs).parallel(workers)`.
-    pub fn try_detect_many_parallel(
-        &self,
-        cfgs: &[DetectorConfig],
-        workers: usize,
-    ) -> Result<Vec<AnalysisOutcome>, EngineError> {
-        Ok(self
-            .try_run(&DetectRequest::configs(cfgs).parallel(workers))?
-            .into_vec())
-    }
-
-    /// Fallible [`ExecutedRun::detect_many_as_parallel`].
-    ///
-    /// Legacy wrapper: equivalent to [`try_run`](Self::try_run) with
-    /// [`DetectRequest::tools`]`(tools).parallel(workers)`.
-    pub fn try_detect_many_as_parallel(
-        &self,
-        tools: &[Tool],
-        workers: usize,
-    ) -> Result<Vec<AnalysisOutcome>, EngineError> {
-        Ok(self
-            .try_run(&DetectRequest::tools(tools).parallel(workers))?
-            .into_vec())
-    }
-
-    fn merged_outcome(
-        &self,
-        label: String,
-        merged: spinrace_detector::MergedDetection,
-    ) -> AnalysisOutcome {
-        self.prepared.assemble_parts(
-            label,
-            &merged.reports,
-            merged.metrics,
-            merged.promoted_locations,
-            self.trace.summary.clone(),
-        )
+        self.try_run(req)
+            .unwrap_or_else(|e| panic!("replay failed: {e}"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Analyzer;
+    use crate::limits::{Budget, BudgetResource};
     use spinrace_tir::ModuleBuilder;
 
     fn racy() -> Module {
@@ -993,12 +533,16 @@ mod tests {
 
     /// The tentpole equivalence: one recorded trace replayed under a
     /// detector configuration yields byte-identical report lists and
-    /// contexts to the live `Analyzer` run, for every paper tool.
+    /// contexts to the live run, for every paper tool.
     #[test]
     fn replay_equals_live_for_every_tool() {
         let m = racy();
         for tool in Tool::paper_lineup() {
-            let live = Analyzer::tool(tool).analyze(&m).unwrap();
+            let live = Session::for_module(&m)
+                .prepare(tool)
+                .unwrap()
+                .detect_live()
+                .unwrap();
             let run = Session::for_module(&m)
                 .prepare(tool)
                 .unwrap()
@@ -1026,7 +570,7 @@ mod tests {
         assert_eq!(lib.fingerprint(), drd.fingerprint());
         let run = lib.execute().unwrap();
         let as_drd = run.run(&DetectRequest::tool(Tool::Drd)).into_single();
-        let live_drd = Analyzer::tool(Tool::Drd).analyze(&m).unwrap();
+        let live_drd = drd.detect_live().unwrap();
         assert_eq!(as_drd.contexts, live_drd.contexts);
         assert_eq!(as_drd.tool_label, "DRD");
     }
@@ -1050,7 +594,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_tool_fanout_matches_individual_parallel_detections() {
+    fn tool_fanout_matches_individual_detections() {
         let m = racy();
         let run = Session::for_module(&m)
             .prepare(Tool::HelgrindLib)
@@ -1058,41 +602,51 @@ mod tests {
             .execute()
             .unwrap();
         // Lib and DRD share the unmodified module's fingerprint, so both
-        // may replay this recording (the detect_as contract).
+        // may replay this recording.
         let tools = [Tool::HelgrindLib, Tool::Drd];
-        for workers in [1, 2, 4] {
-            let pooled = run
-                .run(&DetectRequest::tools(&tools).parallel(workers))
-                .into_vec();
-            assert_eq!(pooled.len(), tools.len());
-            for (tool, out) in tools.iter().zip(&pooled) {
-                let solo = run.run(&DetectRequest::tool(*tool)).into_single();
-                assert_eq!(out.tool_label, solo.tool_label);
-                assert_eq!(out.contexts, solo.contexts, "{workers} workers");
-                assert_eq!(out.reports.len(), solo.reports.len());
-                assert_eq!(out.metrics, solo.metrics, "{workers} workers");
-            }
+        let fanned = run.run(&DetectRequest::tools(&tools)).into_vec();
+        assert_eq!(fanned.len(), tools.len());
+        for (tool, out) in tools.iter().zip(&fanned) {
+            let solo = run.run(&DetectRequest::tool(*tool)).into_single();
+            assert_eq!(out.tool_label, solo.tool_label);
+            assert_eq!(out.contexts, solo.contexts);
+            assert_eq!(out.reports.len(), solo.reports.len());
+            assert_eq!(out.metrics, solo.metrics);
         }
     }
 
+    /// The compatibility spellings — `run` (an unwrapped `try_run`) and
+    /// `DetectRequest::streamed` (an identity) — land on the same request
+    /// and the same outcome as the plain forms, on both replay paths.
     #[test]
-    fn scheduled_variants_agree_with_sequential() {
+    fn legacy_wrappers_delegate_to_requests() {
         let m = racy();
         let run = Session::for_module(&m)
-            .prepare(Tool::HelgrindLibSpin { window: 7 })
+            .prepare(Tool::HelgrindLib)
             .unwrap()
             .execute()
             .unwrap();
-        let seq = run.run(&DetectRequest::own()).into_single();
-        for schedule in [Schedule::Static, Schedule::Balanced] {
-            for workers in [1, 2, 4, 8] {
-                let par = run
-                    .run(&DetectRequest::own().parallel(workers).scheduled(schedule))
-                    .into_single();
-                assert_eq!(par.contexts, seq.contexts, "{schedule} at {workers}");
-                assert_eq!(par.metrics, seq.metrics, "{schedule} at {workers}");
-            }
-        }
+        let via_request = run.try_run(&DetectRequest::own()).unwrap().into_single();
+        let legacy = run.run(&DetectRequest::own()).into_single();
+        assert_eq!(legacy.contexts, via_request.contexts);
+        assert_eq!(legacy.reports.len(), via_request.reports.len());
+        assert_eq!(legacy.metrics, via_request.metrics);
+
+        let plain =
+            DetectRequest::tool(Tool::Drd).budget(Budget::default().with_max_events(1 << 20));
+        let marked = plain.clone().streamed();
+        assert_eq!(marked.engine_options(), plain.engine_options());
+        assert_eq!(marked.targets().len(), plain.targets().len());
+        assert!(matches!(marked.targets(), [DetectTarget::Tool(Tool::Drd)]));
+
+        let whole = run.run(&plain).into_single();
+        let bytes = spinrace_tracefmt::encode_trace_chunked(run.trace(), 8);
+        let reader = ChunkedTraceReader::new(&bytes[..]).unwrap();
+        let (streamed, _) = run.prepared().try_run_streamed(&marked, reader).unwrap();
+        let streamed = streamed.into_single();
+        assert_eq!(streamed.tool_label, whole.tool_label);
+        assert_eq!(streamed.contexts, whole.contexts);
+        assert_eq!(streamed.metrics, whole.metrics);
     }
 
     #[test]
@@ -1265,42 +819,6 @@ mod tests {
         assert!(ExecutedRun::from_trace(lib, run2.into_trace()).is_ok());
     }
 
-    /// Every legacy `detect_*` wrapper agrees with its request form —
-    /// the contract that lets the old surface stay as one-liners.
-    #[test]
-    fn legacy_wrappers_delegate_to_requests() {
-        let m = racy();
-        let run = Session::for_module(&m)
-            .prepare(Tool::HelgrindLib)
-            .unwrap()
-            .execute()
-            .unwrap();
-        let via_request = run.run(&DetectRequest::own()).into_single();
-        let legacy = run.detect();
-        assert_eq!(legacy.contexts, via_request.contexts);
-        assert_eq!(legacy.reports.len(), via_request.reports.len());
-        assert_eq!(legacy.metrics, via_request.metrics);
-
-        let par = run.detect_parallel(4);
-        assert_eq!(par.contexts, via_request.contexts);
-        assert_eq!(par.metrics, via_request.metrics);
-
-        let as_drd = run.detect_as(Tool::Drd);
-        let as_drd_req = run.run(&DetectRequest::tool(Tool::Drd)).into_single();
-        assert_eq!(as_drd.tool_label, as_drd_req.tool_label);
-        assert_eq!(as_drd.contexts, as_drd_req.contexts);
-
-        let cfg = run.prepared().default_config().with_cap(1);
-        assert_eq!(
-            run.detect_with(cfg).contexts,
-            run.run(&DetectRequest::config(cfg)).into_single().contexts
-        );
-        assert_eq!(
-            run.try_detect_parallel(2).unwrap().contexts,
-            via_request.contexts
-        );
-    }
-
     /// A mixed-target request fans out own tool, foreign tool, and an
     /// explicit configuration on one pass, in target order.
     #[test]
@@ -1314,8 +832,7 @@ mod tests {
         let capped = run.prepared().default_config().with_cap(1);
         let req = DetectRequest::own()
             .and_target(DetectTarget::Tool(Tool::Drd))
-            .and_target(DetectTarget::Config(capped))
-            .parallel(2);
+            .and_target(DetectTarget::Config(capped));
         let outs = run.run(&req).into_vec();
         assert_eq!(outs.len(), 3);
         assert_eq!(outs[0].tool_label, Tool::HelgrindLib.label());
@@ -1381,7 +898,7 @@ mod tests {
         let limit = total / 2;
         let bytes = spinrace_tracefmt::encode_trace_chunked(run.trace(), 8);
         let reader = ChunkedTraceReader::new(&bytes[..]).unwrap();
-        let req = DetectRequest::own().budget(crate::Budget::default().with_max_events(limit));
+        let req = DetectRequest::own().budget(Budget::default().with_max_events(limit));
         let err = run
             .prepared()
             .try_run_streamed(&req, reader)

@@ -5,16 +5,13 @@
 //! ([`SyncPreservingDetector`]) expose the same result shape but are
 //! different state machines. [`AnyDetector`] dispatches on
 //! [`DetectorConfig::kind`] so replay engines can instantiate whatever
-//! the request's tool asks for without caring which family it is —
-//! only the sharded parallel engine needs to distinguish (it refuses
-//! predictive configurations, which are inherently sequential).
+//! the request's tool asks for without caring which family it is.
 
 use crate::config::DetectorConfig;
 use crate::detector::RaceDetector;
 use crate::metrics::DetectorMetrics;
 use crate::predict::SyncPreservingDetector;
 use crate::report::ReportCollector;
-use crate::sharded::MergedDetection;
 use spinrace_vm::{Event, EventSink};
 
 /// A detector of either family, chosen by [`DetectorConfig::kind`].
@@ -91,14 +88,6 @@ impl AnyDetector {
             AnyDetector::Predict(d) => d.metrics(),
         }
     }
-
-    /// Seal into the merged-detection shape.
-    pub fn into_detection(self) -> MergedDetection {
-        match self {
-            AnyDetector::Hb(d) => d.into_detection(),
-            AnyDetector::Predict(d) => d.into_detection(),
-        }
-    }
 }
 
 impl EventSink for AnyDetector {
@@ -155,7 +144,6 @@ mod tests {
         assert_eq!(hb.racy_contexts(), 1);
         assert_eq!(sp.racy_contexts(), 1);
         assert_eq!(sp.promoted_locations(), 0);
-        let det = sp.into_detection();
-        assert_eq!(det.reports.contexts(), 1);
+        assert_eq!(sp.reports().contexts(), 1);
     }
 }

@@ -125,9 +125,7 @@ impl DetectorConfig {
         matches!(self.kind, DetectorKind::HelgrindPlus { .. })
     }
 
-    /// Is this a predictive (reordering-aware) detector? Predictive
-    /// detection is a single sequential pass: the sharded parallel
-    /// engine refuses such configurations instead of silently degrading.
+    /// Is this a predictive (reordering-aware) detector?
     pub fn is_predictive(&self) -> bool {
         matches!(self.kind, DetectorKind::SyncPreserving)
     }

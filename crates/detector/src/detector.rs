@@ -19,14 +19,10 @@ use crate::config::{DetectorConfig, MsmMode};
 use crate::lockset::{LocksetId, LocksetTable};
 use crate::report::{AccessSummary, RaceKind, RaceReport, ReportCollector};
 use crate::shadow::{AccessRecord, ReadState, ShadowTable};
-use crate::sharded::{
-    emit_report, LocksetOp, PromotionSeeds, ShardHandoff, ShardSpec, WorkerFragment, WorkerState,
-};
 use crate::vc::{Epoch, VectorClock};
 use fxhash::FxHashMap;
 use spinrace_tir::{MemOrder, Pc};
 use spinrace_vm::{Event, EventSink, ThreadId};
-use std::sync::Arc;
 
 /// Dynamic race detector. Feed it a VM event stream (it implements
 /// [`EventSink`]) and read the results from [`RaceDetector::reports`].
@@ -54,9 +50,6 @@ pub struct RaceDetector {
     read_scratch: Vec<AccessRecord>,
     reports: ReportCollector,
     events_seen: u64,
-    /// Sharded-replay worker bookkeeping (`None` when running the whole
-    /// stream sequentially — the common case; see [`crate::sharded`]).
-    worker: Option<Box<WorkerState>>,
 }
 
 impl RaceDetector {
@@ -78,160 +71,6 @@ impl RaceDetector {
             read_scratch: Vec::new(),
             reports: ReportCollector::new(cfg.context_cap),
             events_seen: 0,
-            worker: None,
-        }
-    }
-
-    /// A sharded-replay worker: processes plain accesses only for the
-    /// shards `spec` owns, replicates all synchronization events, promotes
-    /// from the shared `seeds`, and logs tagged report attempts and
-    /// lockset ops instead of filling its own collector. Drive it with
-    /// [`RaceDetector::on_event_at`] over its event partition, then
-    /// extract the [`WorkerFragment`] with [`RaceDetector::into_fragment`]
-    /// for [`crate::sharded::merge_fragments`].
-    pub fn new_worker(
-        cfg: DetectorConfig,
-        spec: ShardSpec,
-        seeds: Arc<PromotionSeeds>,
-    ) -> RaceDetector {
-        let mut d = RaceDetector::new(cfg);
-        d.worker = Some(Box::new(WorkerState::new(spec, seeds)));
-        d
-    }
-
-    /// Process one event that sits at `index` in the full recorded stream
-    /// — the entry point for sharded workers, whose partitions skip the
-    /// events other workers own. (Feeding a detector through the plain
-    /// [`EventSink`] interface indexes events implicitly by arrival.)
-    pub fn on_event_at(&mut self, index: u64, ev: &Event) {
-        self.events_seen = index;
-        self.on_event(ev);
-    }
-
-    /// Seal a worker and hand its fragment to the merge. Panics when the
-    /// detector was not constructed with [`RaceDetector::new_worker`].
-    pub fn into_fragment(mut self) -> WorkerFragment {
-        let w = self
-            .worker
-            .take()
-            .expect("into_fragment requires a worker-mode detector");
-        WorkerFragment {
-            spec: w.spec,
-            attempts: w.attempts,
-            attempt_counts: w.attempt_counts,
-            lockset_ops: w.lockset_ops,
-            shadow_bytes: self.shadow.approx_bytes(),
-            thread_vc_bytes: self.thread_vc_bytes(),
-            lib_sync_bytes: self.lib_sync_bytes(),
-            atomic_bytes: self.atomic_vc_bytes(),
-            spin_sync_bytes: self.spin_sync_bytes(),
-            promoted_locations: self.sync_loc.len(),
-        }
-    }
-
-    /// Does this detector process plain accesses to `addr`? Always true
-    /// sequentially; in a worker, only for shards the current phase
-    /// assigns to it. Broadcast events that fall through to the
-    /// plain-access path (e.g. a write to an eventually-promoted location
-    /// before its promotion) stop here on non-owners.
-    #[inline]
-    fn owns(&self, addr: u64) -> bool {
-        match &self.worker {
-            None => true,
-            Some(w) => w.owns_addr(addr),
-        }
-    }
-
-    /// Worker mode: switch to `phase`'s shard assignment. Call only after
-    /// the boundary's [`ShardHandoff`]s have been exchanged — the gate and
-    /// the shadow state must change hands together.
-    pub fn enter_phase(&mut self, phase: usize) {
-        self.worker
-            .as_mut()
-            .expect("enter_phase requires a worker-mode detector")
-            .enter_phase(phase);
-    }
-
-    /// Export shard `s` for an ownership handoff: lift the shadow shard
-    /// out wholesale and attach the contents of every lockset id its
-    /// cells reference (ids are worker-local; the importer re-interns by
-    /// contents).
-    pub fn export_shard(&mut self, s: usize) -> ShardHandoff {
-        let payload = self.shadow.extract_shard(s);
-        let mut ids: Vec<LocksetId> = payload
-            .cells()
-            .filter_map(|c| c.write_lockset.map(|(id, ..)| id))
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let locksets = ids
-            .into_iter()
-            .map(|id| (id, self.locksets.get(id).to_vec()))
-            .collect();
-        ShardHandoff {
-            shard: s,
-            payload,
-            locksets,
-        }
-    }
-
-    /// Import a handed-off shard: re-intern the sender's lockset sets
-    /// locally, rewrite the cells' ids, and implant the shadow pages.
-    /// Receiver-local interning cannot perturb the merged metrics — the
-    /// merged lockset table is rebuilt purely from the op log — and any
-    /// set present here was already created in the sequential table by
-    /// this point of the stream, so the logger's intern-dedup stays
-    /// faithful (see [`crate::sharded`]'s module docs).
-    pub fn import_shard(&mut self, handoff: ShardHandoff) {
-        let ShardHandoff {
-            shard,
-            mut payload,
-            locksets,
-        } = handoff;
-        let map: FxHashMap<LocksetId, LocksetId> = locksets
-            .into_iter()
-            .map(|(old, contents)| (old, self.locksets.intern_presorted(&contents)))
-            .collect();
-        for cell in payload.cells_mut() {
-            if let Some((id, ..)) = &mut cell.write_lockset {
-                *id = map[id];
-            }
-        }
-        self.shadow.implant_shard(shard, payload);
-    }
-
-    /// Seal a *sequential* detector into the merged-detection shape — the
-    /// single-worker fast path of parallel replay, which skips the seed
-    /// pre-pass, the pool, and the per-access ownership gate entirely and
-    /// is therefore exactly as fast as a plain replay.
-    pub fn into_detection(mut self) -> crate::sharded::MergedDetection {
-        assert!(
-            self.worker.is_none(),
-            "into_detection is the sequential fast path; workers merge via fragments"
-        );
-        let metrics = self.metrics();
-        let promoted_locations = self.sync_loc.len();
-        let reports = std::mem::replace(&mut self.reports, ReportCollector::new(0));
-        crate::sharded::MergedDetection {
-            reports,
-            metrics,
-            promoted_locations,
-        }
-    }
-
-    /// In worker mode, the designated logger records the base lockset
-    /// intern of `tid`'s held set at lock events (the interns are
-    /// identical in every worker, so exactly one worker logs them for the
-    /// merge's op-order replay). Call **before** the intern itself: only
-    /// table-mutating interns are logged — a local hit means an earlier
-    /// logged op already created the set, so replaying it would be a
-    /// no-op anyway, and skipping it keeps the log O(distinct sets).
-    fn log_base_intern(&mut self, tid: ThreadId) {
-        if let Some(w) = &mut self.worker {
-            let held = &self.locks_held[tid as usize];
-            if w.spec.is_logger() && !self.locksets.contains_presorted(held) {
-                w.log_lockset_op(LocksetOp::Intern(held.clone()));
-            }
         }
     }
 
@@ -320,27 +159,14 @@ impl RaceDetector {
 
     /// Promote `addr` to a synchronization location, seeding its release
     /// clock with the last writer's epoch (the partial edge for writes
-    /// that happened before promotion). A sharded worker reads the seed
-    /// from the precomputed table — its own shadow memory only covers the
-    /// shards it owns.
+    /// that happened before promotion).
     fn promote(&mut self, addr: u64) {
         if self.sync_loc.contains_key(&addr) {
             return;
         }
         let mut vc = VectorClock::new();
-        match &self.worker {
-            Some(w) => {
-                if let Some(e) = w.seeds.seed(addr) {
-                    vc.set(e.tid, e.clock);
-                }
-            }
-            None => {
-                if let Some(cell) = self.shadow.get(addr) {
-                    if let Some(w) = &cell.last_write {
-                        vc.set(w.tid, w.clock);
-                    }
-                }
-            }
+        if let Some(w) = self.shadow.get(addr).and_then(|cell| cell.last_write) {
+            vc.set(w.tid, w.clock);
         }
         self.sync_loc.insert(addr, vc);
     }
@@ -351,9 +177,9 @@ impl RaceDetector {
 
     /// Record an HB race, honouring the long-MSM gating. Returns whether a
     /// race was **detected** (passed the MSM gate) — deliberately *not*
-    /// whether the collector kept it: the caller's Eraser-stage gating must
-    /// depend only on per-location state, never on the global dedup/cap
-    /// state, so that sharded parallel replay stays order-independent.
+    /// whether the collector kept it: the caller's Eraser-stage gating
+    /// depends only on per-location state, never on the global dedup/cap
+    /// state.
     #[allow(clippy::too_many_arguments)]
     fn report_hb(
         &mut self,
@@ -378,33 +204,26 @@ impl RaceDetector {
             (false, true) => RaceKind::ReadWrite,
             (false, false) => unreachable!("read-read is never a race"),
         };
-        emit_report(
-            &mut self.reports,
-            self.worker.as_deref_mut(),
-            RaceReport {
-                addr,
-                prior: AccessSummary {
-                    tid: prior.tid,
-                    pc: prior.pc,
-                    stack: prior.stack,
-                    is_write: prior_is_write,
-                },
-                current: AccessSummary {
-                    tid,
-                    pc,
-                    stack,
-                    is_write,
-                },
-                kind,
+        self.reports.record(RaceReport {
+            addr,
+            prior: AccessSummary {
+                tid: prior.tid,
+                pc: prior.pc,
+                stack: prior.stack,
+                is_write: prior_is_write,
             },
-        );
+            current: AccessSummary {
+                tid,
+                pc,
+                stack,
+                is_write,
+            },
+            kind,
+        });
         true
     }
 
     fn on_plain_read(&mut self, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
-        if !self.owns(addr) {
-            return;
-        }
         let ti = tid as usize;
         let rec = AccessRecord {
             tid,
@@ -432,9 +251,6 @@ impl RaceDetector {
     }
 
     fn on_plain_write(&mut self, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
-        if !self.owns(addr) {
-            return;
-        }
         let ti = tid as usize;
         let rec = AccessRecord {
             tid,
@@ -463,7 +279,6 @@ impl RaceDetector {
                 eraser_update(
                     &mut self.locksets,
                     &mut self.reports,
-                    self.worker.as_deref_mut(),
                     &mut cell.write_lockset,
                     addr,
                     cur,
@@ -502,7 +317,6 @@ impl RaceDetector {
             eraser_update(
                 &mut self.locksets,
                 &mut self.reports,
-                self.worker.as_deref_mut(),
                 &mut cell.write_lockset,
                 addr,
                 cur,
@@ -533,14 +347,11 @@ impl RaceDetector {
 /// running write lockset with the writer's current one; an empty
 /// intersection across distinct threads is a lock-discipline violation
 /// even if this interleaving happened to order the writes. Shared by the
-/// fast and slow write paths so the two can never diverge. A sharded
-/// worker additionally logs the intersection (by set contents) so the
-/// merge can replay the sequential lockset table's evolution exactly.
+/// fast and slow write paths so the two can never diverge.
 #[allow(clippy::too_many_arguments)]
 fn eraser_update(
     locksets: &mut LocksetTable,
     reports: &mut ReportCollector,
-    mut worker: Option<&mut WorkerState>,
     write_lockset: &mut Option<(LocksetId, u32, Pc, u64)>,
     addr: u64,
     cur: LocksetId,
@@ -551,39 +362,24 @@ fn eraser_update(
     let new_state = match *write_lockset {
         None => (cur, tid, pc, stack),
         Some((prev_id, prev_tid, prev_pc, prev_stack)) => {
-            if let Some(w) = worker.as_deref_mut() {
-                // Log each distinct pair once: a memoized repeat would
-                // replay as a pure no-op (`a == b` pairs never touch the
-                // table at all).
-                if prev_id != cur && !locksets.has_memo(prev_id, cur) {
-                    w.log_lockset_op(LocksetOp::Intersect(
-                        locksets.get(prev_id).to_vec(),
-                        locksets.get(cur).to_vec(),
-                    ));
-                }
-            }
             let inter = locksets.intersect(prev_id, cur);
             if prev_tid != tid && locksets.set_is_empty(inter) {
-                emit_report(
-                    reports,
-                    worker,
-                    RaceReport {
-                        addr,
-                        prior: AccessSummary {
-                            tid: prev_tid,
-                            pc: prev_pc,
-                            stack: prev_stack,
-                            is_write: true,
-                        },
-                        current: AccessSummary {
-                            tid,
-                            pc,
-                            stack,
-                            is_write: true,
-                        },
-                        kind: RaceKind::LocksetViolation,
+                reports.record(RaceReport {
+                    addr,
+                    prior: AccessSummary {
+                        tid: prev_tid,
+                        pc: prev_pc,
+                        stack: prev_stack,
+                        is_write: true,
                     },
-                );
+                    current: AccessSummary {
+                        tid,
+                        pc,
+                        stack,
+                        is_write: true,
+                    },
+                    kind: RaceKind::LocksetViolation,
+                });
             }
             (inter, tid, pc, stack)
         }
@@ -628,20 +424,13 @@ fn initial_vc() -> VectorClock {
 
 impl EventSink for RaceDetector {
     fn on_event(&mut self, ev: &Event) {
-        let index = self.events_seen;
         self.events_seen += 1;
-        if let Some(w) = &mut self.worker {
-            w.begin_event(index);
-        }
         self.handle(ev);
     }
 }
 
 impl RaceDetector {
-    /// The event cascade shared by the sequential path and sharded
-    /// workers (which differ only in the ownership gate of the plain
-    /// access handlers, the promotion seed source, and where reports and
-    /// lockset ops land).
+    /// The event cascade.
     fn handle(&mut self, ev: &Event) {
         match *ev {
             Event::Spawn { parent, child, .. } => {
@@ -761,7 +550,6 @@ impl RaceDetector {
                     if let Err(i) = held.binary_search(&mutex) {
                         held.insert(i, mutex);
                     }
-                    self.log_base_intern(tid);
                     self.held_ids[tid as usize] = self
                         .locksets
                         .intern_presorted(&self.locks_held[tid as usize]);
@@ -777,7 +565,6 @@ impl RaceDetector {
                     if let Ok(i) = held.binary_search(&mutex) {
                         held.remove(i);
                     }
-                    self.log_base_intern(tid);
                     self.held_ids[tid as usize] = self
                         .locksets
                         .intern_presorted(&self.locks_held[tid as usize]);

@@ -50,7 +50,6 @@ pub mod predict;
 pub mod reference;
 pub mod report;
 pub mod shadow;
-pub mod sharded;
 pub mod vc;
 
 pub use any::AnyDetector;
@@ -61,10 +60,4 @@ pub use metrics::DetectorMetrics;
 pub use predict::SyncPreservingDetector;
 pub use reference::ReferenceDetector;
 pub use report::{AccessSummary, RaceKind, RaceReport, ReportCollector};
-pub use shadow::{shard_of, ExtractedShard, NUM_SHARDS};
-pub use sharded::{
-    compute_promotion_seeds, event_route, merge_fragments, shard_occupancy, try_merge_fragments,
-    EventRoute, MergedDetection, PromotionSeeds, Schedule, SchedulePlan, ShardHandoff, ShardSpec,
-    ShardTransfer, WorkerFragment,
-};
 pub use vc::{Epoch, VectorClock};

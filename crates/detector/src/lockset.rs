@@ -78,19 +78,6 @@ impl LocksetTable {
         self.sets[id.0 as usize].is_empty()
     }
 
-    /// Is this (sorted, deduplicated) set already interned? (Sharded
-    /// replay uses this to log only table-mutating base interns.)
-    pub(crate) fn contains_presorted(&self, locks: &[u64]) -> bool {
-        self.index.contains_key(locks)
-    }
-
-    /// Has this pair already been intersected (memo present)? (Sharded
-    /// replay uses this to log each intersection once per worker.)
-    pub(crate) fn has_memo(&self, a: LocksetId, b: LocksetId) -> bool {
-        let key = if a < b { (a, b) } else { (b, a) };
-        self.intersect_memo.contains_key(&key)
-    }
-
     /// Memoized intersection.
     pub fn intersect(&mut self, a: LocksetId, b: LocksetId) -> LocksetId {
         if a == b {

@@ -46,7 +46,7 @@ pub(crate) fn vc_map_bytes(m: &fxhash::FxHashMap<u64, crate::vc::VectorClock>) -
 }
 
 impl RaceDetector {
-    /// Per-thread vector clock bytes (replicated in every sharded worker).
+    /// Per-thread vector clock bytes.
     pub fn thread_vc_bytes(&self) -> usize {
         use std::mem::size_of;
         self.thread_vcs()

@@ -26,16 +26,14 @@
 //! value-independent of the accesses — the classic trade the paper's
 //! linear-time variant makes.
 //!
-//! The pass is inherently sequential (release clocks flow through the
-//! per-lock conflict maps in trace order), so the sharded parallel
-//! engine refuses predictive configurations with a structured
-//! `Unsupported` error instead of silently degrading; sequential and
-//! chunk-streamed replay both work and are byte-identical.
+//! The pass is a single in-order walk (release clocks flow through the
+//! per-lock conflict maps in trace order); whole-trace and
+//! chunk-streamed replay feed it the same sequence and are
+//! byte-identical.
 
 use crate::config::DetectorConfig;
 use crate::metrics::{vc_map_bytes, DetectorMetrics};
 use crate::report::{AccessSummary, RaceKind, RaceReport, ReportCollector};
-use crate::sharded::MergedDetection;
 use crate::vc::{Epoch, VectorClock};
 use fxhash::FxHashMap;
 use spinrace_tir::Pc;
@@ -141,8 +139,8 @@ impl SyncPreservingDetector {
         self.events_seen
     }
 
-    /// Prediction promotes no spin locations; the field exists so every
-    /// detector seals into the same [`MergedDetection`] shape.
+    /// Prediction promotes no spin locations; the accessor exists so
+    /// both detector families expose the same result shape.
     pub fn promoted_locations(&self) -> usize {
         0
     }
@@ -187,18 +185,6 @@ impl SyncPreservingDetector {
             spin_sync_bytes: 0,
             lockset_bytes: 0,
             report_bytes: self.reports.approx_bytes(),
-        }
-    }
-
-    /// Seal into the merged-detection shape (sequential only — there is
-    /// no worker mode; the parallel engine refuses predictive configs).
-    pub fn into_detection(mut self) -> MergedDetection {
-        let metrics = self.metrics();
-        let reports = std::mem::replace(&mut self.reports, ReportCollector::new(0));
-        MergedDetection {
-            reports,
-            metrics,
-            promoted_locations: 0,
         }
     }
 

@@ -107,18 +107,6 @@ impl ReportCollector {
         self.dropped
     }
 
-    /// Is this context already recorded? (Sharded-replay merge.)
-    pub(crate) fn has_context(&self, ctx: &((Pc, u64), (Pc, u64))) -> bool {
-        self.contexts.contains(ctx)
-    }
-
-    /// Account for `n` drops observed elsewhere (sharded-replay merge:
-    /// repeat attempts of capped-out contexts that workers counted
-    /// instead of logging).
-    pub(crate) fn note_dropped(&mut self, n: usize) {
-        self.dropped += n;
-    }
-
     /// One representative report per context, in discovery order.
     pub fn reports(&self) -> &[RaceReport] {
         &self.reports

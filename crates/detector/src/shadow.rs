@@ -13,8 +13,7 @@
 //!   pages; pages live in per-shard arenas indexed by a flat open-addressed
 //!   probe table keyed on the page number, fronted by a one-entry hot-page
 //!   cache (spatial locality makes consecutive accesses hit the same page).
-//!   Sharding by low page bits keeps probe tables small and is the seam a
-//!   future parallel-replay PR will split work along.
+//!   Sharding by low page bits keeps probe tables small.
 
 use crate::lockset::LocksetId;
 use spinrace_tir::Pc;
@@ -122,19 +121,10 @@ impl ShadowCell {
 pub const PAGE_CELLS: usize = 64;
 const PAGE_BITS: u32 = PAGE_CELLS.trailing_zeros();
 
-/// Number of shards (low page-number bits pick the shard). This is the
-/// partition seam parallel replay splits work along: a worker that owns a
-/// subset of shards builds a table whose owned shards are structurally
-/// identical to the sequential table's (same pages, same insertion order,
-/// same probe capacities), while unowned shards stay unallocated.
-pub const NUM_SHARDS: usize = 8;
+/// Number of shards (low page-number bits pick the shard), each with its
+/// own probe table and page arena.
+const NUM_SHARDS: usize = 8;
 const SHARD_MASK: u64 = (NUM_SHARDS as u64) - 1;
-
-/// The shard an address's shadow cell lives in.
-#[inline]
-pub fn shard_of(addr: u64) -> usize {
-    ((addr >> PAGE_BITS) & SHARD_MASK) as usize
-}
 
 /// Initial probe-table capacity per shard (slots; power of two).
 const INITIAL_SLOTS: usize = 16;
@@ -313,29 +303,6 @@ impl ShadowTable {
         self.shards.iter().map(|s| s.pages.len()).sum()
     }
 
-    /// Remove shard `s` wholesale for an ownership handoff, leaving an
-    /// empty (zero-capacity) shard behind. Moving the whole shard —
-    /// probe table, arena, pages — preserves every capacity, so the sum
-    /// of shadow bytes across workers stays exactly what a sequential
-    /// table would report.
-    pub fn extract_shard(&mut self, s: usize) -> ExtractedShard {
-        // The hot-page cache may point into the departing shard.
-        self.cache_page = u64::MAX;
-        ExtractedShard(std::mem::take(&mut self.shards[s]))
-    }
-
-    /// Install a handed-off shard. The receiver must never have touched
-    /// shard `s` (it was not the owner), so the slot being replaced is
-    /// empty.
-    pub fn implant_shard(&mut self, s: usize, shard: ExtractedShard) {
-        debug_assert!(
-            self.shards[s].pages.is_empty(),
-            "implanting over a non-empty shard"
-        );
-        self.cache_page = u64::MAX;
-        self.shards[s] = shard.0;
-    }
-
     /// Retained bytes: probe tables, arena headers, page slabs, and
     /// promoted read vectors — the honest cost of the paged layout
     /// (untouched cells inside an allocated page are real memory too).
@@ -366,25 +333,6 @@ impl ShadowTable {
                     + s.pages.capacity() * size_of::<Page>()
             })
             .sum()
-    }
-}
-
-/// A shard lifted out of one [`ShadowTable`] for an ownership handoff
-/// (see `sharded`): an opaque bundle of the shard's probe table and page
-/// arena, with mutable cell access so the importer can rewrite
-/// worker-local [`LocksetId`]s before implanting.
-#[derive(Debug)]
-pub struct ExtractedShard(Shard);
-
-impl ExtractedShard {
-    /// Every cell of the extracted shard, mutably (arena order).
-    pub fn cells_mut(&mut self) -> impl Iterator<Item = &mut ShadowCell> {
-        self.0.pages.iter_mut().flat_map(|p| p.cells.iter_mut())
-    }
-
-    /// Every cell of the extracted shard (arena order).
-    pub fn cells(&self) -> impl Iterator<Item = &ShadowCell> {
-        self.0.pages.iter().flat_map(|p| p.cells.iter())
     }
 }
 
@@ -468,27 +416,6 @@ mod tests {
             );
         }
         assert!(t.approx_bytes() > 1000 * PAGE_CELLS * std::mem::size_of::<ShadowCell>());
-    }
-
-    #[test]
-    fn extract_implant_round_trips_and_keeps_bytes() {
-        let mut a = ShadowTable::new();
-        // Shard of addr = (addr >> 6) & 7: 0x1000 → page 0x40 → shard 0;
-        // 0x40 → page 1 → shard 1.
-        a.cell(0x1000).suspicions = 5;
-        a.cell(0x40).suspicions = 9;
-        let total = a.approx_bytes();
-        let moved = a.extract_shard(0);
-        assert!(a.get(0x1000).is_none(), "extracted shard is gone");
-        assert_eq!(a.get(0x40).unwrap().suspicions, 9, "other shards stay");
-        let mut b = ShadowTable::new();
-        b.implant_shard(0, moved);
-        assert_eq!(b.get(0x1000).unwrap().suspicions, 5);
-        assert_eq!(
-            a.approx_bytes() + b.approx_bytes(),
-            total,
-            "moving a whole shard conserves the byte accounting"
-        );
     }
 
     #[test]

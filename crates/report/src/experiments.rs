@@ -4,7 +4,7 @@
 
 use crate::ascii::AsciiTable;
 use serde_json::json;
-use spinrace_core::{Analyzer, Tool};
+use spinrace_core::{Session, Tool};
 use spinrace_spinfind::sync_inventory;
 use spinrace_suites::{all_programs, run_drt, run_parsec, run_workloads, ParsecProgram};
 use std::time::Instant;
@@ -338,11 +338,11 @@ pub fn f1_memory() -> Experiment {
         let mut totals = Vec::new();
         let mut spin_share = 0.0;
         for &tool in &tools {
-            let mut a = Analyzer::tool(tool).long_msm();
+            let mut session = Session::for_module(&module).long_msm();
             if p.obscure_nolib {
-                a = a.obscure_nolib();
+                session = session.obscure_nolib();
             }
-            match a.analyze(&module) {
+            match session.prepare(tool).and_then(|p| p.detect_live()) {
                 Ok(out) => {
                     let m = out.metrics;
                     if matches!(tool, Tool::HelgrindLibSpin { .. }) && m.total() > 0 {
@@ -404,12 +404,12 @@ pub fn f2_runtime() -> Experiment {
         let native = t0.elapsed().as_secs_f64().max(1e-6);
         let mut factors = Vec::new();
         for &tool in &tools {
-            let mut a = Analyzer::tool(tool).long_msm();
+            let mut session = Session::for_module(&module).long_msm();
             if p.obscure_nolib {
-                a = a.obscure_nolib();
+                session = session.obscure_nolib();
             }
             let t1 = Instant::now();
-            let _ = a.analyze(&module);
+            let _ = session.prepare(tool).and_then(|p| p.detect_live());
             factors.push(t1.elapsed().as_secs_f64() / native);
         }
         t.row(vec![

@@ -17,8 +17,8 @@
 //!
 //! | tag | frame | payload |
 //! |-----|-------|---------|
-//! | `H` | hello | `{"protocol":1,"server":...,"workers":N}` |
-//! | `V` | verdict | incremental per-chunk progress (streamed sessions) |
+//! | `H` | hello | `{"protocol":1,"server":...}` |
+//! | `V` | verdict | incremental per-chunk progress, one frame per tool |
 //! | `O` | outcome | a `spinrace-detection-v1` document, byte-identical to `trace replay --json` |
 //! | `E` | error | `{"code","message"[,"partial"]}` — structured [`EngineError`]/[`TraceError`] mapping |
 //! | `D` | done | session summary |
@@ -26,16 +26,15 @@
 //! Every session ends with exactly one `D` or `E` frame. Budgets in the
 //! request are clamped under the server-wide ceilings in
 //! [`ServeOptions`]; a session that exceeds its event budget gets an
-//! `E` frame with `code = "budget-exhausted"` carrying partial metrics.
-//! A client that stalls past the server's read timeout gets
-//! `code = "timeout"`; a request that asks the parallel engine to run
-//! the sequential-only predictive tool gets `code = "unsupported"`.
+//! `E` frame with `code = "budget-exhausted"` carrying partial metrics,
+//! and one that runs past its watchdog gets `code = "watchdog"`. A
+//! client that stalls past the server's read timeout gets
+//! `code = "timeout"`.
 //!
-//! The server's request type *is* the engine API: each session is
+//! The server's request type *is* the library API: each session is
 //! compiled into a [`spinrace_core::DetectRequest`] and executed
-//! through [`spinrace_core::ExecutedRun::try_run`] (parallel sessions)
-//! or [`spinrace_core::PreparedModule::try_run_streamed_observed`]
-//! (streamed sessions, the `workers = 0` default).
+//! through [`spinrace_core::PreparedModule::try_run_streamed_observed`]
+//! as the upload's chunks decode.
 //!
 //! [`EngineError`]: spinrace_core::EngineError
 //! [`TraceError`]: spinrace_vm::TraceError
@@ -45,9 +44,7 @@ mod server;
 mod wire;
 
 pub use client::{collect_frames, run_client, ClientOutcome};
-pub use server::{
-    handle_session, serve, CoreBudget, CoreClaim, ServeOptions, ServerHandle, SessionEvent,
-};
+pub use server::{handle_session, serve, ServeOptions, ServerHandle, SessionEvent};
 pub use wire::{
     engine_error_code, read_frame, read_request, trace_error_code, wire_error, write_frame,
     write_request, DetectParams, FrameKind, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION,
@@ -59,11 +56,10 @@ use spinrace_core::AnalysisOutcome;
 /// Serve one session over stdin/stdout (the `trace serve --stdin`
 /// transport): same framing as TCP, one session, then exit.
 pub fn serve_stdin(opts: ServeOptions) -> Result<(usize, u64), String> {
-    let cores = CoreBudget::new(opts.cores);
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut output = std::io::BufWriter::new(stdout.lock());
-    handle_session(stdin, &mut output, opts, &cores)
+    handle_session(stdin, &mut output, opts)
 }
 
 /// The stable detection-outcome schema shared by the `trace` CLI

@@ -1,6 +1,5 @@
 //! The analysis server: a bounded worker pool multiplexing concurrent
-//! upload sessions, with a global core budget shared by every session's
-//! replay engine.
+//! upload sessions, each replayed as a chunk stream.
 //!
 //! Architecture (the command/event-queue idiom): an **acceptor** thread
 //! pushes accepted connections onto a command queue; `sessions` worker
@@ -15,16 +14,16 @@ use crate::outcome_json;
 use crate::wire::{
     read_request, wire_error, write_frame, DetectParams, FrameKind, WireError, PROTOCOL_VERSION,
 };
-use spinrace_core::{AnalyzeError, Budget, DetectRequest, Schedule, Tool};
+use spinrace_core::{AnalyzeError, Budget, DetectRequest, Tool};
 use spinrace_detector::MsmMode;
 use spinrace_tracefmt::ChunkedTraceReader;
 use std::io::{self, BufWriter, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Server-side session limits and pool sizing.
 #[derive(Clone, Copy, Debug)]
@@ -32,12 +31,6 @@ pub struct ServeOptions {
     /// Concurrent session slots (worker threads popping the accept
     /// queue).
     pub sessions: usize,
-    /// Global core budget shared by every session's replay engine. A
-    /// parallel session claims up to its requested worker count from
-    /// the free pool and releases it at session end; when the pool is
-    /// empty a session still gets one core (bounded overcommit keeps
-    /// the server live instead of deadlocking on admission).
-    pub cores: usize,
     /// Server-wide event ceiling per session (`None` = unlimited). A
     /// client's requested ceiling is clamped to this.
     pub max_events: Option<u64>,
@@ -59,7 +52,6 @@ impl Default for ServeOptions {
     fn default() -> ServeOptions {
         ServeOptions {
             sessions: 4,
-            cores: spinrace_core::default_workers(),
             max_events: None,
             max_shadow_bytes: None,
             watchdog_ms: None,
@@ -94,90 +86,6 @@ pub enum SessionEvent {
         /// The structured error code.
         code: String,
     },
-}
-
-/// The global core budget: a free-core counter sessions claim from and
-/// release to. When the pool is empty, [`CoreBudget::claim`] still
-/// grants one core (recorded as claiming zero) so admission never
-/// deadlocks — a deliberate bounded overcommit.
-pub struct CoreBudget {
-    free: AtomicUsize,
-}
-
-impl CoreBudget {
-    /// A fresh pool of `cores` free cores (at least one).
-    pub fn new(cores: usize) -> CoreBudget {
-        CoreBudget {
-            free: AtomicUsize::new(cores.max(1)),
-        }
-    }
-
-    /// Claim up to `requested` cores: returns `(granted, claimed)`
-    /// where `granted ≥ 1` is what the session may use and `claimed ≤
-    /// granted` is what must be released.
-    pub fn claim(&self, requested: usize) -> (usize, usize) {
-        let want = requested.max(1);
-        let mut free = self.free.load(Ordering::Relaxed);
-        loop {
-            let take = want.min(free);
-            if take == 0 {
-                return (1, 0);
-            }
-            match self.free.compare_exchange_weak(
-                free,
-                free - take,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return (take, take),
-                Err(now) => free = now,
-            }
-        }
-    }
-
-    /// Return `claimed` cores to the pool.
-    pub fn release(&self, claimed: usize) {
-        self.free.fetch_add(claimed, Ordering::Relaxed);
-    }
-
-    /// Claim up to `requested` cores as an RAII guard: the claim is
-    /// released when the guard drops, so every session exit path —
-    /// early error returns and panics unwinding through the session
-    /// body alike — returns its cores to the pool.
-    pub fn claim_guard(&self, requested: usize) -> CoreClaim<'_> {
-        let (granted, claimed) = self.claim(requested);
-        CoreClaim {
-            budget: self,
-            granted,
-            claimed,
-        }
-    }
-
-    /// Cores currently free (observability for tests and admission
-    /// logging; racy by nature, exact once the pool is quiescent).
-    pub fn free(&self) -> usize {
-        self.free.load(Ordering::Relaxed)
-    }
-}
-
-/// An RAII claim on a [`CoreBudget`]: see [`CoreBudget::claim_guard`].
-pub struct CoreClaim<'a> {
-    budget: &'a CoreBudget,
-    granted: usize,
-    claimed: usize,
-}
-
-impl CoreClaim<'_> {
-    /// Worker threads the session may use (always at least one).
-    pub fn granted(&self) -> usize {
-        self.granted
-    }
-}
-
-impl Drop for CoreClaim<'_> {
-    fn drop(&mut self) {
-        self.budget.release(self.claimed);
-    }
 }
 
 /// A running server: join handles plus the shutdown switch.
@@ -218,7 +126,6 @@ pub fn serve(addr: &str, opts: ServeOptions) -> io::Result<ServerHandle> {
     let (conn_tx, conn_rx) = channel::<TcpStream>();
     let conn_rx = Arc::new(Mutex::new(conn_rx));
     let (event_tx, event_rx) = channel::<SessionEvent>();
-    let cores = Arc::new(CoreBudget::new(opts.cores));
 
     let mut threads = Vec::new();
     {
@@ -241,7 +148,6 @@ pub fn serve(addr: &str, opts: ServeOptions) -> io::Result<ServerHandle> {
     for _ in 0..opts.sessions.max(1) {
         let conn_rx = Arc::clone(&conn_rx);
         let event_tx = event_tx.clone();
-        let cores = Arc::clone(&cores);
         threads.push(std::thread::spawn(move || loop {
             let conn = {
                 let guard = conn_rx.lock().unwrap_or_else(|e| e.into_inner());
@@ -255,7 +161,7 @@ pub fn serve(addr: &str, opts: ServeOptions) -> io::Result<ServerHandle> {
             let _ = event_tx.send(SessionEvent::Started {
                 peer: clone_peer(&peer),
             });
-            let result = run_tcp_session(stream, opts, &cores);
+            let result = run_tcp_session(stream, opts);
             let _ = event_tx.send(match result {
                 Ok((outcomes, events)) => SessionEvent::Finished {
                     peer,
@@ -281,19 +187,41 @@ fn clone_peer(peer: &str) -> String {
 
 /// Run one accepted connection: split it into read/write halves and
 /// hand off to the transport-agnostic session handler.
-fn run_tcp_session(
-    stream: TcpStream,
-    opts: ServeOptions,
-    cores: &CoreBudget,
-) -> Result<(usize, u64), String> {
+fn run_tcp_session(stream: TcpStream, opts: ServeOptions) -> Result<(usize, u64), String> {
     // An idle or wedged client must not pin a session slot forever.
     let to_duration = |ms: Option<u64>| ms.filter(|&ms| ms > 0).map(Duration::from_millis);
     let _ = stream.set_read_timeout(to_duration(opts.read_timeout_ms));
     let _ = stream.set_write_timeout(to_duration(opts.write_timeout_ms));
     let input = stream.try_clone().map_err(|e| e.to_string())?;
     let mut output = BufWriter::new(stream);
-    handle_session(input, &mut output, opts, cores)
+    let result = handle_session(input, &mut output, opts);
+    if result.is_err() {
+        // A failed session may stop reading mid-upload, and closing a
+        // socket with unread bytes sends a reset that can destroy the
+        // error frame before the client reads it. Half-close, then drain
+        // what the client still sends, bounded in bytes and time, so the
+        // close is orderly.
+        if let Ok(stream) = output.into_inner() {
+            let _ = stream.shutdown(Shutdown::Write);
+            let _ = stream.set_read_timeout(Some(DRAIN_TIME));
+            let deadline = Instant::now() + DRAIN_TIME;
+            let mut buf = [0u8; 8192];
+            let mut left = DRAIN_BYTES;
+            while left > 0 && Instant::now() < deadline {
+                match (&stream).read(&mut buf) {
+                    Ok(n) if n > 0 => left = left.saturating_sub(n),
+                    _ => break,
+                }
+            }
+        }
+    }
+    result
 }
+
+/// Most bytes, and longest time, a failed session drains from its client
+/// before closing the connection.
+const DRAIN_BYTES: usize = 16 << 20;
+const DRAIN_TIME: Duration = Duration::from_secs(1);
 
 /// Serve exactly one session over arbitrary transport: read the request
 /// frame and the trace stream from `input`, write response frames to
@@ -307,7 +235,6 @@ pub fn handle_session<R: Read + Send, W: Write>(
     input: R,
     output: &mut W,
     opts: ServeOptions,
-    cores: &CoreBudget,
 ) -> Result<(usize, u64), String> {
     let mut input = TimeoutFlagged {
         inner: input,
@@ -343,10 +270,7 @@ pub fn handle_session<R: Read + Send, W: Write>(
         }
     }
 
-    let claim = cores.claim_guard(params.workers);
-    let result = session_body(&mut input, output, opts, &params, &tools, claim.granted());
-    drop(claim);
-    match result {
+    match session_body(&mut input, output, opts, &params, &tools) {
         Ok(done) => Ok(done),
         Err(err) => {
             let err = timeout_override(input.timed_out, err);
@@ -396,15 +320,15 @@ fn timeout_override(timed_out: bool, err: WireError) -> WireError {
     }
 }
 
-/// The request-to-verdicts body, with cores already claimed. Every
-/// failure maps to one structured [`WireError`].
+/// The request-to-verdicts body: replay the upload as a chunk stream,
+/// sending a verdict frame per decoded chunk per tool. Every failure
+/// maps to one structured [`WireError`].
 fn session_body<R: Read + Send, W: Write>(
     input: &mut R,
     output: &mut W,
     opts: ServeOptions,
     params: &DetectParams,
     tools: &[Tool],
-    granted_workers: usize,
 ) -> Result<(usize, u64), WireError> {
     let send =
         |output: &mut W, kind: FrameKind, doc: &serde_json::Value| -> Result<(), WireError> {
@@ -423,7 +347,6 @@ fn session_body<R: Read + Send, W: Write>(
     let hello = serde_json::json!({
         "protocol": PROTOCOL_VERSION,
         "server": "spinrace-serve",
-        "workers": granted_workers as u64,
     });
     send(output, FrameKind::Hello, &hello)?;
 
@@ -462,75 +385,45 @@ fn session_body<R: Read + Send, W: Write>(
     if let Some(ms) = watchdog_ms {
         req = req.watchdog(Duration::from_millis(ms));
     }
-    if params.schedule.as_deref() == Some("static") {
-        req = req.scheduled(Schedule::Static);
-    }
 
-    if params.workers == 0 {
-        // Streamed session: verdicts flow as chunks decode, before the
-        // upload has finished.
-        let req = req.streamed();
-        let mut frame_err: Option<io::Error> = None;
-        let result = prepared.try_run_streamed_observed(&req, reader, |p| {
-            if frame_err.is_some() {
-                return;
-            }
-            let verdict = serde_json::json!({
-                "tool": p.tool_label,
-                "chunk": p.chunk as u64,
-                "events": p.events,
-                "contexts": p.contexts as u64,
-                "new_reports": p.new_reports.len() as u64,
-            });
-            let payload = serde_json::to_string(&verdict).unwrap_or_default();
-            if let Err(e) = write_frame(output, FrameKind::Verdict, payload.as_bytes()) {
-                frame_err = Some(e);
-            }
-        });
-        let (out, stats) = result.map_err(|e| wire_error(&e))?;
-        if let Some(e) = frame_err {
-            return Err(WireError {
-                code: "io".into(),
-                message: e.to_string(),
-                partial: None,
-            });
+    // Verdicts flow as chunks decode, before the upload has finished.
+    let mut frame_err: Option<io::Error> = None;
+    let result = prepared.try_run_streamed_observed(&req, reader, |p| {
+        if frame_err.is_some() {
+            return;
         }
-        let outcomes = out.into_vec();
-        for o in &outcomes {
-            send_outcome(output, o)?;
-        }
-        let done = serde_json::json!({
-            "outcomes": outcomes.len() as u64,
-            "events": stats.events,
-            "chunks": stats.chunks as u64,
-            "peak_resident_bytes": stats.peak_resident_bytes as u64,
+        let verdict = serde_json::json!({
+            "tool": p.tool_label,
+            "chunk": p.chunk as u64,
+            "events": p.events,
+            "contexts": p.contexts as u64,
+            "new_reports": p.new_reports.len() as u64,
         });
-        send(output, FrameKind::Done, &done)?;
-        Ok((outcomes.len(), stats.events))
-    } else {
-        // Parallel session: materialize the stream, replay on the
-        // sharded engine with the granted worker count.
-        let trace = reader
-            .read_all()
-            .map_err(|e| wire_error(&AnalyzeError::Trace(e)))?;
-        let events = trace.events.len() as u64;
-        let run =
-            spinrace_core::ExecutedRun::from_trace(prepared, trace).map_err(|e| wire_error(&e))?;
-        let req = req.parallel(granted_workers);
-        let out = run
-            .try_run(&req)
-            .map_err(|e| wire_error(&AnalyzeError::from(e)))?;
-        let outcomes = out.into_vec();
-        for o in &outcomes {
-            send_outcome(output, o)?;
+        let payload = serde_json::to_string(&verdict).unwrap_or_default();
+        if let Err(e) = write_frame(output, FrameKind::Verdict, payload.as_bytes()) {
+            frame_err = Some(e);
         }
-        let done = serde_json::json!({
-            "outcomes": outcomes.len() as u64,
-            "events": events,
+    });
+    let (out, stats) = result.map_err(|e| wire_error(&e))?;
+    if let Some(e) = frame_err {
+        return Err(WireError {
+            code: "io".into(),
+            message: e.to_string(),
+            partial: None,
         });
-        send(output, FrameKind::Done, &done)?;
-        Ok((outcomes.len(), events))
     }
+    let outcomes = out.into_vec();
+    for o in &outcomes {
+        send_outcome(output, o)?;
+    }
+    let done = serde_json::json!({
+        "outcomes": outcomes.len() as u64,
+        "events": stats.events,
+        "chunks": stats.chunks as u64,
+        "peak_resident_bytes": stats.peak_resident_bytes as u64,
+    });
+    send(output, FrameKind::Done, &done)?;
+    Ok((outcomes.len(), stats.events))
 }
 
 /// Send one `O` frame. The payload is the `spinrace-detection-v1`

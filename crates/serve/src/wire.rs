@@ -12,8 +12,8 @@
 //!
 //! | kind | payload |
 //! |------|---------|
-//! | `H`  | hello JSON: `{"protocol":1,"server":…,"workers":N}` |
-//! | `V`  | incremental verdict JSON (streamed sessions, one per decoded chunk per tool) |
+//! | `H`  | hello JSON: `{"protocol":1,"server":…}` |
+//! | `V`  | incremental verdict JSON (one per decoded chunk per tool) |
 //! | `O`  | final detection outcome: the `spinrace-detection-v1` document, byte-identical to `trace replay --json` |
 //! | `E`  | error JSON: `{"code":…,"message":…}` plus `partial` metrics on budget trips |
 //! | `D`  | done JSON: `{"outcomes":N,"events":…}` |
@@ -39,7 +39,7 @@ pub const MAX_FRAME_LEN: u32 = 1 << 26;
 pub enum FrameKind {
     /// Session accepted; protocol/server info.
     Hello,
-    /// Incremental verdict (streamed sessions).
+    /// Incremental verdict (one per decoded chunk per tool).
     Verdict,
     /// Final per-tool detection outcome document.
     Outcome,
@@ -140,20 +140,13 @@ pub fn read_request(r: &mut dyn Read) -> Result<serde_json::Value, String> {
         .map_err(|e| format!("bad request JSON: {}", e.0))
 }
 
-/// The parsed request body: which detectors to run, how, and under
-/// which per-session limits. Parsed leniently — unknown fields are
-/// ignored, absent fields default.
+/// The parsed request body: which detectors to run and under which
+/// per-session limits. Parsed leniently — unknown fields (including the
+/// retired `workers` and `schedule`) are ignored, absent fields default.
 #[derive(Clone, Debug)]
 pub struct DetectParams {
     /// Tool labels to fan detection out over (short forms accepted).
     pub tools: Vec<String>,
-    /// Worker threads for the replay engine. `0` (the default) streams
-    /// the upload chunk-by-chunk through a sequential pass with
-    /// incremental `V` frames; `N ≥ 1` materializes the stream and
-    /// replays on the parallel engine.
-    pub workers: usize,
-    /// `"static"` or `"balanced"` (the default).
-    pub schedule: Option<String>,
     /// Client-requested event ceiling (`None` = server default).
     pub max_events: Option<u64>,
     /// Client-requested shadow-byte ceiling (`None` = server default).
@@ -171,8 +164,6 @@ impl Default for DetectParams {
     fn default() -> DetectParams {
         DetectParams {
             tools: Vec::new(),
-            workers: 0,
-            schedule: None,
             max_events: None,
             max_shadow_bytes: None,
             watchdog_ms: None,
@@ -200,17 +191,6 @@ impl DetectParams {
         }
         if p.tools.is_empty() {
             return Err("tools must name at least one detector".into());
-        }
-        if !v["workers"].is_null() {
-            p.workers = v["workers"]
-                .as_u64()
-                .ok_or("workers must be a non-negative integer")? as usize;
-        }
-        if let Some(s) = v["schedule"].as_str() {
-            if s != "static" && s != "balanced" {
-                return Err(format!("schedule must be static or balanced, got {s:?}"));
-            }
-            p.schedule = Some(s.to_string());
         }
         if !v["max_events"].is_null() {
             p.max_events = Some(
@@ -324,15 +304,11 @@ pub fn trace_error_code(e: &TraceError) -> &'static str {
     }
 }
 
-/// The stable error code for an engine failure.
+/// The stable error code for a replay failure.
 pub fn engine_error_code(e: &EngineError) -> &'static str {
     match e {
-        EngineError::WorkerPanic { .. } => "worker-panic",
-        EngineError::HandoffTimeout { .. } => "handoff-timeout",
-        EngineError::WorkerLost { .. } => "worker-lost",
         EngineError::Watchdog { .. } => "watchdog",
         EngineError::BudgetExhausted { .. } => "budget-exhausted",
-        EngineError::Unsupported { .. } => "unsupported",
         EngineError::Trace(t) => trace_error_code(t),
     }
 }

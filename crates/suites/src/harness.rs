@@ -11,23 +11,14 @@
 //! Replayed detection is bit-identical to a live run, so the tables are
 //! unchanged; only the number of VM executions drops.
 //!
-//! Detection itself runs through the **parallel sharded replay** engine
-//! (`spinrace_core::parallel`) with as many workers as the machine
-//! offers, and the tools sharing one execution fan out on **one** shared
-//! worker pool (a multi-target [`spinrace_core::DetectRequest`] through
-//! [`spinrace_core::ExecutedRun::try_run`])
-//! — thread spawn/join is paid once per distinct execution, not once per
-//! tool, which is what lets tiny traces run at full pool width. Parallel
-//! replay is bit-identical to sequential replay for any worker count, so
-//! the tables are still byte-for-byte the paper's numbers on every
-//! machine — the pinned-table regression tests double as a determinism
-//! check for the parallel engine.
+//! The tools sharing one execution fan out on **one** multi-target
+//! [`spinrace_core::DetectRequest`] through
+//! [`spinrace_core::ExecutedRun::try_run`]: a single event-major pass
+//! over the shared trace feeds every member's detector.
 
 use crate::drt::DrtCase;
 use crate::parsec::ParsecProgram;
-use spinrace_core::{
-    default_workers, AnalysisOutcome, DetectRequest, PreparedModule, Session, Tool,
-};
+use spinrace_core::{AnalysisOutcome, DetectRequest, PreparedModule, Session, Tool};
 
 /// The report cap used for drt runs. Small enough that a determined
 /// false-positive flood can drown a late real race (the paper's removed
@@ -104,8 +95,8 @@ pub fn classify(case: &DrtCase, out: &AnalysisOutcome) -> (bool, bool) {
 
 /// Run a whole tool lineup over one session: prepare every tool, group
 /// the prepared modules by fingerprint (first-seen order), execute each
-/// distinct module once, and fan each group's detections out on **one**
-/// shared worker pool. Returns per-tool outcomes in lineup order plus the
+/// distinct module once, and replay each group's detections on **one**
+/// pass over its trace. Returns per-tool outcomes in lineup order plus the
 /// number of VM executions performed; a prepare/execute failure surfaces
 /// as that tool's (or that whole group's) `Err`. (Shared with the
 /// generated-workloads table in [`crate::workloads`].)
@@ -137,35 +128,17 @@ pub(crate) fn lineup_outcomes(
         match prepared.execute() {
             Ok(run) => {
                 vm_runs += 1;
-                // Predictive tools are single-pass: they replay the same
-                // shared trace sequentially while the rest of the group
-                // fans out on the parallel pool (the engine would refuse
-                // a mixed parallel request with `Unsupported`).
-                let (seq, par): (Vec<usize>, Vec<usize>) = members
-                    .into_iter()
-                    .partition(|&ti| tools[ti].is_predictive());
-                for (members, parallel) in [(par, true), (seq, false)] {
-                    if members.is_empty() {
-                        continue;
-                    }
-                    let member_tools: Vec<Tool> = members.iter().map(|&ti| tools[ti]).collect();
-                    let req = DetectRequest::tools(&member_tools);
-                    let req = if parallel {
-                        req.parallel(default_workers())
-                    } else {
-                        req.sequential()
-                    };
-                    match run.try_run(&req) {
-                        Ok(outs) => {
-                            for (ti, out) in members.into_iter().zip(outs) {
-                                results[ti] = Some(Ok(out));
-                            }
+                let member_tools: Vec<Tool> = members.iter().map(|&ti| tools[ti]).collect();
+                match run.try_run(&DetectRequest::tools(&member_tools)) {
+                    Ok(outs) => {
+                        for (ti, out) in members.into_iter().zip(outs) {
+                            results[ti] = Some(Ok(out));
                         }
-                        Err(e) => {
-                            let msg = format!("replay failed: {e}");
-                            for ti in members {
-                                results[ti] = Some(Err(msg.clone()));
-                            }
+                    }
+                    Err(e) => {
+                        let msg = format!("replay failed: {e}");
+                        for ti in members {
+                            results[ti] = Some(Err(msg.clone()));
                         }
                     }
                 }

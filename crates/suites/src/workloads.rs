@@ -11,10 +11,9 @@
 //! missed injected race) or a *completeness* bug (a report on a
 //! correct-by-construction program) — no recorded baseline involved.
 //!
-//! Like the other suites, execution is trace-centric (one VM run per
-//! distinct prepared module, cached by fingerprint) and detection runs
-//! through the parallel sharded engine, so the table doubles as a
-//! determinism check for the merge path on oracle-bearing streams.
+//! Like the other suites, execution is trace-centric: one VM run per
+//! distinct prepared module, cached by fingerprint, with every tool that
+//! shares the module replayed on one pass over its trace.
 
 use crate::harness::lineup_outcomes;
 use spinrace_core::{AnalysisOutcome, Session, Tool};

@@ -325,9 +325,9 @@ impl<R: io::Read> ChunkedTraceReader<R> {
 
     /// Decode the entire stream into an in-memory [`Trace`].
     ///
-    /// This is the non-streaming path (used by format conversion and the
-    /// parallel replay engine, which shards over a full event slice);
-    /// for bounded-memory sequential replay use [`Self::replay_into`].
+    /// This is the non-streaming path (used by format conversion and
+    /// whole-trace loading); for bounded-memory replay use
+    /// [`Self::replay_into`].
     pub fn read_all(mut self) -> Result<Trace, TraceError> {
         let mut events: Vec<Event> = Vec::new();
         while let Some(chunk) = self.next_chunk()? {

@@ -7,7 +7,7 @@
 //! cargo run --example parsec_explorer -- x264 drd 42  # one tool, seed 42
 //! ```
 
-use spinrace::core::{Analyzer, Tool};
+use spinrace::core::{Session, Tool};
 use spinrace::suites::all_programs;
 
 fn main() {
@@ -58,14 +58,14 @@ fn main() {
     );
 
     for tool in tools {
-        let mut analyzer = Analyzer::tool(tool).long_msm();
+        let mut session = Session::for_module(&module).long_msm();
         if let Some(s) = seed {
-            analyzer = analyzer.seed(s);
+            session = session.seed(s);
         }
         if prog.obscure_nolib {
-            analyzer = analyzer.obscure_nolib();
+            session = session.obscure_nolib();
         }
-        match analyzer.analyze(&module) {
+        match session.prepare(tool).and_then(|p| p.detect_live()) {
             Ok(out) => {
                 println!(
                     "{:<26} contexts={:<4} spin loops={:<3} promoted locations={:<4} steps={}",

@@ -6,7 +6,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use spinrace::core::{Analyzer, Tool};
+use spinrace::core::{Session, Tool};
 use spinrace::tir::ModuleBuilder;
 
 fn main() {
@@ -48,7 +48,10 @@ fn main() {
 
     println!("Program: DATA++/FLAG=1 vs spin-wait/DATA--  (race-free!)\n");
     for tool in Tool::paper_lineup() {
-        let out = Analyzer::tool(tool).analyze(&module).expect("analysis");
+        let out = Session::for_module(&module)
+            .prepare(tool)
+            .and_then(|p| p.detect_live())
+            .expect("analysis");
         println!(
             "{:<26} racy contexts: {:>2}   spin loops found: {}",
             tool.label(),

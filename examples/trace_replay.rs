@@ -5,8 +5,8 @@
 //! cargo run --example trace_replay
 //! ```
 //!
-//! The staged session API splits the classic `Analyzer::analyze` into
-//! prepare → execute → detect. Because the VM is deterministic, tools
+//! The staged session API splits a live analysis
+//! (`prepare(tool)?.detect_live()`) into prepare → execute → detect. Because the VM is deterministic, tools
 //! whose preparation produced the same module (same fingerprint) share
 //! one recorded execution — here `Helgrind+ lib` and `DRD`, which both
 //! run the unmodified program — and every detector configuration replays

@@ -11,7 +11,7 @@
 //! cargo run --example unknown_library
 //! ```
 
-use spinrace::core::{Analyzer, Tool};
+use spinrace::core::{Session, Tool};
 use spinrace::spinfind::SpinFinder;
 use spinrace::synclib::lower_to_spinlib;
 use spinrace::tir::ModuleBuilder;
@@ -67,7 +67,10 @@ fn main() {
     // Full pipeline comparison: the detector with library knowledge vs
     // the universal detector with none.
     for tool in [Tool::HelgrindLib, Tool::HelgrindNolibSpin { window: 7 }] {
-        let out = Analyzer::tool(tool).analyze(&module).expect("analysis");
+        let out = Session::for_module(&module)
+            .prepare(tool)
+            .and_then(|p| p.detect_live())
+            .expect("analysis");
         println!(
             "{:<26} racy contexts: {}  (program output: {:?})",
             tool.label(),

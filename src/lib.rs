@@ -25,9 +25,8 @@
 //!   streaming replay
 //! * [`report`] — tables and experiment summaries
 //! * [`core`] — the staged [`core::Session`] pipeline (prepare → execute
-//!   → detect over a replayable [`vm::Trace`]), the unified
-//!   [`core::DetectRequest`] entry point, and the one-call
-//!   [`core::Analyzer`] wrapper
+//!   → detect over a replayable [`vm::Trace`]) and its one detection
+//!   entry point, [`core::DetectRequest`]
 //! * [`serve`] — detection as a service: a streaming analysis server
 //!   accepting framed trace uploads over TCP or stdin, multiplexing
 //!   concurrent `DetectRequest` sessions across a bounded worker pool
@@ -46,8 +45,7 @@ pub use spinrace_vm as vm;
 pub use spinrace_workloads as workloads;
 
 pub use spinrace_core::{
-    AnalysisOutcome, Analyzer, DetectOutcome, DetectRequest, ExecutedRun, PreparedModule, Session,
-    Tool,
+    AnalysisOutcome, DetectOutcome, DetectRequest, ExecutedRun, PreparedModule, Session, Tool,
 };
 pub use spinrace_detector::{DetectorConfig, DetectorKind, RaceReport};
 pub use spinrace_tir::{Module, ModuleBuilder};

@@ -6,7 +6,7 @@
 //! fan-out since the session redesign: each program executes **once** and
 //! every ablated configuration detects on the recorded trace.
 
-use spinrace::core::{Analyzer, DetectRequest, Session, Tool};
+use spinrace::core::{DetectRequest, Session, Tool};
 use spinrace::detector::{DetectorConfig, MsmMode};
 use spinrace::spinfind::{SpinCriteria, SpinFinder};
 use spinrace::suites::all_programs;
@@ -155,23 +155,26 @@ fn obscure_library_drives_nolib_regressions() {
         .find(|p| p.name == "bodytrack")
         .unwrap();
     let m = (p.build)(p.threads, p.size);
-    let spin = Analyzer::tool(Tool::HelgrindLibSpin { window: 7 })
+    let spin = Session::for_module(&m)
         .long_msm()
         .seed(1)
-        .analyze(&m)
+        .prepare(Tool::HelgrindLibSpin { window: 7 })
+        .and_then(|p| p.detect_live())
         .unwrap()
         .contexts;
-    let nolib_textbook = Analyzer::tool(Tool::HelgrindNolibSpin { window: 7 })
+    let nolib_textbook = Session::for_module(&m)
         .long_msm()
         .seed(1)
-        .analyze(&m)
+        .prepare(Tool::HelgrindNolibSpin { window: 7 })
+        .and_then(|p| p.detect_live())
         .unwrap()
         .contexts;
-    let nolib_obscure = Analyzer::tool(Tool::HelgrindNolibSpin { window: 7 })
+    let nolib_obscure = Session::for_module(&m)
         .long_msm()
         .seed(1)
         .obscure_nolib()
-        .analyze(&m)
+        .prepare(Tool::HelgrindNolibSpin { window: 7 })
+        .and_then(|p| p.detect_live())
         .unwrap()
         .contexts;
     assert!(

@@ -5,7 +5,7 @@
 //! matrix, so any detector regression shows up as the exact case and
 //! tool that changed behaviour.
 
-use spinrace::core::{Analyzer, Tool};
+use spinrace::core::{Session, Tool};
 use spinrace::suites::harness::DRT_CAP;
 use spinrace::suites::{all_cases, Category};
 
@@ -90,10 +90,11 @@ fn full_category_matrix_holds() {
     tools.push(Tool::SyncPreserving);
     let mut checked = 0;
     for tool in tools {
-        let analyzer = Analyzer::tool(tool).cap(DRT_CAP);
         for case in &cases {
-            let out = analyzer
-                .analyze(&case.module)
+            let out = Session::for_module(&case.module)
+                .cap(DRT_CAP)
+                .prepare(tool)
+                .and_then(|p| p.detect_live())
                 .unwrap_or_else(|e| panic!("{} on {}: {e}", tool.label(), case.name));
             let expect = expectation(&case.category, &tool);
             let actual = if case.racy {
@@ -132,7 +133,6 @@ fn full_category_matrix_holds() {
 fn window_matrix_on_adhoc_cases() {
     let cases = all_cases();
     for window in [3u32, 6, 7, 8] {
-        let analyzer = Analyzer::tool(Tool::HelgrindLibSpin { window }).cap(DRT_CAP);
         for case in cases.iter().filter(|c| {
             matches!(
                 c.category,
@@ -143,7 +143,11 @@ fn window_matrix_on_adhoc_cases() {
                 Category::AdhocPlain { weight } | Category::AdhocAtomic { weight } => weight,
                 _ => unreachable!(),
             };
-            let out = analyzer.analyze(&case.module).unwrap();
+            let out = Session::for_module(&case.module)
+                .cap(DRT_CAP)
+                .prepare(Tool::HelgrindLibSpin { window })
+                .and_then(|p| p.detect_live())
+                .unwrap();
             if weight <= window {
                 assert!(
                     out.is_clean(),

@@ -1,6 +1,6 @@
 //! Cross-crate integration: facade-level pipeline behaviour.
 
-use spinrace::core::{Analyzer, Tool};
+use spinrace::core::{Session, Tool};
 use spinrace::detector::RaceKind;
 use spinrace::tir::{MemOrder, ModuleBuilder};
 
@@ -34,18 +34,23 @@ fn motivating_example_through_facade() {
     });
     let m = mb.finish().unwrap();
 
-    let lib = Analyzer::tool(Tool::HelgrindLib).analyze(&m).unwrap();
+    let lib = Session::for_module(&m)
+        .prepare(Tool::HelgrindLib)
+        .and_then(|p| p.detect_live())
+        .unwrap();
     assert!(lib.has_race_on("FLAG"), "synchronization race");
     assert!(lib.has_race_on("DATA"), "apparent race");
 
-    let spin = Analyzer::tool(Tool::HelgrindLibSpin { window: 7 })
-        .analyze(&m)
+    let spin = Session::for_module(&m)
+        .prepare(Tool::HelgrindLibSpin { window: 7 })
+        .and_then(|p| p.detect_live())
         .unwrap();
     assert!(spin.is_clean());
     assert_eq!(spin.spin_loops_found, 1);
 
-    let nolib = Analyzer::tool(Tool::HelgrindNolibSpin { window: 7 })
-        .analyze(&m)
+    let nolib = Session::for_module(&m)
+        .prepare(Tool::HelgrindNolibSpin { window: 7 })
+        .and_then(|p| p.detect_live())
         .unwrap();
     assert!(nolib.is_clean());
 }
@@ -79,7 +84,10 @@ fn outputs_agree_across_tools() {
     let m = mb.finish().unwrap();
     let mut outputs = Vec::new();
     for tool in Tool::paper_lineup() {
-        let out = Analyzer::tool(tool).analyze(&m).unwrap();
+        let out = Session::for_module(&m)
+            .prepare(tool)
+            .and_then(|p| p.detect_live())
+            .unwrap();
         outputs.push(
             out.summary
                 .outputs
@@ -132,7 +140,10 @@ fn lockset_violation_end_to_end() {
     });
     let m = mb.finish().unwrap();
 
-    let hybrid = Analyzer::tool(Tool::HelgrindLib).analyze(&m).unwrap();
+    let hybrid = Session::for_module(&m)
+        .prepare(Tool::HelgrindLib)
+        .and_then(|p| p.detect_live())
+        .unwrap();
     // Either the schedule exposes the HB race directly, or the lockset
     // stage flags the discipline violation — the hybrid must not be silent.
     assert!(hybrid.has_race_on("victim"), "{:?}", hybrid.reports);
@@ -140,7 +151,10 @@ fn lockset_violation_end_to_end() {
         .reports
         .iter()
         .any(|r| r.report.kind == RaceKind::LocksetViolation);
-    let drd = Analyzer::tool(Tool::Drd).analyze(&m).unwrap();
+    let drd = Session::for_module(&m)
+        .prepare(Tool::Drd)
+        .and_then(|p| p.detect_live())
+        .unwrap();
     if has_lockset_kind {
         assert!(
             !drd.has_race_on("victim"),
@@ -176,15 +190,21 @@ fn atomic_adhoc_tool_matrix() {
     });
     let m = mb.finish().unwrap();
 
-    assert!(!Analyzer::tool(Tool::HelgrindLib)
-        .analyze(&m)
+    assert!(!Session::for_module(&m)
+        .prepare(Tool::HelgrindLib)
+        .and_then(|p| p.detect_live())
         .unwrap()
         .is_clean());
-    assert!(Analyzer::tool(Tool::HelgrindLibSpin { window: 7 })
-        .analyze(&m)
+    assert!(Session::for_module(&m)
+        .prepare(Tool::HelgrindLibSpin { window: 7 })
+        .and_then(|p| p.detect_live())
         .unwrap()
         .is_clean());
-    assert!(Analyzer::tool(Tool::Drd).analyze(&m).unwrap().is_clean());
+    assert!(Session::for_module(&m)
+        .prepare(Tool::Drd)
+        .and_then(|p| p.detect_live())
+        .unwrap()
+        .is_clean());
 }
 
 /// Seeds explore different interleavings but never produce spurious
@@ -216,7 +236,11 @@ fn no_false_positives_across_seeds_on_locked_program() {
     let m = mb.finish().unwrap();
     for seed in 0..15 {
         for tool in Tool::paper_lineup() {
-            let out = Analyzer::tool(tool).seed(seed).analyze(&m).unwrap();
+            let out = Session::for_module(&m)
+                .seed(seed)
+                .prepare(tool)
+                .and_then(|p| p.detect_live())
+                .unwrap();
             assert!(
                 out.is_clean(),
                 "{} seed {} reported {:?}",

@@ -1,437 +1,129 @@
-//! Fault-injection hardening of the parallel replay engine: every fault
-//! in the matrix {panic before/after handoff export, panic while a peer
-//! waits, delay past a watchdog, dropped handoff} × schedules × worker
-//! counts must come back as a structured [`EngineError`] within a
-//! bounded watchdog — never a hang, never a process abort — while
-//! fault-free runs (including runs with explicit engine options) stay
-//! byte-identical to sequential replay.
+//! Fault injection against the one replay loop: a consumer stalled past
+//! the watchdog, a zero-length watchdog, an exhausted event budget and an
+//! exhausted shadow budget must each come back as a structured
+//! [`EngineError`] within a bound — never a hang — on whole-trace replay
+//! (`ExecutedRun::try_run`), streamed replay
+//! (`PreparedModule::try_run_streamed`) and a raw [`ReplayLoop`]. Both
+//! session paths drive the same loop, so a limit must trip identically on
+//! them: same error, same partial metrics. Limits that are set but never
+//! reached leave the outcome byte-identical.
 
-use spinrace::core::parallel::{
-    try_run_sharded_opts, try_run_sharded_with_plan_opts, Budget, BudgetResource, EngineError,
-    EngineOptions, FaultKind, FaultPlan, Schedule,
+use spinrace::core::{
+    AnalyzeError, Budget, BudgetResource, DetectRequest, EngineError, EngineOptions, ExecutedRun,
+    ReplayLoop, Session, Tool,
 };
-use spinrace::core::{DetectRequest, Session, Tool};
-use spinrace::detector::{
-    compute_promotion_seeds, DetectorConfig, MsmMode, RaceDetector, SchedulePlan,
-};
-use spinrace::vm::{Event, EventSink};
+use spinrace::detector::AnyDetector;
+use spinrace::tracefmt::{encode_trace_chunked, ChunkedTraceReader};
+use spinrace::vm::EventSink;
 use spinrace::workloads::{Family, WorkloadSpec};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// No fault must take anywhere near this long to surface; hitting it
-/// means the cancellation/watchdog protocol regressed.
+/// No fault may take anywhere near this long to surface; hitting it
+/// means a limit stopped being polled.
 const BOUND: Duration = Duration::from_secs(20);
 
-/// A raw stream whose hot shard moves mid-stream (same shape as the
-/// handoff test in `spinrace-core`): phase A hammers shard 0 with a lock
-/// held, phase B moves to shards 2 and 3. Chunked balanced planning over
-/// it schedules real shard handoffs — the seam the faults are aimed at.
-fn shifted_stream() -> Vec<Event> {
-    let pc = |n| spinrace::tir::Pc::new(spinrace::tir::FuncId(0), spinrace::tir::BlockId(0), n);
-    let write = |tid: u32, addr: u64, at: u32| Event::Write {
-        tid,
-        addr,
-        value: 1,
-        pc: pc(at),
-        stack: 0,
-        atomic: None,
-    };
-    let mut events = vec![
-        Event::Spawn {
-            parent: 0,
-            child: 1,
-            pc: pc(0),
-        },
-        Event::MutexLock {
-            tid: 1,
-            mutex: 0x9000,
-            pc: pc(1),
-        },
-    ];
-    for i in 0..8u64 {
-        events.push(write(1, (2 << 6) | i, 5));
-    }
-    for i in 0..256u64 {
-        events.push(write(1, (i % 64) | ((i / 64) << 9), 10));
-    }
-    events.push(Event::MutexUnlock {
-        tid: 1,
-        mutex: 0x9000,
-        pc: pc(2),
-    });
-    for i in 0..128u64 {
-        let shard = 2 + (i % 2);
-        events.push(write(1, (shard << 6) | (i % 64), 20));
-    }
-    events
-}
+/// How long an injected stall holds the consumer: well past the short
+/// watchdogs below, well inside [`BOUND`].
+const STALL: Duration = Duration::from_millis(300);
 
-fn cfg() -> DetectorConfig {
-    DetectorConfig::helgrind_lib(MsmMode::Short)
-}
+/// Events per chunk of the injected streams.
+const CHUNK: usize = 1000;
 
-/// A chunked balanced plan over the shifted stream with at least one
-/// handoff, plus the first scheduled transfer (boundary index, shard,
-/// exporting and importing worker).
-fn plan_with_handoff(events: &[Event]) -> (Arc<SchedulePlan>, spinrace::detector::ShardTransfer) {
-    let seeds = compute_promotion_seeds(cfg(), events);
-    let plan = SchedulePlan::balanced_chunked(cfg(), &seeds, events, 2, 64);
-    assert!(
-        plan.handoffs() > 0,
-        "the shifted stream must schedule a handoff, got {:?}",
-        plan.transfers()
-    );
-    let t = plan.transfers()[0];
-    (Arc::new(plan), t)
-}
-
-fn opts_with_fault(fault: FaultPlan, handoff_ms: u64) -> EngineOptions {
-    EngineOptions {
-        handoff_timeout: Duration::from_millis(handoff_ms),
-        fault: Some(fault),
-        ..EngineOptions::default()
-    }
-}
-
-#[test]
-fn panic_before_handoff_export_is_a_worker_panic() {
-    let events = shifted_stream();
-    let (plan, t) = plan_with_handoff(&events);
-    let boundary_event = plan.boundaries()[t.boundary];
-    // The fault fires at the boundary event, *before* the export runs.
-    let fault = FaultPlan {
-        worker: t.from,
-        at_event: boundary_event,
-        kind: FaultKind::Panic,
-    };
-    let t0 = Instant::now();
-    let err = try_run_sharded_with_plan_opts(cfg(), &events, plan, opts_with_fault(fault, 10_000))
-        .expect_err("injected panic must fail the replay");
-    assert!(t0.elapsed() < BOUND, "took {:?}", t0.elapsed());
-    match err {
-        EngineError::WorkerPanic { worker, payload } => {
-            assert_eq!(worker, t.from);
-            assert!(payload.contains("injected fault"), "{payload}");
-        }
-        other => panic!("expected WorkerPanic, got {other}"),
-    }
-}
-
-#[test]
-fn panic_after_handoff_export_is_a_worker_panic() {
-    let events = shifted_stream();
-    let (plan, t) = plan_with_handoff(&events);
-    // One event past the boundary: the export already ran, the peer gets
-    // its handoff, and the exporter dies right after.
-    let fault = FaultPlan {
-        worker: t.from,
-        at_event: plan.boundaries()[t.boundary] + 1,
-        kind: FaultKind::Panic,
-    };
-    let t0 = Instant::now();
-    let err = try_run_sharded_with_plan_opts(cfg(), &events, plan, opts_with_fault(fault, 10_000))
-        .expect_err("injected panic must fail the replay");
-    assert!(t0.elapsed() < BOUND, "took {:?}", t0.elapsed());
-    assert!(
-        matches!(err, EngineError::WorkerPanic { worker, .. } if worker == t.from),
-        "expected WorkerPanic from worker {}, got {err}",
-        t.from
-    );
-}
-
-#[test]
-fn panic_while_peer_waits_cancels_the_wait_promptly() {
-    let events = shifted_stream();
-    let (plan, t) = plan_with_handoff(&events);
-    let fault = FaultPlan {
-        worker: t.from,
-        at_event: plan.boundaries()[t.boundary],
-        kind: FaultKind::Panic,
-    };
-    // A generous handoff timeout: the peer must NOT ride it out — the
-    // panic's cancellation has to wake the wait long before 60 s.
-    let t0 = Instant::now();
-    let err = try_run_sharded_with_plan_opts(cfg(), &events, plan, opts_with_fault(fault, 60_000))
-        .expect_err("injected panic must fail the replay");
-    let elapsed = t0.elapsed();
-    assert!(
-        elapsed < Duration::from_secs(10),
-        "peer sat out the handoff timeout instead of cancelling: {elapsed:?}"
-    );
-    assert!(
-        matches!(err, EngineError::WorkerPanic { .. }),
-        "first failure must be the panic, got {err}"
-    );
-}
-
-#[test]
-fn delay_past_the_handoff_timeout_is_a_handoff_timeout() {
-    let events = shifted_stream();
-    let (plan, t) = plan_with_handoff(&events);
-    // The exporter stalls 60 s at its boundary; the importer's 250 ms
-    // handoff watchdog must fire and cancel the stalled worker too.
-    let fault = FaultPlan {
-        worker: t.from,
-        at_event: plan.boundaries()[t.boundary],
-        kind: FaultKind::Delay(60_000),
-    };
-    let t0 = Instant::now();
-    let err = try_run_sharded_with_plan_opts(cfg(), &events, plan, opts_with_fault(fault, 250))
-        .expect_err("stalled handoff must fail the replay");
-    assert!(t0.elapsed() < BOUND, "took {:?}", t0.elapsed());
-    match err {
-        EngineError::HandoffTimeout {
-            worker,
-            shard,
-            boundary,
-            waited_ms,
-        } => {
-            assert_eq!((worker, shard, boundary), (t.to, t.shard, t.boundary));
-            assert!(waited_ms >= 250, "reported wait {waited_ms} ms");
-        }
-        other => panic!("expected HandoffTimeout, got {other}"),
-    }
-}
-
-#[test]
-fn delay_past_the_global_watchdog_errors_even_without_handoffs() {
-    // Static schedules have no handoffs, so a stalled worker would
-    // otherwise just finish late; the global watchdog bounds the whole
-    // replay regardless of schedule.
-    let events = shifted_stream();
-    let opts = EngineOptions {
-        schedule: Schedule::Static,
-        watchdog: Some(Duration::from_millis(300)),
-        fault: Some(FaultPlan {
-            worker: 1,
-            at_event: 50,
-            kind: FaultKind::Delay(60_000),
-        }),
-        ..EngineOptions::default()
-    };
-    let t0 = Instant::now();
-    let err = try_run_sharded_opts(cfg(), &events, 2, opts)
-        .expect_err("watchdog must trip on the stalled worker");
-    assert!(t0.elapsed() < BOUND, "took {:?}", t0.elapsed());
-    assert!(
-        matches!(err, EngineError::Watchdog { limit_ms: 300 }),
-        "expected Watchdog, got {err}"
-    );
-}
-
-#[test]
-fn dropped_handoff_times_out_the_waiting_peer() {
-    let events = shifted_stream();
-    let (plan, t) = plan_with_handoff(&events);
-    // The exporter dies silently before its boundary: no export, no
-    // recorded error. The importing peer's handoff watchdog is the only
-    // thing standing between that and a hang.
-    let fault = FaultPlan {
-        worker: t.from,
-        at_event: plan.boundaries()[t.boundary].saturating_sub(1),
-        kind: FaultKind::DropHandoff,
-    };
-    let t0 = Instant::now();
-    let err = try_run_sharded_with_plan_opts(cfg(), &events, plan, opts_with_fault(fault, 300))
-        .expect_err("dropped handoff must fail the replay");
-    assert!(t0.elapsed() < BOUND, "took {:?}", t0.elapsed());
-    assert!(
-        matches!(
-            err,
-            EngineError::HandoffTimeout { .. } | EngineError::WorkerLost { .. }
-        ),
-        "expected HandoffTimeout or WorkerLost, got {err}"
-    );
-}
-
-#[test]
-fn dropped_worker_without_handoffs_is_reported_lost() {
-    // Static schedule: nobody waits on the dead worker, so the
-    // coordinator has to notice the missing fragment by itself.
-    let events = shifted_stream();
-    let opts = EngineOptions {
-        schedule: Schedule::Static,
-        fault: Some(FaultPlan {
-            worker: 1,
-            at_event: 50,
-            kind: FaultKind::DropHandoff,
-        }),
-        ..EngineOptions::default()
-    };
-    let t0 = Instant::now();
-    let err = try_run_sharded_opts(cfg(), &events, 2, opts)
-        .expect_err("a silently dead worker must fail the replay");
-    assert!(t0.elapsed() < BOUND, "took {:?}", t0.elapsed());
-    assert!(
-        matches!(err, EngineError::WorkerLost { worker: 1 }),
-        "expected WorkerLost, got {err}"
-    );
-}
-
-/// The CI acceptance matrix in miniature: 3 fault kinds × 2 schedules ×
-/// workers {2, 4, 8}, every combination a structured `Err` within the
-/// bound — zero hangs, zero aborts.
-#[test]
-fn full_fault_matrix_always_errors_within_the_bound() {
-    let events = shifted_stream();
-    for schedule in [Schedule::Static, Schedule::Balanced] {
-        for workers in [2usize, 4, 8] {
-            for kind in [
-                FaultKind::Panic,
-                FaultKind::Delay(60_000),
-                FaultKind::DropHandoff,
-            ] {
-                let opts = EngineOptions {
-                    schedule,
-                    handoff_timeout: Duration::from_millis(400),
-                    watchdog: Some(Duration::from_millis(800)),
-                    fault: Some(FaultPlan {
-                        worker: 1,
-                        at_event: 100,
-                        kind,
-                    }),
-                    ..EngineOptions::default()
-                };
-                let t0 = Instant::now();
-                let res = try_run_sharded_opts(cfg(), &events, workers, opts);
-                let elapsed = t0.elapsed();
-                assert!(
-                    res.is_err(),
-                    "{kind:?} × {schedule} × {workers} workers completed successfully"
-                );
-                assert!(
-                    elapsed < BOUND,
-                    "{kind:?} × {schedule} × {workers} workers took {elapsed:?}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn fault_aimed_at_nothing_changes_nothing() {
-    // A fault targeting a worker index outside the pool, or an event the
-    // stream never reaches, must be inert: same bytes as sequential.
-    let events = shifted_stream();
-    let mut seq = RaceDetector::new(cfg());
-    for ev in &events {
-        seq.on_event(ev);
-    }
-    for fault in [
-        FaultPlan {
-            worker: 7,
-            at_event: 100,
-            kind: FaultKind::Panic,
-        },
-        FaultPlan {
-            worker: 1,
-            at_event: 10_000_000,
-            kind: FaultKind::Panic,
-        },
-    ] {
-        let opts = EngineOptions {
-            fault: Some(fault),
-            ..EngineOptions::default()
-        };
-        let merged = try_run_sharded_opts(cfg(), &events, 2, opts)
-            .expect("an unreachable fault must not fire");
-        assert_eq!(merged.reports.reports(), seq.reports().reports());
-        assert_eq!(merged.reports.contexts(), seq.racy_contexts());
-    }
-}
-
-#[test]
-fn fault_free_runs_with_explicit_options_stay_byte_identical() {
-    let events = shifted_stream();
-    let mut seq = RaceDetector::new(cfg());
-    for ev in &events {
-        seq.on_event(ev);
-    }
-    for schedule in [Schedule::Static, Schedule::Balanced] {
-        for workers in [1usize, 2, 4, 8] {
-            // A generous watchdog and a huge budget are *set* (exercising
-            // the polling paths) but never trip.
-            let opts = EngineOptions {
-                schedule,
-                watchdog: Some(Duration::from_secs(120)),
-                budget: Budget {
-                    max_events: Some(1 << 40),
-                    max_shadow_bytes: Some(1 << 40),
-                },
-                ..EngineOptions::default()
-            };
-            let merged = try_run_sharded_opts(cfg(), &events, workers, opts).unwrap();
-            assert_eq!(
-                merged.reports.reports(),
-                seq.reports().reports(),
-                "{schedule} × {workers}"
-            );
-            assert_eq!(merged.reports.contexts(), seq.racy_contexts());
-            assert_eq!(merged.promoted_locations, seq.promoted_locations());
-        }
-    }
-}
-
-#[test]
-fn session_api_surfaces_engine_errors_and_budgets() {
+/// A recorded zipf run long enough to cross several periodic limit
+/// polls (every 4096 events).
+fn zipf_run() -> ExecutedRun {
     let spec = WorkloadSpec::new(Family::Zipf)
         .threads(4)
-        .events_per_thread(2000)
+        .events_per_thread(4000)
         .seed(1);
     let wl = spec.build();
-    let run = Session::for_module(&wl.module)
+    Session::for_module(&wl.module)
         .vm_config(spec.vm_config())
         .prepare(Tool::HelgrindLib)
         .unwrap()
         .execute()
-        .unwrap();
+        .unwrap()
+}
+
+/// Replay `run`'s trace as a chunk stream (small chunks, so limits can
+/// trip mid-stream) and return the engine error, if any.
+fn streamed(run: &ExecutedRun, req: &DetectRequest) -> Result<(), EngineError> {
+    streamed_stalling(run, req, None)
+}
+
+/// [`streamed`], with the progress observer stalling for `stall` after
+/// the first chunk — a slow consumer the reader thread cannot hide.
+fn streamed_stalling(
+    run: &ExecutedRun,
+    req: &DetectRequest,
+    stall: Option<Duration>,
+) -> Result<(), EngineError> {
+    let bytes = encode_trace_chunked(run.trace(), CHUNK);
+    let reader = ChunkedTraceReader::new(&bytes[..]).unwrap();
+    let observe = |p: spinrace::core::StreamProgress<'_>| {
+        if let (Some(d), 1, 0) = (stall, p.chunk, p.target) {
+            std::thread::sleep(d);
+        }
+    };
+    match run
+        .prepared()
+        .try_run_streamed_observed(req, reader, observe)
+    {
+        Ok(_) => Ok(()),
+        Err(AnalyzeError::Engine(e)) => Err(e),
+        Err(other) => panic!("unexpected non-engine error: {other}"),
+    }
+}
+
+/// Feed `run`'s events to a raw [`ReplayLoop`] for `tools` in
+/// [`CHUNK`]-sized chunks, stalling for `stall` after the first one.
+fn raw_loop_stalling(
+    run: &ExecutedRun,
+    tools: &[Tool],
+    opts: EngineOptions,
+    stall: Option<Duration>,
+) -> Result<(), EngineError> {
+    let events = &run.trace().events;
+    let cfgs = tools.iter().map(|&t| run.prepared().config_for(t));
+    let mut replay = ReplayLoop::new(cfgs, opts, events.len() as u64);
+    for (i, chunk) in events.chunks(CHUNK).enumerate() {
+        replay.feed(chunk)?;
+        if let (Some(d), 0) = (stall, i) {
+            std::thread::sleep(d);
+        }
+    }
+    replay.finish().map(|_| ())
+}
+
+/// The largest shadow footprint a full replay under `tool` reaches at
+/// any event: a shadow budget of exactly this never trips.
+fn peak_shadow_bytes(run: &ExecutedRun, tool: Tool) -> usize {
+    let mut det = AnyDetector::new(run.prepared().config_for(tool));
+    let mut peak = 0;
+    for ev in &run.trace().events {
+        det.on_event(ev);
+        peak = peak.max(det.shadow_resident_bytes());
+    }
+    peak
+}
+
+#[test]
+fn session_api_surfaces_engine_errors_and_budgets() {
+    let run = zipf_run();
     let baseline = run.run(&DetectRequest::own()).into_single();
 
-    // Fault-free with options: identical outcome to a sequential run.
+    // Explicit but unlimited options: identical outcome.
     let ok = run
-        .try_run(
-            &DetectRequest::tool(Tool::HelgrindLib)
-                .parallel(4)
-                .options(EngineOptions::default()),
-        )
+        .try_run(&DetectRequest::tool(Tool::HelgrindLib).options(EngineOptions::default()))
         .unwrap()
         .into_single();
     assert_eq!(ok.contexts, baseline.contexts);
     assert_eq!(ok.metrics, baseline.metrics);
 
-    // Injected panic: structured error, not a panic across the API.
-    let fault_opts = EngineOptions {
-        fault: Some(FaultPlan {
-            worker: 1,
-            at_event: 100,
-            kind: FaultKind::Panic,
-        }),
-        ..EngineOptions::default()
-    };
-    let err = run
-        .try_run(
-            &DetectRequest::tool(Tool::HelgrindLib)
-                .parallel(4)
-                .options(fault_opts),
-        )
-        .expect_err("injected panic must surface");
-    assert!(matches!(err, EngineError::WorkerPanic { worker: 1, .. }));
-
     // Event budget: partial metrics carried in the error.
-    let budget_opts = EngineOptions {
-        budget: Budget {
-            max_events: Some(500),
-            max_shadow_bytes: None,
-        },
-        ..EngineOptions::default()
-    };
+    let budget_opts = EngineOptions::default().with_budget(Budget::default().with_max_events(500));
     let err = run
-        .try_run(
-            &DetectRequest::tool(Tool::HelgrindLib)
-                .parallel(4)
-                .options(budget_opts),
-        )
+        .try_run(&DetectRequest::tool(Tool::HelgrindLib).options(budget_opts))
         .expect_err("event budget must trip");
     match err {
         EngineError::BudgetExhausted {
@@ -446,9 +138,196 @@ fn session_api_surfaces_engine_errors_and_budgets() {
         }
         other => panic!("expected an event-budget error, got {other}"),
     }
+}
 
-    // The infallible request form still works unchanged on the happy
-    // path.
-    let via_run = run.run(&DetectRequest::own().parallel(4)).into_single();
-    assert_eq!(via_run.contexts, baseline.contexts);
+/// A consumer stalled past the watchdog trips it at the next poll, even
+/// though nothing else is wrong with the stream: streamed replay (the
+/// observer stalls) and a raw loop (the caller stalls between chunks)
+/// both stop with the watchdog error well before the stream ends.
+#[test]
+fn delay_past_the_global_watchdog_errors_even_without_handoffs() {
+    let run = zipf_run();
+    let watchdog = Duration::from_millis(100);
+    let expected = EngineError::Watchdog { limit_ms: 100 };
+    let t0 = Instant::now();
+    let req = DetectRequest::own().watchdog(watchdog);
+    assert_eq!(
+        streamed_stalling(&run, &req, Some(STALL)),
+        Err(expected.clone())
+    );
+    let opts = EngineOptions::default().with_watchdog(watchdog);
+    assert_eq!(
+        raw_loop_stalling(&run, &[Tool::HelgrindLib], opts, Some(STALL)),
+        Err(expected)
+    );
+    assert!(t0.elapsed() < BOUND, "took {:?}", t0.elapsed());
+}
+
+/// Every injected fault × every path × one and two targets ends in the
+/// matching structured error, within [`BOUND`].
+#[test]
+fn full_fault_matrix_always_errors_within_the_bound() {
+    let run = zipf_run();
+    let total = run.trace().events.len() as u64;
+    let short = Duration::from_millis(100);
+    // (label, limits, consumer stall)
+    let faults = [
+        (
+            "zero watchdog",
+            EngineOptions::default().with_watchdog(Duration::ZERO),
+            None,
+        ),
+        (
+            "stall past the watchdog",
+            EngineOptions::default().with_watchdog(short),
+            Some(STALL),
+        ),
+        (
+            "event budget",
+            EngineOptions::default().with_budget(Budget::default().with_max_events(total / 2)),
+            None,
+        ),
+        (
+            "shadow budget",
+            EngineOptions::default().with_budget(Budget::default().with_max_shadow_bytes(1)),
+            None,
+        ),
+    ];
+    for (label, opts, stall) in faults {
+        for tools in [&[Tool::HelgrindLib][..], &[Tool::HelgrindLib, Tool::Drd]] {
+            let req = DetectRequest::tools(tools).options(opts);
+            let t0 = Instant::now();
+            let mut results = vec![
+                ("streamed", streamed_stalling(&run, &req, stall)),
+                ("raw loop", raw_loop_stalling(&run, tools, opts, stall)),
+            ];
+            // The whole trace is one chunk: there is no gap to stall in.
+            if stall.is_none() {
+                results.push(("whole", run.try_run(&req).map(|_| ())));
+            }
+            let elapsed = t0.elapsed();
+            assert!(elapsed < BOUND, "{label}: took {elapsed:?}");
+            for (path, res) in results {
+                let err = res.expect_err("every fault must fail the replay");
+                let expected_kind = match &err {
+                    EngineError::Watchdog { .. } => opts.watchdog.is_some(),
+                    EngineError::BudgetExhausted {
+                        resource: BudgetResource::Events,
+                        ..
+                    } => opts.budget.max_events.is_some(),
+                    EngineError::BudgetExhausted {
+                        resource: BudgetResource::ShadowBytes,
+                        ..
+                    } => opts.budget.max_shadow_bytes.is_some(),
+                    EngineError::Trace(_) => false,
+                };
+                assert!(expected_kind, "{label} × {path}: unexpected {err}");
+            }
+        }
+    }
+}
+
+/// Limits aimed at nothing — an event budget of exactly the trace
+/// length, a shadow budget of exactly the peak footprint, a stall with
+/// no watchdog set — are inert on every path: the same bytes as an
+/// unlimited replay.
+#[test]
+fn fault_aimed_at_nothing_changes_nothing() {
+    let run = zipf_run();
+    let baseline = run.run(&DetectRequest::own()).into_single();
+    let total = run.trace().events.len() as u64;
+    let peak = peak_shadow_bytes(&run, Tool::HelgrindLib);
+    for (opts, stall) in [
+        (
+            EngineOptions::default().with_budget(Budget::default().with_max_events(total)),
+            None,
+        ),
+        (
+            EngineOptions::default().with_budget(Budget::default().with_max_shadow_bytes(peak)),
+            None,
+        ),
+        (EngineOptions::default(), Some(Duration::from_millis(20))),
+    ] {
+        let req = DetectRequest::own().options(opts);
+        let whole = run.try_run(&req).expect("an inert limit").into_single();
+        assert_eq!(whole.contexts, baseline.contexts);
+        assert_eq!(whole.metrics, baseline.metrics);
+        for (a, b) in whole.reports.iter().zip(&baseline.reports) {
+            assert_eq!(a.report, b.report);
+        }
+        assert_eq!(streamed_stalling(&run, &req, stall), Ok(()), "{opts:?}");
+        assert_eq!(
+            raw_loop_stalling(&run, &[Tool::HelgrindLib], opts, stall),
+            Ok(()),
+            "{opts:?}"
+        );
+    }
+}
+
+/// Generous limits never perturb the outcome.
+#[test]
+fn fault_free_runs_with_explicit_options_stay_byte_identical() {
+    let run = zipf_run();
+    let baseline = run.run(&DetectRequest::own()).into_single();
+    let total = run.trace().events.len() as u64;
+    let opts = EngineOptions::default()
+        .with_watchdog(Duration::from_secs(600))
+        .with_budget(
+            Budget::default()
+                .with_max_events(total)
+                .with_max_shadow_bytes(1 << 40),
+        );
+    let out = run
+        .try_run(&DetectRequest::own().options(opts))
+        .unwrap()
+        .into_single();
+    assert_eq!(out.reports.len(), baseline.reports.len());
+    for (a, b) in out.reports.iter().zip(&baseline.reports) {
+        assert_eq!(a.report, b.report);
+    }
+    assert_eq!(out.metrics, baseline.metrics);
+}
+
+/// The same event budget and the same shadow budget trip whole-trace and
+/// streamed replay with equal errors, partial metrics included.
+#[test]
+fn whole_and_streamed_replay_trip_identical_budget_errors() {
+    let run = zipf_run();
+    let total = run.trace().events.len() as u64;
+    // The shadow footprint a full replay ends with: one byte less trips
+    // late in the stream (at a periodic poll or the final check).
+    let mut det = AnyDetector::new(run.prepared().default_config());
+    run.trace().replay(&mut det);
+    let resident = det.shadow_resident_bytes();
+    for budget in [
+        Budget::default().with_max_events(0),
+        Budget::default().with_max_events(2500),
+        Budget::default().with_max_events(total / 2),
+        Budget::default().with_max_events(total - 1),
+        Budget::default().with_max_shadow_bytes(1),
+        Budget::default().with_max_shadow_bytes(resident - 1),
+    ] {
+        for tools in [&[Tool::HelgrindLib][..], &[Tool::HelgrindLib, Tool::Drd]] {
+            let req = DetectRequest::tools(tools).budget(budget);
+            let whole = run
+                .try_run(&req)
+                .map(|_| ())
+                .expect_err("the budget must trip");
+            assert!(
+                matches!(whole, EngineError::BudgetExhausted { .. }),
+                "{whole}"
+            );
+            assert_eq!(streamed(&run, &req), Err(whole), "{budget:?}");
+        }
+    }
+}
+
+/// A zero-length watchdog trips on the first event of either path.
+#[test]
+fn zero_watchdog_trips_whole_and_streamed_replay() {
+    let run = zipf_run();
+    let req = DetectRequest::own().watchdog(Duration::ZERO);
+    let expected = EngineError::Watchdog { limit_ms: 0 };
+    assert_eq!(run.try_run(&req).map(|_| ()), Err(expected.clone()));
+    assert_eq!(streamed(&run, &req), Err(expected));
 }

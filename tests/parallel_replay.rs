@@ -1,26 +1,35 @@
-//! Differential proptest for parallel sharded replay: for random small
-//! modules, every tool in the paper lineup, every worker count, and both
-//! scheduling modes (occupancy-balanced LPT and static modular
-//! ownership), the parallel replay of a recorded trace must be
-//! **bit-identical** to the sequential replay *and* to the live run —
-//! same racy contexts, same described report lists (content and order),
-//! same detector metrics, same promotion counts. This is the determinism
-//! guarantee the CI `replay-determinism` job re-checks end-to-end
-//! through the `trace` CLI, and the property that lets harnesses pick a
-//! worker count (and the scheduler pick shard owners) from the machine
-//! without perturbing a single table number.
+//! Replay with decoding running in parallel with detection: streamed
+//! replay decodes the next chunk on a reader thread while the detectors
+//! consume the current one. For random small modules, every tool in the
+//! paper lineup and every chunk width, that replay must be
+//! **bit-identical** to the sequential in-memory replay *and* to the live
+//! run — same racy contexts, same described report lists (content and
+//! order), same detector metrics, same promotion counts. The widths run
+//! from one event per chunk to chunks longer than the replay loop's
+//! 4096-event poll period, so the chunk seams land everywhere in the
+//! detector state; none of it may move a byte of output. This is the
+//! determinism guarantee the CI `replay-determinism` job re-checks end to
+//! end through the `trace` CLI.
 
 use proptest::prelude::*;
-use spinrace::core::{Analyzer, DetectRequest, Schedule, Session, Tool};
-use spinrace::detector::{shard_of, NUM_SHARDS};
+use spinrace::core::{AnalysisOutcome, DetectRequest, ExecutedRun, Session, Tool};
+use spinrace::detector::shadow::PAGE_CELLS;
 use spinrace::tir::{Module, ModuleBuilder};
+use spinrace::tracefmt::{encode_trace_chunked, ChunkedTraceReader};
+use spinrace::vm::{Event, SchedulerKind};
 use spinrace::workloads::{Family, WorkloadSpec};
 
-/// A small random workload exercising every detector feature the sharded
-/// engine must replicate: lock-protected counters (locksets + base
-/// interns), an optional ad-hoc flag handoff (spin promotion + seeds), an
-/// optional deliberately racy slot (HB reports), and an optional
-/// atomic-counter rendezvous (RMW promotion / DRD atomic edges).
+/// Chunk widths of the streamed encodings: one event, a ragged width, a
+/// typical width, and one wider than the 4096-event poll period.
+const WIDTHS: [usize; 4] = [1, 3, 64, 5000];
+
+/// Shards of `ShadowTable`'s page index: page `p` lives in shard `p % 8`.
+const SHADOW_SHARDS: usize = 8;
+
+/// A small random workload exercising every detector feature: lock-
+/// protected counters (locksets), an optional ad-hoc flag handoff (spin
+/// promotion), an optional deliberately racy slot (HB reports), and an
+/// optional atomic-counter rendezvous (RMW promotion / DRD atomic edges).
 fn build_module(threads: u32, iters: u8, lock: bool, flag: bool, racy: bool, rmw: bool) -> Module {
     let mut mb = ModuleBuilder::new("par-prop");
     let mu = mb.global("mu", 1);
@@ -88,6 +97,33 @@ fn build_module(threads: u32, iters: u8, lock: bool, flag: bool, racy: bool, rmw
     mb.finish().unwrap()
 }
 
+/// Replay `run`'s trace streamed from a `width`-event chunk encoding.
+fn streamed_at(run: &ExecutedRun, req: &DetectRequest, width: usize) -> Vec<AnalysisOutcome> {
+    let bytes = encode_trace_chunked(run.trace(), width);
+    let reader = ChunkedTraceReader::new(&bytes[..]).unwrap();
+    let (out, stats) = run.prepared().try_run_streamed(req, reader).unwrap();
+    assert_eq!(stats.events, run.trace().events.len() as u64);
+    out.into_vec()
+}
+
+/// Full outcome equality: contexts, described reports in order, metrics,
+/// promotions, run summary and label.
+fn assert_same(a: &AnalysisOutcome, b: &AnalysisOutcome, what: &str) {
+    assert_eq!(a.tool_label, b.tool_label, "label, {what}");
+    assert_eq!(a.contexts, b.contexts, "contexts, {what}");
+    assert_eq!(a.reports.len(), b.reports.len(), "report count, {what}");
+    for (x, y) in a.reports.iter().zip(&b.reports) {
+        assert_eq!(x.location, y.location, "location, {what}");
+        assert_eq!(x.report, y.report, "report, {what}");
+    }
+    assert_eq!(a.metrics, b.metrics, "metrics, {what}");
+    assert_eq!(
+        a.promoted_locations, b.promoted_locations,
+        "promotions, {what}"
+    );
+    assert_eq!(a.summary, b.summary, "summary, {what}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
     #[test]
@@ -102,159 +138,92 @@ proptest! {
     ) {
         let m = build_module(threads, iters, lock, flag, racy, rmw);
         for tool in Tool::paper_lineup() {
-            let mut analyzer = Analyzer::tool(tool);
-            if let Some(s) = seed {
-                analyzer = analyzer.seed(s);
-            }
-            let live = analyzer.analyze(&m).unwrap();
-
             let mut session = Session::for_module(&m);
             if let Some(s) = seed {
                 session = session.seed(s);
             }
-            let run = session.prepare(tool).unwrap().execute().unwrap();
+            let prepared = session.prepare(tool).unwrap();
+            let live = prepared.detect_live().unwrap();
+            let run = prepared.execute().unwrap();
             let sequential = run.run(&DetectRequest::own()).into_single();
             let label = tool.label();
 
             // Sequential replay ≡ live (the session API's guarantee).
-            prop_assert_eq!(sequential.contexts, live.contexts, "live contexts under {}", &label);
-            prop_assert_eq!(&sequential.metrics, &live.metrics, "live metrics under {}", &label);
+            assert_same(&sequential, &live, &format!("live under {label}"));
 
-            // Parallel replay ≡ sequential replay, for every worker count
-            // (1 takes the sequential fast path — the engine-forced
-            // 1-worker machinery is pinned in `spinrace_core::parallel`'s
-            // own tests; 3 leaves a worker owning a ragged shard subset;
-            // 8 is one per shard).
-            for workers in [1usize, 2, 3, 4, 8] {
-                let par = run.run(&DetectRequest::own().parallel(workers)).into_single();
-                prop_assert_eq!(
-                    par.contexts, sequential.contexts,
-                    "contexts under {} at {} workers", &label, workers
-                );
-                prop_assert_eq!(
-                    par.reports.len(), sequential.reports.len(),
-                    "report count under {} at {} workers", &label, workers
-                );
-                for (a, b) in par.reports.iter().zip(&sequential.reports) {
-                    prop_assert_eq!(&a.location, &b.location,
-                        "location under {} at {} workers", &label, workers);
-                    prop_assert_eq!(&a.report, &b.report,
-                        "report under {} at {} workers", &label, workers);
-                }
-                prop_assert_eq!(
-                    &par.metrics, &sequential.metrics,
-                    "metrics under {} at {} workers", &label, workers
-                );
-                prop_assert_eq!(
-                    par.promoted_locations, sequential.promoted_locations,
-                    "promotions under {} at {} workers", &label, workers
-                );
-                prop_assert_eq!(&par.summary, &sequential.summary);
-                prop_assert_eq!(&par.tool_label, &label);
-            }
-
-            // The static schedule must land on the same bytes as the
-            // balanced default (a ragged and a full-shard width suffice —
-            // the schedules only differ in shard→worker placement).
-            for workers in [3usize, 4] {
-                let par = run
-                    .run(&DetectRequest::own().parallel(workers).scheduled(Schedule::Static))
-                    .into_single();
-                prop_assert_eq!(
-                    par.contexts, sequential.contexts,
-                    "static contexts under {} at {} workers", &label, workers
-                );
-                prop_assert_eq!(
-                    &par.metrics, &sequential.metrics,
-                    "static metrics under {} at {} workers", &label, workers
-                );
+            // Decode-ahead streamed replay ≡ sequential, at every width.
+            for width in WIDTHS {
+                let streamed = streamed_at(&run, &DetectRequest::own(), width);
+                prop_assert_eq!(streamed.len(), 1);
+                assert_same(&streamed[0], &sequential, &format!("{label} at width {width}"));
             }
 
             // The cross-tool request path too: lib and DRD share one
-            // prepared module, so a lib recording can replay as DRD.
+            // prepared module, so a lib recording can replay as DRD, alone
+            // or fanned out beside lib on one pass.
             if tool == Tool::HelgrindLib {
-                let seq_drd = run.run(&DetectRequest::tool(Tool::Drd)).into_single();
-                let par_drd = run.run(&DetectRequest::tool(Tool::Drd).parallel(4)).into_single();
-                prop_assert_eq!(par_drd.contexts, seq_drd.contexts);
-                prop_assert_eq!(&par_drd.metrics, &seq_drd.metrics);
+                let tools = [Tool::HelgrindLib, Tool::Drd];
+                let seq = run.run(&DetectRequest::tools(&tools)).into_vec();
+                let solo_drd = run.run(&DetectRequest::tool(Tool::Drd)).into_single();
+                assert_same(&seq[1], &solo_drd, "fanned-out DRD vs solo DRD");
+                let streamed = streamed_at(&run, &DetectRequest::tools(&tools), 3);
+                prop_assert_eq!(streamed.len(), 2);
+                for (s, q) in streamed.iter().zip(&seq) {
+                    assert_same(s, q, "streamed lib+DRD fan-out");
+                }
             }
         }
     }
 }
 
-/// Replay a generated workload under one tool and check every worker
-/// width × schedule against the sequential replay *and* the live run
-/// (full outcome equality), returning the sequential outcome for further
-/// assertions. One teed execution provides both the live detection and
-/// the replayable trace.
+/// Replay a generated workload under one tool, live, whole and streamed
+/// at every width (full outcome equality), returning the sequential
+/// outcome and the recorded events for further assertions. One teed
+/// execution provides both the live detection and the replayable trace.
 fn workload_widths_equal_sequential(
     spec: WorkloadSpec,
+    sched: SchedulerKind,
     tool: Tool,
-) -> (spinrace::core::AnalysisOutcome, Vec<spinrace::vm::Event>) {
+) -> (AnalysisOutcome, Vec<Event>) {
     let wl = spec.build();
+    let mut vm = spec.vm_config();
+    vm.sched = sched;
     let (run, live) = Session::for_module(&wl.module)
-        .vm_config(spec.vm_config())
+        .vm_config(vm)
         .prepare(tool)
         .unwrap()
         .execute_detecting()
         .unwrap();
     let sequential = run.run(&DetectRequest::own()).into_single();
-    assert_eq!(sequential.contexts, live.contexts, "sequential vs live");
-    assert_eq!(sequential.metrics, live.metrics, "sequential vs live");
-    for schedule in [Schedule::Balanced, Schedule::Static] {
-        for workers in [1usize, 2, 3, 4, 8] {
-            let par = run
-                .run(&DetectRequest::own().parallel(workers).scheduled(schedule))
-                .into_single();
-            assert_eq!(
-                par.contexts, sequential.contexts,
-                "{workers} workers, {schedule}"
-            );
-            assert_eq!(par.reports.len(), sequential.reports.len());
-            for (a, b) in par.reports.iter().zip(&sequential.reports) {
-                assert_eq!(a.location, b.location, "{workers} workers, {schedule}");
-                assert_eq!(a.report, b.report, "{workers} workers, {schedule}");
-            }
-            assert_eq!(
-                par.metrics, sequential.metrics,
-                "{workers} workers, {schedule}"
-            );
-            assert_eq!(
-                par.promoted_locations, sequential.promoted_locations,
-                "{workers} workers, {schedule}"
-            );
-        }
+    assert_same(&sequential, &live, "sequential vs live");
+    for width in WIDTHS {
+        let streamed = streamed_at(&run, &DetectRequest::own(), width);
+        assert_same(&streamed[0], &sequential, &format!("width {width}"));
     }
     let events = run.trace().events.clone();
     (sequential, events)
 }
 
-/// Plain-*read* counts per static shadow shard — the partition the
-/// parallel engine splits work along. Reads only: the zipf family's
-/// skewed traffic is its shared-table read stream (each worker's private
-/// accumulator writes sit on one fixed page and would mask the
+/// Plain-*read* counts per `ShadowTable` shard. Reads only: the zipf
+/// family's skewed traffic is its shared-table read stream (each worker's
+/// private accumulator writes sit on one fixed page and would mask the
 /// distribution under test).
-fn shard_histogram(events: &[spinrace::vm::Event]) -> [u64; NUM_SHARDS] {
-    let mut hist = [0u64; NUM_SHARDS];
+fn shard_histogram(events: &[Event]) -> [u64; SHADOW_SHARDS] {
+    let mut hist = [0u64; SHADOW_SHARDS];
     for ev in events {
-        if matches!(ev, spinrace::vm::Event::Read { .. }) && ev.is_plain_access() {
+        if matches!(ev, Event::Read { .. }) && ev.is_plain_access() {
             if let Some(addr) = ev.data_addr() {
-                hist[shard_of(addr)] += 1;
+                hist[(addr / PAGE_CELLS as u64) as usize % SHADOW_SHARDS] += 1;
             }
         }
     }
     hist
 }
 
-/// Zipf-skewed streams at the shard-ownership seam.
-///
-/// The histogram assertion below documents that the skewed stream really
-/// is lopsided (the hottest shard carries more than twice an even share)
-/// — the imbalance the occupancy-balanced scheduler spreads across
-/// workers where static modular ownership cannot. The helper holds both
-/// schedules to bit-identical results at every width, so the scheduler's
-/// load-balance freedom is provably invisible in the output; only the
-/// wall-clock characteristics may differ between modes.
+/// A zipf-skewed stream piles its reads onto one shard of the shadow
+/// table — the hottest shard carries more than twice an even share —
+/// and streamed replay still lands on the sequential bytes at every
+/// chunk width: the table's internal layout is invisible in the output.
 #[test]
 fn zipf_skew_is_deterministic_across_widths_despite_shard_imbalance() {
     let spec = WorkloadSpec::new(Family::Zipf)
@@ -263,20 +232,19 @@ fn zipf_skew_is_deterministic_across_widths_despite_shard_imbalance() {
         .addr_space(4_096)
         .skew(3)
         .seed(11);
-    let (out, events) = workload_widths_equal_sequential(spec, Tool::HelgrindLibSpin { window: 7 });
+    let (out, events) = workload_widths_equal_sequential(
+        spec,
+        SchedulerKind::RoundRobin,
+        Tool::HelgrindLibSpin { window: 7 },
+    );
     assert_eq!(out.contexts, 0, "the zipf scaffolding is race-free");
 
     let hist = shard_histogram(&events);
     let total: u64 = hist.iter().sum();
     let max = *hist.iter().max().unwrap();
     assert!(total > 0);
-    // With 8 shards an even split gives every shard 1/8 of the traffic;
-    // skew 3 concentrates indices so hard that the hottest shard owns
-    // more than 2/8. This is the imbalance static ownership cannot
-    // spread and the balanced LPT plan packs around — the measured
-    // motivation for the occupancy-aware scheduler.
     assert!(
-        max as f64 > 2.0 * total as f64 / NUM_SHARDS as f64,
+        max as f64 > 2.0 * total as f64 / SHADOW_SHARDS as f64,
         "expected a skewed shard histogram, got {hist:?}"
     );
 
@@ -294,18 +262,15 @@ fn zipf_skew_is_deterministic_across_widths_despite_shard_imbalance() {
     let umax = *uhist.iter().max().unwrap();
     let utotal: u64 = uhist.iter().sum();
     assert!(
-        (umax as f64) < 1.5 * utotal as f64 / NUM_SHARDS as f64,
+        (umax as f64) < 1.5 * utotal as f64 / SHADOW_SHARDS as f64,
         "uniform stream should be near-even, got {uhist:?}"
     );
 }
 
-/// The stealing-mode sweep the scheduler was built for: zipf streams at
-/// every skew level that concentrates traffic (2, 3, 4 — progressively
-/// hotter single shards), two tools, both schedules, workers 1–8, each
-/// held to sequential ≡ live with full metrics. The balanced plan packs
-/// these skewed histograms differently at every width; none of it may
-/// move a byte of output. Seeded variants inject real races so the
-/// report merge path is exercised, not just clean streams.
+/// Zipf streams at every skew level that concentrates traffic, clean and
+/// with seeded races, under two VM schedules (round-robin and seeded
+/// random) and two tools, each held to live ≡ whole ≡ streamed at every
+/// width; the oracle's context count is the same under both schedules.
 #[test]
 fn zipf_skew_family_is_identical_across_schedules_tools_and_widths() {
     for skew in [2u32, 3, 4] {
@@ -317,23 +282,28 @@ fn zipf_skew_family_is_identical_across_schedules_tools_and_widths() {
                 .skew(skew)
                 .races(races)
                 .seed(40 + skew as u64);
-            for tool in [Tool::HelgrindLibSpin { window: 7 }, Tool::Drd] {
-                let (out, _) = workload_widths_equal_sequential(spec, tool);
-                assert_eq!(
-                    out.contexts,
-                    races as usize,
-                    "skew {skew} races {races} under {}",
-                    tool.label()
-                );
+            for sched in [
+                SchedulerKind::RoundRobin,
+                SchedulerKind::Random(skew as u64),
+            ] {
+                for tool in [Tool::HelgrindLibSpin { window: 7 }, Tool::Drd] {
+                    let (out, _) = workload_widths_equal_sequential(spec, sched, tool);
+                    assert_eq!(
+                        out.contexts,
+                        races as usize,
+                        "skew {skew} races {races} {sched:?} under {}",
+                        tool.label()
+                    );
+                }
             }
         }
     }
 }
 
-/// Wide-thread fan-out (≥32 threads) across the parallel engine: worker
-/// counts that divide, exceed, and sit ragged against the shard count all
-/// reproduce the sequential outcome, with the seeded-oracle variant
-/// proving reports merge identically when 33 threads' accesses interleave.
+/// Wide-thread fan-out (≥32 threads): streamed replay at every chunk
+/// width reproduces the sequential outcome, with the seeded-oracle
+/// variant showing reports come out identically when 33 threads'
+/// accesses interleave.
 #[test]
 fn wide_thread_workloads_replay_identically_at_every_width() {
     for (threads, races) in [(32u32, 0u32), (33, 3)] {
@@ -344,7 +314,7 @@ fn wide_thread_workloads_replay_identically_at_every_width() {
             .races(races)
             .seed(threads as u64);
         for tool in [Tool::HelgrindLibSpin { window: 7 }, Tool::Drd] {
-            let (out, _) = workload_widths_equal_sequential(spec, tool);
+            let (out, _) = workload_widths_equal_sequential(spec, SchedulerKind::RoundRobin, tool);
             assert_eq!(
                 out.contexts,
                 races as usize,

@@ -2,7 +2,7 @@
 //! stability, and randomized soundness checks.
 
 use proptest::prelude::*;
-use spinrace::core::{Analyzer, Tool};
+use spinrace::core::{Session, Tool};
 use spinrace::spinfind::SpinFinder;
 use spinrace::tir::{Module, ModuleBuilder};
 use spinrace::vm::{run_module, RecordingSink, VmConfig};
@@ -78,7 +78,7 @@ proptest! {
     fn no_fp_on_locked_programs(threads in 2u32..5, iters in 1u8..4, seed in 0u64..500) {
         let m = locked_program(threads, iters);
         for tool in Tool::paper_lineup() {
-            let out = Analyzer::tool(tool).seed(seed).analyze(&m).unwrap();
+            let out = Session::for_module(&m).seed(seed).prepare(tool).and_then(|p| p.detect_live()).unwrap();
             prop_assert!(out.is_clean(), "{} seed {} -> {:?}", tool.label(), seed, out.reports);
         }
     }
@@ -88,9 +88,7 @@ proptest! {
     #[test]
     fn racy_always_caught(threads in 2u32..6, seed in 0u64..500) {
         let m = racy_program(threads);
-        let out = Analyzer::tool(Tool::HelgrindLibSpin { window: 7 })
-            .seed(seed)
-            .analyze(&m)
+        let out = Session::for_module(&m).seed(seed).prepare(Tool::HelgrindLibSpin { window: 7 }).and_then(|p| p.detect_live())
             .unwrap();
         prop_assert!(out.has_race_on("victim"));
     }

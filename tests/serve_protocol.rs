@@ -2,19 +2,19 @@
 //! server: concurrent sessions must reproduce offline detection
 //! byte-for-byte, corrupt uploads must come back as structured error
 //! frames (reusing the `mutate` byte-surgery helpers), budget trips
-//! must carry partial metrics, a mid-upload disconnect must free its
-//! session slot, and streamed sessions must emit verdicts before the
-//! upload has finished.
+//! and watchdog trips must come back as structured errors, a mid-upload
+//! disconnect must free its session slot, and sessions must emit
+//! verdicts before the upload has finished.
 
 use spinrace::core::{DetectRequest, ExecutedRun, Session, Tool};
 use spinrace::serve::{
-    handle_session, outcome_json, read_frame, run_client, serve, write_request, CoreBudget,
+    collect_frames, handle_session, outcome_json, read_frame, run_client, serve, write_request,
     FrameKind, ServeOptions,
 };
 use spinrace::tracefmt::encode_trace_chunked;
 use spinrace::vm::Trace;
 use spinrace::workloads::{Family, WorkloadSpec};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
@@ -53,26 +53,21 @@ fn concurrent_sessions_match_offline_detection_byte_for_byte() {
     let handle = serve("127.0.0.1:0", ServeOptions::default()).unwrap();
     let addr = handle.addr().to_string();
 
-    // Six concurrent sessions across two tools and three modes
-    // (streamed, 2-worker, 4-worker parallel) — more clients than the
+    // Six concurrent sessions across two tools — more clients than the
     // default four slots, so the queue must multiplex.
-    let cases: Vec<(Tool, u64, &str)> = vec![
-        (Tool::HelgrindLib, 0, &expected_lib),
-        (Tool::HelgrindLib, 2, &expected_lib),
-        (Tool::HelgrindLib, 4, &expected_lib),
-        (Tool::Drd, 0, &expected_drd),
-        (Tool::Drd, 2, &expected_drd),
-        (Tool::Drd, 4, &expected_drd),
-    ];
+    let cases: Vec<(Tool, &str)> = [
+        (Tool::HelgrindLib, &expected_lib),
+        (Tool::Drd, &expected_drd),
+    ]
+    .iter()
+    .flat_map(|&(tool, expected)| std::iter::repeat_n((tool, expected.as_str()), 3))
+    .collect();
     std::thread::scope(|s| {
         let mut workers = Vec::new();
-        for (tool, client_workers, expected) in &cases {
+        for (tool, expected) in &cases {
             let (addr, bytes) = (&addr, &bytes);
             workers.push(s.spawn(move || {
-                let body = params(
-                    *tool,
-                    &[("workers", serde_json::Value::U64(*client_workers))],
-                );
+                let body = params(*tool, &[]);
                 let out = run_client(addr, &body, bytes).expect("client io");
                 assert!(out.succeeded(), "session failed: {:?}", out.error);
                 assert_eq!(out.outcomes.len(), 1);
@@ -81,21 +76,34 @@ fn concurrent_sessions_match_offline_detection_byte_for_byte() {
                 assert_eq!(
                     payload,
                     *expected,
-                    "server outcome diverged from offline replay for {} at {} workers",
+                    "server outcome diverged from offline replay for {}",
                     tool.label(),
-                    client_workers,
                 );
-                // Streamed sessions must have reported incremental
-                // verdicts; parallel sessions report none.
-                if *client_workers == 0 {
-                    assert!(out.verdicts > 0, "streamed session sent no verdicts");
-                }
+                assert!(out.verdicts > 0, "session sent no incremental verdicts");
             }));
         }
         for w in workers {
             w.join().unwrap();
         }
     });
+    handle.shutdown();
+}
+
+/// A request still carrying the retired `workers` field is served like
+/// any other: streamed, with verdicts, and an outcome document
+/// byte-identical to the offline replay.
+#[test]
+fn requests_with_a_workers_field_are_served_streamed() {
+    let (_, trace) = recorded();
+    let bytes = encode_trace_chunked(&trace, 16);
+    let expected = offline_payload(&trace, Tool::HelgrindLib);
+    let handle = serve("127.0.0.1:0", ServeOptions::default()).unwrap();
+    let body = params(Tool::HelgrindLib, &[("workers", serde_json::Value::U64(2))]);
+    let out = run_client(&handle.addr().to_string(), &body, &bytes).unwrap();
+    assert!(out.succeeded(), "session failed: {:?}", out.error);
+    assert!(out.verdicts > 0, "a streamed session sends verdicts");
+    assert_eq!(out.outcomes.len(), 1);
+    assert_eq!(out.outcomes[0].1, expected);
     handle.shutdown();
 }
 
@@ -168,24 +176,18 @@ fn budget_exhaustion_reports_partial_metrics() {
     let handle = serve("127.0.0.1:0", ServeOptions::default()).unwrap();
     let addr = handle.addr().to_string();
 
-    // Both the streamed (workers 0) and parallel (workers 2) paths trip
-    // the same event budget with the same exact partial count.
-    for client_workers in [0u64, 2] {
-        let body = params(
-            Tool::HelgrindLib,
-            &[
-                ("workers", serde_json::Value::U64(client_workers)),
-                ("max_events", serde_json::Value::U64(limit)),
-            ],
-        );
-        let out = run_client(&addr, &body, &bytes).unwrap();
-        let err = out.error.expect("budget must trip");
-        assert_eq!(err.code, "budget-exhausted", "workers={client_workers}");
-        let (events_processed, _contexts, _shadow) =
-            err.partial.expect("budget errors carry partial metrics");
-        assert_eq!(events_processed, limit, "workers={client_workers}");
-        assert!(out.done.is_none());
-    }
+    // The event budget trips with the exact partial count.
+    let body = params(
+        Tool::HelgrindLib,
+        &[("max_events", serde_json::Value::U64(limit))],
+    );
+    let out = run_client(&addr, &body, &bytes).unwrap();
+    let err = out.error.expect("budget must trip");
+    assert_eq!(err.code, "budget-exhausted");
+    let (events_processed, _contexts, _shadow) =
+        err.partial.expect("budget errors carry partial metrics");
+    assert_eq!(events_processed, limit);
+    assert!(out.done.is_none());
 
     // A server-side ceiling clamps a more generous client request.
     let capped = serve(
@@ -207,26 +209,17 @@ fn budget_exhaustion_reports_partial_metrics() {
 }
 
 /// The predictive tool over the wire: a `tool=sync-preserving` upload
-/// (streamed, the `workers=0` default) produces an outcome document
-/// byte-identical to the offline sequential replay of the same trace,
-/// and asking the server to run it on the parallel engine comes back as
-/// the stable `unsupported` error code — never a silent downgrade.
+/// produces an outcome document byte-identical to the offline replay of
+/// the same trace.
 #[test]
-fn sync_preserving_sessions_are_byte_stable_and_refuse_parallel() {
+fn sync_preserving_sessions_are_byte_stable() {
     let (_, trace) = recorded();
     let bytes = encode_trace_chunked(&trace, 16);
     let expected = offline_payload(&trace, Tool::SyncPreserving);
 
     // The server must also parse the short label form off the wire.
     let body = serde_json::json!({"tools": ["sync-preserving"]});
-    let handle = serve(
-        "127.0.0.1:0",
-        ServeOptions {
-            cores: 4,
-            ..ServeOptions::default()
-        },
-    )
-    .unwrap();
+    let handle = serve("127.0.0.1:0", ServeOptions::default()).unwrap();
     let addr = handle.addr().to_string();
     let out = run_client(&addr, &body, &bytes).unwrap();
     assert!(out.succeeded(), "session failed: {:?}", out.error);
@@ -238,101 +231,31 @@ fn sync_preserving_sessions_are_byte_stable_and_refuse_parallel() {
         "server outcome diverged from offline sequential replay"
     );
     assert!(out.verdicts > 0, "streamed session sent no verdicts");
-
-    let parallel = params(
-        Tool::SyncPreserving,
-        &[("workers", serde_json::Value::U64(2))],
-    );
-    let out = run_client(&addr, &parallel, &bytes).unwrap();
-    let err = out.error.expect("parallel predictive must be refused");
-    assert_eq!(err.code, "unsupported");
-    assert!(out.outcomes.is_empty() && out.done.is_none());
     handle.shutdown();
 }
 
-/// A session input that yields some prefix, then panics — the worst
-/// failure shape a session body can produce.
-struct PanicAfterPrefix {
-    data: Vec<u8>,
-    pos: usize,
-}
-
-impl Read for PanicAfterPrefix {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.pos >= self.data.len() {
-            panic!("injected read panic after {} bytes", self.pos);
-        }
-        let n = buf.len().min(self.data.len() - self.pos);
-        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-/// The core-budget regression: every failing session — structured
-/// failures and panics unwinding through the session body alike — must
-/// return its claimed cores, so the free pool is back at its initial
-/// value once the hammering stops. (The claim is RAII now; this pins
-/// the leak that a manual claim/release pair reintroduces.)
+/// A zero-length watchdog ends the session in an `E` frame with the
+/// stable `watchdog` code, before any outcome document.
 #[test]
-fn failing_sessions_release_their_core_claims() {
-    let cores = CoreBudget::new(8);
-    assert_eq!(cores.free(), 8);
-
-    // A well-formed request (so the session claims 4 cores) followed by
-    // bytes that are not a trace: the session fails after the claim.
-    let mut garbage_session: Vec<u8> = Vec::new();
+fn zero_watchdog_sessions_end_in_a_watchdog_error() {
+    let (_, trace) = recorded();
+    let mut session: Vec<u8> = Vec::new();
     write_request(
-        &mut garbage_session,
-        &params(Tool::HelgrindLib, &[("workers", serde_json::Value::U64(4))]),
+        &mut session,
+        &params(
+            Tool::HelgrindLib,
+            &[("watchdog_ms", serde_json::Value::U64(0))],
+        ),
     )
     .unwrap();
-    garbage_session.extend_from_slice(b"this is definitely not a trace stream");
-
-    for round in 0..50 {
-        let mut out = Vec::new();
-        let code = handle_session(
-            &garbage_session[..],
-            &mut out,
-            ServeOptions::default(),
-            &cores,
-        )
-        .expect_err("a garbage upload must fail the session");
-        assert_eq!(code, "magic");
-        assert_eq!(
-            cores.free(),
-            8,
-            "session failure leaked its core claim (round {round})"
-        );
-    }
-
-    // A panic mid-upload unwinds through the session body; the RAII
-    // guard must still release on the unwind path. The prefix ends
-    // exactly at the request frame, so the first trace-stream read is
-    // the panicking one (a garbage prefix would fail the magic check
-    // before ever reaching the panic).
-    let mut request_only: Vec<u8> = Vec::new();
-    write_request(
-        &mut request_only,
-        &params(Tool::HelgrindLib, &[("workers", serde_json::Value::U64(4))]),
-    )
-    .unwrap();
-    for round in 0..10 {
-        let input = PanicAfterPrefix {
-            data: request_only.clone(),
-            pos: 0,
-        };
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut out = Vec::new();
-            let _ = handle_session(input, &mut out, ServeOptions::default(), &cores);
-        }));
-        assert!(panicked.is_err(), "the injected panic must propagate");
-        assert_eq!(
-            cores.free(),
-            8,
-            "panicking session leaked its core claim (round {round})"
-        );
-    }
+    session.extend_from_slice(&encode_trace_chunked(&trace, 16));
+    let mut out = Vec::new();
+    let code = handle_session(&session[..], &mut out, ServeOptions::default())
+        .expect_err("a zero watchdog must fail the session");
+    assert_eq!(code, "watchdog");
+    let frames = collect_frames(&out[..]).unwrap();
+    assert_eq!(frames.error.expect("an E frame").code, "watchdog");
+    assert!(frames.outcomes.is_empty() && frames.done.is_none());
 }
 
 /// A client that stalls past the server's read timeout fails its

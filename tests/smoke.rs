@@ -3,7 +3,7 @@
 //! the full evaluation suites. If this file fails, the pipeline itself is
 //! broken, not a particular workload.
 
-use spinrace::core::{Analyzer, Tool};
+use spinrace::core::{Session, Tool};
 use spinrace::tir::{Module, ModuleBuilder};
 
 /// Two threads increment a shared counter with no synchronization at all.
@@ -60,8 +60,9 @@ fn spin_synchronized_module() -> Module {
 #[test]
 fn racy_module_reports_at_least_one_context() {
     for tool in Tool::paper_lineup() {
-        let out = Analyzer::tool(tool)
-            .analyze(&racy_module())
+        let out = Session::for_module(&racy_module())
+            .prepare(tool)
+            .and_then(|p| p.detect_live())
             .expect("analysis succeeds");
         assert!(
             out.contexts >= 1,
@@ -84,8 +85,9 @@ fn spin_synchronized_module_is_clean_under_spin_tools() {
         Tool::HelgrindLibSpin { window: 7 },
         Tool::HelgrindNolibSpin { window: 7 },
     ] {
-        let out = Analyzer::tool(tool)
-            .analyze(&spin_synchronized_module())
+        let out = Session::for_module(&spin_synchronized_module())
+            .prepare(tool)
+            .and_then(|p| p.detect_live())
             .expect("analysis succeeds");
         assert_eq!(
             out.contexts,
@@ -106,8 +108,9 @@ fn spin_synchronized_module_is_clean_under_spin_tools() {
 fn spin_blind_tool_sees_the_adhoc_pattern_as_racy() {
     // The contrast that motivates the paper: without spin-loop knowledge,
     // the same race-free program produces reports.
-    let out = Analyzer::tool(Tool::HelgrindLib)
-        .analyze(&spin_synchronized_module())
+    let out = Session::for_module(&spin_synchronized_module())
+        .prepare(Tool::HelgrindLib)
+        .and_then(|p| p.detect_live())
         .expect("analysis succeeds");
     assert!(
         out.contexts >= 1,

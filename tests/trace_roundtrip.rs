@@ -1,6 +1,6 @@
 //! Differential proptest for the trace pipeline: for random small modules
 //! and every tool in the paper lineup, **record → serialize → parse →
-//! replay** must produce exactly the result of the live `Analyzer` run —
+//! replay** must produce exactly the result of the live run —
 //! same racy contexts, same described report lists, same detector
 //! metrics, promotions, and run summary. This is the end-to-end guarantee
 //! behind "record once, replay everywhere": the serialized artifact
@@ -15,7 +15,7 @@
 //! point.
 
 use proptest::prelude::*;
-use spinrace::core::{Analyzer, DetectRequest, ExecutedRun, Session, Tool};
+use spinrace::core::{DetectRequest, ExecutedRun, Session, Tool};
 use spinrace::tir::{Module, ModuleBuilder};
 use spinrace::tracefmt::{decode_trace, encode_trace_chunked, ChunkedTraceReader};
 use spinrace::vm::Trace;
@@ -99,19 +99,15 @@ proptest! {
     ) {
         let m = build_module(threads, iters, lock, flag, racy);
         for tool in Tool::paper_lineup() {
-            // Live path: prepare + detect in one pass, no recording.
-            let mut analyzer = Analyzer::tool(tool);
-            if let Some(s) = seed {
-                analyzer = analyzer.seed(s);
-            }
-            let live = analyzer.analyze(&m).unwrap();
-
-            // Trace path: record, serialize, parse, bind to a freshly
-            // prepared module, replay.
             let mut session = Session::for_module(&m);
             if let Some(s) = seed {
                 session = session.seed(s);
             }
+            // Live path: prepare + detect in one pass, no recording.
+            let live = session.prepare(tool).unwrap().detect_live().unwrap();
+
+            // Trace path: record, serialize, parse, bind to a freshly
+            // prepared module, replay.
             let run = session.prepare(tool).unwrap().execute().unwrap();
             let parsed = Trace::from_json(&run.trace().to_json())
                 .map_err(|e| TestCaseError(format!("parse failed: {e}")))?;

@@ -4,18 +4,25 @@
 //! the library-aware tools; for every plainly racy case it must still
 //! find the race.
 
-use spinrace::core::{Analyzer, Tool};
+use spinrace::core::{AnalysisOutcome, AnalyzeError, Session, Tool};
 use spinrace::suites::{all_cases, Category};
+use spinrace::tir::Module;
+
+/// The universal detector: zero library knowledge, spin window 7.
+const NOLIB: Tool = Tool::HelgrindNolibSpin { window: 7 };
+
+/// One live analysis of `m` under `tool`.
+fn analyze(tool: Tool, m: &Module) -> Result<AnalysisOutcome, AnalyzeError> {
+    Session::for_module(m).prepare(tool)?.detect_live()
+}
 
 #[test]
 fn nolib_is_clean_on_every_lib_sync_case() {
-    let nolib = Analyzer::tool(Tool::HelgrindNolibSpin { window: 7 });
     for case in all_cases()
         .iter()
         .filter(|c| matches!(c.category, Category::LibSync))
     {
-        let out = nolib
-            .analyze(&case.module)
+        let out = analyze(NOLIB, &case.module)
             .unwrap_or_else(|e| panic!("case {} ({}) failed to run: {e}", case.id, case.name));
         assert!(
             out.is_clean(),
@@ -29,12 +36,11 @@ fn nolib_is_clean_on_every_lib_sync_case() {
 
 #[test]
 fn nolib_catches_every_plain_race() {
-    let nolib = Analyzer::tool(Tool::HelgrindNolibSpin { window: 7 });
     for case in all_cases()
         .iter()
         .filter(|c| matches!(c.category, Category::RacyPlain))
     {
-        let out = nolib.analyze(&case.module).unwrap();
+        let out = analyze(NOLIB, &case.module).unwrap();
         assert!(
             out.has_race_on(case.race_location.unwrap()),
             "case {} ({}): race missed",
@@ -52,12 +58,8 @@ fn lowering_preserves_every_case_outcome() {
         .iter()
         .filter(|c| matches!(c.category, Category::LibSync))
     {
-        let lib = Analyzer::tool(Tool::HelgrindLib)
-            .analyze(&case.module)
-            .unwrap();
-        let nolib = Analyzer::tool(Tool::HelgrindNolibSpin { window: 7 })
-            .analyze(&case.module)
-            .unwrap();
+        let lib = analyze(Tool::HelgrindLib, &case.module).unwrap();
+        let nolib = analyze(NOLIB, &case.module).unwrap();
         let a: Vec<i64> = lib.summary.outputs.iter().map(|(_, v)| *v).collect();
         let b: Vec<i64> = nolib.summary.outputs.iter().map(|(_, v)| *v).collect();
         assert_eq!(
@@ -72,14 +74,13 @@ fn lowering_preserves_every_case_outcome() {
 fn spin_instrumentation_finds_loops_in_every_lowered_case() {
     // Every lowered lib-sync case that blocks must contain detectable
     // spin loops (the primitives themselves).
-    let nolib = Analyzer::tool(Tool::HelgrindNolibSpin { window: 7 });
     let mut with_loops = 0;
     let mut total = 0;
     for case in all_cases()
         .iter()
         .filter(|c| matches!(c.category, Category::LibSync))
     {
-        let out = nolib.analyze(&case.module).unwrap();
+        let out = analyze(NOLIB, &case.module).unwrap();
         total += 1;
         if out.spin_loops_found > 0 {
             with_loops += 1;

@@ -1,10 +1,9 @@
 //! The ground-truth oracle suite: generated workloads where the true race
 //! set is known by construction, checked against **every** tool in the
 //! paper lineup plus the predictive `SyncPreserving` pass, for **every**
-//! detection path — live (detector attached to the VM run), sequential
-//! trace replay, streamed chunked replay, and (for the HB tools)
-//! parallel sharded replay at 1/2/4/8 workers under the occupancy-
-//! balanced scheduler plus a static-ownership cross-check.
+//! detection path — live (detector attached to the VM run), whole-trace
+//! replay, and streamed chunked replay, which must also agree with each
+//! other bit for bit.
 //!
 //! This turns the tool lineup from "matches recorded numbers" into
 //! "sound and complete on known ground truth": race-free families must
@@ -13,12 +12,10 @@
 //! variable and thread pair (no misses, no extras). The reorder-only
 //! families split the lineup by class: every HB tool owes **0** (the
 //! recorded interleaving orders the pair) while the predictive tool owes
-//! exactly the injected set. The predictive tool is a single sequential
-//! pass — asking the parallel engine for it must be a structured
-//! `EngineError::Unsupported`, never a silent sequential fallback.
+//! exactly the injected set.
 
 use proptest::prelude::*;
-use spinrace::core::{AnalysisOutcome, DetectRequest, EngineError, Schedule, Session, Tool};
+use spinrace::core::{AnalysisOutcome, DetectRequest, Session, Tool};
 use spinrace::suites::judge_outcome;
 use spinrace::tracefmt::{encode_trace_chunked, ChunkedTraceReader, DEFAULT_CHUNK_EVENTS};
 use spinrace::workloads::{Family, Workload, WorkloadSpec};
@@ -48,78 +45,47 @@ fn assert_oracle(wl: &Workload, out: &AnalysisOutcome, path: &str) -> Result<(),
     Ok(())
 }
 
-/// The full check for one spec: for every HB tool, run the VM once with
-/// the live detector and a trace recorder teed, then fan detection out
-/// over the recorded trace sequentially and at every worker width; for
-/// the predictive tool, cover live, sequential and streamed replay and
-/// pin the parallel refusal.
+/// The full check for one spec: for every paper-lineup tool and the
+/// predictive tool, run the VM once with the live detector and a trace
+/// recorder teed, then replay the recorded trace whole and streamed.
 fn check_spec(spec: WorkloadSpec) -> Result<(), TestCaseError> {
     let wl = spec.build();
     let session = Session::for_module(&wl.module).vm_config(spec.vm_config());
-    for tool in Tool::paper_lineup() {
-        let prepared = session.prepare(tool).unwrap();
-        let (run, live) = prepared.execute_detecting().unwrap();
-        assert_oracle(&wl, &live, "live")?;
-        let sequential = run.run(&DetectRequest::own()).into_single();
-        assert_oracle(&wl, &sequential, "sequential replay")?;
-        for workers in [1usize, 2, 4, 8] {
-            // The default path is the occupancy-balanced scheduler …
-            let par = run
-                .run(&DetectRequest::own().parallel(workers))
-                .into_single();
-            assert_oracle(&wl, &par, &format!("parallel x{workers}"))?;
-            // Parallel replay must agree with sequential bit-for-bit,
-            // not merely satisfy the oracle.
-            prop_assert_eq!(&par.metrics, &sequential.metrics);
-            prop_assert_eq!(par.reports.len(), sequential.reports.len());
-        }
-        // … and static modular ownership must land on the same bytes.
-        let stat = run
-            .run(&DetectRequest::own().parallel(4).scheduled(Schedule::Static))
-            .into_single();
-        assert_oracle(&wl, &stat, "parallel x4 static")?;
-        prop_assert_eq!(&stat.metrics, &sequential.metrics);
+    let mut tools = Tool::paper_lineup().to_vec();
+    tools.push(Tool::SyncPreserving);
+    for tool in tools {
+        check_tool(&wl, &session, tool)?;
     }
-    check_predictive(&wl, &session)
+    Ok(())
 }
 
-/// The predictive leg of [`check_spec`]: live, sequential replay, and
-/// streamed chunked replay must agree with each other and with the
-/// oracle; the parallel engine must refuse with
-/// [`EngineError::Unsupported`] at any genuine worker count.
-fn check_predictive(wl: &Workload, session: &Session) -> Result<(), TestCaseError> {
-    let tool = Tool::SyncPreserving;
+/// One tool's leg of [`check_spec`]: live, whole-trace replay, and
+/// streamed chunked replay must each satisfy the oracle, and both
+/// replays must reproduce the live metrics and report list.
+fn check_tool(wl: &Workload, session: &Session, tool: Tool) -> Result<(), TestCaseError> {
     let prepared = session.prepare(tool).unwrap();
     let (run, live) = prepared.execute_detecting().unwrap();
     assert_oracle(wl, &live, "live")?;
-    let sequential = run.run(&DetectRequest::own()).into_single();
-    assert_oracle(wl, &sequential, "sequential replay")?;
-    prop_assert_eq!(&live.metrics, &sequential.metrics);
+    let whole = run.run(&DetectRequest::own()).into_single();
+    assert_oracle(wl, &whole, "whole-trace replay")?;
+    prop_assert_eq!(&live.metrics, &whole.metrics);
 
-    // Streamed chunked replay: encode the recorded trace, decode it
-    // chunk-by-chunk into a fresh detector. Same outcome bytes.
-    let bytes = encode_trace_chunked(run.trace(), DEFAULT_CHUNK_EVENTS);
+    // Streamed chunked replay: encode the recorded trace with small
+    // chunks so streams cross several chunk boundaries, then decode it
+    // chunk-by-chunk through the replay loop. Same outcome bytes.
+    let bytes = encode_trace_chunked(run.trace(), 64);
     let reader = ChunkedTraceReader::new(std::io::Cursor::new(bytes)).unwrap();
-    let prepared = session.prepare(tool).unwrap();
-    let (streamed, _) = prepared
-        .try_run_streamed(&DetectRequest::own().streamed(), reader)
+    let (streamed, _) = run
+        .prepared()
+        .try_run_streamed(&DetectRequest::own(), reader)
         .unwrap();
     let streamed = streamed.into_single();
     assert_oracle(wl, &streamed, "streamed replay")?;
-    prop_assert_eq!(&streamed.metrics, &sequential.metrics);
-    prop_assert_eq!(streamed.reports.len(), sequential.reports.len());
-
-    // A parallel request for the sequential-only predictive pass is a
-    // structured refusal, not a silent downgrade. (`workers <= 1` is
-    // the engine's sequential fast path and stays allowed.)
-    for workers in [2usize, 8] {
-        let err = run
-            .try_run(&DetectRequest::own().parallel(workers))
-            .expect_err("parallel predictive detection must be refused");
-        prop_assert!(
-            matches!(err, EngineError::Unsupported { .. }),
-            "expected Unsupported at {workers} workers, got {err}"
-        );
+    prop_assert_eq!(&streamed.metrics, &whole.metrics);
+    prop_assert_eq!(streamed.reports.len(), whole.reports.len());
+    for (a, b) in streamed.reports.iter().zip(&whole.reports) {
+        prop_assert_eq!(&a.location, &b.location);
+        prop_assert_eq!(&a.report, &b.report);
     }
     Ok(())
 }
