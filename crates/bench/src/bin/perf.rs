@@ -20,11 +20,11 @@
 //!   cache behaviour. Each row's workload carries a ground-truth oracle,
 //!   which the measured detection is asserted against (a perf run that
 //!   miscounts contexts on known-truth input aborts). Since schema v6
-//!   each row also carries **trace-format figures**: bytes/event of the JSON and
-//!   binary encodings, columnar encode/decode throughput, and the peak
+//!   each row also carries **trace-format figures**: bytes/event of the
+//!   binary encoding, columnar encode/decode throughput, and the peak
 //!   resident chunk bytes of streamed replay — the quick smoke gates the
-//!   binary size to ≤ 1/8 of JSON, the decode floor, and the streaming
-//!   peak to a four-chunk budget (the O(chunk) memory claim);
+//!   size to [`MAX_BINARY_BYTES_PER_EVENT`], the decode floor, and the
+//!   streaming peak to a four-chunk budget (the O(chunk) memory claim);
 //! * **predictive long-stream series** (since schema v8): each workload
 //!   row also records `sync_preserving` replay events/sec — the
 //!   single-pass sync-preserving predictive detector over its own
@@ -39,7 +39,9 @@
 //!   p50/p99 end-to-end session latency.
 //!
 //! Schema v9 drops the parallel-replay series, the worker scaling curve
-//! and their gates along with the sharded engine they measured.
+//! and their gates along with the sharded engine they measured. Schema
+//! v10 drops the JSON trace sizes along with the JSON trace encoding and
+//! gates the binary size at an absolute bytes/event ceiling.
 //!
 //! Results land in `BENCH_detector.json` at the repo root — the perf
 //! trajectory the CI `perf-smoke` step guards.
@@ -61,7 +63,7 @@ use spinrace_bench::bench_tools;
 use spinrace_core::{DetectRequest, Session, Tool};
 use spinrace_detector::{AnyDetector, DetectorConfig, MsmMode, RaceDetector, ReferenceDetector};
 use spinrace_tracefmt::{decode_trace, encode_trace, ChunkedTraceReader, DEFAULT_CHUNK_EVENTS};
-use spinrace_vm::{Event, EventSink, Trace};
+use spinrace_vm::{Event, EventSink, Trace, TraceError};
 use spinrace_workloads::{Family, WorkloadSpec};
 use std::io::Cursor;
 use std::time::{Duration, Instant};
@@ -115,12 +117,12 @@ const SERVE_FLOOR_TRACES_PER_SEC: f64 = 20.0;
 /// starved (admission no longer overlaps uploads), not runner jitter.
 const SERVE_P99_CEILING_MS: f64 = 1_000.0;
 
-/// Maximum binary trace size as a fraction of the JSON encoding of the
-/// same stream: the quick smoke fails if the columnar format compresses
-/// any long stream to *more* than `1/8` of its JSON bytes. (Measured
-/// ratios sit near 1/14; 1/8 catches a column codec silently degrading
-/// to something JSON-shaped without flaking on stream-shape variance.)
-const COMPRESSION_GATE_DENOM: usize = 8;
+/// Ceiling for the binary trace size, in bytes per event: the quick
+/// smoke fails if any long stream encodes to more. (Measured sizes sit
+/// at 10.3 B/ev for zipf, 10.0 for fanout and 6.0 for ring; 11.5 catches
+/// a column codec silently degrading without flaking on stream-shape
+/// variance.)
+const MAX_BINARY_BYTES_PER_EVENT: f64 = 11.5;
 
 /// One (program, tool) measurement.
 struct Row {
@@ -151,17 +153,16 @@ struct WorkloadRow {
     /// Contexts the predictive pass reported on that recording, judged
     /// against the workload's ground truth before being recorded.
     predict_contexts: usize,
-    /// On-disk codec measurements for the same stream in both trace
-    /// encodings (the v6 additions).
+    /// On-disk codec measurements for the same stream (the v6
+    /// additions).
     codec: CodecRow,
 }
 
-/// Trace-format measurements for one long stream: size of both
-/// encodings, columnar encode/decode throughput, and the peak resident
+/// Trace-format measurements for one long stream: encoded size,
+/// columnar encode/decode throughput, and the peak resident
 /// bytes of chunk-at-a-time streaming replay — the O(chunk) number the
 /// chunked reader exists to deliver.
 struct CodecRow {
-    json_bytes: usize,
     binary_bytes: usize,
     encode_events_per_sec: f64,
     decode_events_per_sec: f64,
@@ -169,13 +170,12 @@ struct CodecRow {
     streaming_peak_resident_bytes: usize,
 }
 
-/// Measure both trace encodings of an already-recorded stream: bytes on
+/// Measure the trace encoding of an already-recorded stream: bytes on
 /// the wire, encode/decode throughput of the columnar format, and a
 /// streamed replay into a fresh detector to read the decode-ahead
 /// pipeline's peak resident chunk memory.
 fn measure_codec(trace: &Trace, cfg: DetectorConfig, min_secs: f64) -> CodecRow {
     let n = trace.events.len();
-    let json_bytes = trace.to_json().len();
     let binary = encode_trace(trace);
     let encode_events_per_sec = timed_events_per_sec(n, min_secs, || {
         let bytes = encode_trace(trace);
@@ -187,10 +187,16 @@ fn measure_codec(trace: &Trace, cfg: DetectorConfig, min_secs: f64) -> CodecRow 
     });
     let mut det = RaceDetector::new(cfg);
     let reader = ChunkedTraceReader::new(Cursor::new(&binary[..])).expect("open recorded trace");
-    let stats = reader.replay_into(&mut det).expect("stream recorded trace");
+    let stats = reader
+        .decode_ahead(|events| -> Result<(), TraceError> {
+            for ev in events {
+                det.on_event(ev);
+            }
+            Ok(())
+        })
+        .expect("stream recorded trace");
     assert_eq!(stats.events, n as u64, "streamed replay saw every event");
     CodecRow {
-        json_bytes,
         binary_bytes: binary.len(),
         encode_events_per_sec,
         decode_events_per_sec,
@@ -293,12 +299,10 @@ fn measure_workloads(quick: bool, min_secs: f64) -> Vec<WorkloadRow> {
             wl.oracle.describe(),
         );
         println!(
-            "{:>14} {:<24} trace {:.2} B/ev binary vs {:.2} B/ev json ({:.1}x smaller); encode {:>6.2} M, decode {:>6.2} M ev/s; streamed {} chunk(s), peak {} KiB resident",
+            "{:>14} {:<24} trace {:.2} B/ev; encode {:>6.2} M, decode {:>6.2} M ev/s; streamed {} chunk(s), peak {} KiB resident",
             "",
             "",
             codec.binary_bytes as f64 / trace.events.len().max(1) as f64,
-            codec.json_bytes as f64 / trace.events.len().max(1) as f64,
-            codec.json_bytes as f64 / codec.binary_bytes.max(1) as f64,
             codec.encode_events_per_sec / 1e6,
             codec.decode_events_per_sec / 1e6,
             codec.streaming_chunks,
@@ -497,7 +501,7 @@ fn main() {
         std::process::exit(1);
     }
     // Trace-format gates, on every long stream quick mode measures.
-    // Compression is deterministic (same stream → same bytes), so its
+    // Encoding is deterministic (same stream → same bytes), so the size
     // gate takes no noise margin; the decode floor gets the same /5 the
     // other throughput floors use. The streaming-peak bound is the
     // O(chunk) claim made executable: the decode-ahead pipeline holds at
@@ -506,16 +510,12 @@ fn main() {
     // four chunks' worth regardless of stream length.
     for row in &workload_rows {
         let c = &row.codec;
-        if quick && c.binary_bytes * COMPRESSION_GATE_DENOM > c.json_bytes {
+        let bytes_per_event = c.binary_bytes as f64 / row.events.max(1) as f64;
+        if quick && bytes_per_event > MAX_BINARY_BYTES_PER_EVENT {
             eprintln!(
-                "PERF REGRESSION: binary trace of {} is {} bytes, more than 1/{} of its \
-                 {}-byte JSON encoding ({:.1}x smaller; required ≥ {}x)",
-                row.spec,
-                c.binary_bytes,
-                COMPRESSION_GATE_DENOM,
-                c.json_bytes,
-                c.json_bytes as f64 / c.binary_bytes.max(1) as f64,
-                COMPRESSION_GATE_DENOM,
+                "PERF REGRESSION: binary trace of {} is {} bytes, {bytes_per_event:.2} \
+                 bytes/event, above the ceiling of {MAX_BINARY_BYTES_PER_EVENT} bytes/event",
+                row.spec, c.binary_bytes,
             );
             std::process::exit(1);
         }
@@ -797,14 +797,8 @@ fn write_json(
                 "contexts": r.contexts as u64,
                 "predict_events_per_sec": r.predict_events_per_sec,
                 "predict_contexts": r.predict_contexts as u64,
-                "trace_json_bytes": r.codec.json_bytes as u64,
                 "trace_binary_bytes": r.codec.binary_bytes as u64,
-                "trace_bytes_per_event": {
-                    "json": r.codec.json_bytes as f64 / r.events.max(1) as f64,
-                    "binary": r.codec.binary_bytes as f64 / r.events.max(1) as f64,
-                },
-                "trace_compression_ratio": r.codec.json_bytes as f64
-                    / r.codec.binary_bytes.max(1) as f64,
+                "trace_bytes_per_event": r.codec.binary_bytes as f64 / r.events.max(1) as f64,
                 "trace_encode_events_per_sec": r.codec.encode_events_per_sec,
                 "trace_decode_events_per_sec": r.codec.decode_events_per_sec,
                 "streaming_chunks": r.codec.streaming_chunks as u64,
@@ -813,14 +807,14 @@ fn write_json(
         })
         .collect();
     let doc = serde_json::json!({
-        "schema": "spinrace-perf-v9",
+        "schema": "spinrace-perf-v10",
         "quick": quick,
         "cores": cores as u64,
         "floor_events_per_sec": FLOOR_EVENTS_PER_SEC,
         "workload_floor_events_per_sec": WORKLOAD_FLOOR_EVENTS_PER_SEC,
         "predict_floor_events_per_sec": PREDICT_FLOOR_EVENTS_PER_SEC,
         "decode_floor_events_per_sec": DECODE_FLOOR_EVENTS_PER_SEC,
-        "compression_gate_denom": COMPRESSION_GATE_DENOM as u64,
+        "max_binary_bytes_per_event": MAX_BINARY_BYTES_PER_EVENT,
         "results": serde_json::Value::Seq(results),
         "workloads": serde_json::Value::Seq(workloads),
         "serve": {

@@ -7,14 +7,12 @@
 //!
 //! ```text
 //! trace record --program <name> [--tool <TOOL>] [--seed N] [--obscure]
-//!              [--scale N] [--out FILE] [--format json|binary] [--json FILE]
+//!              [--scale N] [--out FILE] [--json FILE]
 //! trace gen --family <ring|spinflag|barrier|zipf|fanout|straddle|publish> [--threads N]
 //!           [--events TOTAL] [--addr-space N] [--skew K] [--races N]
-//!           [--seed N] [--tool <TOOL>] [--out FILE] [--format json|binary]
-//!           [--json FILE]
+//!           [--seed N] [--tool <TOOL>] [--out FILE] [--json FILE]
 //! trace replay FILE [--tool <TOOL>] [--long-msm] [--cap N] [--json FILE]
 //!              [--watchdog MS] [--max-events N] [--max-shadow-bytes N]
-//! trace convert IN OUT [--format json|binary] [--chunk-events N]
 //! trace inspect FILE [--events N]
 //! trace stats FILE
 //! trace serve [--addr HOST:PORT] [--sessions N] [--max-events N]
@@ -29,23 +27,20 @@
 //! oracle violation), `2` usage or malformed input (bad flags,
 //! undecodable trace file).
 //!
-//! **Trace formats.** Every file-taking command auto-detects the on-disk
-//! encoding by its first bytes: the binary columnar format of
-//! `spinrace-tracefmt` (magic `SPINRTRC`) or the JSON debug format.
-//! `record` and `gen` write binary by default — `--format json`, or an
-//! `--out` path ending in `.json`, selects JSON. `convert` rewrites a
-//! trace in the other encoding (or an explicit `--format`). `replay` of
-//! a binary trace streams it chunk-by-chunk through the detector (decode
+//! **Trace files.** Traces are stored in the binary columnar format of
+//! `spinrace-tracefmt` (`.sptrace`, magic `SPINRTRC`); a file without
+//! the magic, a JSON document included, is refused as malformed input.
+//! `replay` streams the file chunk by chunk through the detector (decode
 //! one chunk ahead; peak memory O(chunk), detection starts before the
-//! file is fully read); a JSON trace has no chunk framing and is loaded
-//! whole first. Both feed the same replay loop, so the detection outcome
-//! is identical, and the printed rate is end to end (decode or load plus
-//! detection).
+//! file is fully read), and the printed rate is end to end (decode plus
+//! detection). `inspect --events N` prints the header block and the
+//! first `N` events in a readable form; `stats` summarizes the whole
+//! stream without materializing it.
 //!
 //! `replay --watchdog` bounds the whole replay, and
 //! `--max-events`/`--max-shadow-bytes` set resource budgets (`0`
-//! disables each), in either encoding. A tripped limit is a one-line
-//! structured error and exit code 1 — never a hang or an abort.
+//! disables each). A tripped limit is a one-line structured error and
+//! exit code 1 — never a hang or an abort.
 //!
 //! `gen` records a trace of a *generated* workload
 //! (`spinrace-workloads`): a parameterized program with computable
@@ -61,14 +56,14 @@
 //! `sync-preserving`. `record` tees a trace recorder with the tool's own
 //! detector, so the recording run also prints its racy contexts;
 //! `replay` re-prepares the named program, checks the module
-//! fingerprint, and replays the parsed stream into a fresh detector —
+//! fingerprint, and replays the decoded stream into a fresh detector —
 //! bit-identical to the live run.
 //!
 //! `--json FILE` writes the detection outcome (contexts, promoted
 //! locations, described reports, detector metrics, run summary) in a
 //! stable schema shared by `record` (live detection) and `replay`: the CI
-//! `replay-determinism` job byte-compares replays of both encodings
-//! against the live run.
+//! `replay-determinism` job byte-compares the streamed replay against
+//! the live run.
 //!
 //! `serve` runs the `spinrace-serve` analysis server (TCP, or one
 //! session over stdin/stdout with `--stdin`); `client` uploads a trace
@@ -77,13 +72,14 @@
 //! file, which the CI `serve-smoke` job checks.
 
 use spinrace_core::{
-    AnalysisOutcome, Budget, DetectRequest, EngineOptions, ExecutedRun, ReplayLoop, Session, Tool,
+    AnalysisOutcome, AnalyzeError, Budget, DetectRequest, EngineError, EngineOptions, ReplayLoop,
+    Session, Tool,
 };
 use spinrace_detector::{AnyDetector, MsmMode};
 use spinrace_serve::outcome_json;
 use spinrace_suites::{all_programs, prepared_for_replay, MAX_SCALE};
-use spinrace_tracefmt::{ChunkedTraceReader, TraceFormat};
-use spinrace_vm::{Event, Trace, TraceHeader};
+use spinrace_tracefmt::ChunkedTraceReader;
+use spinrace_vm::{Event, Trace, TraceError, TraceHeader};
 use spinrace_workloads::{Family, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -96,14 +92,13 @@ fn main() {
         Some("record") => record(&args[1..]),
         Some("gen") => gen(&args[1..]),
         Some("replay") => replay(&args[1..]),
-        Some("convert") => convert(&args[1..]),
         Some("inspect") => inspect(&args[1..]),
         Some("stats") => stats(&args[1..]),
         Some("serve") => serve_cmd(&args[1..]),
         Some("client") => client_cmd(&args[1..]),
         _ => {
             eprintln!(
-                "usage: trace <record|gen|replay|convert|inspect|stats|serve|client> ...  \
+                "usage: trace <record|gen|replay|inspect|stats|serve|client> ...  \
                  (see --help in source)"
             );
             2
@@ -145,39 +140,6 @@ fn parse_tool(s: &str) -> Tool {
     }
 }
 
-/// Identify a trace file's on-disk encoding from its first bytes,
-/// exiting with code 2 (malformed input) on an unreadable file or one in
-/// neither encoding — one diagnostic line, no panic.
-fn sniff_path(path: &str) -> TraceFormat {
-    use std::io::Read as _;
-    let mut head = [0u8; 16];
-    let n = std::fs::File::open(path)
-        .and_then(|mut f| f.read(&mut head))
-        .unwrap_or_else(|e| {
-            eprintln!("error: cannot read {path}: {e}");
-            exit(2);
-        });
-    match spinrace_tracefmt::sniff_format(&head[..n]) {
-        Ok(fmt) => fmt,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            exit(2);
-        }
-    }
-}
-
-/// Load a full trace in either encoding, exiting with code 2 on an
-/// unreadable or undecodable file.
-fn load(path: &str) -> Trace {
-    match spinrace_tracefmt::load_trace_file(std::path::Path::new(path)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            exit(2);
-        }
-    }
-}
-
 /// Open a binary trace as a streaming chunk reader (header validated),
 /// exiting with code 2 on failure.
 fn open_stream(path: &str) -> ChunkedTraceReader<BufReader<std::fs::File>> {
@@ -194,35 +156,17 @@ fn open_stream(path: &str) -> ChunkedTraceReader<BufReader<std::fs::File>> {
     }
 }
 
-/// The trace encoding `record`/`gen` should write: an explicit
-/// `--format`, else inferred from an `--out` path ending in `.json`,
-/// else binary.
-fn out_format(args: &[String]) -> TraceFormat {
-    match opt(args, "--format").as_deref() {
-        Some("binary") => TraceFormat::Binary,
-        Some("json") => TraceFormat::Json,
-        Some(other) => {
-            eprintln!("error: --format expects json or binary, got {other:?}");
-            exit(2);
-        }
-        None => match opt(args, "--out") {
-            Some(p) if p.ends_with(".json") => TraceFormat::Json,
-            _ => TraceFormat::Binary,
-        },
-    }
-}
-
-/// Write `trace` to `path` in `format`, reporting the file size. Returns
-/// the exit-code contribution (`1` on I/O failure).
+/// Write `trace` to `path`, reporting the file size. Returns the
+/// exit-code contribution (`1` on I/O failure).
 #[must_use]
-fn write_trace(path: &str, trace: &Trace, format: TraceFormat) -> i32 {
-    if let Err(e) = spinrace_tracefmt::write_trace_file(std::path::Path::new(path), trace, format) {
+fn write_trace(path: &str, trace: &Trace) -> i32 {
+    if let Err(e) = spinrace_tracefmt::write_trace_file(std::path::Path::new(path), trace) {
         eprintln!("error: {e}");
         return 1;
     }
     let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
     println!(
-        "wrote {path} ({format}, {bytes} bytes, {:.2} bytes/event)",
+        "wrote {path} ({bytes} bytes, {:.2} bytes/event)",
         bytes as f64 / (trace.events.len() as f64).max(1.0)
     );
     0
@@ -297,9 +241,7 @@ fn record(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let format = out_format(args);
-    let out_path =
-        opt(args, "--out").unwrap_or_else(|| format!("{name}.trace.{}", format.extension()));
+    let out_path = opt(args, "--out").unwrap_or_else(|| format!("{name}.trace.sptrace"));
     let trace = run.trace();
     println!(
         "recorded {name} under {}: {} events, {} steps, fingerprint {:#018x}",
@@ -312,7 +254,7 @@ fn record(args: &[String]) -> i32 {
         "live detection on the recording run: {} racy context(s), {} promoted location(s)",
         outcome.contexts, outcome.promoted_locations
     );
-    let write_code = write_trace(&out_path, trace, format);
+    let write_code = write_trace(&out_path, trace);
     if write_code != 0 {
         return write_code;
     }
@@ -372,9 +314,7 @@ fn gen(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let format = out_format(args);
-    let out_path = opt(args, "--out")
-        .unwrap_or_else(|| format!("{}.trace.{}", spec.name(), format.extension()));
+    let out_path = opt(args, "--out").unwrap_or_else(|| format!("{}.trace.sptrace", spec.name()));
     let trace = run.trace();
     println!(
         "generated {} under {}: {} events, {} steps, fingerprint {:#018x}",
@@ -385,7 +325,7 @@ fn gen(args: &[String]) -> i32 {
         trace.header.module_fingerprint,
     );
     println!("oracle: {}", wl.oracle.describe());
-    let write_code = write_trace(&out_path, trace, format);
+    let write_code = write_trace(&out_path, trace);
     if write_code != 0 {
         return write_code;
     }
@@ -412,6 +352,8 @@ fn gen(args: &[String]) -> i32 {
     }
 }
 
+/// Streaming replay of a trace file: the chunk reader decodes one chunk
+/// ahead of the detector, so the stream is never materialized.
 fn replay(args: &[String]) -> i32 {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         eprintln!(
@@ -420,7 +362,6 @@ fn replay(args: &[String]) -> i32 {
         );
         return 2;
     };
-    let format = sniff_path(path);
     let msm = if has(args, "--long-msm") {
         MsmMode::Long
     } else {
@@ -439,27 +380,16 @@ fn replay(args: &[String]) -> i32 {
         },
     };
 
-    // A binary trace streams chunk-by-chunk — O(chunk) peak memory,
-    // detection overlapped with decoding. JSON has no chunk framing, so
-    // it loads whole first. Same loop, same limits, same outcome.
-    if format == TraceFormat::Binary {
-        return replay_streamed(args, path, msm, cap, opts);
-    }
-    let t0 = Instant::now();
-    let trace = load(path);
-    let load_secs = t0.elapsed().as_secs_f64();
-    let events = trace.events.len();
+    let reader = open_stream(path);
+    let header = reader.header().clone();
     let tool = match opt(args, "--tool") {
         Some(s) => parse_tool(&s),
-        None if trace.header.tool_label.is_empty() => {
+        None if header.tool_label.is_empty() => {
             eprintln!("error: trace has no recorded tool label; pass --tool");
             return 2;
         }
-        None => parse_tool(&trace.header.tool_label),
+        None => parse_tool(&header.tool_label),
     };
-    // End-to-end rate of the whole-trace path: load plus detection.
-    let rate = |detect_secs: f64| events as f64 / (load_secs + detect_secs).max(1e-9) / 1e6;
-
     // Rebuild a prepared module the trace matches, so reports resolve to
     // source locations and the fingerprint check rejects stale traces.
     // Try the *requested* tool's preparation first: when its fingerprint
@@ -467,47 +397,67 @@ fn replay(args: &[String]) -> i32 {
     // tool (e.g. lib and drd share the unmodified module). Otherwise fall
     // back to the recording tool's preparation and say plainly that the
     // results describe the recorded stream, not a live run of `tool`.
-    let Some(prepared) = prepared_for_replay(&trace.header, tool, msm, cap) else {
-        if let Err(code) = unbound_note(args, &trace.header) {
+    let Some(prepared) = prepared_for_replay(&header, tool, msm, cap) else {
+        if let Err(code) = unbound_note(args, &header) {
             return code;
         }
-        let t1 = Instant::now();
-        let mut replay = ReplayLoop::new([tool.detector_config(msm, cap)], opts, events as u64);
-        let det = match replay.feed(&trace.events).and_then(|()| replay.finish()) {
+        // No module to bind: drive the replay loop straight off the
+        // decode-ahead pipeline.
+        let t0 = Instant::now();
+        let mut replay = ReplayLoop::new([tool.detector_config(msm, cap)], opts, header.events);
+        let stats = match reader.decode_ahead(|events| replay.feed(events)) {
+            Ok(stats) => stats,
+            Err(EngineError::Trace(e)) => {
+                eprintln!("error: {path}: {e}");
+                return 2;
+            }
+            Err(e) => {
+                eprintln!("error: {e}");
+                return 1;
+            }
+        };
+        let det = match replay.finish() {
             Ok(mut dets) => dets.remove(0),
             Err(e) => {
                 eprintln!("error: {e}");
                 return 1;
             }
         };
-        let detect_secs = t1.elapsed().as_secs_f64();
-        let how = format!("whole trace, {:.2} M ev/s, load+detect", rate(detect_secs));
-        print_unbound(tool, &det, &how);
+        let eps = det.events_seen() as f64 / t0.elapsed().as_secs_f64().max(1e-9) / 1e6;
+        print_unbound(
+            tool,
+            &det,
+            &format!(
+                "streamed {} chunk(s), {eps:.2} M ev/s, decode+detect",
+                stats.chunks
+            ),
+        );
         return 0;
     };
-    let run = match ExecutedRun::from_trace(prepared, trace) {
-        Ok(run) => run,
+    let t0 = Instant::now();
+    let req = DetectRequest::tool(tool).options(opts);
+    let (out, stats) = match prepared.try_run_streamed(&req, reader) {
+        Ok((o, stats)) => (o.into_single(), stats),
+        Err(AnalyzeError::Trace(e)) => {
+            eprintln!("error: {path}: {e}");
+            return 2;
+        }
         Err(e) => {
             eprintln!("error: {e}");
             return 1;
         }
     };
-    let t1 = Instant::now();
-    let out = match run.try_run(&DetectRequest::tool(tool).options(opts)) {
-        Ok(o) => o.into_single(),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let detect_secs = t1.elapsed().as_secs_f64();
+    let secs = t0.elapsed().as_secs_f64();
     println!(
-        "replayed {events} events under {} [whole trace]: {} racy context(s), {} promoted \
-         location(s) ({:.2} M ev/s, load+detect)",
+        "replayed {} events under {} [streamed {} chunk(s), peak {} KiB resident]: {} racy \
+         context(s), {} promoted location(s) ({:.2} M ev/s, decode+detect)",
+        stats.events,
         out.tool_label,
+        stats.chunks,
+        stats.peak_resident_bytes / 1024,
         out.contexts,
         out.promoted_locations,
-        rate(detect_secs),
+        stats.events as f64 / secs.max(1e-9) / 1e6,
     );
     print_reports(&out);
     maybe_write_json(args, &out)
@@ -559,163 +509,6 @@ fn print_unbound(tool: Tool, det: &AnyDetector, how: &str) {
     }
 }
 
-/// Streaming replay of a binary trace: the chunk reader decodes one
-/// chunk ahead of the detector, so the stream is never materialized.
-/// Outcome (and `--json` bytes) identical to the whole-trace path.
-fn replay_streamed(
-    args: &[String],
-    path: &str,
-    msm: MsmMode,
-    cap: usize,
-    opts: EngineOptions,
-) -> i32 {
-    let mut reader = open_stream(path);
-    let header = reader.header().clone();
-    let tool = match opt(args, "--tool") {
-        Some(s) => parse_tool(&s),
-        None if header.tool_label.is_empty() => {
-            eprintln!("error: trace has no recorded tool label; pass --tool");
-            return 2;
-        }
-        None => parse_tool(&header.tool_label),
-    };
-    let Some(prepared) = prepared_for_replay(&header, tool, msm, cap) else {
-        if let Err(code) = unbound_note(args, &header) {
-            return code;
-        }
-        // No module to bind: drive the replay loop chunk by chunk.
-        let t0 = Instant::now();
-        let mut replay = ReplayLoop::new([tool.detector_config(msm, cap)], opts, header.events);
-        let mut chunks = 0u32;
-        loop {
-            match reader.next_chunk() {
-                Ok(Some(chunk)) => {
-                    chunks += 1;
-                    if let Err(e) = replay.feed(&chunk) {
-                        eprintln!("error: {e}");
-                        return 1;
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return 2;
-                }
-            }
-        }
-        let det = match replay.finish() {
-            Ok(mut dets) => dets.remove(0),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        };
-        let eps = det.events_seen() as f64 / t0.elapsed().as_secs_f64().max(1e-9) / 1e6;
-        print_unbound(
-            tool,
-            &det,
-            &format!("streamed {chunks} chunk(s), {eps:.2} M ev/s, decode+detect"),
-        );
-        return 0;
-    };
-    let t0 = Instant::now();
-    let req = DetectRequest::tool(tool).options(opts);
-    let (out, stats) = match prepared.try_run_streamed(&req, reader) {
-        Ok((o, stats)) => (o.into_single(), stats),
-        Err(spinrace_core::AnalyzeError::Trace(e)) => {
-            eprintln!("error: {path}: {e}");
-            return 2;
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let secs = t0.elapsed().as_secs_f64();
-    println!(
-        "replayed {} events under {} [streamed {} chunk(s), peak {} KiB resident]: {} racy \
-         context(s), {} promoted location(s) ({:.2} M ev/s, decode+detect)",
-        stats.events,
-        out.tool_label,
-        stats.chunks,
-        stats.peak_resident_bytes / 1024,
-        out.contexts,
-        out.promoted_locations,
-        stats.events as f64 / secs.max(1e-9) / 1e6,
-    );
-    print_reports(&out);
-    maybe_write_json(args, &out)
-}
-
-/// `convert`: rewrite a trace in the other on-disk encoding (or an
-/// explicit `--format`), reporting both sizes and the ratio.
-fn convert(args: &[String]) -> i32 {
-    let positional = args.iter().filter(|a| !a.starts_with("--"));
-    // `--format binary` / `--chunk-events N` values also appear as
-    // non-flag args, so track flag values to skip them.
-    let flag_values: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i > 0 && ["--format", "--chunk-events"].contains(&args[i - 1].as_str()))
-        .map(|(_, a)| a)
-        .collect();
-    let mut positional = positional.filter(|a| !flag_values.contains(a));
-    let (Some(input), Some(output)) = (positional.next(), positional.next()) else {
-        eprintln!("usage: trace convert IN OUT [--format json|binary] [--chunk-events N]");
-        return 2;
-    };
-    let in_format = sniff_path(input);
-    let trace = load(input);
-    let out_fmt = match opt(args, "--format").as_deref() {
-        Some("binary") => TraceFormat::Binary,
-        Some("json") => TraceFormat::Json,
-        Some(other) => {
-            eprintln!("error: --format expects json or binary, got {other:?}");
-            return 2;
-        }
-        // Default: the other direction — json→binary, binary→json.
-        None => match in_format {
-            TraceFormat::Json => TraceFormat::Binary,
-            TraceFormat::Binary => TraceFormat::Json,
-        },
-    };
-    let chunk_events: usize = num_opt(
-        args,
-        "--chunk-events",
-        spinrace_tracefmt::DEFAULT_CHUNK_EVENTS,
-    );
-    if chunk_events == 0 {
-        eprintln!("error: --chunk-events must be at least 1");
-        return 2;
-    }
-    let bytes = match out_fmt {
-        TraceFormat::Binary => spinrace_tracefmt::encode_trace_chunked(&trace, chunk_events),
-        TraceFormat::Json => trace.to_json().into_bytes(),
-    };
-    if let Err(e) = std::fs::write(output, &bytes) {
-        eprintln!("error: cannot write {output}: {e}");
-        return 1;
-    }
-    let in_bytes = std::fs::metadata(input).map(|m| m.len()).unwrap_or(0);
-    println!(
-        "converted {input} ({in_format}, {in_bytes} bytes) -> {output} ({out_fmt}, {} bytes, \
-         {:.2} bytes/event, {:.1}x {})",
-        bytes.len(),
-        bytes.len() as f64 / (trace.events.len() as f64).max(1.0),
-        if bytes.len() as u64 <= in_bytes {
-            in_bytes as f64 / (bytes.len() as f64).max(1.0)
-        } else {
-            bytes.len() as f64 / (in_bytes as f64).max(1.0)
-        },
-        if bytes.len() as u64 <= in_bytes {
-            "smaller"
-        } else {
-            "larger"
-        },
-    );
-    0
-}
-
 fn print_header(h: &TraceHeader, summary: &spinrace_vm::RunSummary) {
     println!("version:     {}", h.version);
     println!("module:      {}", h.module_name);
@@ -747,43 +540,30 @@ fn inspect(args: &[String]) -> i32 {
     };
     let n: usize = num_opt(args, "--events", 10);
     let file_bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    match sniff_path(path) {
-        TraceFormat::Binary => {
-            // Streamed: the header block and the first chunk(s) are all
-            // that is read — inspecting a multi-gigabyte trace is cheap.
-            let mut reader = open_stream(path);
-            println!(
-                "format:      binary ({} chunk(s) of ≤{} events, {file_bytes} bytes)",
-                reader.chunk_count(),
-                reader.chunk_target()
-            );
-            print_header(reader.header(), reader.summary());
-            let total = reader.header().events as usize;
-            println!("first {} event(s):", n.min(total));
-            let mut shown = 0usize;
-            while shown < n {
-                match reader.next_chunk() {
-                    Ok(Some(chunk)) => {
-                        for ev in chunk.iter().take(n - shown) {
-                            println!("  {ev:?}");
-                        }
-                        shown += chunk.len().min(n - shown);
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        eprintln!("error: {path}: {e}");
-                        return 2;
-                    }
+    // Streamed: the header block and the first chunk(s) are all that is
+    // read — inspecting a multi-gigabyte trace is cheap.
+    let mut reader = open_stream(path);
+    println!(
+        "format:      binary ({} chunk(s) of ≤{} events, {file_bytes} bytes)",
+        reader.chunk_count(),
+        reader.chunk_target()
+    );
+    print_header(reader.header(), reader.summary());
+    let total = reader.header().events as usize;
+    println!("first {} event(s):", n.min(total));
+    let mut shown = 0usize;
+    while shown < n {
+        match reader.next_chunk() {
+            Ok(Some(chunk)) => {
+                for ev in chunk.iter().take(n - shown) {
+                    println!("  {ev:?}");
                 }
+                shown += chunk.len().min(n - shown);
             }
-        }
-        TraceFormat::Json => {
-            let trace = load(path);
-            println!("format:      json ({file_bytes} bytes)");
-            print_header(&trace.header, &trace.summary);
-            println!("first {} event(s):", n.min(trace.events.len()));
-            for ev in trace.events.iter().take(n) {
-                println!("  {ev:?}");
+            Ok(None) => break,
+            Err(e) => {
+                eprintln!("error: {path}: {e}");
+                return 2;
             }
         }
     }
@@ -791,7 +571,7 @@ fn inspect(args: &[String]) -> i32 {
 }
 
 /// Streaming accumulator for `stats`: everything the report needs, fed
-/// chunk-by-chunk so a binary trace is never materialized.
+/// chunk-by-chunk so a trace is never materialized.
 #[derive(Default)]
 struct StatsAcc {
     kinds: BTreeMap<&'static str, u64>,
@@ -849,21 +629,13 @@ fn stats(args: &[String]) -> i32 {
     };
     let file_bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
     let mut acc = StatsAcc::default();
-    match sniff_path(path) {
-        TraceFormat::Binary => {
-            let mut reader = open_stream(path);
-            loop {
-                match reader.next_chunk() {
-                    Ok(Some(chunk)) => acc.add_chunk(&chunk),
-                    Ok(None) => break,
-                    Err(e) => {
-                        eprintln!("error: {path}: {e}");
-                        return 2;
-                    }
-                }
-            }
-        }
-        TraceFormat::Json => acc.add_chunk(&load(path).events),
+    let summed = open_stream(path).decode_ahead(|chunk| -> Result<(), TraceError> {
+        acc.add_chunk(chunk);
+        Ok(())
+    });
+    if let Err(e) = summed {
+        eprintln!("error: {path}: {e}");
+        return 2;
     }
     acc.print(file_bytes);
     0
@@ -935,29 +707,13 @@ fn client_cmd(args: &[String]) -> i32 {
         eprintln!("error: --addr HOST:PORT is required");
         return 2;
     };
-    // The wire format is the binary chunk encoding; a JSON trace is
-    // transparently re-encoded for upload.
-    let (bytes, header_tool) = match sniff_path(path) {
-        TraceFormat::Binary => {
-            let label = open_stream(path).header().tool_label.clone();
-            match std::fs::read(path) {
-                Ok(b) => (b, label),
-                Err(e) => {
-                    eprintln!("error: cannot read {path}: {e}");
-                    return 2;
-                }
-            }
-        }
-        TraceFormat::Json => {
-            let trace = load(path);
-            let label = trace.header.tool_label.clone();
-            (
-                spinrace_tracefmt::encode_trace_chunked(
-                    &trace,
-                    spinrace_tracefmt::DEFAULT_CHUNK_EVENTS,
-                ),
-                label,
-            )
+    // The file is uploaded as is: the wire format is the trace encoding.
+    let header_tool = open_stream(path).header().tool_label.clone();
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("error: cannot read {path}: {e}");
+            return 2;
         }
     };
     let tool = match opt(args, "--tool") {

@@ -49,10 +49,11 @@
 //! let capped = run.run(&DetectRequest::config(cfg)).into_single();
 //! assert_eq!(capped.contexts, 1);
 //!
-//! // The trace itself serializes; parsing it back replays identically.
-//! let json = run.trace().to_json();
-//! let parsed = spinrace_vm::Trace::from_json(&json).unwrap();
-//! assert_eq!(&parsed, run.trace());
+//! // The trace itself encodes to the binary format; decoding it back
+//! // replays identically.
+//! let bytes = spinrace_tracefmt::encode_trace(run.trace());
+//! let decoded = spinrace_tracefmt::decode_trace(&bytes).unwrap();
+//! assert_eq!(&decoded, run.trace());
 //! ```
 
 pub mod limits;
@@ -271,7 +272,7 @@ pub enum AnalyzeError {
         /// Fingerprint of the prepared module.
         module_fingerprint: u64,
     },
-    /// A trace file could not be read or decoded (either encoding).
+    /// A trace file could not be read or decoded.
     Trace(TraceError),
     /// The watchdog or a resource budget tripped ([`EngineError`] from a
     /// [`DetectRequest`] execution).

@@ -32,13 +32,9 @@ use spinrace_detector::{AnyDetector, DetectorConfig, MsmMode};
 use spinrace_spinfind::{SpinCriteria, SpinFinder};
 use spinrace_synclib::{lower_to_spinlib_styled, LibStyle};
 use spinrace_tir::Module;
-use spinrace_tracefmt::{chunk_mem, ChunkedTraceReader, StreamStats};
-use spinrace_vm::{run_module, Event, RunSummary, Tee, Trace, TraceError, TraceRecorder, VmConfig};
+use spinrace_tracefmt::{ChunkedTraceReader, StreamStats};
+use spinrace_vm::{run_module, RunSummary, Tee, Trace, TraceRecorder, VmConfig};
 use std::io;
-use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
-use std::sync::Arc;
 
 /// A configured analysis session over one source module.
 #[derive(Clone, Copy, Debug)]
@@ -288,7 +284,7 @@ impl PreparedModule {
     pub fn try_run_streamed_observed<R, F>(
         &self,
         req: &DetectRequest,
-        mut reader: ChunkedTraceReader<R>,
+        reader: ChunkedTraceReader<R>,
         mut observe: F,
     ) -> Result<(DetectOutcome, StreamStats), AnalyzeError>
     where
@@ -304,73 +300,31 @@ impl PreparedModule {
         let summary = reader.summary().clone();
         let (labels, mut replay) = self.start_replay(req, reader.header().events);
         let mut seen: Vec<usize> = vec![0; labels.len()];
-
-        // The same decode-ahead pipeline as `ChunkedTraceReader::
-        // replay_into`, with the consumer side widened to many detectors
-        // plus the replay loop's limits.
-        let resident = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = sync_channel::<Result<Vec<Event>, TraceError>>(1);
-
-        let chunks = std::thread::scope(|scope| -> Result<u32, AnalyzeError> {
-            let decoder_resident = Arc::clone(&resident);
-            let decoder_peak = Arc::clone(&peak);
-            let reader = &mut reader;
-            scope.spawn(move || loop {
-                match reader.next_chunk() {
-                    Ok(Some(chunk)) => {
-                        let now = decoder_resident.fetch_add(chunk_mem(&chunk), Ordering::Relaxed)
-                            + chunk_mem(&chunk);
-                        decoder_peak.fetch_max(now, Ordering::Relaxed);
-                        // A closed receiver means the consumer bailed on
-                        // an earlier error; just stop decoding.
-                        if tx.send(Ok(chunk)).is_err() {
-                            return;
-                        }
-                    }
-                    Ok(None) => return,
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        return;
-                    }
-                }
-            });
-
-            let mut chunks = 0u32;
-            for msg in rx {
-                let chunk = msg.map_err(AnalyzeError::Trace)?;
-                let fed = replay.feed(&chunk);
-                resident.fetch_sub(chunk_mem(&chunk), Ordering::Relaxed);
-                fed?;
-                chunks += 1;
-                for (idx, det) in replay.detectors().iter().enumerate() {
-                    let reports = det.reports().reports();
-                    let new: Vec<DescribedReport> = reports[seen[idx]..]
-                        .iter()
-                        .map(|r| DescribedReport {
-                            location: self.module.describe_addr(r.addr),
-                            report: r.clone(),
-                        })
-                        .collect();
-                    seen[idx] = reports.len();
-                    observe(StreamProgress {
-                        target: idx,
-                        tool_label: &labels[idx],
-                        chunk: chunks,
-                        events: replay.events(),
-                        contexts: det.racy_contexts(),
-                        new_reports: &new,
-                    });
-                }
+        let mut chunk = 0u32;
+        let stats = reader.decode_ahead(|events| -> Result<(), AnalyzeError> {
+            replay.feed(events)?;
+            chunk += 1;
+            for (idx, det) in replay.detectors().iter().enumerate() {
+                let reports = det.reports().reports();
+                let new: Vec<DescribedReport> = reports[seen[idx]..]
+                    .iter()
+                    .map(|r| DescribedReport {
+                        location: self.module.describe_addr(r.addr),
+                        report: r.clone(),
+                    })
+                    .collect();
+                seen[idx] = reports.len();
+                observe(StreamProgress {
+                    target: idx,
+                    tool_label: &labels[idx],
+                    chunk,
+                    events: replay.events(),
+                    contexts: det.racy_contexts(),
+                    new_reports: &new,
+                });
             }
-            Ok(chunks)
+            Ok(())
         })?;
-
-        let stats = StreamStats {
-            events: replay.events(),
-            chunks,
-            peak_resident_bytes: peak.load(Ordering::Relaxed),
-        };
         Ok((self.finish_replay(labels, replay, &summary)?, stats))
     }
 
@@ -444,20 +398,6 @@ impl ExecutedRun {
             });
         }
         Ok(ExecutedRun { prepared, trace })
-    }
-
-    /// Rebuild an executed run from a trace **file** in either on-disk
-    /// encoding (binary columnar or JSON, told apart by their first
-    /// bytes) — the same fingerprint check as [`Self::from_trace`]. The
-    /// whole stream is materialized. For bounded-memory replay of a
-    /// binary trace, open a [`ChunkedTraceReader`] and use
-    /// [`PreparedModule::try_run_streamed`].
-    pub fn from_trace_file(
-        prepared: PreparedModule,
-        path: &Path,
-    ) -> Result<ExecutedRun, AnalyzeError> {
-        let trace = spinrace_tracefmt::load_trace_file(path)?;
-        ExecutedRun::from_trace(prepared, trace)
     }
 
     /// The recorded trace.
@@ -731,45 +671,6 @@ mod tests {
             plain.try_run_streamed(&DetectRequest::own(), reader),
             Err(AnalyzeError::TraceMismatch { .. })
         ));
-    }
-
-    /// `from_trace_file` accepts both on-disk encodings and applies the
-    /// fingerprint check.
-    #[test]
-    fn from_trace_file_loads_either_encoding() {
-        let m = racy();
-        let session = Session::for_module(&m);
-        let run = session
-            .prepare(Tool::HelgrindLib)
-            .unwrap()
-            .execute()
-            .unwrap();
-        let expected = run.run(&DetectRequest::own()).into_single();
-        let dir = std::env::temp_dir().join(format!(
-            "spinrace-session-{}-{}",
-            std::process::id(),
-            run.trace().header.module_fingerprint
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        for format in [
-            spinrace_tracefmt::TraceFormat::Binary,
-            spinrace_tracefmt::TraceFormat::Json,
-        ] {
-            let path = dir.join(format!("t.{}", format.extension()));
-            spinrace_tracefmt::write_trace_file(&path, run.trace(), format).unwrap();
-            let prepared = session.prepare(Tool::HelgrindLib).unwrap();
-            let reloaded = ExecutedRun::from_trace_file(prepared, &path).unwrap();
-            let out = reloaded.run(&DetectRequest::own()).into_single();
-            assert_eq!(out.contexts, expected.contexts, "{format}");
-            assert_eq!(out.reports.len(), expected.reports.len(), "{format}");
-        }
-        let missing = dir.join("nope.sptrace");
-        let prepared = session.prepare(Tool::HelgrindLib).unwrap();
-        assert!(matches!(
-            ExecutedRun::from_trace_file(prepared, &missing),
-            Err(AnalyzeError::Trace(_))
-        ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! `spinrace-tracefmt` — the binary columnar trace encoding.
+//! `spinrace-tracefmt` — the on-disk trace encoding.
 //!
-//! The JSON encoding in `spinrace-vm` is self-describing and diffable,
-//! but at ~100+ bytes per event it dominates disk and parse time for
-//! million-event streams. This crate adds a compact binary format with
-//! the same information content, built for the record-once /
-//! replay-everywhere pipeline:
+//! A recorded [`Trace`] is stored in one format: a compact, versioned,
+//! chunked columnar binary encoding (`.sptrace`) built for the
+//! record-once / replay-everywhere pipeline:
 //!
 //! ```text
 //! +-----------------------------------------------------------------+
@@ -34,13 +32,16 @@
 //!   streaming reader (decode one chunk ahead of the detector, O(chunk)
 //!   peak memory) and localizes corruption detection to a single chunk.
 //! * **Header/summary embedded as JSON**: tiny compared to the stream,
-//!   and reuses the already-versioned serde encoding — `trace inspect`
-//!   on a binary file shows exactly what the JSON form would.
+//!   self-describing, and versioned through the serde encodings of
+//!   [`spinrace_vm::TraceHeader`] and [`spinrace_vm::RunSummary`]. A
+//!   damaged block surfaces as [`TraceError::Json`].
 //!
 //! [`encode_trace`] / [`decode_trace`] convert to and from the in-memory
-//! [`Trace`]; [`reader::ChunkedTraceReader`] streams chunks from any
-//! [`std::io::Read`]; [`sniff_format`] tells the two on-disk encodings
-//! apart by their first bytes so CLI commands accept either.
+//! [`Trace`]; [`ChunkedTraceReader`] streams chunks from any
+//! [`std::io::Read`], and [`ChunkedTraceReader::decode_ahead`] is the one
+//! decode-ahead pipeline every streamed replay runs on. Input that does
+//! not start with [`MAGIC`] — a JSON document included — is refused
+//! with [`TraceError::Magic`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,10 +50,9 @@ pub mod chunk;
 pub mod reader;
 pub mod varint;
 
-pub use reader::{chunk_mem, ChunkedTraceReader, StreamStats};
+pub use reader::{ChunkedTraceReader, StreamStats};
 
 use spinrace_vm::{Trace, TraceError};
-use std::io::Write as _;
 use std::path::Path;
 
 /// First eight bytes of every binary trace file.
@@ -76,47 +76,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
-}
-
-/// The two on-disk trace encodings.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// This crate's chunked columnar encoding.
-    Binary,
-    /// The self-describing JSON encoding of `spinrace-vm`.
-    Json,
-}
-
-impl TraceFormat {
-    /// Canonical file extension for the format.
-    pub fn extension(self) -> &'static str {
-        match self {
-            TraceFormat::Binary => "sptrace",
-            TraceFormat::Json => "json",
-        }
-    }
-}
-
-impl std::fmt::Display for TraceFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceFormat::Binary => write!(f, "binary"),
-            TraceFormat::Json => write!(f, "json"),
-        }
-    }
-}
-
-/// Identify a trace encoding from its first bytes: the binary magic, or
-/// a JSON document (first non-whitespace byte `{`). Anything else is
-/// [`TraceError::Magic`].
-pub fn sniff_format(bytes: &[u8]) -> Result<TraceFormat, TraceError> {
-    if bytes.starts_with(&MAGIC) {
-        return Ok(TraceFormat::Binary);
-    }
-    match bytes.iter().find(|b| !b.is_ascii_whitespace()) {
-        Some(b'{') => Ok(TraceFormat::Json),
-        _ => Err(TraceError::Magic),
-    }
 }
 
 /// Encode `trace` with the default chunk target.
@@ -155,44 +114,17 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Trace, TraceError> {
     ChunkedTraceReader::new(bytes)?.read_all()
 }
 
-/// Parse a trace from raw file bytes in either encoding, dispatching on
-/// [`sniff_format`].
-pub fn load_trace_bytes(bytes: &[u8]) -> Result<Trace, TraceError> {
-    match sniff_format(bytes)? {
-        TraceFormat::Binary => decode_trace(bytes),
-        TraceFormat::Json => {
-            let text = std::str::from_utf8(bytes)
-                .map_err(|_| TraceError::Json("trace file is not UTF-8".into()))?;
-            Trace::from_json(text)
-        }
-    }
-}
-
-/// Read and parse a trace file in either encoding.
-pub fn load_trace_file(path: &Path) -> Result<Trace, TraceError> {
-    let bytes =
-        std::fs::read(path).map_err(|e| TraceError::Io(format!("{}: {e}", path.display())))?;
-    load_trace_bytes(&bytes)
-}
-
-/// Write `trace` to `path` in the requested encoding.
-pub fn write_trace_file(path: &Path, trace: &Trace, format: TraceFormat) -> Result<(), TraceError> {
-    let bytes = match format {
-        TraceFormat::Binary => encode_trace(trace),
-        TraceFormat::Json => trace.to_json().into_bytes(),
-    };
-    let mut f = std::fs::File::create(path)
-        .map_err(|e| TraceError::Io(format!("{}: {e}", path.display())))?;
-    f.write_all(&bytes)
-        .map_err(|e| TraceError::Io(format!("{}: {e}", path.display())))?;
-    Ok(())
+/// Write `trace` to `path` in the binary encoding.
+pub fn write_trace_file(path: &Path, trace: &Trace) -> Result<(), TraceError> {
+    std::fs::write(path, encode_trace(trace))
+        .map_err(|e| TraceError::Io(format!("{}: {e}", path.display())))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use spinrace_tir::{Module, ModuleBuilder};
-    use spinrace_vm::{record_run, RecordingSink, VmConfig};
+    use spinrace_vm::{record_run, VmConfig};
 
     fn handoff() -> Module {
         let mut mb = ModuleBuilder::new("tracefmt-test");
@@ -250,35 +182,18 @@ mod tests {
         let m = handoff();
         let trace = record_run(&m, VmConfig::random(3), "stream").unwrap();
         let bytes = encode_trace_chunked(&trace, 4);
-        let mut sink = RecordingSink::default();
+        let mut events = Vec::new();
         let stats = ChunkedTraceReader::new(&bytes[..])
             .unwrap()
-            .replay_into(&mut sink)
+            .decode_ahead(|chunk| -> Result<(), TraceError> {
+                events.extend_from_slice(chunk);
+                Ok(())
+            })
             .unwrap();
-        assert_eq!(sink.events, trace.events);
+        assert_eq!(events, trace.events);
         assert_eq!(stats.events, trace.events.len() as u64);
-        assert!(stats.chunks >= 1);
+        assert_eq!(stats.chunks, trace.events.len().div_ceil(4) as u32);
         assert!(stats.peak_resident_bytes > 0);
-    }
-
-    #[test]
-    fn sniffing_distinguishes_the_encodings() {
-        let m = handoff();
-        let trace = record_run(&m, VmConfig::round_robin(), "").unwrap();
-        assert_eq!(
-            sniff_format(&encode_trace(&trace)).unwrap(),
-            TraceFormat::Binary
-        );
-        assert_eq!(
-            sniff_format(trace.to_json().as_bytes()).unwrap(),
-            TraceFormat::Json
-        );
-        assert_eq!(
-            sniff_format(b"  \n {\"header\":{}}").unwrap(),
-            TraceFormat::Json
-        );
-        assert!(matches!(sniff_format(b"ELF....."), Err(TraceError::Magic)));
-        assert!(matches!(sniff_format(b""), Err(TraceError::Magic)));
     }
 
     #[test]
@@ -290,7 +205,7 @@ mod tests {
         // Bad magic.
         let mut bad = good.clone();
         bad[0] ^= 0xff;
-        assert!(matches!(load_trace_bytes(&bad), Err(TraceError::Magic)));
+        assert!(matches!(decode_trace(&bad), Err(TraceError::Magic)));
 
         // Unsupported binary version.
         let mut bad = good.clone();

@@ -3,21 +3,18 @@
 //! [`ChunkedTraceReader`] wraps any [`io::Read`] source, parses and
 //! validates the header block eagerly (magic, binary version, embedded
 //! trace header, checksum), then hands out decoded chunks one at a time.
-//! [`ChunkedTraceReader::replay_into`] drives a detector directly from
-//! the stream with a decode-ahead thread: while the detector consumes
+//! [`ChunkedTraceReader::decode_ahead`] feeds a consumer directly from
+//! the stream with a decode-ahead thread: while the consumer handles
 //! chunk *k*, chunk *k+1* is being read and decoded, so replay starts
 //! before the file has been fully read and peak memory stays bounded by
 //! a couple of chunks — O(chunk), not O(trace).
 
 use crate::chunk::{decode_chunk_columns, NUM_COLUMNS};
 use crate::{fnv1a, BINARY_FORMAT_VERSION, MAGIC};
-use spinrace_vm::{
-    Event, EventSink, RunSummary, Trace, TraceError, TraceHeader, TRACE_FORMAT_VERSION,
-};
+use spinrace_vm::{Event, RunSummary, Trace, TraceError, TraceHeader, TRACE_FORMAT_VERSION};
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::Arc;
 
 /// Largest accepted embedded-JSON block (header or summary). Real
 /// headers are a few hundred bytes; the cap keeps a corrupt length from
@@ -31,7 +28,7 @@ const MAX_COLUMN_BYTES: u64 = 1 << 31;
 /// Statistics of one streamed replay.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamStats {
-    /// Events delivered to the sink.
+    /// Events delivered to the consumer.
     pub events: u64,
     /// Chunks decoded.
     pub chunks: u32,
@@ -42,11 +39,8 @@ pub struct StreamStats {
 }
 
 /// Approximate heap footprint of a decoded chunk — what the streaming
-/// pipeline holds resident per in-flight chunk. Exposed so external
-/// decode-ahead loops (e.g. multi-detector streamed detection) account
-/// resident memory the same way [`ChunkedTraceReader::replay_into`]
-/// does.
-pub fn chunk_mem(events: &[Event]) -> usize {
+/// pipeline holds resident per in-flight chunk.
+fn chunk_mem(events: &[Event]) -> usize {
     let mut bytes = std::mem::size_of_val(events);
     for ev in events {
         if let Event::SpinExit { reads, .. } = ev {
@@ -325,9 +319,8 @@ impl<R: io::Read> ChunkedTraceReader<R> {
 
     /// Decode the entire stream into an in-memory [`Trace`].
     ///
-    /// This is the non-streaming path (used by format conversion and
-    /// whole-trace loading); for bounded-memory replay use
-    /// [`Self::replay_into`].
+    /// This is the non-streaming path (whole-trace loading); for
+    /// bounded-memory replay use [`Self::decode_ahead`].
     pub fn read_all(mut self) -> Result<Trace, TraceError> {
         let mut events: Vec<Event> = Vec::new();
         while let Some(chunk) = self.next_chunk()? {
@@ -340,32 +333,36 @@ impl<R: io::Read> ChunkedTraceReader<R> {
         })
     }
 
-    /// Replay the stream into `sink` with one chunk of decode-ahead.
+    /// Drive `consume` over the stream with one chunk of decode-ahead —
+    /// the one streaming pipeline every streamed replay runs on.
     ///
     /// A scoped worker thread reads and decodes chunks; the caller's
-    /// thread feeds the sink. The bounded channel (capacity 1) means at
-    /// most two decoded chunks are resident at once — one being
-    /// consumed, one decoded ahead — so peak memory is O(chunk)
-    /// regardless of trace length. The returned [`StreamStats`] report
-    /// the observed high-water mark.
-    pub fn replay_into(mut self, sink: &mut dyn EventSink) -> Result<StreamStats, TraceError>
+    /// thread hands each decoded chunk to `consume`. The bounded channel
+    /// (capacity 1) means at most two decoded chunks are resident at
+    /// once — one being consumed, one decoded ahead — so peak memory is
+    /// O(chunk) regardless of trace length. The first error, from the
+    /// decoder or from `consume`, ends the stream: the receiver closes
+    /// and the decoder stops. The returned [`StreamStats`] count the
+    /// consumed chunks and report the observed high-water mark.
+    pub fn decode_ahead<E, F>(mut self, mut consume: F) -> Result<StreamStats, E>
     where
         R: Send,
+        E: From<TraceError>,
+        F: FnMut(&[Event]) -> Result<(), E>,
     {
-        let resident = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
+        let resident = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
         let (tx, rx) = sync_channel::<Result<Vec<Event>, TraceError>>(1);
 
-        let stats = std::thread::scope(|scope| {
-            let decoder_resident = Arc::clone(&resident);
-            let decoder_peak = Arc::clone(&peak);
+        let mut stats = std::thread::scope(|scope| -> Result<StreamStats, E> {
+            let (resident, peak) = (&resident, &peak);
             let reader = &mut self;
             scope.spawn(move || loop {
                 match reader.next_chunk() {
                     Ok(Some(chunk)) => {
-                        let now = decoder_resident.fetch_add(chunk_mem(&chunk), Ordering::Relaxed)
-                            + chunk_mem(&chunk);
-                        decoder_peak.fetch_max(now, Ordering::Relaxed);
+                        let mem = chunk_mem(&chunk);
+                        let now = resident.fetch_add(mem, Ordering::Relaxed) + mem;
+                        peak.fetch_max(now, Ordering::Relaxed);
                         // A closed receiver means the consumer bailed on
                         // an earlier error; just stop decoding.
                         if tx.send(Ok(chunk)).is_err() {
@@ -383,17 +380,14 @@ impl<R: io::Read> ChunkedTraceReader<R> {
             let mut stats = StreamStats::default();
             for msg in rx {
                 let chunk = msg?;
-                for ev in &chunk {
-                    sink.on_event(ev);
-                }
+                let consumed = consume(&chunk);
+                resident.fetch_sub(chunk_mem(&chunk), Ordering::Relaxed);
+                consumed?;
                 stats.events += chunk.len() as u64;
                 stats.chunks += 1;
-                resident.fetch_sub(chunk_mem(&chunk), Ordering::Relaxed);
             }
             Ok(stats)
         })?;
-
-        let mut stats = stats;
         stats.peak_resident_bytes = peak.load(Ordering::Relaxed);
         Ok(stats)
     }

@@ -1,6 +1,5 @@
 //! The event stream: what the VM tells a race detector.
 
-use serde::{Deserialize, Serialize};
 use spinrace_tir::{MemOrder, Pc, SpinLoopId};
 
 /// Dynamic thread identifier (0 = main thread).
@@ -9,7 +8,7 @@ pub type ThreadId = u32;
 /// One observable action, in program-order per thread and in a globally
 /// consistent total order across threads (the VM interleaves whole
 /// instructions).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Event {
     /// `parent` created `child`.
     Spawn {

@@ -1,4 +1,4 @@
-//! Record-once / replay-everywhere: the serializable [`Trace`] artifact.
+//! Record-once / replay-everywhere: the recorded [`Trace`] artifact.
 //!
 //! A trace is the VM's full event stream for one deterministic run of one
 //! prepared module, together with a versioned header (module fingerprint,
@@ -13,9 +13,11 @@
 //!   seals it into a [`Trace`] with [`TraceRecorder::finish`]. Tee it with
 //!   a detector to record and detect in one run.
 //! * [`record_run`] is the one-call convenience: execute and record.
-//! * [`Trace::to_json`] / [`Trace::from_json`] are the stable on-disk
-//!   encoding (the vendored `serde_json`); parsing validates the format
-//!   version and the header/stream event-count agreement.
+//!
+//! The on-disk encoding is the binary columnar format of
+//! `spinrace-tracefmt`, which embeds [`TraceHeader`] and [`RunSummary`]
+//! as JSON and validates the format version and the header/stream
+//! event-count agreement while decoding.
 
 use crate::error::VmError;
 use crate::events::{Event, EventSink};
@@ -25,8 +27,8 @@ use serde::{Deserialize, Serialize};
 use spinrace_tir::Module;
 use std::fmt;
 
-/// Current trace encoding version. Bump on any change to [`TraceHeader`],
-/// [`Event`], or their serde encodings.
+/// Current trace encoding version. Bump on any change to [`TraceHeader`]
+/// (or its serde encoding) or to [`Event`].
 pub const TRACE_FORMAT_VERSION: u32 = 1;
 
 /// Versioned metadata describing how a trace was produced.
@@ -61,7 +63,7 @@ impl TraceHeader {
 }
 
 /// A recorded execution: header, run statistics, and the event stream.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Trace {
     /// Provenance and validation metadata.
     pub header: TraceHeader,
@@ -84,53 +86,16 @@ impl Trace {
     pub fn matches_module(&self, m: &Module) -> bool {
         self.header.module_fingerprint == m.fingerprint()
     }
-
-    /// Render as compact JSON (the stable interchange encoding).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("trace serialization is infallible")
-    }
-
-    /// Parse a trace from JSON, validating the format version and the
-    /// header's event count against the stream.
-    pub fn from_json(text: &str) -> Result<Trace, TraceError> {
-        let value: serde_json::Value =
-            serde_json::from_str(text).map_err(|e| TraceError::Json(e.0))?;
-        // Check the version before decoding the typed document: a trace
-        // from a newer format would otherwise fail event deserialization
-        // first and surface as a confusing parse error instead of a
-        // version mismatch.
-        if let Some(found) = value["header"]["version"].as_u64() {
-            if found != TRACE_FORMAT_VERSION as u64 {
-                return Err(TraceError::Version {
-                    found: u32::try_from(found).unwrap_or(u32::MAX),
-                    supported: TRACE_FORMAT_VERSION,
-                });
-            }
-        }
-        let trace: Trace = serde_json::from_value(&value).map_err(|e| TraceError::Json(e.0))?;
-        if trace.header.version != TRACE_FORMAT_VERSION {
-            return Err(TraceError::Version {
-                found: trace.header.version,
-                supported: TRACE_FORMAT_VERSION,
-            });
-        }
-        if trace.header.events != trace.events.len() as u64 {
-            return Err(TraceError::EventCount {
-                header: trace.header.events,
-                actual: trace.events.len() as u64,
-            });
-        }
-        Ok(trace)
-    }
 }
 
-/// Trace decoding failures — one type across both on-disk encodings
-/// (the JSON debug format and the binary columnar format of
-/// `spinrace-tracefmt`), so every load path surfaces the same structured
-/// errors.
+/// Trace decoding failures of the binary format of `spinrace-tracefmt`,
+/// shared by whole-trace decoding, streamed replay and the analysis
+/// server, so every load path surfaces the same structured errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceError {
-    /// The text is not a valid trace document.
+    /// The embedded header or summary block is not a valid JSON document
+    /// of the expected shape (a wrong-typed or missing field, a `null`
+    /// block, a cut-off document).
     Json(String),
     /// The trace was recorded with an unsupported format version.
     Version {
@@ -146,8 +111,9 @@ pub enum TraceError {
         /// Events actually present.
         actual: u64,
     },
-    /// The file does not start with the binary trace magic (and is not
-    /// JSON either) — wrong file, or the first bytes were destroyed.
+    /// The input does not start with the binary trace magic — wrong
+    /// file (a JSON document included), or the first bytes were
+    /// destroyed.
     Magic,
     /// A binary chunk's stored checksum disagrees with its contents:
     /// corruption localized to one chunk, detected before any of its
@@ -312,32 +278,5 @@ mod tests {
         let mut sink = RecordingSink::default();
         trace.replay(&mut sink);
         assert_eq!(sink.events, trace.events);
-    }
-
-    #[test]
-    fn json_round_trip_is_lossless() {
-        let m = handoff();
-        let trace = record_run(&m, VmConfig::random(7), "rt").unwrap();
-        assert_eq!(trace.header.seed(), Some(7));
-        let parsed = Trace::from_json(&trace.to_json()).unwrap();
-        assert_eq!(parsed, trace);
-    }
-
-    #[test]
-    fn version_and_count_are_validated() {
-        let m = handoff();
-        let mut trace = record_run(&m, VmConfig::round_robin(), "").unwrap();
-        trace.header.version = 99;
-        assert!(matches!(
-            Trace::from_json(&trace.to_json()),
-            Err(TraceError::Version { found: 99, .. })
-        ));
-        trace.header.version = TRACE_FORMAT_VERSION;
-        trace.header.events += 1;
-        assert!(matches!(
-            Trace::from_json(&trace.to_json()),
-            Err(TraceError::EventCount { .. })
-        ));
-        assert!(Trace::from_json("{not json").is_err());
     }
 }

@@ -1,5 +1,6 @@
 //! Record once, replay everywhere: record a PARSEC-style workload as a
-//! serializable trace and replay it under all four paper tools.
+//! trace, replay it under all four paper tools, and round-trip it
+//! through the binary trace encoding.
 //!
 //! ```text
 //! cargo run --example trace_replay
@@ -14,7 +15,7 @@
 
 use spinrace::core::{DetectRequest, ExecutedRun, Session, Tool};
 use spinrace::suites::all_programs;
-use spinrace::vm::Trace;
+use spinrace::tracefmt::{decode_trace, encode_trace};
 
 fn main() {
     // dedup: a pipeline program with ad-hoc spin synchronization.
@@ -62,17 +63,23 @@ fn main() {
         executions
     );
 
-    // The trace is a stable, versioned artifact: serialize, parse back,
-    // and the replay is byte-identical.
+    // The trace is a stable, versioned artifact: encode it to the binary
+    // format, decode it back, and the replay is identical.
     let trace = runs[0].trace();
-    let json = trace.to_json();
-    let parsed = Trace::from_json(&json).expect("parse");
-    assert_eq!(&parsed, trace);
+    let bytes = encode_trace(trace);
+    let decoded = decode_trace(&bytes).expect("decode");
+    assert_eq!(&decoded, trace);
+    let replayed = runs[0].run(&DetectRequest::own()).into_single();
+    let rebound = ExecutedRun::from_trace(runs[0].prepared().clone(), decoded).expect("rebind");
+    let from_decoded = rebound.run(&DetectRequest::own()).into_single();
+    assert_eq!(from_decoded.contexts, replayed.contexts);
+    assert_eq!(from_decoded.metrics, replayed.metrics);
     println!(
-        "\nserialized execution #1: {} bytes of JSON, {} events, fingerprint {:#018x}",
-        json.len(),
-        parsed.events.len(),
-        parsed.header.module_fingerprint,
+        "\nencoded execution #1: {} bytes ({:.2} bytes/event), {} events, fingerprint {:#018x}",
+        bytes.len(),
+        bytes.len() as f64 / trace.events.len().max(1) as f64,
+        trace.events.len(),
+        trace.header.module_fingerprint,
     );
-    println!("round trip lossless; replay of the parsed trace is identical to the live run");
+    println!("round trip lossless; replay of the decoded trace is identical to the live run");
 }

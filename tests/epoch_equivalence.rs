@@ -9,13 +9,14 @@
 //! Since the trace redesign the differential also runs through the
 //! [`Trace`] artifact instead of hand-fed streams: each schedule is
 //! wrapped in a trace, the fast detector replays it directly, and the
-//! reference replays a **serialize → parse** round trip of the same trace
-//! — so one generator exercises the detector equivalence *and* the stable
-//! serde encoding of every event variant at once.
+//! reference replays an **encode → decode** round trip of the same trace
+//! through the binary format — so one generator exercises the detector
+//! equivalence *and* the column codecs of every event variant at once.
 
 use proptest::prelude::*;
 use spinrace::detector::{DetectorConfig, MsmMode, RaceDetector, ReferenceDetector};
 use spinrace::tir::{BlockId, FuncId, MemOrder, Pc, SpinLoopId};
+use spinrace::tracefmt::{decode_trace, encode_trace_chunked};
 use spinrace::vm::{Event, RunSummary, Trace, TraceHeader, VmConfig, TRACE_FORMAT_VERSION};
 
 /// Threads used by generated schedules (0 is the implicit main thread).
@@ -200,13 +201,15 @@ fn trace_of(events: &[Event]) -> Trace {
     }
 }
 
-/// The recorded trace and its serialize→parse round trip, which must be
-/// lossless for every generated event variant.
+/// The recorded trace and its encode→decode round trip through the
+/// binary format (a small chunk target, so chunk boundaries fall inside
+/// the schedule), which must be lossless for every generated event
+/// variant.
 fn roundtrip(events: &[Event]) -> Result<(Trace, Trace), TestCaseError> {
     let trace = trace_of(events);
-    let parsed = Trace::from_json(&trace.to_json())
-        .map_err(|e| TestCaseError(format!("trace failed to parse back: {e}")))?;
-    prop_assert_eq!(&parsed, &trace, "serde round trip must be lossless");
+    let parsed = decode_trace(&encode_trace_chunked(&trace, 7))
+        .map_err(|e| TestCaseError(format!("trace failed to decode back: {e}")))?;
+    prop_assert_eq!(&parsed, &trace, "binary round trip must be lossless");
     Ok((trace, parsed))
 }
 

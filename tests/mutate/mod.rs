@@ -1,12 +1,13 @@
 //! Shared trace-mutation helpers for the negative-path suites
-//! (`trace_negative.rs`, `serve_protocol.rs`): one recorded run plus
-//! cached serializations of it, and the byte-surgery utilities the
-//! corruption cases are built from. Each test crate compiles this
+//! (`trace_negative.rs`, `serve_protocol.rs`): one recorded run plus a
+//! cached encoding of it, and the byte-surgery utilities the corruption
+//! cases are built from. Each test crate compiles this
 //! module independently and uses a different subset.
 #![allow(dead_code)]
 
 use spinrace::core::{PreparedModule, Session, Tool};
-use spinrace::tracefmt::{encode_trace_chunked, MAGIC};
+use spinrace::tracefmt::varint::put_uvarint;
+use spinrace::tracefmt::{encode_trace_chunked, fnv1a, MAGIC};
 use spinrace::vm::Trace;
 use spinrace::workloads::{Family, WorkloadSpec};
 use std::sync::OnceLock;
@@ -22,29 +23,12 @@ pub fn recorded() -> (PreparedModule, Trace) {
     (prepared, run.into_trace())
 }
 
-/// One serialized trace, built once — the mutation cases only need its
-/// bytes, and recording a fresh run per case would dominate the suite.
-pub fn base_json() -> &'static [u8] {
-    static JSON: OnceLock<String> = OnceLock::new();
-    JSON.get_or_init(|| recorded().1.to_json()).as_bytes()
-}
-
 /// One binary-encoded trace, built once, chunked small enough that the
 /// recorded ring stream spans several chunks — the mutation cases need
 /// real chunk boundaries, not a single-chunk degenerate file.
 pub fn base_binary() -> &'static [u8] {
     static BIN: OnceLock<Vec<u8>> = OnceLock::new();
     BIN.get_or_init(|| encode_trace_chunked(&recorded().1, 16))
-}
-
-/// Decode mutated bytes the way the `trace` CLI does: UTF-8 validation
-/// first (`read_to_string` refuses invalid bytes), then the trace
-/// parser. Returns `true` when either layer rejected the input.
-pub fn decode_rejects(bytes: &[u8]) -> bool {
-    match std::str::from_utf8(bytes) {
-        Err(_) => true,
-        Ok(s) => Trace::from_json(s).is_err(),
-    }
 }
 
 /// Read one LEB128 varint out of a test buffer (trusted input — the
@@ -66,10 +50,44 @@ pub fn leb(bytes: &[u8], pos: &mut usize) -> u64 {
 /// Byte offset of the header block's `chunk_count`/`chunk_target` pair,
 /// and of the header checksum right after it.
 pub fn header_counts_offsets(bytes: &[u8]) -> (usize, usize) {
-    let mut pos = MAGIC.len() + 4; // magic + binary version
-    let header_len = leb(bytes, &mut pos);
-    pos += header_len as usize;
+    let mut pos = header_span(bytes).end;
     let summary_len = leb(bytes, &mut pos);
     pos += summary_len as usize;
     (pos, pos + 8)
+}
+
+/// Byte range of the embedded header JSON inside a binary trace.
+fn header_span(bytes: &[u8]) -> std::ops::Range<usize> {
+    let mut pos = MAGIC.len() + 4; // magic + binary version
+    let header_len = leb(bytes, &mut pos) as usize;
+    pos..pos + header_len
+}
+
+/// The embedded header JSON of a binary trace.
+pub fn header_json(bytes: &[u8]) -> &[u8] {
+    &bytes[header_span(bytes)]
+}
+
+/// `bytes` with its embedded header JSON replaced by `header`, the block
+/// length and the header checksum re-fixed — so the decoder gets past
+/// framing and checksum and has to judge the JSON itself.
+pub fn with_header_json(bytes: &[u8], header: &[u8]) -> Vec<u8> {
+    let span = header_span(bytes);
+    let (_, checksum_pos) = header_counts_offsets(bytes);
+    let mut out = bytes[..MAGIC.len() + 4].to_vec();
+    put_uvarint(&mut out, header.len() as u64);
+    out.extend_from_slice(header);
+    out.extend_from_slice(&bytes[span.end..checksum_pos]);
+    let sum = fnv1a(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out.extend_from_slice(&bytes[checksum_pos + 8..]);
+    out
+}
+
+/// [`with_header_json`] with one textual substitution applied to the
+/// base trace's header (which must occur in it).
+pub fn patched_header(from: &str, to: &str) -> Vec<u8> {
+    let header = std::str::from_utf8(header_json(base_binary())).unwrap();
+    assert!(header.contains(from), "{from:?} not in header {header}");
+    with_header_json(base_binary(), header.replacen(from, to, 1).as_bytes())
 }

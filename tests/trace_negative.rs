@@ -1,14 +1,23 @@
 //! Negative-path coverage for the trace decode pipeline: every way a
 //! trace file can be wrong must surface as the *right* typed error —
 //! never a panic, and never a misleading downstream parse failure.
+//!
+//! The first group mutates the JSON header block embedded in a binary
+//! trace, with the block length and header checksum re-fixed, so the
+//! decoder has to judge the JSON itself; the second damages the binary
+//! framing, columns and checksums.
 
 use spinrace::core::{AnalyzeError, ExecutedRun, Session, Tool};
+use spinrace::tracefmt::{
+    decode_trace, encode_trace_chunked, fnv1a, ChunkedTraceReader, BINARY_FORMAT_VERSION, MAGIC,
+};
 use spinrace::vm::trace::{TraceError, TRACE_FORMAT_VERSION};
-use spinrace::vm::Trace;
 use spinrace::workloads::{Family, WorkloadSpec};
 
 mod mutate;
-use mutate::{base_binary, base_json, decode_rejects, header_counts_offsets, recorded};
+use mutate::{
+    base_binary, header_counts_offsets, header_json, patched_header, recorded, with_header_json,
+};
 
 #[test]
 fn garbage_and_truncated_documents_are_json_errors() {
@@ -20,69 +29,75 @@ fn garbage_and_truncated_documents_are_json_errors() {
         "\"a trace, honest\"",
         "{\"header\": 7}",
         "{}",
+        "null",
     ] {
-        match Trace::from_json(text) {
+        match decode_trace(&with_header_json(base_binary(), text.as_bytes())) {
             Err(TraceError::Json(_)) => {}
             other => panic!("{text:?}: expected a Json error, got {other:?}"),
         }
     }
-    // A structurally valid document cut off mid-stream.
-    let (_, trace) = recorded();
-    let json = trace.to_json();
-    let cut = &json[..json.len() / 2];
-    assert!(matches!(Trace::from_json(cut), Err(TraceError::Json(_))));
+    // A structurally valid header document cut off mid-way.
+    let header = header_json(base_binary());
+    let cut = &header[..header.len() / 2];
+    assert!(matches!(
+        decode_trace(&with_header_json(base_binary(), cut)),
+        Err(TraceError::Json(_))
+    ));
 }
 
 #[test]
 fn corrupt_header_fields_are_json_errors_not_panics() {
     let (_, trace) = recorded();
-    let json = trace.to_json();
     // Header field holding the wrong type.
-    let bad = json.replacen(
+    let bad = patched_header(
         &format!("\"module_name\":\"{}\"", trace.header.module_name),
         "\"module_name\":[1,2]",
-        1,
     );
-    assert_ne!(bad, json, "the replacement must have applied");
-    assert!(matches!(Trace::from_json(&bad), Err(TraceError::Json(_))));
-    // Header entirely replaced by a scalar.
-    let gutted = r#"{"header":null,"summary":{},"events":[]}"#;
-    assert!(matches!(Trace::from_json(gutted), Err(TraceError::Json(_))));
+    assert!(matches!(decode_trace(&bad), Err(TraceError::Json(_))));
+    // Header entirely replaced by a null.
+    let gutted = with_header_json(base_binary(), b"null");
+    assert!(matches!(decode_trace(&gutted), Err(TraceError::Json(_))));
 }
 
 #[test]
 fn version_mismatch_is_reported_before_event_decoding() {
-    let (_, trace) = recorded();
-    // A future version whose *events* would also fail to decode: the
-    // version check must win, so the user sees "version 99" instead of a
-    // confusing event parse error.
-    let mut doc = trace.to_json();
-    doc = doc.replacen(
+    // A future trace version whose *chunks* would also fail to decode:
+    // the version check runs when the header block is opened, so the
+    // user sees "version 99" instead of a confusing chunk error.
+    let mut bytes = patched_header(
         &format!("\"version\":{TRACE_FORMAT_VERSION}"),
         "\"version\":99",
-        1,
     );
-    doc = doc.replacen("\"events\":[", "\"events\":[{\"FutureEvent\":{}},", 1);
-    match Trace::from_json(&doc) {
-        Err(TraceError::Version {
-            found: 99,
-            supported,
-        }) => {
-            assert_eq!(supported, TRACE_FORMAT_VERSION);
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xff;
+    for result in [
+        ChunkedTraceReader::new(&bytes[..]).map(|_| ()),
+        decode_trace(&bytes).map(|_| ()),
+    ] {
+        match result {
+            Err(TraceError::Version {
+                found: 99,
+                supported,
+            }) => {
+                assert_eq!(supported, TRACE_FORMAT_VERSION);
+            }
+            other => panic!("expected a version error, got {other:?}"),
         }
-        other => panic!("expected a version error, got {other:?}"),
     }
+}
+
+/// The base trace's header block, claiming `events` events.
+fn claiming_events(events: u64) -> Vec<u8> {
+    let n = recorded().1.events.len();
+    patched_header(&format!("\"events\":{n}"), &format!("\"events\":{events}"))
 }
 
 #[test]
 fn event_count_mismatch_is_detected_in_both_directions() {
-    let (_, trace) = recorded();
-    let n = trace.events.len() as u64;
+    let n = recorded().1.events.len() as u64;
 
     // Header claims more events than the stream holds (truncation).
-    let mut over = trace.clone();
-    over.header.events += 3;
-    match Trace::from_json(&over.to_json()) {
+    match decode_trace(&claiming_events(n + 3)) {
         Err(TraceError::EventCount { header, actual }) => {
             assert_eq!((header, actual), (n + 3, n));
         }
@@ -90,12 +105,12 @@ fn event_count_mismatch_is_detected_in_both_directions() {
     }
 
     // Header claims fewer (a stream that grew past its header).
-    let mut under = trace.clone();
-    under.header.events -= 1;
-    assert!(matches!(
-        Trace::from_json(&under.to_json()),
-        Err(TraceError::EventCount { .. })
-    ));
+    match decode_trace(&claiming_events(n - 1)) {
+        Err(TraceError::EventCount { header, actual }) => {
+            assert_eq!((header, actual), (n - 1, n));
+        }
+        other => panic!("expected an event-count error, got {other:?}"),
+    }
 }
 
 #[test]
@@ -131,18 +146,26 @@ fn fingerprint_mismatch_rejects_rebinding_with_both_prints() {
 
 #[test]
 fn errors_render_actionable_messages() {
-    let (_, trace) = recorded();
-    let mut v = trace.clone();
-    v.header.version = 2;
-    let msg = Trace::from_json(&v.to_json()).unwrap_err().to_string();
+    let v = patched_header(
+        &format!("\"version\":{TRACE_FORMAT_VERSION}"),
+        "\"version\":2",
+    );
+    let msg = decode_trace(&v).unwrap_err().to_string();
     assert!(msg.contains("version 2"), "{msg}");
-    let mut c = trace;
-    c.header.events += 1;
-    let msg = Trace::from_json(&c.to_json()).unwrap_err().to_string();
+    let n = recorded().1.events.len() as u64;
+    let msg = decode_trace(&claiming_events(n + 1))
+        .unwrap_err()
+        .to_string();
     assert!(msg.contains("truncated"), "{msg}");
+    let msg = decode_trace(&base_binary()[..base_binary().len() - 4])
+        .unwrap_err()
+        .to_string();
+    assert!(msg.contains("truncated"), "{msg}");
+    let msg = decode_trace(b"{\"header\":{}}").unwrap_err().to_string();
+    assert!(msg.contains("not a trace file"), "{msg}");
 }
 
-// ---- randomized byte mutations of the serialized artifact ----
+// ---- randomized mutations of the embedded header JSON ----
 
 use proptest::prelude::*;
 use std::panic::catch_unwind;
@@ -150,64 +173,68 @@ use std::panic::catch_unwind;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The document is a single JSON object, so every strict prefix is
-    /// malformed — and must come back as a typed error, never a panic.
+    /// The header block is a single JSON object, so every strict prefix
+    /// is malformed — and must come back as a typed error, never a
+    /// panic.
     #[test]
     fn truncation_is_always_rejected_without_panicking(pos in 0usize..1 << 16) {
-        let json = base_json();
-        let cut = pos % json.len();
-        let rejected = catch_unwind(move || decode_rejects(&json[..cut]))
-            .expect("truncated trace decode panicked");
-        prop_assert!(rejected, "truncation at byte {cut} decoded successfully");
+        let header = header_json(base_binary());
+        let cut = pos % header.len();
+        let bytes = with_header_json(base_binary(), &header[..cut]);
+        let rejected = catch_unwind(move || decode_trace(&bytes).is_err())
+            .expect("truncated header decode panicked");
+        prop_assert!(rejected, "header truncation at byte {cut} decoded successfully");
     }
 
-    /// Splicing a random run of bytes out of the document must never
+    /// Splicing a random run of bytes out of the header block must never
     /// panic the load path. (It nearly always breaks parsing; the rare
-    /// splice that leaves valid JSON — digits removed from inside a
+    /// splice that leaves a valid header — digits removed from inside a
     /// number, say — may legitimately decode, which is fine.)
     #[test]
     fn byte_splices_never_panic(pos in 0usize..1 << 16, len in 1usize..64) {
-        let json = base_json();
-        let pos = pos % json.len();
-        let len = len.min(json.len() - pos);
-        let mut bytes = json.to_vec();
-        bytes.drain(pos..pos + len);
+        let mut header = header_json(base_binary()).to_vec();
+        let pos = pos % header.len();
+        let len = len.min(header.len() - pos);
+        header.drain(pos..pos + len);
+        let bytes = with_header_json(base_binary(), &header);
         let outcome = catch_unwind(move || {
-            decode_rejects(&bytes);
+            let _ = decode_trace(&bytes);
         });
-        prop_assert!(outcome.is_ok(), "spliced trace decode panicked");
+        prop_assert!(outcome.is_ok(), "spliced header decode panicked");
     }
 
-    /// Flipping any byte to any other value must never panic the load
-    /// path — whether the flip lands in structure (parse error), a
+    /// Flipping any header byte to any other value must never panic the
+    /// load path — whether the flip lands in structure (parse error), a
     /// string (usually fine), or breaks UTF-8 (rejected before parsing).
     #[test]
     fn byte_flips_never_panic(pos in 0usize..1 << 16, flip in 1u8..=255) {
-        let json = base_json();
-        let pos = pos % json.len();
-        let mut bytes = json.to_vec();
-        bytes[pos] ^= flip;
+        let mut header = header_json(base_binary()).to_vec();
+        let pos = pos % header.len();
+        header[pos] ^= flip;
+        let bytes = with_header_json(base_binary(), &header);
         let outcome = catch_unwind(move || {
-            decode_rejects(&bytes);
+            let _ = decode_trace(&bytes);
         });
-        prop_assert!(outcome.is_ok(), "byte-flipped trace decode panicked");
+        prop_assert!(outcome.is_ok(), "byte-flipped header decode panicked");
     }
 }
 
 // ---- binary (columnar) format negative paths ----
 
-use spinrace::tracefmt::{
-    decode_trace, encode_trace_chunked, fnv1a, load_trace_bytes, BINARY_FORMAT_VERSION, MAGIC,
-};
-
 #[test]
 fn bad_magic_is_a_magic_error() {
-    // A corrupted magic byte, and inputs that are neither encoding.
+    // A corrupted magic byte, and inputs that are not binary traces — a
+    // JSON trace document among them.
     let mut bytes = base_binary().to_vec();
     bytes[0] ^= 0xff;
     assert!(matches!(decode_trace(&bytes), Err(TraceError::Magic)));
-    for garbage in [&b""[..], b"SPINRTRX", b"\x00\x01\x02\x03"] {
-        assert!(matches!(load_trace_bytes(garbage), Err(TraceError::Magic)));
+    for garbage in [
+        &b""[..],
+        b"SPINRTRX",
+        b"\x00\x01\x02\x03",
+        br#"{"header":{"version":1},"summary":{},"events":[]}"#,
+    ] {
+        assert!(matches!(decode_trace(garbage), Err(TraceError::Magic)));
     }
 }
 
@@ -323,7 +350,7 @@ proptest! {
     fn binary_truncation_is_always_rejected_without_panicking(pos in 0usize..1 << 16) {
         let bytes = base_binary();
         let cut = pos % bytes.len();
-        let rejected = catch_unwind(move || load_trace_bytes(&bytes[..cut]).is_err())
+        let rejected = catch_unwind(move || decode_trace(&bytes[..cut]).is_err())
             .expect("truncated binary decode panicked");
         prop_assert!(rejected, "binary truncation at byte {cut} decoded successfully");
     }
@@ -331,7 +358,7 @@ proptest! {
     /// Splicing a random run of bytes out of the file must never panic
     /// the load path. (The checksums make a successful decode of a
     /// spliced file astronomically unlikely, but the property under
-    /// test is no-panic, matching the JSON splice case.)
+    /// test is no-panic, matching the header splice case.)
     #[test]
     fn binary_byte_splices_never_panic(pos in 0usize..1 << 16, len in 1usize..64) {
         let bytes = base_binary();
@@ -340,7 +367,7 @@ proptest! {
         let mut mutated = bytes.to_vec();
         mutated.drain(pos..pos + len);
         let outcome = catch_unwind(move || {
-            let _ = load_trace_bytes(&mutated);
+            let _ = decode_trace(&mutated);
         });
         prop_assert!(outcome.is_ok(), "spliced binary decode panicked");
     }
@@ -355,7 +382,7 @@ proptest! {
         let mut mutated = bytes.to_vec();
         mutated[pos] ^= flip;
         let outcome = catch_unwind(move || {
-            let _ = load_trace_bytes(&mutated);
+            let _ = decode_trace(&mutated);
         });
         prop_assert!(outcome.is_ok(), "byte-flipped binary decode panicked");
     }

@@ -1,25 +1,28 @@
 //! Differential proptest for the trace pipeline: for random small modules
-//! and every tool in the paper lineup, **record → serialize → parse →
-//! replay** must produce exactly the result of the live run —
-//! same racy contexts, same described report lists, same detector
-//! metrics, promotions, and run summary. This is the end-to-end guarantee
-//! behind "record once, replay everywhere": the serialized artifact
-//! carries everything detection needs.
+//! and every tool in the paper lineup, **record → encode → decode →
+//! replay** must produce exactly the result of the live run. The
+//! outcome document (`spinrace::serve::outcome_json`: racy contexts,
+//! described reports, detector metrics, promotions, spin loops and run
+//! summary) of the live run, of the whole-trace replay of the decoded
+//! trace, and of the chunked streaming replay must be byte-identical.
+//! This is the end-to-end guarantee behind "record once, replay
+//! everywhere": the encoded artifact carries everything detection needs.
 //!
-//! The same guarantee is held for the **binary columnar encoding**: the
-//! stream is also encoded with a deliberately tiny chunk target (so the
+//! The stream is encoded with a deliberately tiny chunk target, so the
 //! multi-chunk framing, per-chunk codec reset, and dictionary rebuild
-//! all fire), decoded back to an identical trace, and replayed through
-//! the chunked streaming reader — which must produce the live result
-//! too. A separate case pins json → binary → json as a byte fixed
-//! point.
+//! all fire. A separate case pins decode → encode as a byte fixed point.
 
 use proptest::prelude::*;
-use spinrace::core::{DetectRequest, ExecutedRun, Session, Tool};
+use spinrace::core::{AnalysisOutcome, DetectRequest, ExecutedRun, Session, Tool};
+use spinrace::serve::outcome_json;
 use spinrace::tir::{Module, ModuleBuilder};
 use spinrace::tracefmt::{decode_trace, encode_trace_chunked, ChunkedTraceReader};
-use spinrace::vm::Trace;
 use std::io::Cursor;
+
+/// The outcome document as `trace replay --json` writes it.
+fn doc(out: &AnalysisOutcome) -> String {
+    serde_json::to_string_pretty(&outcome_json(out)).expect("render outcome json")
+}
 
 /// A small random workload: `threads` workers, each doing `iters` rounds
 /// of (optionally lock-protected) shared-counter updates, with an
@@ -106,24 +109,22 @@ proptest! {
             // Live path: prepare + detect in one pass, no recording.
             let live = session.prepare(tool).unwrap().detect_live().unwrap();
 
-            // Trace path: record, serialize, parse, bind to a freshly
-            // prepared module, replay.
+            // Trace path: record, encode with a 9-event chunk target
+            // (multi-chunk framing on all but the tiniest streams),
+            // decode, bind to a freshly prepared module, replay whole.
             let run = session.prepare(tool).unwrap().execute().unwrap();
-            let parsed = Trace::from_json(&run.trace().to_json())
-                .map_err(|e| TestCaseError(format!("parse failed: {e}")))?;
-            prop_assert_eq!(&parsed, run.trace());
-            let rebound = ExecutedRun::from_trace(session.prepare(tool).unwrap(), parsed)
-                .map_err(|e| TestCaseError(format!("rebind failed: {e}")))?;
-            let replayed = rebound.run(&DetectRequest::own()).into_single();
-
-            // Binary path: a 9-event chunk target forces multi-chunk
-            // framing on all but the tiniest streams. The decoded trace
-            // must be identical, and the chunked *streaming* replay must
-            // reproduce the live outcome as well.
             let bytes = encode_trace_chunked(run.trace(), 9);
             let decoded = decode_trace(&bytes)
                 .map_err(|e| TestCaseError(format!("binary decode failed: {e}")))?;
             prop_assert_eq!(&decoded, run.trace());
+            let rebound = ExecutedRun::from_trace(session.prepare(tool).unwrap(), decoded)
+                .map_err(|e| TestCaseError(format!("rebind failed: {e}")))?;
+            let whole = rebound
+                .try_run(&DetectRequest::own())
+                .map_err(|e| TestCaseError(format!("whole-trace replay failed: {e}")))?
+                .into_single();
+
+            // Streamed path: the same bytes through the chunked reader.
             let reader = ChunkedTraceReader::new(Cursor::new(bytes))
                 .map_err(|e| TestCaseError(format!("binary open failed: {e}")))?;
             let (streamed, stats) = session
@@ -131,59 +132,26 @@ proptest! {
                 .unwrap()
                 .try_run_streamed(&DetectRequest::tool(tool).streamed(), reader)
                 .map_err(|e| TestCaseError(format!("streamed replay failed: {e}")))?;
-            let streamed = streamed.into_single();
             prop_assert_eq!(stats.events as usize, run.trace().events.len());
-            let label = tool.label();
-            prop_assert_eq!(streamed.contexts, live.contexts, "streamed contexts under {}", &label);
-            prop_assert_eq!(
-                streamed.reports.len(),
-                live.reports.len(),
-                "streamed report count under {}",
-                &label
-            );
-            for (a, b) in streamed.reports.iter().zip(&live.reports) {
-                prop_assert_eq!(&a.location, &b.location, "streamed location under {}", &label);
-                prop_assert_eq!(&a.report, &b.report, "streamed report under {}", &label);
-            }
-            prop_assert_eq!(&streamed.metrics, &live.metrics, "streamed metrics under {}", &label);
-            prop_assert_eq!(&streamed.summary, &live.summary, "streamed summary under {}", &label);
 
+            let live_doc = doc(&live);
             let label = tool.label();
-            prop_assert_eq!(replayed.contexts, live.contexts, "contexts under {}", &label);
+            prop_assert_eq!(&doc(&whole), &live_doc, "whole-trace replay under {}", &label);
             prop_assert_eq!(
-                replayed.reports.len(),
-                live.reports.len(),
-                "report count under {}",
+                &doc(&streamed.into_single()),
+                &live_doc,
+                "streamed replay under {}",
                 &label
             );
-            for (a, b) in replayed.reports.iter().zip(&live.reports) {
-                prop_assert_eq!(&a.location, &b.location, "location under {}", &label);
-                prop_assert_eq!(&a.report, &b.report, "report under {}", &label);
-            }
-            prop_assert_eq!(&replayed.metrics, &live.metrics, "metrics under {}", &label);
-            prop_assert_eq!(
-                replayed.promoted_locations,
-                live.promoted_locations,
-                "promotions under {}",
-                &label
-            );
-            prop_assert_eq!(
-                replayed.spin_loops_found,
-                live.spin_loops_found,
-                "spin loops under {}",
-                &label
-            );
-            prop_assert_eq!(&replayed.summary, &live.summary, "summary under {}", &label);
-            prop_assert_eq!(&replayed.tool_label, &label);
         }
     }
 
-    /// json → binary → json is a byte fixed point: converting a trace
-    /// into the columnar encoding and back must reproduce the original
-    /// JSON document exactly (header, summary, and events all survive
-    /// the column codecs bit-for-bit).
+    /// decode → encode is a byte fixed point: re-encoding a decoded
+    /// trace at the chunk target its header block records reproduces the
+    /// file exactly (header, summary, and events all survive the column
+    /// codecs bit-for-bit).
     #[test]
-    fn json_binary_json_is_a_byte_fixed_point(
+    fn binary_decode_encode_is_a_byte_fixed_point(
         threads in 1u32..4,
         iters in 1u8..4,
         lock in proptest::bool::ANY,
@@ -197,11 +165,13 @@ proptest! {
             .unwrap()
             .execute()
             .unwrap();
-        let json = run.trace().to_json();
-        let reparsed = Trace::from_json(&json)
-            .map_err(|e| TestCaseError(format!("parse failed: {e}")))?;
-        let decoded = decode_trace(&encode_trace_chunked(&reparsed, chunk))
+        let bytes = encode_trace_chunked(run.trace(), chunk);
+        let reader = ChunkedTraceReader::new(&bytes[..])
+            .map_err(|e| TestCaseError(format!("binary open failed: {e}")))?;
+        let target = reader.chunk_target() as usize;
+        let decoded = reader
+            .read_all()
             .map_err(|e| TestCaseError(format!("binary decode failed: {e}")))?;
-        prop_assert_eq!(decoded.to_json(), json);
+        prop_assert!(encode_trace_chunked(&decoded, target) == bytes, "re-encoding changed the bytes");
     }
 }
