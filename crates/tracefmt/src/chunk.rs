@@ -429,7 +429,7 @@ pub fn encode_chunk(events: &[Event], out: &mut Vec<u8>) {
         put_uvarint(out, col.len() as u64);
         out.extend_from_slice(col);
     }
-    let sum = crate::fnv1a(&out[start..]);
+    let sum = crate::checksum(&out[start..]);
     out.extend_from_slice(&sum.to_le_bytes());
 }
 
@@ -449,36 +449,57 @@ impl<'a> Cur<'a> {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn uvarint(&mut self) -> Result<u64, TraceError> {
         get_uvarint(self.buf, &mut self.pos)
     }
 
-    #[inline]
+    #[inline(always)]
     fn ivarint(&mut self) -> Result<i64, TraceError> {
         Ok(unzigzag(self.uvarint()?))
     }
 
     /// Next value of a zigzag-delta column.
-    #[inline]
+    #[inline(always)]
     fn delta(&mut self) -> Result<i64, TraceError> {
         let d = self.ivarint()?;
         self.last = self.last.wrapping_add(d);
         Ok(self.last)
     }
 
-    #[inline]
+    #[inline(always)]
     fn byte(&mut self) -> Result<u8, TraceError> {
         let Some(&b) = self.buf.get(self.pos) else {
-            return Err(TraceError::Corrupt("column exhausted".into()));
+            return Err(column_exhausted());
         };
         self.pos += 1;
         Ok(b)
     }
 
+    /// Next dictionary index from this column, resolved against
+    /// `entries` (`what` names the dictionary in the range error).
+    #[inline(always)]
+    fn lookup<T: Copy>(&mut self, entries: &[T], what: &'static str) -> Result<T, TraceError> {
+        let i = self.uvarint()? as usize;
+        match entries.get(i) {
+            Some(&v) => Ok(v),
+            None => Err(index_out_of_range(what, i)),
+        }
+    }
+
     fn finished(&self) -> bool {
         self.pos == self.buf.len()
     }
+}
+
+#[cold]
+fn column_exhausted() -> TraceError {
+    TraceError::Corrupt("column exhausted".into())
+}
+
+#[cold]
+fn index_out_of_range(what: &str, i: usize) -> TraceError {
+    TraceError::Corrupt(format!("{what} dictionary index {i} out of range"))
 }
 
 fn tid_u32(v: i64) -> Result<u32, TraceError> {
@@ -571,21 +592,6 @@ pub fn decode_chunk_columns(
     let mut spin_col = Cur::new(cols[COL_SPIN]);
     let mut gen_col = Cur::new(cols[COL_GEN]);
 
-    let next_pc = |c: &mut Cur| -> Result<Pc, TraceError> {
-        let i = c.uvarint()? as usize;
-        pc_entries
-            .get(i)
-            .copied()
-            .ok_or_else(|| TraceError::Corrupt(format!("pc dictionary index {i} out of range")))
-    };
-    let next_stack = |c: &mut Cur| -> Result<u64, TraceError> {
-        let i = c.uvarint()? as usize;
-        stack_entries
-            .get(i)
-            .copied()
-            .ok_or_else(|| TraceError::Corrupt(format!("stack dictionary index {i} out of range")))
-    };
-
     out.reserve(n);
     for (pos, &kind) in cols[COL_KIND].iter().enumerate() {
         let tag = kind & TAG_MASK;
@@ -608,20 +614,20 @@ pub fn decode_chunk_columns(
             TAG_SPAWN => Event::Spawn {
                 parent: t,
                 child: tid_u32(aux_tid.delta()?)?,
-                pc: next_pc(&mut pc_idx)?,
+                pc: pc_idx.lookup(&pc_entries, "pc")?,
             },
             TAG_JOIN => Event::Join {
                 parent: t,
                 child: tid_u32(aux_tid.delta()?)?,
-                pc: next_pc(&mut pc_idx)?,
+                pc: pc_idx.lookup(&pc_entries, "pc")?,
             },
             TAG_THREAD_END => Event::ThreadEnd { tid: t },
             TAG_READ => Event::Read {
                 tid: t,
                 addr: obj.delta()? as u64,
                 value: value.ivarint()?,
-                pc: next_pc(&mut pc_idx)?,
-                stack: next_stack(&mut stack_idx)?,
+                pc: pc_idx.lookup(&pc_entries, "pc")?,
+                stack: stack_idx.lookup(&stack_entries, "stack")?,
                 atomic: if atomic_flag {
                     Some(order_from_u8(order_col.byte()?)?)
                 } else {
@@ -639,8 +645,8 @@ pub fn decode_chunk_columns(
                 tid: t,
                 addr: obj.delta()? as u64,
                 value: value.ivarint()?,
-                pc: next_pc(&mut pc_idx)?,
-                stack: next_stack(&mut stack_idx)?,
+                pc: pc_idx.lookup(&pc_entries, "pc")?,
+                stack: stack_idx.lookup(&stack_entries, "stack")?,
                 atomic: if atomic_flag {
                     Some(order_from_u8(order_col.byte()?)?)
                 } else {
@@ -652,62 +658,62 @@ pub fn decode_chunk_columns(
                 addr: obj.delta()? as u64,
                 old: value.ivarint()?,
                 new: value2.ivarint()?,
-                pc: next_pc(&mut pc_idx)?,
-                stack: next_stack(&mut stack_idx)?,
+                pc: pc_idx.lookup(&pc_entries, "pc")?,
+                stack: stack_idx.lookup(&stack_entries, "stack")?,
                 order: order_from_u8(order_col.byte()?)?,
             },
             TAG_FENCE => Event::Fence {
                 tid: t,
                 order: order_from_u8(order_col.byte()?)?,
-                pc: next_pc(&mut pc_idx)?,
+                pc: pc_idx.lookup(&pc_entries, "pc")?,
             },
             TAG_MUTEX_LOCK => Event::MutexLock {
                 tid: t,
                 mutex: obj.delta()? as u64,
-                pc: next_pc(&mut pc_idx)?,
+                pc: pc_idx.lookup(&pc_entries, "pc")?,
             },
             TAG_MUTEX_UNLOCK => Event::MutexUnlock {
                 tid: t,
                 mutex: obj.delta()? as u64,
-                pc: next_pc(&mut pc_idx)?,
+                pc: pc_idx.lookup(&pc_entries, "pc")?,
             },
             TAG_COND_SIGNAL => Event::CondSignal {
                 tid: t,
                 cv: obj.delta()? as u64,
-                pc: next_pc(&mut pc_idx)?,
+                pc: pc_idx.lookup(&pc_entries, "pc")?,
             },
             TAG_COND_BROADCAST => Event::CondBroadcast {
                 tid: t,
                 cv: obj.delta()? as u64,
-                pc: next_pc(&mut pc_idx)?,
+                pc: pc_idx.lookup(&pc_entries, "pc")?,
             },
             TAG_COND_WAIT_RETURN => Event::CondWaitReturn {
                 tid: t,
                 cv: obj.delta()? as u64,
                 mutex: obj2.delta()? as u64,
-                pc: next_pc(&mut pc_idx)?,
+                pc: pc_idx.lookup(&pc_entries, "pc")?,
             },
             TAG_BARRIER_ENTER => Event::BarrierEnter {
                 tid: t,
                 barrier: obj.delta()? as u64,
                 gen: gen_col.delta()? as u64,
-                pc: next_pc(&mut pc_idx)?,
+                pc: pc_idx.lookup(&pc_entries, "pc")?,
             },
             TAG_BARRIER_LEAVE => Event::BarrierLeave {
                 tid: t,
                 barrier: obj.delta()? as u64,
                 gen: gen_col.delta()? as u64,
-                pc: next_pc(&mut pc_idx)?,
+                pc: pc_idx.lookup(&pc_entries, "pc")?,
             },
             TAG_SEM_POST => Event::SemPost {
                 tid: t,
                 sem: obj.delta()? as u64,
-                pc: next_pc(&mut pc_idx)?,
+                pc: pc_idx.lookup(&pc_entries, "pc")?,
             },
             TAG_SEM_ACQUIRED => Event::SemAcquired {
                 tid: t,
                 sem: obj.delta()? as u64,
-                pc: next_pc(&mut pc_idx)?,
+                pc: pc_idx.lookup(&pc_entries, "pc")?,
             },
             TAG_SPIN_ENTER => Event::SpinEnter {
                 tid: t,
@@ -728,7 +734,7 @@ pub fn decode_chunk_columns(
                 let mut reads = Vec::with_capacity(count as usize);
                 for _ in 0..count {
                     let addr = sr_addr.delta()? as u64;
-                    let pc = next_pc(&mut sr_meta)?;
+                    let pc = sr_meta.lookup(&pc_entries, "pc")?;
                     reads.push((addr, pc));
                 }
                 Event::SpinExit {

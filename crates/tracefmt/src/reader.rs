@@ -10,9 +10,10 @@
 //! a couple of chunks — O(chunk), not O(trace).
 
 use crate::chunk::{decode_chunk_columns, NUM_COLUMNS};
-use crate::{fnv1a, BINARY_FORMAT_VERSION, MAGIC};
+use crate::{checksum, BINARY_FORMAT_VERSION, MAGIC};
 use spinrace_vm::{Event, RunSummary, Trace, TraceError, TraceHeader, TRACE_FORMAT_VERSION};
-use std::io;
+use std::io::{self, Read};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
 
@@ -59,6 +60,9 @@ pub struct ChunkedTraceReader<R: io::Read> {
     chunk_target: u32,
     chunks_read: u32,
     events_read: u64,
+    /// Framing buffer of the chunk being read, kept across chunks so a
+    /// steady stream reads into memory it already owns.
+    raw: Vec<u8>,
     /// Set once the stream has been fully drained and finalized.
     done: bool,
 }
@@ -101,17 +105,22 @@ fn map_eof_truncated(e: io::Error) -> TraceError {
     }
 }
 
-/// Read exactly `len` bytes into a fresh buffer without trusting `len`
+/// Append exactly `len` bytes of `src` to `buf` without trusting `len`
 /// for preallocation: a corrupt length never reserves more memory than
-/// the stream actually delivers.
-fn read_block<R: io::Read>(src: &mut R, len: u64) -> Result<Vec<u8>, TraceError> {
-    let mut buf = Vec::new();
-    let mut limited = <&mut R as io::Read>::take(&mut *src, len);
-    let copied = io::copy(&mut limited, &mut buf).map_err(|e| TraceError::Io(e.to_string()))?;
-    if copied != len {
+/// the stream actually delivers. Returns the range the block occupies.
+fn read_block<R: io::Read>(
+    src: &mut R,
+    len: u64,
+    buf: &mut Vec<u8>,
+) -> Result<Range<usize>, TraceError> {
+    let start = buf.len();
+    let copied = io::Read::take(&mut *src, len)
+        .read_to_end(buf)
+        .map_err(|e| TraceError::Io(e.to_string()))?;
+    if copied as u64 != len {
         return Err(TraceError::Corrupt("unexpected end of stream".into()));
     }
-    Ok(buf)
+    Ok(start..buf.len())
 }
 
 impl<R: io::Read> ChunkedTraceReader<R> {
@@ -147,8 +156,7 @@ impl<R: io::Read> ChunkedTraceReader<R> {
                 "implausible header block length".into(),
             ));
         }
-        let header_json = read_block(&mut src, header_len)?;
-        raw.extend_from_slice(&header_json);
+        let header_json = read_block(&mut src, header_len, &mut raw)?;
 
         let summary_len = stream_uvarint(&mut src, &mut raw)?;
         if summary_len > MAX_JSON_BLOCK {
@@ -156,8 +164,7 @@ impl<R: io::Read> ChunkedTraceReader<R> {
                 "implausible summary block length".into(),
             ));
         }
-        let summary_json = read_block(&mut src, summary_len)?;
-        raw.extend_from_slice(&summary_json);
+        let summary_json = read_block(&mut src, summary_len, &mut raw)?;
 
         let mut counts = [0u8; 8];
         src.read_exact(&mut counts).map_err(map_eof_truncated)?;
@@ -167,11 +174,11 @@ impl<R: io::Read> ChunkedTraceReader<R> {
 
         let mut sum = [0u8; 8];
         src.read_exact(&mut sum).map_err(map_eof_truncated)?;
-        if u64::from_le_bytes(sum) != fnv1a(&raw) {
+        if u64::from_le_bytes(sum) != checksum(&raw) {
             return Err(TraceError::Corrupt("header block checksum mismatch".into()));
         }
 
-        let header_text = std::str::from_utf8(&header_json)
+        let header_text = std::str::from_utf8(&raw[header_json])
             .map_err(|_| TraceError::Corrupt("header block is not UTF-8".into()))?;
         let header: TraceHeader =
             serde_json::from_str(header_text).map_err(|e| TraceError::Json(e.0))?;
@@ -181,7 +188,7 @@ impl<R: io::Read> ChunkedTraceReader<R> {
                 supported: TRACE_FORMAT_VERSION,
             });
         }
-        let summary_text = std::str::from_utf8(&summary_json)
+        let summary_text = std::str::from_utf8(&raw[summary_json])
             .map_err(|_| TraceError::Corrupt("summary block is not UTF-8".into()))?;
         let summary: RunSummary =
             serde_json::from_str(summary_text).map_err(|e| TraceError::Json(e.0))?;
@@ -194,6 +201,7 @@ impl<R: io::Read> ChunkedTraceReader<R> {
             chunk_target,
             chunks_read: 0,
             events_read: 0,
+            raw,
             done: false,
         })
     }
@@ -228,8 +236,16 @@ impl<R: io::Read> ChunkedTraceReader<R> {
     /// Decode the next chunk, or `Ok(None)` once the stream is complete
     /// and validated (event total, no trailing bytes).
     pub fn next_chunk(&mut self) -> Result<Option<Vec<Event>>, TraceError> {
+        let mut events = Vec::new();
+        Ok(self.next_chunk_into(&mut events)?.then_some(events))
+    }
+
+    /// Decode the next chunk onto the end of `out`, leaving what `out`
+    /// already holds in place. Returns `Ok(false)` once the stream is
+    /// complete and validated; on error `out` is left as it was.
+    fn next_chunk_into(&mut self, out: &mut Vec<Event>) -> Result<bool, TraceError> {
         if self.done {
-            return Ok(None);
+            return Ok(false);
         }
         if self.chunks_read == self.chunk_count {
             // Finalize: the event total must match the header, and the
@@ -251,22 +267,34 @@ impl<R: io::Read> ChunkedTraceReader<R> {
                 Err(e) => return Err(TraceError::Io(e.to_string())),
             }
             self.done = true;
-            return Ok(None);
+            return Ok(false);
         }
 
-        // A chunk interrupted by EOF — anywhere inside it — is stream
-        // truncation, reported as the chunk-count shortfall.
-        self.read_chunk().map(Some).map_err(|e| {
-            if matches!(&e, TraceError::Corrupt(m) if m == "unexpected end of stream") {
-                self.truncated()
-            } else {
-                e
+        let before = out.len();
+        match self.read_chunk(out) {
+            Ok(()) => {
+                self.chunks_read += 1;
+                self.events_read += (out.len() - before) as u64;
+                Ok(true)
             }
-        })
+            Err(e) => {
+                out.truncate(before);
+                // A chunk interrupted by EOF — anywhere inside it — is
+                // stream truncation, reported as the chunk-count
+                // shortfall.
+                if matches!(&e, TraceError::Corrupt(m) if m == "unexpected end of stream") {
+                    Err(self.truncated())
+                } else {
+                    Err(e)
+                }
+            }
+        }
     }
 
-    fn read_chunk(&mut self) -> Result<Vec<Event>, TraceError> {
-        let mut raw: Vec<u8> = Vec::with_capacity(4096);
+    /// Read, checksum and decode one chunk onto the end of `out`.
+    fn read_chunk(&mut self, out: &mut Vec<Event>) -> Result<(), TraceError> {
+        let raw = &mut self.raw;
+        raw.clear();
 
         let mut nb = [0u8; 4];
         self.src.read_exact(&mut nb).map_err(map_eof_truncated)?;
@@ -278,7 +306,7 @@ impl<R: io::Read> ChunkedTraceReader<R> {
             )));
         }
 
-        let ncols = stream_uvarint(&mut self.src, &mut raw)?;
+        let ncols = stream_uvarint(&mut self.src, raw)?;
         if ncols != NUM_COLUMNS as u64 {
             return Err(TraceError::Corrupt(format!(
                 "chunk declares {ncols} columns, format has {}",
@@ -286,46 +314,37 @@ impl<R: io::Read> ChunkedTraceReader<R> {
             )));
         }
 
-        // Column blocks: (offset, len) into `raw`, resolved to slices
-        // after the checksum passes.
-        let mut spans: [(usize, usize); NUM_COLUMNS] = [(0, 0); NUM_COLUMNS];
+        // Column blocks land in `raw` behind their length varints;
+        // their ranges resolve to slices after the checksum passes.
+        let mut spans: [Range<usize>; NUM_COLUMNS] = Default::default();
         for span in &mut spans {
-            let len = stream_uvarint(&mut self.src, &mut raw)?;
+            let len = stream_uvarint(&mut self.src, raw)?;
             if len > MAX_COLUMN_BYTES {
                 return Err(TraceError::Corrupt("implausible column length".into()));
             }
-            let block = read_block(&mut self.src, len)?;
-            *span = (raw.len(), block.len());
-            raw.extend_from_slice(&block);
+            *span = read_block(&mut self.src, len, raw)?;
         }
 
         let mut sum = [0u8; 8];
         self.src.read_exact(&mut sum).map_err(map_eof_truncated)?;
-        if u64::from_le_bytes(sum) != fnv1a(&raw) {
+        if u64::from_le_bytes(sum) != checksum(raw) {
             return Err(TraceError::Checksum {
                 chunk: self.chunks_read,
             });
         }
 
-        let cols: [&[u8]; NUM_COLUMNS] =
-            std::array::from_fn(|i| &raw[spans[i].0..spans[i].0 + spans[i].1]);
-        let mut events = Vec::new();
-        decode_chunk_columns(n as usize, &cols, &mut events)?;
-
-        self.chunks_read += 1;
-        self.events_read += events.len() as u64;
-        Ok(events)
+        let cols: [&[u8]; NUM_COLUMNS] = std::array::from_fn(|i| &raw[spans[i].clone()]);
+        decode_chunk_columns(n as usize, &cols, out)
     }
 
-    /// Decode the entire stream into an in-memory [`Trace`].
+    /// Decode the entire stream into an in-memory [`Trace`], each chunk
+    /// straight onto the end of the trace's event vector.
     ///
     /// This is the non-streaming path (whole-trace loading); for
     /// bounded-memory replay use [`Self::decode_ahead`].
     pub fn read_all(mut self) -> Result<Trace, TraceError> {
         let mut events: Vec<Event> = Vec::new();
-        while let Some(chunk) = self.next_chunk()? {
-            events.extend(chunk);
-        }
+        while self.next_chunk_into(&mut events)? {}
         Ok(Trace {
             header: self.header,
             summary: self.summary,
@@ -337,13 +356,16 @@ impl<R: io::Read> ChunkedTraceReader<R> {
     /// the one streaming pipeline every streamed replay runs on.
     ///
     /// A scoped worker thread reads and decodes chunks; the caller's
-    /// thread hands each decoded chunk to `consume`. The bounded channel
-    /// (capacity 1) means at most two decoded chunks are resident at
-    /// once — one being consumed, one decoded ahead — so peak memory is
-    /// O(chunk) regardless of trace length. The first error, from the
-    /// decoder or from `consume`, ends the stream: the receiver closes
-    /// and the decoder stops. The returned [`StreamStats`] count the
-    /// consumed chunks and report the observed high-water mark.
+    /// thread hands each decoded chunk to `consume`. The decoder owns
+    /// two event buffers: it decodes into one while the caller consumes
+    /// the other, and each consumed buffer goes back to it on a second
+    /// channel. So at most two decoded chunks are resident at once — one
+    /// being consumed, one decoded ahead — peak memory is O(chunk)
+    /// regardless of trace length, and no chunk allocates its event
+    /// vector afresh. The first error, from the decoder or from
+    /// `consume`, ends the stream: the channels close and the decoder
+    /// stops. The returned [`StreamStats`] count the consumed chunks and
+    /// report the observed high-water mark.
     pub fn decode_ahead<E, F>(mut self, mut consume: F) -> Result<StreamStats, E>
     where
         R: Send,
@@ -352,43 +374,220 @@ impl<R: io::Read> ChunkedTraceReader<R> {
     {
         let resident = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        let (tx, rx) = sync_channel::<Result<Vec<Event>, TraceError>>(1);
+        // Each decoded chunk travels with its `chunk_mem`, computed once.
+        let (tx, rx) = sync_channel::<Result<(Vec<Event>, usize), TraceError>>(1);
+        // The decoder's two buffers start out here; room for both, so
+        // returning one never blocks.
+        let (recycle_tx, recycle_rx) = sync_channel::<Vec<Event>>(2);
+        for _ in 0..2 {
+            recycle_tx
+                .send(Vec::new())
+                .expect("the channel holds both buffers");
+        }
 
         let mut stats = std::thread::scope(|scope| -> Result<StreamStats, E> {
             let (resident, peak) = (&resident, &peak);
             let reader = &mut self;
-            scope.spawn(move || loop {
-                match reader.next_chunk() {
-                    Ok(Some(chunk)) => {
-                        let mem = chunk_mem(&chunk);
-                        let now = resident.fetch_add(mem, Ordering::Relaxed) + mem;
-                        peak.fetch_max(now, Ordering::Relaxed);
-                        // A closed receiver means the consumer bailed on
-                        // an earlier error; just stop decoding.
-                        if tx.send(Ok(chunk)).is_err() {
+            scope.spawn(move || {
+                // A consumed buffer comes back cleared. A closed channel
+                // means the consumer bailed on an error.
+                while let Ok(mut chunk) = recycle_rx.recv() {
+                    match reader.next_chunk_into(&mut chunk) {
+                        Ok(true) => {
+                            let mem = chunk_mem(&chunk);
+                            let now = resident.fetch_add(mem, Ordering::Relaxed) + mem;
+                            peak.fetch_max(now, Ordering::Relaxed);
+                            // A closed receiver means the consumer bailed on
+                            // an earlier error; just stop decoding.
+                            if tx.send(Ok((chunk, mem))).is_err() {
+                                return;
+                            }
+                        }
+                        Ok(false) => return,
+                        Err(e) => {
+                            let _ = tx.send(Err(e));
                             return;
                         }
-                    }
-                    Ok(None) => return,
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        return;
                     }
                 }
             });
 
+            // Owned here, so an early return closes the channel and a
+            // decoder waiting for a buffer stops.
+            let recycle_tx = recycle_tx;
             let mut stats = StreamStats::default();
             for msg in rx {
-                let chunk = msg?;
+                let (mut chunk, mem) = msg?;
                 let consumed = consume(&chunk);
-                resident.fetch_sub(chunk_mem(&chunk), Ordering::Relaxed);
+                resident.fetch_sub(mem, Ordering::Relaxed);
                 consumed?;
                 stats.events += chunk.len() as u64;
                 stats.chunks += 1;
+                chunk.clear();
+                // Fails only once the decoder has finished.
+                let _ = recycle_tx.send(chunk);
             }
             Ok(stats)
         })?;
         stats.peak_resident_bytes = peak.load(Ordering::Relaxed);
         Ok(stats)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::encode_trace_chunked;
+    use spinrace_tir::{BlockId, FuncId, Pc, SpinLoopId};
+    use spinrace_vm::{record_run, VmConfig};
+    use std::time::Duration;
+
+    /// A recorded run with a `SpinExit` after every event, its read list
+    /// cycling through lengths 0..=4, so chunks differ in heap footprint.
+    fn spin_heavy() -> Trace {
+        let mut trace = record_run(&crate::tests::handoff(), VmConfig::random(5), "spin").unwrap();
+        let mut events = Vec::new();
+        for (i, ev) in trace.events.drain(..).enumerate() {
+            events.push(ev);
+            let reads = (0..i % 5)
+                .map(|k| {
+                    (
+                        0x100 + 8 * k as u64,
+                        Pc::new(FuncId(1), BlockId(k as u32), 2),
+                    )
+                })
+                .collect();
+            events.push(Event::SpinExit {
+                tid: 1,
+                spin: SpinLoopId(i as u32 % 3),
+                reads,
+            });
+        }
+        trace.header.events = events.len() as u64;
+        trace.events = events;
+        trace
+    }
+
+    /// A byte source that counts what the decoder has pulled from it.
+    struct Counting<'a> {
+        bytes: &'a [u8],
+        read: &'a AtomicUsize,
+    }
+
+    impl io::Read for Counting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.bytes.read(buf)?;
+            self.read.fetch_add(n, Ordering::Relaxed);
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn next_chunk_into_a_reused_buffer_matches_next_chunk() {
+        let trace = spin_heavy();
+        for target in [1, 2, 3, 7] {
+            let bytes = encode_trace_chunked(&trace, target);
+            let mut fresh = ChunkedTraceReader::new(&bytes[..]).unwrap();
+            let mut reused = ChunkedTraceReader::new(&bytes[..]).unwrap();
+            // The buffer starts out, and stays, holding a stale chunk.
+            let mut buf = trace.events[..3].to_vec();
+            let mut decoded = Vec::new();
+            loop {
+                let stale = buf.clone();
+                let more = reused.next_chunk_into(&mut buf).unwrap();
+                assert_eq!(buf[..stale.len()], stale[..], "stale events were touched");
+                match fresh.next_chunk().unwrap() {
+                    Some(chunk) => {
+                        assert!(more);
+                        assert_eq!(buf[stale.len()..], chunk[..], "target {target}");
+                        decoded.extend_from_slice(&chunk);
+                    }
+                    None => {
+                        assert!(!more);
+                        assert_eq!(buf.len(), stale.len());
+                        break;
+                    }
+                }
+                buf.drain(..stale.len());
+            }
+            assert_eq!(decoded, trace.events);
+        }
+    }
+
+    #[test]
+    fn decode_ahead_keeps_at_most_two_decoded_chunks_resident() {
+        let trace = spin_heavy();
+        let bytes = encode_trace_chunked(&trace, 4);
+        let mems: Vec<usize> = {
+            let mut reader = ChunkedTraceReader::new(&bytes[..]).unwrap();
+            std::iter::from_fn(|| reader.next_chunk().unwrap())
+                .map(|chunk| chunk_mem(&chunk))
+                .collect()
+        };
+        assert!(mems.len() >= 4, "needs several chunks");
+        // A slow consumer lets the decoder run as far ahead as its two
+        // buffers allow: one chunk being consumed, one decoded ahead. The
+        // decoder's accounting happens before it waits, with nothing a
+        // consumer can wait on, so the consumer sleeps (4-event chunks
+        // decode in microseconds).
+        let expected_peak = mems.windows(2).map(|w| w.iter().sum()).max().unwrap();
+        let mut seen = Vec::new();
+        let stats = ChunkedTraceReader::new(&bytes[..])
+            .unwrap()
+            .decode_ahead(|chunk| -> Result<(), TraceError> {
+                std::thread::sleep(Duration::from_millis(25));
+                seen.extend_from_slice(chunk);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(seen, trace.events);
+        assert_eq!(
+            stats,
+            StreamStats {
+                events: trace.events.len() as u64,
+                chunks: mems.len() as u32,
+                peak_resident_bytes: expected_peak,
+            }
+        );
+    }
+
+    #[test]
+    fn a_consumer_error_stops_the_decoder() {
+        let trace = spin_heavy();
+        let bytes = encode_trace_chunked(&trace, 1);
+        let total = bytes.len();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        // A stuck decoder would hang `decode_ahead`; the watchdog turns
+        // that into a failure.
+        std::thread::spawn(move || {
+            let read = AtomicUsize::new(0);
+            let src = Counting {
+                bytes: &bytes,
+                read: &read,
+            };
+            let mut calls = 0;
+            let result =
+                ChunkedTraceReader::new(src)
+                    .unwrap()
+                    .decode_ahead(|_| -> Result<(), TraceError> {
+                        calls += 1;
+                        if calls == 2 {
+                            // Give the decoder time to use up both buffers and
+                            // wait for one to come back.
+                            std::thread::sleep(Duration::from_millis(50));
+                            return Err(TraceError::Corrupt("consumer gave up".into()));
+                        }
+                        Ok(())
+                    });
+            let _ = done_tx.send((result, calls, read.load(Ordering::Relaxed)));
+        });
+        let (result, calls, pulled) = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("decode_ahead did not return after the consumer failed");
+        assert!(matches!(result, Err(TraceError::Corrupt(m)) if m == "consumer gave up"));
+        assert_eq!(calls, 2);
+        // The decoder stopped a few chunks in instead of draining the
+        // stream.
+        assert!(pulled < total / 2, "decoder read {pulled} of {total} bytes");
     }
 }

@@ -7,7 +7,7 @@
 
 use spinrace::core::{PreparedModule, Session, Tool};
 use spinrace::tracefmt::varint::put_uvarint;
-use spinrace::tracefmt::{encode_trace_chunked, fnv1a, MAGIC};
+use spinrace::tracefmt::{checksum, encode_trace_chunked, MAGIC};
 use spinrace::vm::Trace;
 use spinrace::workloads::{Family, WorkloadSpec};
 use std::sync::OnceLock;
@@ -78,7 +78,7 @@ pub fn with_header_json(bytes: &[u8], header: &[u8]) -> Vec<u8> {
     put_uvarint(&mut out, header.len() as u64);
     out.extend_from_slice(header);
     out.extend_from_slice(&bytes[span.end..checksum_pos]);
-    let sum = fnv1a(&out);
+    let sum = checksum(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out.extend_from_slice(&bytes[checksum_pos + 8..]);
     out

@@ -9,14 +9,15 @@
 
 use spinrace::core::{AnalyzeError, ExecutedRun, Session, Tool};
 use spinrace::tracefmt::{
-    decode_trace, encode_trace_chunked, fnv1a, ChunkedTraceReader, BINARY_FORMAT_VERSION, MAGIC,
+    checksum, decode_trace, encode_trace_chunked, ChunkedTraceReader, BINARY_FORMAT_VERSION, MAGIC,
 };
 use spinrace::vm::trace::{TraceError, TRACE_FORMAT_VERSION};
 use spinrace::workloads::{Family, WorkloadSpec};
 
 mod mutate;
 use mutate::{
-    base_binary, header_counts_offsets, header_json, patched_header, recorded, with_header_json,
+    base_binary, header_counts_offsets, header_json, leb, patched_header, recorded,
+    with_header_json,
 };
 
 #[test]
@@ -254,6 +255,104 @@ fn binary_version_bump_is_a_version_error_before_checksum() {
 }
 
 #[test]
+fn a_version_1_file_is_refused_with_the_supported_version() {
+    // The v1 container checksummed with FNV-1a; this build reads only
+    // CRC-64 framing, and says so instead of reporting a bad checksum.
+    let bytes = base_binary();
+    let (_, checksum_pos) = header_counts_offsets(bytes);
+    let mut v1 = bytes.to_vec();
+    v1[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
+    let sum = checksum(&v1[..checksum_pos]);
+    v1[checksum_pos..checksum_pos + 8].copy_from_slice(&sum.to_le_bytes());
+    match decode_trace(&v1) {
+        Err(TraceError::Version { found, supported }) => {
+            assert_eq!((found, supported), (1, 2));
+        }
+        other => panic!("expected a version error, got {other:?}"),
+    }
+}
+
+/// Bit-at-a-time CRC-64/XZ, the reference the table-driven
+/// [`checksum`] must agree with.
+fn crc64_xz_bitwise(bytes: &[u8]) -> u64 {
+    let mut crc = !0u64;
+    for &b in bytes {
+        crc ^= u64::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ 0xC96C_5795_D787_0F42
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+#[test]
+fn checksum_is_crc64_xz() {
+    // The catalogue check value of CRC-64/XZ.
+    assert_eq!(checksum(b"123456789"), 0x995D_C9BB_DF19_39FA);
+    assert_eq!(checksum(b""), 0);
+    // Every length around the eight-byte stride, every alignment of
+    // the tail, agrees with the bitwise definition.
+    let data: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+    for len in 0..data.len() {
+        assert_eq!(
+            checksum(&data[..len]),
+            crc64_xz_bitwise(&data[..len]),
+            "len {len}"
+        );
+    }
+}
+
+/// Chunk index and byte range of every column block in a binary trace.
+fn column_blocks(bytes: &[u8]) -> Vec<(u32, std::ops::Range<usize>)> {
+    let (counts_pos, checksum_pos) = header_counts_offsets(bytes);
+    let chunks = u32::from_le_bytes(bytes[counts_pos..][..4].try_into().unwrap());
+    let mut pos = checksum_pos + 8;
+    let mut blocks = Vec::new();
+    for chunk in 0..chunks {
+        pos += 4; // event count
+        let columns = leb(bytes, &mut pos);
+        for _ in 0..columns {
+            let len = leb(bytes, &mut pos) as usize;
+            blocks.push((chunk, pos..pos + len));
+            pos += len;
+        }
+        pos += 8; // chunk checksum
+    }
+    assert_eq!(pos, bytes.len(), "walked past the framing");
+    blocks
+}
+
+#[test]
+fn every_single_bit_flip_in_column_data_fails_that_chunks_checksum() {
+    let (_, trace) = recorded();
+    let bytes = encode_trace_chunked(&trace, trace.events.len().div_ceil(3));
+    let blocks = column_blocks(&bytes);
+    assert!(
+        blocks.iter().any(|(chunk, _)| *chunk >= 2),
+        "needs 3 chunks"
+    );
+    let mut flips = 0;
+    for (chunk, range) in blocks {
+        for pos in range {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[pos] ^= 1 << bit;
+                match decode_trace(&bad) {
+                    Err(TraceError::Checksum { chunk: c }) => assert_eq!(c, chunk),
+                    other => panic!("bit {bit} of byte {pos}: got {other:?}"),
+                }
+                flips += 1;
+            }
+        }
+    }
+    assert!(flips > 1000, "only {flips} flips");
+}
+
+#[test]
 fn truncated_chunk_is_reported_as_the_chunk_shortfall() {
     let bytes = base_binary();
     let (counts_pos, checksum_pos) = header_counts_offsets(bytes);
@@ -306,7 +405,7 @@ fn header_chunk_count_mismatch_is_detected() {
     let total_chunks = u32::from_le_bytes(bytes[counts_pos..][..4].try_into().unwrap());
     let mut bad = bytes.to_vec();
     bad[counts_pos..counts_pos + 4].copy_from_slice(&(total_chunks + 1).to_le_bytes());
-    let sum = fnv1a(&bad[..checksum_pos]);
+    let sum = checksum(&bad[..checksum_pos]);
     bad[checksum_pos..checksum_pos + 8].copy_from_slice(&sum.to_le_bytes());
     match decode_trace(&bad) {
         Err(TraceError::ChunkCount { header, actual }) => {
