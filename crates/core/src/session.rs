@@ -185,7 +185,8 @@ impl PreparedModule {
 
     /// Interpret the module once, recording the full event stream.
     pub fn execute(self) -> Result<ExecutedRun, AnalyzeError> {
-        let mut rec = TraceRecorder::new(&self.module, self.vm).labeled(self.tool.label());
+        let mut rec =
+            TraceRecorder::new(&self.module, self.fingerprint, self.vm).labeled(self.tool.label());
         let summary = run_module(&self.module, self.vm, &mut rec)?;
         Ok(ExecutedRun {
             trace: rec.finish(summary),
@@ -208,7 +209,8 @@ impl PreparedModule {
     /// both the outcome and a replayable [`Trace`] for further fan-out.
     pub fn execute_detecting(self) -> Result<(ExecutedRun, AnalysisOutcome), AnalyzeError> {
         let mut det = AnyDetector::new(self.default_config());
-        let rec = TraceRecorder::new(&self.module, self.vm).labeled(self.tool.label());
+        let rec =
+            TraceRecorder::new(&self.module, self.fingerprint, self.vm).labeled(self.tool.label());
         let mut tee = Tee::new(rec, &mut det);
         let summary = run_module(&self.module, self.vm, &mut tee)?;
         let (rec, _) = tee.into_inner();

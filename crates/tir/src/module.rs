@@ -5,13 +5,14 @@ use crate::ids::{BlockId, FuncId, GlobalId, Pc, SpinLoopId, StrId};
 use crate::instr::{Instr, Terminator};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// A global variable: a contiguous array of `words` 64-bit cells.
 ///
 /// The VM lays globals out back-to-back starting at address
 /// [`Module::GLOBAL_BASE`]; [`Module::global_base`] gives each global's
 /// first address.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct GlobalDecl {
     /// Human-readable name (diagnostics only).
     pub name: String,
@@ -22,7 +23,7 @@ pub struct GlobalDecl {
 }
 
 /// A straight-line instruction sequence ending in one terminator.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct BasicBlock {
     /// Instructions in execution order.
     pub instrs: Vec<Instr>,
@@ -42,7 +43,7 @@ impl BasicBlock {
 }
 
 /// A function: parameters arrive in registers `r0..r{params}`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Function {
     /// Human-readable name.
     pub name: String,
@@ -82,7 +83,7 @@ impl Function {
 /// Produced by the instrumentation phase (`spinrace-spinfind`) according to
 /// the paper's criteria: a small natural loop whose exit condition is fed
 /// by at least one memory load and is not modified inside the loop.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SpinLoopInfo {
     /// Dense id of the loop within the module.
     pub id: SpinLoopId,
@@ -236,30 +237,100 @@ impl Module {
     }
 
     /// Stable structural fingerprint of the module, including any spin
-    /// instrumentation (spin-loop headers and tagged condition loads are
-    /// part of the rendered text). Two prepared modules with the same
-    /// fingerprint execute identically under the same VM configuration,
-    /// which is what lets recorded traces be shared across tools whose
-    /// preparation phases produced the same program.
+    /// instrumentation. Two prepared modules with the same fingerprint
+    /// execute identically under the same VM configuration, which is what
+    /// lets recorded traces be shared across tools whose preparation
+    /// phases produced the same program.
+    ///
+    /// FNV-1a 64 over the IR itself, not its rendering: the name,
+    /// functions, entry, globals and strings, then the spin table's loops
+    /// and its tagged loads sorted by [`Pc`]. Integers are hashed
+    /// little-endian with `usize`/`isize` widened to 64 bits, so the value
+    /// is the same on every platform. Two rules keep the sharing partition
+    /// of the textual rendering:
+    ///
+    /// * [`SpinTable::window`] is left out. The VM never consults it, so
+    ///   identical loop sets found at different windows are the same
+    ///   program and may share one trace.
+    /// * A table with no loops and no tagged loads hashes like no table,
+    ///   so a `+spin` preparation of a loop-free program shares the
+    ///   uninstrumented program's trace.
+    ///
+    /// The value is the trace header's `module_fingerprint`: changing
+    /// what is hashed requires a `TRACE_FORMAT_VERSION` bump in
+    /// `spinrace-vm`.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over the canonical textual rendering. The spin table's
-        // detection window is deliberately *not* folded in: the VM never
-        // consults it (only the accepted loops and tagged loads, which the
-        // rendering includes), so identical loop sets found at different
-        // windows are the same program — and may share one trace.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in self.to_string().as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        let mut h = Fnv1a(Fnv1a::OFFSET_BASIS);
+        self.name.hash(&mut h);
+        self.functions.hash(&mut h);
+        self.entry.hash(&mut h);
+        self.globals.hash(&mut h);
+        self.strings.hash(&mut h);
+        let spin = self
+            .spin
+            .as_ref()
+            .filter(|t| !t.loops.is_empty() || !t.tagged_loads.is_empty())
+            .map(|t| {
+                let mut tagged: Vec<_> = t.tagged_loads.iter().collect();
+                tagged.sort_unstable();
+                (&t.loops, tagged)
+            });
+        spin.hash(&mut h);
+        h.finish()
+    }
+}
+
+/// The FNV-1a 64 hasher behind [`Module::fingerprint`], fed a
+/// platform-independent byte stream: every integer little-endian,
+/// `usize`/`isize` widened to 64 bits.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+}
+
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
         }
-        h
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.write(&i.to_le_bytes());
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.write(&i.to_le_bytes());
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.write(&i.to_le_bytes());
+    }
+
+    fn write_u128(&mut self, i: u128) {
+        self.write(&i.to_le_bytes());
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+
+    fn write_isize(&mut self, i: isize) {
+        self.write_u64(i as i64 as u64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::Terminator;
+    use crate::instr::{Operand, Terminator};
 
     fn tiny_module() -> Module {
         Module {
@@ -314,6 +385,116 @@ mod tests {
         assert_eq!(m.describe_addr(Module::GLOBAL_BASE), "a[0]");
         assert_eq!(m.describe_addr(Module::GLOBAL_BASE + 3), "b[1]");
         assert!(m.describe_addr(m.heap_base() + 7).starts_with("heap+"));
+    }
+
+    /// `tiny_module` with one instruction, a second function and a
+    /// one-loop spin table whose tagged load is that instruction.
+    fn spun_module() -> Module {
+        let mut m = tiny_module();
+        m.functions[0].blocks[0].instrs.push(Instr::Output {
+            src: Operand::Imm(1),
+        });
+        m.functions.push(Function {
+            name: "aux".into(),
+            params: 0,
+            num_regs: 0,
+            blocks: vec![BasicBlock {
+                instrs: vec![],
+                term: Terminator::Ret(None),
+            }],
+        });
+        let pc = Pc::new(FuncId(0), BlockId(0), 0);
+        m.spin = Some(SpinTable {
+            loops: vec![SpinLoopInfo {
+                id: SpinLoopId(0),
+                func: FuncId(0),
+                header: BlockId(0),
+                blocks: vec![BlockId(0)],
+                cond_loads: vec![pc],
+                weight: 1,
+            }],
+            tagged_loads: HashMap::from([(pc, SpinLoopId(0))]),
+            window: 7,
+        });
+        m
+    }
+
+    fn table(m: &mut Module) -> &mut SpinTable {
+        m.spin.as_mut().unwrap()
+    }
+
+    /// A named one-field edit of [`spun_module`].
+    type Edit = (&'static str, fn(&mut Module));
+
+    #[test]
+    fn fingerprint_changes_with_anything_the_vm_executes() {
+        let base = spun_module().fingerprint();
+        let edits: [Edit; 5] = [
+            ("instruction operand", |m| {
+                m.functions[0].blocks[0].instrs[0] = Instr::Output {
+                    src: Operand::Imm(2),
+                }
+            }),
+            ("global initializer", |m| m.globals[1].init[2] = 4),
+            ("entry", |m| m.entry = FuncId(1)),
+            ("tagged load", |m| {
+                table(m).tagged_loads =
+                    HashMap::from([(Pc::new(FuncId(0), BlockId(0), 1), SpinLoopId(0))])
+            }),
+            ("loop weight", |m| table(m).loops[0].weight = 2),
+        ];
+        for (what, edit) in edits {
+            let mut m = spun_module();
+            edit(&mut m);
+            assert_ne!(
+                m.fingerprint(),
+                base,
+                "changing the {what} kept the fingerprint"
+            );
+        }
+    }
+
+    #[test]
+    fn fingerprint_ignores_the_window_and_empty_tables() {
+        let mut m = spun_module();
+        let base = m.fingerprint();
+        table(&mut m).window = 3;
+        assert_eq!(m.fingerprint(), base);
+
+        let plain = tiny_module();
+        let mut empty = tiny_module();
+        empty.spin = Some(SpinTable::default());
+        assert_eq!(empty.fingerprint(), plain.fingerprint());
+        empty.spin = Some(SpinTable {
+            window: 5,
+            ..SpinTable::default()
+        });
+        assert_eq!(empty.fingerprint(), plain.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_does_not_depend_on_tagged_load_iteration_order() {
+        let pcs: Vec<Pc> = (0..16).map(|i| Pc::new(FuncId(0), BlockId(0), i)).collect();
+        let fingerprints: Vec<u64> = (0..8)
+            .map(|round| {
+                let mut m = spun_module();
+                let mut order = pcs.clone();
+                order.rotate_left(round);
+                table(&mut m).tagged_loads =
+                    order.into_iter().map(|pc| (pc, SpinLoopId(0))).collect();
+                m.fingerprint()
+            })
+            .collect();
+        assert!(fingerprints.iter().all(|&f| f == fingerprints[0]));
+    }
+
+    /// Known answer: trace headers store this value, so a change to it
+    /// (to what is hashed, or how) requires a `TRACE_FORMAT_VERSION` bump
+    /// in `spinrace-vm`, or old traces would be rebound to a fingerprint
+    /// that means something else.
+    #[test]
+    fn fingerprint_known_answer() {
+        assert_eq!(tiny_module().fingerprint(), 0x530b_297b_0a60_4a3d);
     }
 
     #[test]

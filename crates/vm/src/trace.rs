@@ -28,8 +28,10 @@ use spinrace_tir::Module;
 use std::fmt;
 
 /// Current trace encoding version. Bump on any change to [`TraceHeader`]
-/// (or its serde encoding) or to [`Event`].
-pub const TRACE_FORMAT_VERSION: u32 = 1;
+/// (or its serde encoding), to [`Event`], or to what
+/// [`Module::fingerprint`] hashes. Version 2: the fingerprint hashes the
+/// IR structurally instead of its textual rendering.
+pub const TRACE_FORMAT_VERSION: u32 = 2;
 
 /// Versioned metadata describing how a trace was produced.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,10 +40,12 @@ pub struct TraceHeader {
     pub version: u32,
     /// Name of the *prepared* module that was executed.
     pub module_name: String,
-    /// [`Module::fingerprint`] of the prepared module. Replaying under a
-    /// detector only makes sense against the same prepared program; the
-    /// fingerprint is also the sharing key for trace caches (tools whose
-    /// preparation produced the same module share one trace).
+    /// [`Module::fingerprint`] of the prepared module: a structural hash
+    /// of its IR and spin table (window excluded; an empty table counts
+    /// as none) since version 2. Replaying under a detector only makes
+    /// sense against the same prepared program; the fingerprint is also
+    /// the sharing key for trace caches (tools whose preparation produced
+    /// the same module share one trace).
     pub module_fingerprint: u64,
     /// Producer label, e.g. a tool label like `Helgrind+ lib+spin(7)`.
     /// Free-form; empty when recorded straight from the VM.
@@ -80,11 +84,6 @@ impl Trace {
         for ev in &self.events {
             sink.on_event(ev);
         }
-    }
-
-    /// Does this trace belong to (a module identical to) `m`?
-    pub fn matches_module(&self, m: &Module) -> bool {
-        self.header.module_fingerprint == m.fingerprint()
     }
 }
 
@@ -180,11 +179,13 @@ pub struct TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// Recorder for one run of (prepared) `m` under `vm`.
-    pub fn new(m: &Module, vm: VmConfig) -> TraceRecorder {
+    /// Recorder for one run of (prepared) `m` under `vm`. `fingerprint`
+    /// is `m.fingerprint()`, which the caller has already computed.
+    pub fn new(m: &Module, fingerprint: u64, vm: VmConfig) -> TraceRecorder {
+        debug_assert_eq!(fingerprint, m.fingerprint(), "stale fingerprint");
         TraceRecorder {
             module_name: m.name.clone(),
-            module_fingerprint: m.fingerprint(),
+            module_fingerprint: fingerprint,
             tool_label: String::new(),
             vm,
             events: Vec::new(),
@@ -232,7 +233,7 @@ impl EventSink for TraceRecorder {
 
 /// Execute `m` under `vm` and record the run as a labeled [`Trace`].
 pub fn record_run(m: &Module, vm: VmConfig, label: impl Into<String>) -> Result<Trace, VmError> {
-    let mut rec = TraceRecorder::new(m, vm).labeled(label);
+    let mut rec = TraceRecorder::new(m, m.fingerprint(), vm).labeled(label);
     let summary = run_module(m, vm, &mut rec)?;
     Ok(rec.finish(summary))
 }
@@ -273,7 +274,7 @@ mod tests {
     fn record_replay_reproduces_the_stream() {
         let m = handoff();
         let trace = record_run(&m, VmConfig::round_robin(), "test").unwrap();
-        assert!(trace.matches_module(&m));
+        assert_eq!(trace.header.module_fingerprint, m.fingerprint());
         assert_eq!(trace.header.events as usize, trace.events.len());
         let mut sink = RecordingSink::default();
         trace.replay(&mut sink);

@@ -87,6 +87,33 @@ fn version_mismatch_is_reported_before_event_decoding() {
     }
 }
 
+#[test]
+fn a_trace_header_version_1_is_refused() {
+    // Version 1 headers hold the fingerprint of the module's textual
+    // rendering, which no current preparation reproduces: the file must
+    // be refused as a version error, not surface later as a confusing
+    // fingerprint mismatch at rebind.
+    let bytes = patched_header(
+        &format!("\"version\":{TRACE_FORMAT_VERSION}"),
+        "\"version\":1",
+    );
+    for result in [
+        ChunkedTraceReader::new(&bytes[..]).map(|_| ()),
+        decode_trace(&bytes).map(|_| ()),
+    ] {
+        assert!(
+            matches!(
+                result,
+                Err(TraceError::Version {
+                    found: 1,
+                    supported: 2
+                })
+            ),
+            "expected a version-1 refusal, got {result:?}"
+        );
+    }
+}
+
 /// The base trace's header block, claiming `events` events.
 fn claiming_events(events: u64) -> Vec<u8> {
     let n = recorded().1.events.len();
@@ -149,10 +176,10 @@ fn fingerprint_mismatch_rejects_rebinding_with_both_prints() {
 fn errors_render_actionable_messages() {
     let v = patched_header(
         &format!("\"version\":{TRACE_FORMAT_VERSION}"),
-        "\"version\":2",
+        "\"version\":3",
     );
     let msg = decode_trace(&v).unwrap_err().to_string();
-    assert!(msg.contains("version 2"), "{msg}");
+    assert!(msg.contains("version 3"), "{msg}");
     let n = recorded().1.events.len() as u64;
     let msg = decode_trace(&claiming_events(n + 1))
         .unwrap_err()
