@@ -112,7 +112,7 @@ impl Tool {
 
     /// The detector configuration this tool runs under `msm` with the
     /// given racy-context cap — the single source of the tool→detector
-    /// mapping (sessions, CLIs, and benches all derive from here).
+    /// mapping (sessions, CLIs, and the benchmark all derive from here).
     pub fn detector_config(&self, msm: MsmMode, cap: usize) -> spinrace_detector::DetectorConfig {
         use spinrace_detector::DetectorConfig;
         let cfg = match self {

@@ -1,14 +1,10 @@
 //! The retained **slow full-vector-clock reference detector**.
 //!
 //! This is the pre-epoch-fast-path implementation of [`crate::RaceDetector`],
-//! kept verbatim for two jobs:
-//!
-//! * the differential proptest (`tests/epoch_equivalence.rs`) replays random
-//!   event schedules through both detectors and asserts identical reports —
-//!   the semantic ground truth the fast paths must preserve;
-//! * the `perf` binary measures it alongside the fast detector, so the
-//!   speedup of the epoch representation stays an honestly recomputed
-//!   number instead of a stale claim in a doc.
+//! kept verbatim as the semantic ground truth the fast paths must
+//! preserve: the differential tests (`tests/epoch_equivalence.rs`) replay
+//! random event schedules and recorded PARSEC streams through both
+//! detectors and assert identical reports.
 //!
 //! Its costs are the ones the fast detector eliminates: a full
 //! `VectorClock` clone on **every** plain access, a `Vec` of read records

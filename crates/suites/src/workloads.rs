@@ -47,7 +47,8 @@ pub fn judge_outcome(oracle: &Oracle, out: &AnalysisOutcome) -> OracleVerdict {
 
 /// The standard spec list: for every family, one race-free and one
 /// seeded variant (distinct seeds, modest sizes — the point here is
-/// oracle coverage, not stream length; `perf` owns the long streams).
+/// oracle coverage, not stream length; the long streams live in
+/// `tests/trace_roundtrip.rs`, CI and perfbench).
 pub fn standard_specs() -> Vec<WorkloadSpec> {
     let mut specs = Vec::new();
     for (i, fam) in Family::all().into_iter().enumerate() {
@@ -230,7 +231,7 @@ mod tests {
 
     #[test]
     fn oracle_export_is_usable_downstream() {
-        // Downstream consumers (report/bench) read oracles straight off
+        // Downstream consumers (report, the `trace` CLI) read oracles straight off
         // built workloads.
         let oracle = WorkloadSpec::new(Family::Barrier).build().oracle;
         assert_eq!(oracle.describe(), "race-free");

@@ -178,7 +178,7 @@ impl Event {
 /// detector. Sinks that need to retain events must copy them explicitly
 /// ([`RecordingSink`] is the canonical buffering sink); a detector reads
 /// the fields it needs and keeps nothing, which is what makes the
-/// replay-from-recording path of the benches equivalent to live runs.
+/// replay-from-recording path equivalent to live runs.
 pub trait EventSink {
     /// Called for every event, in execution order.
     fn on_event(&mut self, ev: &Event);

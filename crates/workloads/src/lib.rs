@@ -18,7 +18,7 @@
 //!
 //! Because loop trip counts — not unrolling — carry the scale, the same
 //! families serve 100-event oracle tests and multi-million-event
-//! steady-state perf streams; see [`Family`] for what each family
+//! steady-state benchmark streams; see [`Family`] for what each family
 //! stresses.
 //!
 //! ```
@@ -108,8 +108,8 @@ mod tests {
     }
 
     /// The event budget is approximate by design, but it must stay within
-    /// a small constant factor — `trace gen --events N` and the perf
-    /// long-stream sizing both rely on it.
+    /// a small constant factor — `trace gen --events N` and the
+    /// long-stream sizing of tests, CI and perfbench all rely on it.
     #[test]
     fn recorded_streams_land_near_the_event_budget() {
         for fam in Family::all() {

@@ -43,7 +43,12 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let seed: Option<u64> = args.get(2).and_then(|s| s.parse().ok());
+    let seed: Option<u64> = args.get(2).map(|s| {
+        s.parse().unwrap_or_else(|_| {
+            eprintln!("seed `{s}` is not a non-negative integer");
+            std::process::exit(2)
+        })
+    });
 
     println!(
         "{} ({}, {} threads, size {})  paper row: lib={} spin={} nolib={} drd={}\n",

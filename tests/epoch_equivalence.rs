@@ -12,11 +12,17 @@
 //! reference replays an **encode → decode** round trip of the same trace
 //! through the binary format — so one generator exercises the detector
 //! equivalence *and* the column codecs of every event variant at once.
+//!
+//! The same checks also run on real recorded streams: three PARSEC
+//! skeletons scaled 16×, under every tool of the paper lineup, in the
+//! long-MSM integration mode with the 1000-context report cap.
 
 use proptest::prelude::*;
+use spinrace::core::{Session, Tool};
 use spinrace::detector::{DetectorConfig, MsmMode, RaceDetector, ReferenceDetector};
+use spinrace::suites::all_programs;
 use spinrace::tir::{BlockId, FuncId, MemOrder, Pc, SpinLoopId};
-use spinrace::tracefmt::{decode_trace, encode_trace_chunked};
+use spinrace::tracefmt::{decode_trace, encode_trace, encode_trace_chunked};
 use spinrace::vm::{Event, RunSummary, Trace, TraceHeader, VmConfig, TRACE_FORMAT_VERSION};
 
 /// Threads used by generated schedules (0 is the implicit main thread).
@@ -351,4 +357,40 @@ fn read_state_transitions_match_reference() {
         assert_eq!(fast.reports().reports(), slow.reports().reports());
         assert!(fast.racy_contexts() > 0 || cfg.spin, "sanity: races exist");
     }
+}
+
+/// Recorded PARSEC streams, not just synthetic schedules: blackscholes
+/// (no ad-hoc sync), vips (plain-flag spins) and dedup (atomics spins),
+/// each scaled 16× and recorded once per paper tool. The fast detector
+/// replays the recording and the reference its binary round trip, in
+/// long-MSM mode with the 1000-context cap; at least one cell must
+/// saturate the cap, so the order in which reports are kept and dropped
+/// is compared on a real stream too.
+#[test]
+fn recorded_parsec_streams_match_reference() {
+    let mut saturated = 0;
+    for prog in all_programs()
+        .into_iter()
+        .filter(|p| matches!(p.name, "blackscholes" | "vips" | "dedup"))
+    {
+        let module = (prog.build)(prog.threads, prog.size * 16);
+        for tool in Tool::paper_lineup() {
+            let trace = Session::for_module(&module)
+                .prepare(tool)
+                .expect("prepare")
+                .execute()
+                .expect("vm run")
+                .into_trace();
+            let parsed = decode_trace(&encode_trace(&trace)).expect("decode recorded trace");
+            assert_eq!(parsed, trace, "binary round trip must be lossless");
+            let cfg = tool.detector_config(MsmMode::Long, 1000);
+            if let Err(e) = assert_equivalent(cfg, &trace, &parsed) {
+                panic!("{} under {}: {e}", prog.name, tool.label());
+            }
+            let mut fast = RaceDetector::new(cfg);
+            trace.replay(&mut fast);
+            saturated += usize::from(fast.reports().dropped() > 0);
+        }
+    }
+    assert!(saturated > 0, "no recorded stream reached the report cap");
 }

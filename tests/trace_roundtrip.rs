@@ -11,13 +11,24 @@
 //! The stream is encoded with a deliberately tiny chunk target, so the
 //! multi-chunk framing, per-chunk codec reset, and dictionary rebuild
 //! all fire. A separate case pins decode → encode as a byte fixed point.
+//!
+//! Two ≥1M-event generated streams hold the encoding to a size ceiling,
+//! after their recording run's detection passes the workload's oracle.
 
 use proptest::prelude::*;
 use spinrace::core::{AnalysisOutcome, DetectRequest, ExecutedRun, Session, Tool};
 use spinrace::serve::outcome_json;
+use spinrace::suites::judge_outcome;
 use spinrace::tir::{Module, ModuleBuilder};
-use spinrace::tracefmt::{decode_trace, encode_trace_chunked, ChunkedTraceReader};
+use spinrace::tracefmt::{decode_trace, encode_trace, encode_trace_chunked, ChunkedTraceReader};
+use spinrace::workloads::{Family, WorkloadSpec};
 use std::io::Cursor;
+
+/// Ceiling for the binary trace size, in bytes per event. (Measured
+/// sizes sit at 10.2 B/ev for the zipf stream and 10.0 for fanout; 11.5
+/// catches a column codec silently degrading without flaking on
+/// stream-shape variance.)
+const MAX_BINARY_BYTES_PER_EVENT: f64 = 11.5;
 
 /// The outcome document as `trace replay --json` writes it.
 fn doc(out: &AnalysisOutcome) -> String {
@@ -174,4 +185,51 @@ proptest! {
             .map_err(|e| TestCaseError(format!("binary decode failed: {e}")))?;
         prop_assert!(encode_trace_chunked(&decoded, target) == bytes, "re-encoding changed the bytes");
     }
+}
+
+/// Record a long generated stream under `lib+spin(7)`, hold the live
+/// detection to the workload's ground truth, and hold the binary
+/// encoding to [`MAX_BINARY_BYTES_PER_EVENT`].
+fn check_long_stream(spec: WorkloadSpec) {
+    let (wl, name) = (spec.build(), spec.name());
+    let tool = Tool::HelgrindLibSpin { window: 7 };
+    let (run, outcome) = Session::for_module(&wl.module)
+        .vm_config(spec.vm_config())
+        .prepare(tool)
+        .expect("prepare workload")
+        .execute_detecting()
+        .expect("vm run");
+    let verdict = judge_outcome(&wl.oracle, &outcome);
+    assert!(verdict.pass(), "{name} violated its oracle: {verdict}");
+    let events = run.trace().events.len();
+    assert!(events >= 1_000_000, "{name} is only {events} events");
+    let bytes_per_event = encode_trace(run.trace()).len() as f64 / events as f64;
+    assert!(
+        bytes_per_event <= MAX_BINARY_BYTES_PER_EVENT,
+        "{name} encodes to {bytes_per_event:.2} bytes/event, above the ceiling of \
+         {MAX_BINARY_BYTES_PER_EVENT}"
+    );
+}
+
+#[test]
+fn long_zipf_stream_meets_its_oracle_and_size_ceiling() {
+    check_long_stream(
+        WorkloadSpec::new(Family::Zipf)
+            .threads(8)
+            .addr_space(4096)
+            .skew(3)
+            .seed(1)
+            .with_total_events(1_050_000),
+    );
+}
+
+#[test]
+fn long_fanout_stream_meets_its_oracle_and_size_ceiling() {
+    check_long_stream(
+        WorkloadSpec::new(Family::Fanout)
+            .threads(32)
+            .addr_space(8192)
+            .seed(2)
+            .with_total_events(1_050_000),
+    );
 }
