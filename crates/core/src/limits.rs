@@ -138,11 +138,6 @@ pub struct Budget {
 }
 
 impl Budget {
-    /// Is every ceiling disabled?
-    pub fn is_unlimited(&self) -> bool {
-        self.max_events.is_none() && self.max_shadow_bytes.is_none()
-    }
-
     /// Bound the number of events one detection may process.
     pub fn with_max_events(mut self, max_events: u64) -> Budget {
         self.max_events = Some(max_events);

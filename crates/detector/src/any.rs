@@ -1,101 +1,82 @@
-//! One [`EventSink`] surface over both detector families.
+//! One [`spinrace_vm::EventSink`] surface over both detector families.
 //!
-//! The witnessed-interleaving detectors ([`RaceDetector`]: Helgrind+
-//! hybrids and DRD) and the predictive pass
-//! ([`SyncPreservingDetector`]) expose the same result shape but are
-//! different state machines. [`AnyDetector`] dispatches on
-//! [`DetectorConfig::kind`] so replay engines can instantiate whatever
-//! the request's tool asks for without caring which family it is.
+//! The witnessed-interleaving model ([`HbAccess`]: Helgrind+ hybrids and
+//! DRD) and the predictive one ([`SyncPreserving`]) run on the same
+//! engine; [`AnyModel`] picks one by [`DetectorConfig::kind`] so replay
+//! engines can instantiate whatever the request's tool asks for without
+//! caring which family it is.
 
 use crate::config::DetectorConfig;
-use crate::detector::RaceDetector;
+use crate::detector::HbAccess;
+use crate::engine::{AccessModel, Detector, HbEngine};
 use crate::metrics::DetectorMetrics;
-use crate::predict::SyncPreservingDetector;
-use crate::report::ReportCollector;
-use spinrace_vm::{Event, EventSink};
+use crate::predict::SyncPreserving;
+use spinrace_tir::Pc;
+use spinrace_vm::{Event, ThreadId};
 
 /// A detector of either family, chosen by [`DetectorConfig::kind`].
-pub enum AnyDetector {
+pub type AnyDetector = Detector<AnyModel>;
+
+/// The access model of either family.
+pub enum AnyModel {
     /// Witnessed-interleaving detection (Helgrind+ hybrid or DRD).
-    Hb(RaceDetector),
+    Hb(HbAccess),
     /// Sync-preserving predictive detection.
-    Predict(SyncPreservingDetector),
+    Predict(SyncPreserving),
 }
 
-impl AnyDetector {
-    /// Instantiate the family the configuration names.
-    pub fn new(cfg: DetectorConfig) -> AnyDetector {
+/// Run `$body` on whichever model `$self` holds, bound to `$m`.
+macro_rules! each {
+    ($self:expr, $m:ident => $body:expr) => {
+        match $self {
+            AnyModel::Hb($m) => $body,
+            AnyModel::Predict($m) => $body,
+        }
+    };
+}
+
+impl AccessModel for AnyModel {
+    fn new(cfg: &DetectorConfig) -> AnyModel {
         if cfg.is_predictive() {
-            AnyDetector::Predict(SyncPreservingDetector::new(cfg))
+            AnyModel::Predict(SyncPreserving::new(cfg))
         } else {
-            AnyDetector::Hb(RaceDetector::new(cfg))
+            AnyModel::Hb(HbAccess::new(cfg))
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &DetectorConfig {
-        match self {
-            AnyDetector::Hb(d) => d.config(),
-            AnyDetector::Predict(d) => d.config(),
-        }
+    #[inline]
+    fn spin(&mut self, e: &mut HbEngine, ev: &Event) -> bool {
+        each!(self, m => m.spin(e, ev))
     }
 
-    /// Collected reports.
-    pub fn reports(&self) -> &ReportCollector {
-        match self {
-            AnyDetector::Hb(d) => d.reports(),
-            AnyDetector::Predict(d) => d.reports(),
-        }
+    #[inline]
+    fn read(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
+        each!(self, m => m.read(e, tid, addr, pc, stack))
     }
 
-    /// Number of distinct racy contexts.
-    pub fn racy_contexts(&self) -> usize {
-        match self {
-            AnyDetector::Hb(d) => d.racy_contexts(),
-            AnyDetector::Predict(d) => d.racy_contexts(),
-        }
+    #[inline]
+    fn write(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
+        each!(self, m => m.write(e, tid, addr, pc, stack))
     }
 
-    /// Events processed.
-    pub fn events_seen(&self) -> u64 {
-        match self {
-            AnyDetector::Hb(d) => d.events_seen(),
-            AnyDetector::Predict(d) => d.events_seen(),
-        }
+    fn lock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64) {
+        each!(self, m => m.lock(e, tid, mutex))
     }
 
-    /// Spin locations promoted to synchronization variables (always 0
-    /// for the predictive pass).
-    pub fn promoted_locations(&self) -> usize {
-        match self {
-            AnyDetector::Hb(d) => d.promoted_locations(),
-            AnyDetector::Predict(d) => d.promoted_locations(),
-        }
+    fn unlock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64) {
+        each!(self, m => m.unlock(e, tid, mutex))
     }
 
-    /// Resident shadow-state bytes (budget polls).
-    pub fn shadow_resident_bytes(&self) -> usize {
-        match self {
-            AnyDetector::Hb(d) => d.shadow_resident_bytes(),
-            AnyDetector::Predict(d) => d.shadow_resident_bytes(),
-        }
+    fn resident_bytes(&self) -> usize {
+        each!(self, m => m.resident_bytes())
     }
 
-    /// Measure retained state.
-    pub fn metrics(&self) -> DetectorMetrics {
-        match self {
-            AnyDetector::Hb(d) => d.metrics(),
-            AnyDetector::Predict(d) => d.metrics(),
-        }
+    fn promoted_locations(&self) -> usize {
+        each!(self, m => m.promoted_locations())
     }
-}
 
-impl EventSink for AnyDetector {
-    fn on_event(&mut self, ev: &Event) {
-        match self {
-            AnyDetector::Hb(d) => d.on_event(ev),
-            AnyDetector::Predict(d) => d.on_event(ev),
-        }
+    fn metrics(&self, out: &mut DetectorMetrics) {
+        each!(self, m => m.metrics(out))
     }
 }
 
@@ -103,7 +84,8 @@ impl EventSink for AnyDetector {
 mod tests {
     use super::*;
     use crate::config::MsmMode;
-    use spinrace_tir::{BlockId, FuncId, Pc};
+    use spinrace_tir::{BlockId, FuncId};
+    use spinrace_vm::EventSink;
 
     fn feed(d: &mut AnyDetector) {
         let pc = |n| Pc::new(FuncId(0), BlockId(0), n);
@@ -133,9 +115,9 @@ mod tests {
     #[test]
     fn dispatches_by_kind() {
         let mut hb = AnyDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
-        assert!(matches!(hb, AnyDetector::Hb(_)));
+        assert!(matches!(hb.model, AnyModel::Hb(_)));
         let mut sp = AnyDetector::new(DetectorConfig::sync_preserving());
-        assert!(matches!(sp, AnyDetector::Predict(_)));
+        assert!(matches!(sp.model, AnyModel::Predict(_)));
         feed(&mut hb);
         feed(&mut sp);
         assert_eq!(hb.events_seen(), 3);

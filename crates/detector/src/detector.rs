@@ -1,10 +1,11 @@
-//! The race detector: an [`EventSink`] implementing pure happens-before
-//! (DRD), the hybrid lockset + HB algorithm (Helgrind+), and the paper's
-//! spin-loop happens-before augmentation.
+//! The witnessed-interleaving access model: pure happens-before (DRD),
+//! the hybrid lockset + HB algorithm (Helgrind+), and the paper's
+//! spin-loop happens-before augmentation, on the shared
+//! [`crate::engine::HbEngine`].
 //!
 //! # Hot-path design (epoch fast paths)
 //!
-//! `on_plain_read`/`on_plain_write` are FastTrack-shaped: the race check
+//! The plain `read`/`write` hooks are FastTrack-shaped: the race check
 //! against the last write is a single epoch compare against the accessing
 //! thread's *borrowed* vector clock, the read history is the adaptive
 //! [`ReadState`] (inline epoch until genuinely concurrent readers appear),
@@ -16,31 +17,30 @@
 //! identical reports.
 
 use crate::config::{DetectorConfig, MsmMode};
+use crate::engine::{acquire, release, AccessModel, Detector, HbEngine};
 use crate::lockset::{LocksetId, LocksetTable};
+use crate::metrics::{vc_map_bytes, DetectorMetrics};
 use crate::report::{AccessSummary, RaceKind, RaceReport, ReportCollector};
 use crate::shadow::{AccessRecord, ReadState, ShadowTable};
 use crate::vc::{Epoch, VectorClock};
 use fxhash::FxHashMap;
-use spinrace_tir::{MemOrder, Pc};
-use spinrace_vm::{Event, EventSink, ThreadId};
+use spinrace_tir::Pc;
+use spinrace_vm::{Event, ThreadId};
 
-/// Dynamic race detector. Feed it a VM event stream (it implements
-/// [`EventSink`]) and read the results from [`RaceDetector::reports`].
-pub struct RaceDetector {
-    cfg: DetectorConfig,
-    /// Per-thread vector clocks.
-    vcs: Vec<VectorClock>,
-    /// Per-thread held locks (sorted) and the interned id thereof.
-    locks_held: Vec<Vec<u64>>,
+/// Dynamic race detector of the witnessed interleaving (Helgrind+
+/// hybrids and DRD). Feed it a VM event stream (it implements
+/// [`spinrace_vm::EventSink`]) and read the results from
+/// [`Detector::reports`].
+pub type RaceDetector = Detector<HbAccess>;
+
+/// Per-location access history, lockset stage, plain mutex edges and
+/// spin promotion of the happens-before detectors.
+pub struct HbAccess {
+    /// Interned id of each thread's held-lock list (grown on first lock).
     held_ids: Vec<LocksetId>,
     locksets: LocksetTable,
-    /// Release clocks of library sync objects.
+    /// Release clocks of mutexes.
     mutex_vc: FxHashMap<u64, VectorClock>,
-    cv_vc: FxHashMap<u64, VectorClock>,
-    barrier_vc: FxHashMap<(u64, u64), VectorClock>,
-    sem_vc: FxHashMap<u64, VectorClock>,
-    /// Release clocks of atomic locations (DRD machine-atomics model).
-    atomic_vc: FxHashMap<u64, VectorClock>,
     /// Release clocks of *promoted* spin-condition locations — the memory
     /// cost of the paper's feature, reported by the memory figure.
     sync_loc: FxHashMap<u64, VectorClock>,
@@ -48,190 +48,66 @@ pub struct RaceDetector {
     shadow: ShadowTable,
     /// Racy-write slow-path scratch (kept to avoid per-event allocation).
     read_scratch: Vec<AccessRecord>,
-    reports: ReportCollector,
-    events_seen: u64,
 }
 
-impl RaceDetector {
-    /// Fresh detector for one run.
-    pub fn new(cfg: DetectorConfig) -> RaceDetector {
-        RaceDetector {
-            cfg,
-            vcs: vec![initial_vc()],
-            locks_held: vec![Vec::new()],
-            held_ids: vec![LocksetId::EMPTY],
+impl AccessModel for HbAccess {
+    fn new(_cfg: &DetectorConfig) -> HbAccess {
+        HbAccess {
+            held_ids: Vec::new(),
             locksets: LocksetTable::default(),
             mutex_vc: FxHashMap::default(),
-            cv_vc: FxHashMap::default(),
-            barrier_vc: FxHashMap::default(),
-            sem_vc: FxHashMap::default(),
-            atomic_vc: FxHashMap::default(),
             sync_loc: FxHashMap::default(),
             shadow: ShadowTable::new(),
             read_scratch: Vec::new(),
-            reports: ReportCollector::new(cfg.context_cap),
-            events_seen: 0,
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.cfg
-    }
-
-    /// Collected reports.
-    pub fn reports(&self) -> &ReportCollector {
-        &self.reports
-    }
-
-    /// Number of distinct racy contexts (the paper's table metric).
-    pub fn racy_contexts(&self) -> usize {
-        self.reports.contexts()
-    }
-
-    /// Events processed.
-    pub fn events_seen(&self) -> u64 {
-        self.events_seen
-    }
-
-    /// Promoted synchronization locations (spin feature state).
-    pub fn promoted_locations(&self) -> usize {
-        self.sync_loc.len()
-    }
-
-    // ---- state accessors for metrics ----
-
-    /// Per-thread clocks (metrics).
-    pub fn thread_vcs(&self) -> &[VectorClock] {
-        &self.vcs
-    }
-    /// Mutex release clocks (metrics).
-    pub fn mutex_vcs(&self) -> &FxHashMap<u64, VectorClock> {
-        &self.mutex_vc
-    }
-    /// Condvar release clocks (metrics).
-    pub fn cv_vcs(&self) -> &FxHashMap<u64, VectorClock> {
-        &self.cv_vc
-    }
-    /// Barrier generation clocks (metrics).
-    pub fn barrier_vcs(&self) -> &FxHashMap<(u64, u64), VectorClock> {
-        &self.barrier_vc
-    }
-    /// Semaphore release clocks (metrics).
-    pub fn sem_vcs(&self) -> &FxHashMap<u64, VectorClock> {
-        &self.sem_vc
-    }
-    /// Atomic-location clocks (metrics).
-    pub fn atomic_vcs(&self) -> &FxHashMap<u64, VectorClock> {
-        &self.atomic_vc
-    }
-    /// Promoted spin locations (metrics).
-    pub fn sync_locs(&self) -> &FxHashMap<u64, VectorClock> {
-        &self.sync_loc
-    }
-    /// Total shadow bytes (metrics): probe tables, page slabs, and
-    /// promoted read vectors — the honest cost of the paged layout.
-    pub fn shadow_iter_bytes(&self) -> usize {
-        self.shadow.approx_bytes()
-    }
-    /// Cheap O(shards) lower bound on shadow bytes — probe tables and
-    /// page slabs without the per-page walk. For hot-path budget polls.
-    pub fn shadow_resident_bytes(&self) -> usize {
-        self.shadow.resident_bytes()
-    }
-    /// Allocated shadow pages (diagnostics).
-    pub fn shadow_pages(&self) -> usize {
-        self.shadow.page_count()
-    }
-    /// Lockset table bytes (metrics).
-    pub fn lockset_table_bytes(&self) -> usize {
-        self.locksets.approx_bytes()
-    }
-
-    fn ensure_thread(&mut self, t: ThreadId) {
-        let t = t as usize;
-        while self.vcs.len() <= t {
-            self.vcs.push(initial_vc());
-            self.locks_held.push(Vec::new());
-            self.held_ids.push(LocksetId::EMPTY);
-        }
-    }
-
-    /// Promote `addr` to a synchronization location, seeding its release
-    /// clock with the last writer's epoch (the partial edge for writes
-    /// that happened before promotion).
-    fn promote(&mut self, addr: u64) {
-        if self.sync_loc.contains_key(&addr) {
-            return;
-        }
-        let mut vc = VectorClock::new();
-        if let Some(w) = self.shadow.get(addr).and_then(|cell| cell.last_write) {
-            vc.set(w.tid, w.clock);
-        }
-        self.sync_loc.insert(addr, vc);
-    }
-
-    fn is_promoted(&self, addr: u64) -> bool {
-        self.sync_loc.contains_key(&addr)
-    }
-
-    /// Record an HB race, honouring the long-MSM gating. Returns whether a
-    /// race was **detected** (passed the MSM gate) — deliberately *not*
-    /// whether the collector kept it: the caller's Eraser-stage gating
-    /// depends only on per-location state, never on the global dedup/cap
-    /// state.
-    #[allow(clippy::too_many_arguments)]
-    fn report_hb(
-        &mut self,
-        addr: u64,
-        prior: AccessRecord,
-        prior_is_write: bool,
-        tid: ThreadId,
-        pc: Pc,
-        stack: u64,
-        is_write: bool,
-    ) -> bool {
-        if let Some(MsmMode::Long) = self.cfg.msm() {
-            let cell = self.shadow.cell(addr);
-            cell.suspicions = cell.suspicions.saturating_add(1);
-            if cell.suspicions < 2 {
-                return false;
+    /// The paper's feature. Tagged spin-condition reads promote their
+    /// address and, like every access to a promoted location, are exempt
+    /// from race checks (synchronization-race suppression); a write to a
+    /// promoted location releases into it; an atomic RMW promotes and
+    /// acquires + releases (the arrival-counter pattern); a spin exit
+    /// acquires every final-iteration read — the happens-before edge from
+    /// the counterpart write to the loop exit.
+    #[inline]
+    fn spin(&mut self, e: &mut HbEngine, ev: &Event) -> bool {
+        match *ev {
+            Event::Read {
+                addr,
+                spin: Some(_),
+                ..
+            } => self.promote(addr),
+            Event::Read { addr, .. } => return self.sync_loc.contains_key(&addr),
+            Event::Write { tid, addr, .. } => match self.sync_loc.get_mut(&addr) {
+                Some(lvc) => release(&mut e.vcs[tid as usize], tid, lvc),
+                None => return false,
+            },
+            Event::Update { tid, addr, .. } => {
+                self.promote(addr);
+                let lvc = self.sync_loc.get_mut(&addr).expect("promoted");
+                e.vcs[tid as usize].join(lvc);
+                release(&mut e.vcs[tid as usize], tid, lvc);
             }
+            Event::SpinExit { tid, ref reads, .. } => {
+                for &(addr, _) in reads {
+                    acquire(&mut e.vcs[tid as usize], self.sync_loc.get(&addr));
+                }
+            }
+            _ => return false,
         }
-        let kind = match (prior_is_write, is_write) {
-            (true, true) => RaceKind::WriteWrite,
-            (true, false) => RaceKind::WriteRead,
-            (false, true) => RaceKind::ReadWrite,
-            (false, false) => unreachable!("read-read is never a race"),
-        };
-        self.reports.record(RaceReport {
-            addr,
-            prior: AccessSummary {
-                tid: prior.tid,
-                pc: prior.pc,
-                stack: prior.stack,
-                is_write: prior_is_write,
-            },
-            current: AccessSummary {
-                tid,
-                pc,
-                stack,
-                is_write,
-            },
-            kind,
-        });
         true
     }
 
-    fn on_plain_read(&mut self, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
+    #[inline]
+    fn read(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
         let ti = tid as usize;
         let rec = AccessRecord {
             tid,
-            clock: self.vcs[ti].get(tid),
+            clock: e.vcs[ti].get(tid),
             pc,
             stack,
         };
-        let vc = &self.vcs[ti];
+        let vc = &e.vcs[ti];
         let cell = self.shadow.cell(addr);
         // Race check: unordered prior write — one epoch compare against
         // the *borrowed* thread clock, never a clone.
@@ -243,23 +119,23 @@ impl RaceDetector {
             None => push_read(&mut cell.reads, rec, vc),
             // Racy read: report first (the reference's order), then update.
             Some(w) => {
-                self.report_hb(addr, w, true, tid, pc, stack, false);
-                let vc = &self.vcs[ti];
-                push_read(&mut self.shadow.cell(addr).reads, rec, vc);
+                self.report_hb(e, addr, w, true, tid, pc, stack, false);
+                push_read(&mut self.shadow.cell(addr).reads, rec, &e.vcs[ti]);
             }
         }
     }
 
-    fn on_plain_write(&mut self, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
+    #[inline]
+    fn write(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
         let ti = tid as usize;
         let rec = AccessRecord {
             tid,
-            clock: self.vcs[ti].get(tid),
+            clock: e.vcs[ti].get(tid),
             pc,
             stack,
         };
-        let vc = &self.vcs[ti];
-        let has_lockset = self.cfg.has_lockset() && !self.locks_held[ti].is_empty();
+        let vc = &e.vcs[ti];
+        let has_lockset = e.cfg.has_lockset() && !e.held[ti].is_empty();
         let cell = self.shadow.cell(addr);
         let racy_write = cell
             .last_write
@@ -278,7 +154,7 @@ impl RaceDetector {
                 let cur = self.held_ids[ti];
                 eraser_update(
                     &mut self.locksets,
-                    &mut self.reports,
+                    &mut e.reports,
                     &mut cell.write_lockset,
                     addr,
                     cur,
@@ -303,11 +179,11 @@ impl RaceDetector {
         }
         let mut hb_reported = false;
         if let Some(w) = racy_write {
-            hb_reported |= self.report_hb(addr, w, true, tid, pc, stack, true);
+            hb_reported |= self.report_hb(e, addr, w, true, tid, pc, stack, true);
         }
         let scratch = std::mem::take(&mut self.read_scratch);
         for &r in &scratch {
-            hb_reported |= self.report_hb(addr, r, false, tid, pc, stack, true);
+            hb_reported |= self.report_hb(e, addr, r, false, tid, pc, stack, true);
         }
         self.read_scratch = scratch;
 
@@ -316,7 +192,7 @@ impl RaceDetector {
             let cur = self.held_ids[ti];
             eraser_update(
                 &mut self.locksets,
-                &mut self.reports,
+                &mut e.reports,
                 &mut cell.write_lockset,
                 addr,
                 cur,
@@ -329,17 +205,106 @@ impl RaceDetector {
         cell.reads.clear();
     }
 
-    /// Release into a promoted location: accumulate the writer's clock.
-    fn release_sync_loc(&mut self, tid: ThreadId, addr: u64) {
-        let vc = &self.vcs[tid as usize];
-        self.sync_loc.get_mut(&addr).expect("promoted").join(vc);
-        self.vcs[tid as usize].tick(tid);
+    fn lock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64) {
+        acquire(&mut e.vcs[tid as usize], self.mutex_vc.get(&mutex));
+        self.intern_held(e, tid);
     }
 
-    fn acquire_sync_loc(&mut self, tid: ThreadId, addr: u64) {
-        if let Some(lvc) = self.sync_loc.get(&addr) {
-            self.vcs[tid as usize].join(lvc);
+    fn unlock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64) {
+        let vc = &e.vcs[tid as usize];
+        self.mutex_vc.entry(mutex).or_default().join(vc);
+        self.intern_held(e, tid);
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.shadow.resident_bytes()
+    }
+
+    fn promoted_locations(&self) -> usize {
+        self.sync_loc.len()
+    }
+
+    /// Shadow bytes are the honest walk of the paged layout (probe
+    /// tables, page slabs and promoted read vectors).
+    fn metrics(&self, m: &mut DetectorMetrics) {
+        m.shadow_bytes = self.shadow.approx_bytes();
+        m.lib_sync_bytes += vc_map_bytes(&self.mutex_vc);
+        m.spin_sync_bytes = vc_map_bytes(&self.sync_loc);
+        m.lockset_bytes = self.locksets.approx_bytes();
+    }
+}
+
+impl HbAccess {
+    /// Re-intern `tid`'s held-lock list after it changed.
+    fn intern_held(&mut self, e: &HbEngine, tid: ThreadId) {
+        let ti = tid as usize;
+        if self.held_ids.len() <= ti {
+            self.held_ids.resize(ti + 1, LocksetId::EMPTY);
         }
+        self.held_ids[ti] = self.locksets.intern_presorted(&e.held[ti]);
+    }
+
+    /// Promote `addr` to a synchronization location, seeding its release
+    /// clock with the last writer's epoch (the partial edge for writes
+    /// that happened before promotion).
+    fn promote(&mut self, addr: u64) {
+        if self.sync_loc.contains_key(&addr) {
+            return;
+        }
+        let mut vc = VectorClock::new();
+        if let Some(w) = self.shadow.get(addr).and_then(|cell| cell.last_write) {
+            vc.set(w.tid, w.clock);
+        }
+        self.sync_loc.insert(addr, vc);
+    }
+
+    /// Record an HB race, honouring the long-MSM gating. Returns whether a
+    /// race was **detected** (passed the MSM gate) — deliberately *not*
+    /// whether the collector kept it: the caller's Eraser-stage gating
+    /// depends only on per-location state, never on the global dedup/cap
+    /// state.
+    #[allow(clippy::too_many_arguments)]
+    fn report_hb(
+        &mut self,
+        e: &mut HbEngine,
+        addr: u64,
+        prior: AccessRecord,
+        prior_is_write: bool,
+        tid: ThreadId,
+        pc: Pc,
+        stack: u64,
+        is_write: bool,
+    ) -> bool {
+        if let Some(MsmMode::Long) = e.cfg.msm() {
+            let cell = self.shadow.cell(addr);
+            cell.suspicions = cell.suspicions.saturating_add(1);
+            if cell.suspicions < 2 {
+                return false;
+            }
+        }
+        let kind = match (prior_is_write, is_write) {
+            (true, true) => RaceKind::WriteWrite,
+            (true, false) => RaceKind::WriteRead,
+            (false, true) => RaceKind::ReadWrite,
+            (false, false) => unreachable!("read-read is never a race"),
+        };
+        e.reports.record(RaceReport {
+            addr,
+            prior: AccessSummary {
+                tid: prior.tid,
+                pc: prior.pc,
+                stack: prior.stack,
+                is_write: prior_is_write,
+            },
+            current: AccessSummary {
+                tid,
+                pc,
+                stack,
+                is_write,
+            },
+            kind,
+        });
+        true
     }
 }
 
@@ -416,239 +381,11 @@ fn push_read(reads: &mut ReadState, rec: AccessRecord, vc: &VectorClock) {
     }
 }
 
-fn initial_vc() -> VectorClock {
-    let mut vc = VectorClock::new();
-    vc.set(0, 1);
-    vc
-}
-
-impl EventSink for RaceDetector {
-    fn on_event(&mut self, ev: &Event) {
-        self.events_seen += 1;
-        self.handle(ev);
-    }
-}
-
-impl RaceDetector {
-    /// The event cascade.
-    fn handle(&mut self, ev: &Event) {
-        match *ev {
-            Event::Spawn { parent, child, .. } => {
-                self.ensure_thread(parent);
-                self.ensure_thread(child);
-                let pvc = self.vcs[parent as usize].clone();
-                let cvc = &mut self.vcs[child as usize];
-                cvc.join(&pvc);
-                cvc.tick(child);
-                self.vcs[parent as usize].tick(parent);
-            }
-            Event::Join { parent, child, .. } => {
-                self.ensure_thread(parent);
-                self.ensure_thread(child);
-                let cvc = self.vcs[child as usize].clone();
-                self.vcs[parent as usize].join(&cvc);
-            }
-            Event::ThreadEnd { .. } => {}
-
-            Event::Read {
-                tid,
-                addr,
-                pc,
-                stack,
-                atomic,
-                spin,
-                ..
-            } => {
-                self.ensure_thread(tid);
-                // Spin feature: tagged condition reads promote & suppress.
-                if self.cfg.spin && spin.is_some() {
-                    self.promote(addr);
-                    return;
-                }
-                // Promoted locations are synchronization state: exempt.
-                if self.cfg.spin && self.is_promoted(addr) {
-                    return;
-                }
-                // DRD: atomics are synchronization, not data.
-                if self.cfg.atomics_sync {
-                    if let Some(ord) = atomic {
-                        if ord.acquires() {
-                            if let Some(avc) = self.atomic_vc.get(&addr) {
-                                self.vcs[tid as usize].join(avc);
-                            }
-                        }
-                        return;
-                    }
-                }
-                self.on_plain_read(tid, addr, pc, stack);
-            }
-            Event::Write {
-                tid,
-                addr,
-                pc,
-                stack,
-                atomic,
-                ..
-            } => {
-                self.ensure_thread(tid);
-                if self.cfg.spin && self.is_promoted(addr) {
-                    // Counterpart write to a sync location: release, no
-                    // race check (synchronization-race suppression).
-                    self.release_sync_loc(tid, addr);
-                    return;
-                }
-                if self.cfg.atomics_sync {
-                    if let Some(ord) = atomic {
-                        if ord.releases() {
-                            let vc = &self.vcs[tid as usize];
-                            self.atomic_vc.entry(addr).or_default().join(vc);
-                            self.vcs[tid as usize].tick(tid);
-                        }
-                        return;
-                    }
-                }
-                self.on_plain_write(tid, addr, pc, stack);
-            }
-            Event::Update {
-                tid,
-                addr,
-                pc,
-                stack,
-                ..
-            } => {
-                self.ensure_thread(tid);
-                if self.cfg.spin {
-                    // Atomic RMW = machine-visible sync candidate: promote,
-                    // acquire + release (arrival-counter pattern).
-                    self.promote(addr);
-                    self.acquire_sync_loc(tid, addr);
-                    self.release_sync_loc(tid, addr);
-                    return;
-                }
-                if self.cfg.atomics_sync {
-                    // Acquire + release through one map probe.
-                    let avc = self.atomic_vc.entry(addr).or_default();
-                    self.vcs[tid as usize].join(avc);
-                    avc.join(&self.vcs[tid as usize]);
-                    self.vcs[tid as usize].tick(tid);
-                    return;
-                }
-                // Library-knowledge-only hybrid: an RMW is just a plain
-                // read+write — the source of its ad-hoc-atomics floods.
-                self.on_plain_read(tid, addr, pc, stack);
-                self.on_plain_write(tid, addr, pc, stack);
-            }
-            Event::Fence { .. } => {}
-
-            Event::MutexLock { tid, mutex, .. } => {
-                self.ensure_thread(tid);
-                if self.cfg.lib {
-                    if let Some(mvc) = self.mutex_vc.get(&mutex) {
-                        self.vcs[tid as usize].join(mvc);
-                    }
-                    let held = &mut self.locks_held[tid as usize];
-                    if let Err(i) = held.binary_search(&mutex) {
-                        held.insert(i, mutex);
-                    }
-                    self.held_ids[tid as usize] = self
-                        .locksets
-                        .intern_presorted(&self.locks_held[tid as usize]);
-                }
-            }
-            Event::MutexUnlock { tid, mutex, .. } => {
-                self.ensure_thread(tid);
-                if self.cfg.lib {
-                    let vc = &self.vcs[tid as usize];
-                    self.mutex_vc.entry(mutex).or_default().join(vc);
-                    self.vcs[tid as usize].tick(tid);
-                    let held = &mut self.locks_held[tid as usize];
-                    if let Ok(i) = held.binary_search(&mutex) {
-                        held.remove(i);
-                    }
-                    self.held_ids[tid as usize] = self
-                        .locksets
-                        .intern_presorted(&self.locks_held[tid as usize]);
-                }
-            }
-            Event::CondSignal { tid, cv, .. } | Event::CondBroadcast { tid, cv, .. } => {
-                self.ensure_thread(tid);
-                if self.cfg.lib {
-                    let vc = &self.vcs[tid as usize];
-                    self.cv_vc.entry(cv).or_default().join(vc);
-                    self.vcs[tid as usize].tick(tid);
-                }
-            }
-            Event::CondWaitReturn { tid, cv, .. } => {
-                self.ensure_thread(tid);
-                if self.cfg.lib {
-                    if let Some(cvc) = self.cv_vc.get(&cv) {
-                        self.vcs[tid as usize].join(cvc);
-                    }
-                }
-            }
-            Event::BarrierEnter {
-                tid, barrier, gen, ..
-            } => {
-                self.ensure_thread(tid);
-                if self.cfg.lib {
-                    let vc = &self.vcs[tid as usize];
-                    self.barrier_vc.entry((barrier, gen)).or_default().join(vc);
-                    self.vcs[tid as usize].tick(tid);
-                }
-            }
-            Event::BarrierLeave {
-                tid, barrier, gen, ..
-            } => {
-                self.ensure_thread(tid);
-                if self.cfg.lib {
-                    if let Some(bvc) = self.barrier_vc.get(&(barrier, gen)) {
-                        self.vcs[tid as usize].join(bvc);
-                    }
-                }
-            }
-            Event::SemPost { tid, sem, .. } => {
-                self.ensure_thread(tid);
-                if self.cfg.lib {
-                    let vc = &self.vcs[tid as usize];
-                    self.sem_vc.entry(sem).or_default().join(vc);
-                    self.vcs[tid as usize].tick(tid);
-                }
-            }
-            Event::SemAcquired { tid, sem, .. } => {
-                self.ensure_thread(tid);
-                if self.cfg.lib {
-                    if let Some(svc) = self.sem_vc.get(&sem) {
-                        self.vcs[tid as usize].join(svc);
-                    }
-                }
-            }
-
-            Event::SpinEnter { .. } => {}
-            Event::SpinExit { tid, ref reads, .. } => {
-                self.ensure_thread(tid);
-                if self.cfg.spin {
-                    // The happens-before edge from the counterpart write to
-                    // the loop exit: acquire every final-iteration read.
-                    for &(addr, _) in reads {
-                        self.acquire_sync_loc(tid, addr);
-                    }
-                }
-            }
-            Event::Output { .. } => {}
-        }
-    }
-}
-
-/// Convenience used by tests & metrics: does `ord` release?
-pub fn releases(ord: MemOrder) -> bool {
-    ord.releases()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DetectorConfig;
-    use spinrace_tir::{BlockId, FuncId};
+    use spinrace_tir::{BlockId, FuncId, MemOrder};
+    use spinrace_vm::EventSink;
 
     fn pc(n: u32) -> Pc {
         Pc::new(FuncId(0), BlockId(0), n)

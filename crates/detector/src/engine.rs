@@ -1,0 +1,311 @@
+//! The happens-before engine both detector families run on.
+//!
+//! Every detector here is a vector-clock happens-before detector; the
+//! families differ only in how they treat plain memory accesses and
+//! mutex edges. [`HbEngine`] owns what they share: the configuration,
+//! per-thread clocks and sorted held-lock lists, the condvar, barrier,
+//! semaphore and atomic release clocks, the report collector and the
+//! event count. It runs every edge that is not a mutex edge, gated by
+//! `cfg.lib` (library sync objects), `cfg.atomics_sync` (machine atomics)
+//! and `cfg.spin` (the paper's spin feature, which the access model
+//! implements). An [`AccessModel`] supplies the rest:
+//! [`crate::detector::HbAccess`] (shadow epochs, Eraser lockset, long
+//! MSM, spin promotion, plain mutex edges) or
+//! [`crate::predict::SyncPreserving`] (per-thread frontiers,
+//! conflict-conditional mutex edges). [`Detector`] pairs the engine with
+//! a model and is the [`EventSink`] every replay path drives.
+
+use crate::config::DetectorConfig;
+use crate::metrics::{vc_map_bytes, DetectorMetrics};
+use crate::report::ReportCollector;
+use crate::vc::VectorClock;
+use fxhash::FxHashMap;
+use spinrace_tir::Pc;
+use spinrace_vm::{Event, EventSink, ThreadId};
+use std::mem::size_of;
+
+/// The state every detector family shares.
+pub struct HbEngine {
+    pub(crate) cfg: DetectorConfig,
+    /// Per-thread vector clocks.
+    pub(crate) vcs: Vec<VectorClock>,
+    /// Per-thread held locks, sorted.
+    pub(crate) held: Vec<Vec<u64>>,
+    /// Release clocks of condvars, barrier generations and semaphores.
+    cv_vc: FxHashMap<u64, VectorClock>,
+    barrier_vc: FxHashMap<(u64, u64), VectorClock>,
+    sem_vc: FxHashMap<u64, VectorClock>,
+    /// Release clocks of atomic locations (machine-atomics model).
+    atomic_vc: FxHashMap<u64, VectorClock>,
+    pub(crate) reports: ReportCollector,
+    events_seen: u64,
+}
+
+/// What a detector family adds to the engine: how it checks plain
+/// accesses, which mutex edges it keeps, and the memory it retains.
+pub trait AccessModel {
+    /// Fresh model state for one run.
+    fn new(cfg: &DetectorConfig) -> Self;
+    /// The spin feature's claim on an event, asked before anything else
+    /// when `cfg.spin` is set. Returns whether the event was consumed.
+    fn spin(&mut self, _e: &mut HbEngine, _ev: &Event) -> bool {
+        false
+    }
+    /// A plain (non-synchronizing) read.
+    fn read(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64);
+    /// A plain write.
+    fn write(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64);
+    /// `tid` acquired `mutex`, which is already in its held list.
+    fn lock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64);
+    /// `tid` released `mutex`, which is already out of its held list;
+    /// the engine ticks `tid`'s clock after this returns.
+    fn unlock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64);
+    /// Cheap estimate of the retained access history (budget polls).
+    fn resident_bytes(&self) -> usize;
+    /// Spin locations promoted to synchronization variables.
+    fn promoted_locations(&self) -> usize {
+        0
+    }
+    /// Fill in the model's share of `m`: shadow, spin and lockset bytes,
+    /// plus its mutex-edge state added to `lib_sync_bytes`.
+    fn metrics(&self, m: &mut DetectorMetrics);
+}
+
+/// A race detector: the shared engine driving one family's access model.
+/// Feed it a VM event stream (it implements [`EventSink`]) and read the
+/// results from [`Detector::reports`].
+pub struct Detector<M> {
+    engine: HbEngine,
+    pub(crate) model: M,
+}
+
+impl<M: AccessModel> Detector<M> {
+    /// Fresh detector for one run.
+    pub fn new(cfg: DetectorConfig) -> Self {
+        Detector {
+            engine: HbEngine {
+                cfg,
+                vcs: vec![initial_vc()],
+                held: vec![Vec::new()],
+                cv_vc: FxHashMap::default(),
+                barrier_vc: FxHashMap::default(),
+                sem_vc: FxHashMap::default(),
+                atomic_vc: FxHashMap::default(),
+                reports: ReportCollector::new(cfg.context_cap),
+                events_seen: 0,
+            },
+            model: M::new(&cfg),
+        }
+    }
+
+    /// The configuration in use.
+    pub fn config(&self) -> &DetectorConfig {
+        &self.engine.cfg
+    }
+
+    /// Collected reports.
+    pub fn reports(&self) -> &ReportCollector {
+        &self.engine.reports
+    }
+
+    /// Number of distinct racy contexts (the paper's table metric).
+    pub fn racy_contexts(&self) -> usize {
+        self.engine.reports.contexts()
+    }
+
+    /// Events processed.
+    pub fn events_seen(&self) -> u64 {
+        self.engine.events_seen
+    }
+
+    /// Spin locations promoted to synchronization variables (always 0
+    /// for the predictive pass).
+    pub fn promoted_locations(&self) -> usize {
+        self.model.promoted_locations()
+    }
+
+    /// Cheap resident-size estimate of the access history, for hot-path
+    /// budget polls.
+    pub fn shadow_resident_bytes(&self) -> usize {
+        self.model.resident_bytes()
+    }
+
+    /// Measure retained state.
+    pub fn metrics(&self) -> DetectorMetrics {
+        let e = &self.engine;
+        let barrier_bytes: usize = e
+            .barrier_vc
+            .values()
+            .map(|v| size_of::<(u64, u64)>() + v.approx_bytes())
+            .sum();
+        let mut m = DetectorMetrics {
+            thread_vc_bytes: e
+                .vcs
+                .iter()
+                .map(|v| size_of::<VectorClock>() + v.approx_bytes())
+                .sum(),
+            lib_sync_bytes: vc_map_bytes(&e.cv_vc) + barrier_bytes + vc_map_bytes(&e.sem_vc),
+            atomic_bytes: vc_map_bytes(&e.atomic_vc),
+            report_bytes: e.reports.approx_bytes(),
+            ..DetectorMetrics::default()
+        };
+        self.model.metrics(&mut m);
+        m
+    }
+}
+
+impl<M: AccessModel> EventSink for Detector<M> {
+    fn on_event(&mut self, ev: &Event) {
+        self.engine.step(&mut self.model, ev);
+    }
+}
+
+impl HbEngine {
+    /// Grow per-thread state to cover `t`. The growth path is out of
+    /// line: each thread takes it once, and every event checks it.
+    #[inline]
+    fn ensure_thread(&mut self, t: ThreadId) {
+        if self.vcs.len() <= t as usize {
+            self.add_threads(t);
+        }
+    }
+
+    #[cold]
+    fn add_threads(&mut self, t: ThreadId) {
+        let n = t as usize + 1;
+        self.vcs.resize_with(n, initial_vc);
+        self.held.resize_with(n, Vec::new);
+    }
+
+    /// The event cascade.
+    #[inline]
+    fn step<M: AccessModel>(&mut self, m: &mut M, ev: &Event) {
+        self.events_seen += 1;
+        if let Event::Spawn { child, .. } | Event::Join { child, .. } = *ev {
+            self.ensure_thread(child);
+        }
+        let tid = ev.tid();
+        self.ensure_thread(tid);
+        let ti = tid as usize;
+        let (lib, atomics, spin) = (self.cfg.lib, self.cfg.atomics_sync, self.cfg.spin);
+        match *ev {
+            // The spin feature claims tagged and promoted accesses, RMWs
+            // and spin exits first; what it leaves falls through.
+            Event::Read { .. }
+            | Event::Write { .. }
+            | Event::Update { .. }
+            | Event::SpinExit { .. }
+                if spin && m.spin(self, ev) => {}
+            Event::Spawn { child, .. } => {
+                let pvc = self.vcs[ti].clone();
+                let cvc = &mut self.vcs[child as usize];
+                cvc.join(&pvc);
+                cvc.tick(child);
+                self.vcs[ti].tick(tid);
+            }
+            Event::Join { child, .. } => {
+                let cvc = self.vcs[child as usize].clone();
+                self.vcs[ti].join(&cvc);
+            }
+            // Machine atomics are synchronization, not data: acquiring
+            // loads and releasing stores move clocks, and no atomic access
+            // is race-checked.
+            Event::Read {
+                addr,
+                atomic: Some(ord),
+                ..
+            } if atomics && ord.acquires() => {
+                acquire(&mut self.vcs[ti], self.atomic_vc.get(&addr));
+            }
+            Event::Write {
+                addr,
+                atomic: Some(ord),
+                ..
+            } if atomics && ord.releases() => {
+                let avc = self.atomic_vc.entry(addr).or_default();
+                release(&mut self.vcs[ti], tid, avc);
+            }
+            Event::Read {
+                atomic: Some(_), ..
+            }
+            | Event::Write {
+                atomic: Some(_), ..
+            } if atomics => {}
+            Event::Read {
+                addr, pc, stack, ..
+            } => m.read(self, tid, addr, pc, stack),
+            Event::Write {
+                addr, pc, stack, ..
+            } => m.write(self, tid, addr, pc, stack),
+            Event::Update { addr, .. } if atomics => {
+                // Acquire + release through one map probe.
+                let avc = self.atomic_vc.entry(addr).or_default();
+                self.vcs[ti].join(avc);
+                release(&mut self.vcs[ti], tid, avc);
+            }
+            // Without atomics (or spin) knowledge an RMW is a plain
+            // read + write — the source of the lib-only ad-hoc floods.
+            Event::Update {
+                addr, pc, stack, ..
+            } => {
+                m.read(self, tid, addr, pc, stack);
+                m.write(self, tid, addr, pc, stack);
+            }
+            Event::MutexLock { mutex, .. } if lib => {
+                let held = &mut self.held[ti];
+                if let Err(i) = held.binary_search(&mutex) {
+                    held.insert(i, mutex);
+                }
+                m.lock(self, tid, mutex);
+            }
+            Event::MutexUnlock { mutex, .. } if lib => {
+                let held = &mut self.held[ti];
+                if let Ok(i) = held.binary_search(&mutex) {
+                    held.remove(i);
+                }
+                m.unlock(self, tid, mutex);
+                self.vcs[ti].tick(tid);
+            }
+            Event::CondSignal { cv, .. } | Event::CondBroadcast { cv, .. } if lib => {
+                release(&mut self.vcs[ti], tid, self.cv_vc.entry(cv).or_default());
+            }
+            Event::CondWaitReturn { cv, .. } if lib => {
+                acquire(&mut self.vcs[ti], self.cv_vc.get(&cv));
+            }
+            Event::BarrierEnter { barrier, gen, .. } if lib => {
+                let bvc = self.barrier_vc.entry((barrier, gen)).or_default();
+                release(&mut self.vcs[ti], tid, bvc);
+            }
+            Event::BarrierLeave { barrier, gen, .. } if lib => {
+                acquire(&mut self.vcs[ti], self.barrier_vc.get(&(barrier, gen)));
+            }
+            Event::SemPost { sem, .. } if lib => {
+                release(&mut self.vcs[ti], tid, self.sem_vc.entry(sem).or_default());
+            }
+            Event::SemAcquired { sem, .. } if lib => {
+                acquire(&mut self.vcs[ti], self.sem_vc.get(&sem));
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Release thread `tid`'s clock `vc` into a sync object's clock, then
+/// start `tid`'s next epoch.
+pub(crate) fn release(vc: &mut VectorClock, tid: ThreadId, into: &mut VectorClock) {
+    into.join(vc);
+    vc.tick(tid);
+}
+
+/// Acquire a sync object's release clock, if it was ever released.
+pub(crate) fn acquire(vc: &mut VectorClock, from: Option<&VectorClock>) {
+    if let Some(from) = from {
+        vc.join(from);
+    }
+}
+
+fn initial_vc() -> VectorClock {
+    let mut vc = VectorClock::new();
+    vc.set(0, 1);
+    vc
+}

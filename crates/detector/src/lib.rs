@@ -29,21 +29,34 @@
 //! instruction locations — and capped (default 1000, Helgrind's error
 //! cap, visible in the paper's PARSEC tables).
 //!
-//! Alongside the witnessed-interleaving lineup, the crate provides a
-//! **sync-preserving predictive detector**
-//! ([`DetectorKind::SyncPreserving`], [`predict::SyncPreservingDetector`])
-//! that reports races in *correct reorderings* of a recorded trace: mutex
-//! release→acquire edges are kept only between critical sections that
-//! conflict on the accessed variable, while program-structure edges
-//! (spawn/join, condvars, barriers, semaphores, machine atomics) always
-//! hold. Since it only ever drops edges relative to happens-before, its
-//! race set is a superset of the HB lineup's on the same stream.
-//! [`AnyDetector`] dispatches between the two families behind one
-//! [`spinrace_vm::EventSink`] surface.
+//! ## One happens-before engine, two access models
+//!
+//! Every detector here is the [`engine::HbEngine`] driving an
+//! [`engine::AccessModel`], packaged as an [`engine::Detector`]. The
+//! engine owns the per-thread clocks and held-lock lists, every
+//! non-mutex edge (spawn/join, condvars, barriers, semaphores, machine
+//! atomics), the reports and the shared metrics. The models differ in
+//! how they check plain accesses and which mutex edges they keep:
+//!
+//! * [`detector::HbAccess`] ([`RaceDetector`]) — the witnessed-interleaving
+//!   lineup above: shadow epochs, the Eraser lockset stage, the long
+//!   MSM, spin promotion, and a release→acquire edge for every mutex
+//!   hand-off;
+//! * [`predict::SyncPreserving`] ([`SyncPreservingDetector`],
+//!   [`DetectorKind::SyncPreserving`]) — sync-preserving prediction,
+//!   which reports races in *correct reorderings* of a recorded trace:
+//!   per-thread access frontiers, and mutex edges kept only between
+//!   critical sections that conflict on the accessed variable. Since it
+//!   only ever drops edges relative to happens-before, its race set is
+//!   a superset of the HB lineup's on the same stream.
+//!
+//! [`AnyDetector`] picks the model by [`DetectorConfig::kind`] behind
+//! one [`spinrace_vm::EventSink`] surface.
 
 pub mod any;
 pub mod config;
 pub mod detector;
+pub mod engine;
 pub mod lockset;
 pub mod metrics;
 pub mod predict;

@@ -1,7 +1,6 @@
 //! Detector-state memory accounting — the series behind the paper's
 //! memory-consumption figure (library mode vs. spin-augmented modes).
 
-use crate::detector::RaceDetector;
 use serde::{Deserialize, Serialize};
 
 /// Byte-granular breakdown of a detector's retained state.
@@ -43,53 +42,6 @@ pub(crate) fn vc_map_bytes(m: &fxhash::FxHashMap<u64, crate::vc::VectorClock>) -
     m.values()
         .map(|v| size_of::<u64>() + size_of::<crate::vc::VectorClock>() + v.approx_bytes())
         .sum()
-}
-
-impl RaceDetector {
-    /// Per-thread vector clock bytes.
-    pub fn thread_vc_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.thread_vcs()
-            .iter()
-            .map(|v| size_of::<crate::vc::VectorClock>() + v.approx_bytes())
-            .sum()
-    }
-
-    /// Library sync-object clock bytes (mutex/CV/barrier/sem).
-    pub fn lib_sync_bytes(&self) -> usize {
-        use std::mem::size_of;
-        vc_map_bytes(self.mutex_vcs())
-            + vc_map_bytes(self.cv_vcs())
-            + self
-                .barrier_vcs()
-                .values()
-                .map(|v| size_of::<(u64, u64)>() + v.approx_bytes())
-                .sum::<usize>()
-            + vc_map_bytes(self.sem_vcs())
-    }
-
-    /// Atomic-location clock bytes (DRD machine-atomic model).
-    pub fn atomic_vc_bytes(&self) -> usize {
-        vc_map_bytes(self.atomic_vcs())
-    }
-
-    /// Promoted spin-location clock bytes — the paper feature's cost.
-    pub fn spin_sync_bytes(&self) -> usize {
-        vc_map_bytes(self.sync_locs())
-    }
-
-    /// Measure retained state.
-    pub fn metrics(&self) -> DetectorMetrics {
-        DetectorMetrics {
-            shadow_bytes: self.shadow_iter_bytes(),
-            thread_vc_bytes: self.thread_vc_bytes(),
-            lib_sync_bytes: self.lib_sync_bytes(),
-            atomic_bytes: self.atomic_vc_bytes(),
-            spin_sync_bytes: self.spin_sync_bytes(),
-            lockset_bytes: self.lockset_table_bytes(),
-            report_bytes: self.reports().approx_bytes(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,30 +1,33 @@
 //! Sync-preserving predictive race detection — races in *reorderings*
 //! of the recorded trace, from one linear pass.
 //!
-//! The happens-before lineup only reports races the recorded
-//! interleaving happened to witness: every mutex release→acquire pair
-//! becomes an ordering edge, even between critical sections that touch
-//! disjoint data and could legally run in either order. Sync-preserving
-//! prediction (Mathur, Pavlogiannis & Viswanathan, *Optimal Prediction
-//! of Synchronization-Preserving Races*) keeps a critical-section edge
-//! only when reversing it would change an observed value — here
-//! approximated per variable: the release of a critical section on `m`
-//! orders a later access to `x` inside a critical section on `m` **only
-//! if the earlier section conflicted on `x`** (wrote `x` for any later
-//! access; read `x` for a later write). Hard program-structure edges —
-//! spawn/join, condition variables, barriers, semaphores, and machine
-//! atomics — are always kept: reversing those would not be a
-//! synchronization-preserving correct reordering.
+//! This is the second access model on the shared happens-before engine
+//! ([`crate::engine`]). The engine keeps every hard program-structure
+//! edge — spawn/join, condition variables, barriers, semaphores and
+//! machine atomics — exactly as the HB lineup does: reversing those
+//! would not be a synchronization-preserving correct reordering. What
+//! this model changes is the mutex policy and the access history.
 //!
-//! Because this detector only ever *drops* edges relative to the pure
-//! happens-before relation, any pair unordered under HB stays unordered
-//! here: its race set is a **superset of the HB race set** on the same
-//! stream, by construction (the workload-oracle suite enforces this
-//! differentially). Soundness is per the per-variable abstraction: a
-//! predicted pair is racy in some sync-preserving reordering of the
-//! recorded trace provided the intervening critical sections are
-//! value-independent of the accesses — the classic trade the paper's
-//! linear-time variant makes.
+//! The HB lineup only reports races the recorded interleaving happened
+//! to witness: every mutex release→acquire pair becomes an ordering
+//! edge, even between critical sections that touch disjoint data and
+//! could legally run in either order. Sync-preserving prediction
+//! (Mathur, Pavlogiannis & Viswanathan, *Optimal Prediction of
+//! Synchronization-Preserving Races*) keeps a critical-section edge only
+//! when reversing it would change an observed value — here approximated
+//! per variable: the release of a critical section on `m` orders a later
+//! access to `x` inside a critical section on `m` **only if the earlier
+//! section conflicted on `x`** (wrote `x` for any later access; read `x`
+//! for a later write). Since any pair unordered under HB thus stays
+//! unordered, the race set is a **superset of the HB race set** on the
+//! same stream, by construction (the workload-oracle suite enforces this
+//! differentially); dropping edges can leave several unordered priors,
+//! so the history keeps every thread's last read and write per address.
+//! Soundness is per the per-variable abstraction: a predicted pair is
+//! racy in some sync-preserving reordering of the recorded trace
+//! provided the intervening critical sections are value-independent of
+//! the accesses — the classic trade the paper's linear-time variant
+//! makes.
 //!
 //! The pass is a single in-order walk (release clocks flow through the
 //! per-lock conflict maps in trace order); whole-trace and
@@ -32,13 +35,19 @@
 //! byte-identical.
 
 use crate::config::DetectorConfig;
+use crate::engine::{AccessModel, Detector, HbEngine};
 use crate::metrics::{vc_map_bytes, DetectorMetrics};
-use crate::report::{AccessSummary, RaceKind, RaceReport, ReportCollector};
+use crate::report::{AccessSummary, RaceKind, RaceReport};
 use crate::vc::{Epoch, VectorClock};
 use fxhash::FxHashMap;
 use spinrace_tir::Pc;
-use spinrace_vm::{Event, EventSink, ThreadId};
+use spinrace_vm::ThreadId;
 use std::mem::size_of;
+
+/// The sync-preserving predictive detector: same surface as
+/// [`crate::RaceDetector`], same [`crate::ReportCollector`] dedup/cap
+/// semantics, reusable by every replay path.
+pub type SyncPreservingDetector = Detector<SyncPreserving>;
 
 /// A thread's last access to one address: its epoch plus the static
 /// site, enough to both order against and report.
@@ -50,104 +59,73 @@ struct SiteEpoch {
 }
 
 /// Per-address access history: the last write and last read of *every*
-/// thread (an epoch per thread, not just the globally last access —
-/// prediction must check the current access against each thread's
-/// frontier, since dropping edges can leave several unordered priors).
+/// thread.
 #[derive(Default)]
 struct AddrState {
     writes: FxHashMap<ThreadId, SiteEpoch>,
     reads: FxHashMap<ThreadId, SiteEpoch>,
 }
 
-/// The footprint of one open critical section: which addresses it wrote
-/// and read so far (folded into the per-lock conflict maps at unlock).
-#[derive(Default)]
-struct CsFootprint {
-    /// addr → (wrote, read)
-    accesses: FxHashMap<u64, (bool, bool)>,
-}
-
-/// The sync-preserving predictive detector. Feed it a VM event stream
-/// (it implements [`EventSink`]) and read results from
-/// [`SyncPreservingDetector::reports`] — same surface as
-/// [`crate::RaceDetector`], same [`ReportCollector`] dedup/cap
-/// semantics, reusable by every replay path.
-pub struct SyncPreservingDetector {
-    cfg: DetectorConfig,
-    /// Per-thread clocks over the *weakened* ordering.
-    vcs: Vec<VectorClock>,
-    /// Per-thread held locks (sorted).
-    held: Vec<Vec<u64>>,
-    /// Per-thread open critical-section footprints, keyed by lock.
-    cs: Vec<FxHashMap<u64, CsFootprint>>,
+/// Per-thread access frontiers and the conflict-conditional mutex edges.
+pub struct SyncPreserving {
+    /// Footprints of the open critical sections, keyed by (thread, lock):
+    /// addr → (wrote, read), folded into the conflict maps at unlock.
+    cs: FxHashMap<(ThreadId, u64), FxHashMap<u64, (bool, bool)>>,
     /// Per-lock conflict maps: `rel_w[m][x]` joins the release clocks of
     /// every closed critical section on `m` that wrote `x`; `rel_r` the
     /// same for reads. The conditional edge is applied at access time.
     rel_w: FxHashMap<u64, FxHashMap<u64, VectorClock>>,
     rel_r: FxHashMap<u64, FxHashMap<u64, VectorClock>>,
-    /// Hard-edge release clocks (always kept).
-    cv_vc: FxHashMap<u64, VectorClock>,
-    barrier_vc: FxHashMap<(u64, u64), VectorClock>,
-    sem_vc: FxHashMap<u64, VectorClock>,
-    atomic_vc: FxHashMap<u64, VectorClock>,
     /// Per-address frontier state.
     state: FxHashMap<u64, AddrState>,
     /// Racy-pair scratch (kept to avoid per-event allocation).
     scratch: Vec<(AccessSummary, RaceKind)>,
-    reports: ReportCollector,
-    events_seen: u64,
 }
 
-impl SyncPreservingDetector {
-    /// Fresh detector for one pass.
-    pub fn new(cfg: DetectorConfig) -> SyncPreservingDetector {
-        SyncPreservingDetector {
-            cfg,
-            vcs: vec![initial_vc()],
-            held: vec![Vec::new()],
-            cs: vec![FxHashMap::default()],
+impl AccessModel for SyncPreserving {
+    fn new(_cfg: &DetectorConfig) -> SyncPreserving {
+        SyncPreserving {
+            cs: FxHashMap::default(),
             rel_w: FxHashMap::default(),
             rel_r: FxHashMap::default(),
-            cv_vc: FxHashMap::default(),
-            barrier_vc: FxHashMap::default(),
-            sem_vc: FxHashMap::default(),
-            atomic_vc: FxHashMap::default(),
             state: FxHashMap::default(),
             scratch: Vec::new(),
-            reports: ReportCollector::new(cfg.context_cap),
-            events_seen: 0,
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.cfg
+    fn read(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
+        self.access(e, tid, addr, pc, stack, false);
     }
 
-    /// Collected reports.
-    pub fn reports(&self) -> &ReportCollector {
-        &self.reports
+    fn write(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
+        self.access(e, tid, addr, pc, stack, true);
     }
 
-    /// Number of distinct racy contexts.
-    pub fn racy_contexts(&self) -> usize {
-        self.reports.contexts()
-    }
+    /// No unconditional acquire — the whole point: a section's edges are
+    /// applied per access, from the conflict maps.
+    fn lock(&mut self, _e: &mut HbEngine, _tid: ThreadId, _mutex: u64) {}
 
-    /// Events processed.
-    pub fn events_seen(&self) -> u64 {
-        self.events_seen
-    }
-
-    /// Prediction promotes no spin locations; the accessor exists so
-    /// both detector families expose the same result shape.
-    pub fn promoted_locations(&self) -> usize {
-        0
+    /// Fold the closed section's footprint into the lock's conflict maps.
+    fn unlock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64) {
+        let Some(fp) = self.cs.remove(&(tid, mutex)) else {
+            return;
+        };
+        let vc = &e.vcs[tid as usize];
+        for (&addr, &(wrote, read)) in &fp {
+            if wrote {
+                let rel = self.rel_w.entry(mutex).or_default();
+                rel.entry(addr).or_default().join(vc);
+            }
+            if read {
+                let rel = self.rel_r.entry(mutex).or_default();
+                rel.entry(addr).or_default().join(vc);
+            }
+        }
     }
 
     /// Retained per-address frontier bytes — the analogue of shadow
     /// memory, and the quantity budget polls bound.
-    pub fn shadow_resident_bytes(&self) -> usize {
+    fn resident_bytes(&self) -> usize {
         let entry = size_of::<u64>() + size_of::<AddrState>();
         let site = size_of::<(ThreadId, SiteEpoch)>();
         self.state
@@ -156,350 +134,109 @@ impl SyncPreservingDetector {
             .sum()
     }
 
-    /// Measure retained state in the shared metrics shape. Conflict maps
-    /// count as library-sync state (they are the per-lock machinery),
-    /// the per-address frontier as shadow state.
-    pub fn metrics(&self) -> DetectorMetrics {
+    /// Conflict maps count as library-sync state (they are the per-lock
+    /// machinery), the per-address frontier as shadow state.
+    fn metrics(&self, m: &mut DetectorMetrics) {
         let rel_bytes = |m: &FxHashMap<u64, FxHashMap<u64, VectorClock>>| -> usize {
             m.values()
                 .map(|per| size_of::<u64>() + vc_map_bytes(per))
                 .sum()
         };
-        DetectorMetrics {
-            shadow_bytes: self.shadow_resident_bytes(),
-            thread_vc_bytes: self
-                .vcs
-                .iter()
-                .map(|v| size_of::<VectorClock>() + v.approx_bytes())
-                .sum(),
-            lib_sync_bytes: vc_map_bytes(&self.cv_vc)
-                + self
-                    .barrier_vc
-                    .values()
-                    .map(|v| size_of::<(u64, u64)>() + v.approx_bytes())
-                    .sum::<usize>()
-                + vc_map_bytes(&self.sem_vc)
-                + rel_bytes(&self.rel_w)
-                + rel_bytes(&self.rel_r),
-            atomic_bytes: vc_map_bytes(&self.atomic_vc),
-            spin_sync_bytes: 0,
-            lockset_bytes: 0,
-            report_bytes: self.reports.approx_bytes(),
-        }
+        m.shadow_bytes = self.resident_bytes();
+        m.lib_sync_bytes += rel_bytes(&self.rel_w) + rel_bytes(&self.rel_r);
     }
+}
 
-    fn ensure_thread(&mut self, t: ThreadId) {
-        let t = t as usize;
-        while self.vcs.len() <= t {
-            self.vcs.push(initial_vc());
-            self.held.push(Vec::new());
-            self.cs.push(FxHashMap::default());
-        }
-    }
-
-    /// Apply the conditional critical-section edges for an access to
-    /// `addr` under every lock the thread holds: join the release clocks
-    /// of earlier conflicting sections *before* the race check, so a
-    /// kept edge suppresses the pair exactly like a hard HB edge would.
-    fn acquire_conflicting(&mut self, tid: ThreadId, addr: u64, is_write: bool) {
+impl SyncPreserving {
+    /// A plain access: apply the conditional critical-section edges,
+    /// check against every other thread's frontier, record the access in
+    /// the history and in every open critical section's footprint.
+    fn access(
+        &mut self,
+        e: &mut HbEngine,
+        tid: ThreadId,
+        addr: u64,
+        pc: Pc,
+        stack: u64,
+        is_write: bool,
+    ) {
         let ti = tid as usize;
-        for i in 0..self.held[ti].len() {
-            let m = self.held[ti][i];
-            if let Some(vc) = self.rel_w.get(&m).and_then(|per| per.get(&addr)) {
-                self.vcs[ti].join(vc);
+        // Join the release clocks of earlier conflicting sections on every
+        // held lock *before* the race check, so a kept edge suppresses the
+        // pair exactly like a hard HB edge would.
+        for m in &e.held[ti] {
+            if let Some(vc) = self.rel_w.get(m).and_then(|per| per.get(&addr)) {
+                e.vcs[ti].join(vc);
             }
             if is_write {
-                if let Some(vc) = self.rel_r.get(&m).and_then(|per| per.get(&addr)) {
-                    self.vcs[ti].join(vc);
+                if let Some(vc) = self.rel_r.get(m).and_then(|per| per.get(&addr)) {
+                    e.vcs[ti].join(vc);
                 }
             }
         }
-    }
-
-    /// Record the access in every open critical section's footprint.
-    fn note_cs_access(&mut self, tid: ThreadId, addr: u64, is_write: bool) {
-        let ti = tid as usize;
-        if self.held[ti].is_empty() {
-            return;
+        let vc = &e.vcs[ti];
+        let st = self.state.entry(addr).or_default();
+        self.scratch.clear();
+        let mut check = |priors: &FxHashMap<ThreadId, SiteEpoch>, is_write: bool, kind| {
+            for (&u, p) in priors {
+                if u != tid && !vc.covers(Epoch::new(u, p.clock)) {
+                    let prior = AccessSummary {
+                        tid: u,
+                        pc: p.pc,
+                        stack: p.stack,
+                        is_write,
+                    };
+                    self.scratch.push((prior, kind));
+                }
+            }
+        };
+        if is_write {
+            check(&st.writes, true, RaceKind::WriteWrite);
+            check(&st.reads, false, RaceKind::ReadWrite);
+        } else {
+            check(&st.writes, true, RaceKind::WriteRead);
         }
-        for i in 0..self.held[ti].len() {
-            let m = self.held[ti][i];
-            let slot = self.cs[ti]
-                .entry(m)
+        let site = SiteEpoch {
+            clock: vc.get(tid),
+            pc,
+            stack,
+        };
+        if is_write {
+            st.writes.insert(tid, site);
+        } else {
+            st.reads.insert(tid, site);
+        }
+        // Canonical order (prior thread, writes before reads) so reports
+        // are byte-stable regardless of hash-map iteration order.
+        self.scratch
+            .sort_by_key(|(prior, _)| (prior.tid, !prior.is_write));
+        let current = AccessSummary {
+            tid,
+            pc,
+            stack,
+            is_write,
+        };
+        for &(prior, kind) in &self.scratch {
+            e.reports.record(RaceReport {
+                addr,
+                prior,
+                current,
+                kind,
+            });
+        }
+        for &m in &e.held[ti] {
+            let slot = self
+                .cs
+                .entry((tid, m))
                 .or_default()
-                .accesses
                 .entry(addr)
-                .or_insert((false, false));
+                .or_default();
             if is_write {
                 slot.0 = true;
             } else {
                 slot.1 = true;
             }
         }
-    }
-
-    fn on_plain_read(&mut self, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
-        self.acquire_conflicting(tid, addr, false);
-        let ti = tid as usize;
-        let vc = &self.vcs[ti];
-        let st = self.state.entry(addr).or_default();
-        self.scratch.clear();
-        for (&u, e) in &st.writes {
-            if u != tid && !vc.covers(Epoch::new(u, e.clock)) {
-                self.scratch.push((
-                    AccessSummary {
-                        tid: u,
-                        pc: e.pc,
-                        stack: e.stack,
-                        is_write: true,
-                    },
-                    RaceKind::WriteRead,
-                ));
-            }
-        }
-        st.reads.insert(
-            tid,
-            SiteEpoch {
-                clock: vc.get(tid),
-                pc,
-                stack,
-            },
-        );
-        self.emit(addr, tid, pc, stack, false);
-        self.note_cs_access(tid, addr, false);
-    }
-
-    fn on_plain_write(&mut self, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
-        self.acquire_conflicting(tid, addr, true);
-        let ti = tid as usize;
-        let vc = &self.vcs[ti];
-        let st = self.state.entry(addr).or_default();
-        self.scratch.clear();
-        for (&u, e) in &st.writes {
-            if u != tid && !vc.covers(Epoch::new(u, e.clock)) {
-                self.scratch.push((
-                    AccessSummary {
-                        tid: u,
-                        pc: e.pc,
-                        stack: e.stack,
-                        is_write: true,
-                    },
-                    RaceKind::WriteWrite,
-                ));
-            }
-        }
-        for (&u, e) in &st.reads {
-            if u != tid && !vc.covers(Epoch::new(u, e.clock)) {
-                self.scratch.push((
-                    AccessSummary {
-                        tid: u,
-                        pc: e.pc,
-                        stack: e.stack,
-                        is_write: false,
-                    },
-                    RaceKind::ReadWrite,
-                ));
-            }
-        }
-        st.writes.insert(
-            tid,
-            SiteEpoch {
-                clock: vc.get(tid),
-                pc,
-                stack,
-            },
-        );
-        self.emit(addr, tid, pc, stack, true);
-        self.note_cs_access(tid, addr, true);
-    }
-
-    /// Flush the racy-pair scratch into the collector in a canonical
-    /// order (prior thread, writes before reads) so reports are
-    /// byte-stable regardless of hash-map iteration order.
-    fn emit(&mut self, addr: u64, tid: ThreadId, pc: Pc, stack: u64, is_write: bool) {
-        let mut pairs = std::mem::take(&mut self.scratch);
-        pairs.sort_by_key(|(prior, _)| (prior.tid, !prior.is_write));
-        for (prior, kind) in pairs.drain(..) {
-            self.reports.record(RaceReport {
-                addr,
-                prior,
-                current: AccessSummary {
-                    tid,
-                    pc,
-                    stack,
-                    is_write,
-                },
-                kind,
-            });
-        }
-        self.scratch = pairs;
-    }
-
-    fn handle(&mut self, ev: &Event) {
-        match *ev {
-            Event::Spawn { parent, child, .. } => {
-                self.ensure_thread(parent);
-                self.ensure_thread(child);
-                let pvc = self.vcs[parent as usize].clone();
-                let cvc = &mut self.vcs[child as usize];
-                cvc.join(&pvc);
-                cvc.tick(child);
-                self.vcs[parent as usize].tick(parent);
-            }
-            Event::Join { parent, child, .. } => {
-                self.ensure_thread(parent);
-                self.ensure_thread(child);
-                let cvc = self.vcs[child as usize].clone();
-                self.vcs[parent as usize].join(&cvc);
-            }
-            Event::ThreadEnd { .. } => {}
-
-            Event::Read {
-                tid,
-                addr,
-                pc,
-                stack,
-                atomic,
-                ..
-            } => {
-                self.ensure_thread(tid);
-                // Machine atomics are synchronization, not data (spin-
-                // tagged reads carry no special meaning here: without the
-                // promotion feature they are plain reads).
-                if let Some(ord) = atomic {
-                    if ord.acquires() {
-                        if let Some(avc) = self.atomic_vc.get(&addr) {
-                            self.vcs[tid as usize].join(avc);
-                        }
-                    }
-                    return;
-                }
-                self.on_plain_read(tid, addr, pc, stack);
-            }
-            Event::Write {
-                tid,
-                addr,
-                pc,
-                stack,
-                atomic,
-                ..
-            } => {
-                self.ensure_thread(tid);
-                if let Some(ord) = atomic {
-                    if ord.releases() {
-                        let vc = &self.vcs[tid as usize];
-                        self.atomic_vc.entry(addr).or_default().join(vc);
-                        self.vcs[tid as usize].tick(tid);
-                    }
-                    return;
-                }
-                self.on_plain_write(tid, addr, pc, stack);
-            }
-            Event::Update { tid, addr, .. } => {
-                self.ensure_thread(tid);
-                // RMW: acquire + release through one clock (hard edge).
-                let avc = self.atomic_vc.entry(addr).or_default();
-                self.vcs[tid as usize].join(avc);
-                avc.join(&self.vcs[tid as usize]);
-                self.vcs[tid as usize].tick(tid);
-            }
-            Event::Fence { .. } => {}
-
-            Event::MutexLock { tid, mutex, .. } => {
-                self.ensure_thread(tid);
-                // No unconditional acquire — the whole point. Just open
-                // the critical section.
-                let held = &mut self.held[tid as usize];
-                if let Err(i) = held.binary_search(&mutex) {
-                    held.insert(i, mutex);
-                }
-                self.cs[tid as usize].entry(mutex).or_default();
-            }
-            Event::MutexUnlock { tid, mutex, .. } => {
-                self.ensure_thread(tid);
-                let ti = tid as usize;
-                if let Ok(i) = self.held[ti].binary_search(&mutex) {
-                    self.held[ti].remove(i);
-                }
-                if let Some(fp) = self.cs[ti].remove(&mutex) {
-                    let vc = &self.vcs[ti];
-                    for (&addr, &(wrote, read)) in &fp.accesses {
-                        if wrote {
-                            self.rel_w
-                                .entry(mutex)
-                                .or_default()
-                                .entry(addr)
-                                .or_default()
-                                .join(vc);
-                        }
-                        if read {
-                            self.rel_r
-                                .entry(mutex)
-                                .or_default()
-                                .entry(addr)
-                                .or_default()
-                                .join(vc);
-                        }
-                    }
-                }
-                self.vcs[ti].tick(tid);
-            }
-            Event::CondSignal { tid, cv, .. } | Event::CondBroadcast { tid, cv, .. } => {
-                self.ensure_thread(tid);
-                let vc = &self.vcs[tid as usize];
-                self.cv_vc.entry(cv).or_default().join(vc);
-                self.vcs[tid as usize].tick(tid);
-            }
-            Event::CondWaitReturn { tid, cv, .. } => {
-                self.ensure_thread(tid);
-                if let Some(cvc) = self.cv_vc.get(&cv) {
-                    self.vcs[tid as usize].join(cvc);
-                }
-            }
-            Event::BarrierEnter {
-                tid, barrier, gen, ..
-            } => {
-                self.ensure_thread(tid);
-                let vc = &self.vcs[tid as usize];
-                self.barrier_vc.entry((barrier, gen)).or_default().join(vc);
-                self.vcs[tid as usize].tick(tid);
-            }
-            Event::BarrierLeave {
-                tid, barrier, gen, ..
-            } => {
-                self.ensure_thread(tid);
-                if let Some(bvc) = self.barrier_vc.get(&(barrier, gen)) {
-                    self.vcs[tid as usize].join(bvc);
-                }
-            }
-            Event::SemPost { tid, sem, .. } => {
-                self.ensure_thread(tid);
-                let vc = &self.vcs[tid as usize];
-                self.sem_vc.entry(sem).or_default().join(vc);
-                self.vcs[tid as usize].tick(tid);
-            }
-            Event::SemAcquired { tid, sem, .. } => {
-                self.ensure_thread(tid);
-                if let Some(svc) = self.sem_vc.get(&sem) {
-                    self.vcs[tid as usize].join(svc);
-                }
-            }
-
-            Event::SpinEnter { .. } | Event::SpinExit { .. } | Event::Output { .. } => {}
-        }
-    }
-}
-
-fn initial_vc() -> VectorClock {
-    let mut vc = VectorClock::new();
-    vc.set(0, 1);
-    vc
-}
-
-impl EventSink for SyncPreservingDetector {
-    fn on_event(&mut self, ev: &Event) {
-        self.events_seen += 1;
-        self.handle(ev);
     }
 }
 
@@ -509,6 +246,7 @@ mod tests {
     use crate::config::{DetectorConfig, MsmMode};
     use crate::RaceDetector;
     use spinrace_tir::{BlockId, FuncId};
+    use spinrace_vm::{Event, EventSink};
 
     fn pc(n: u32) -> Pc {
         Pc::new(FuncId(0), BlockId(0), n)

@@ -506,12 +506,32 @@ fn tid_u32(v: i64) -> Result<u32, TraceError> {
     u32::try_from(v).map_err(|_| TraceError::Corrupt(format!("thread id {v} out of range")))
 }
 
+/// A thread id an event names, which must be one of the `threads` ids
+/// spawned so far. Detectors size per-thread state by the largest id
+/// they see, so an unchecked forged id could exhaust memory.
+#[inline]
+fn spawned(v: i64, threads: u32) -> Result<u32, TraceError> {
+    match u32::try_from(v) {
+        Ok(t) if t < threads => Ok(t),
+        _ => Err(never_spawned(v)),
+    }
+}
+
+#[cold]
+fn never_spawned(v: i64) -> TraceError {
+    TraceError::Corrupt(format!("thread {v} was never spawned"))
+}
+
 /// Decode one chunk's column blocks (everything between the column-count
 /// varint and the checksum) into `out`. `n` is the framed event count.
+/// `threads` counts the threads spawned before this chunk (thread 0
+/// included) and is advanced past every `Spawn` in it: as in the VM,
+/// each spawn's child must be the next fresh id.
 pub fn decode_chunk_columns(
     n: usize,
     cols: &[&[u8]; NUM_COLUMNS],
     out: &mut Vec<Event>,
+    threads: &mut u32,
 ) -> Result<(), TraceError> {
     // The kind column is one raw byte per event: its length is the one
     // structural invariant checkable before decoding anything.
@@ -609,16 +629,25 @@ pub fn decode_chunk_columns(
                 "flag bits on event tag {tag} at chunk offset {pos}"
             )));
         }
-        let t = tid_u32(tid.delta()?)?;
+        let t = spawned(tid.delta()?, *threads)?;
         let ev = match tag {
-            TAG_SPAWN => Event::Spawn {
-                parent: t,
-                child: tid_u32(aux_tid.delta()?)?,
-                pc: pc_idx.lookup(&pc_entries, "pc")?,
-            },
+            TAG_SPAWN => {
+                let child = tid_u32(aux_tid.delta()?)?;
+                if child != *threads {
+                    return Err(TraceError::Corrupt(format!(
+                        "spawn of thread {child}, expected the fresh id {threads}"
+                    )));
+                }
+                *threads += 1;
+                Event::Spawn {
+                    parent: t,
+                    child,
+                    pc: pc_idx.lookup(&pc_entries, "pc")?,
+                }
+            }
             TAG_JOIN => Event::Join {
                 parent: t,
-                child: tid_u32(aux_tid.delta()?)?,
+                child: spawned(aux_tid.delta()?, *threads)?,
                 pc: pc_idx.lookup(&pc_entries, "pc")?,
             },
             TAG_THREAD_END => Event::ThreadEnd { tid: t },

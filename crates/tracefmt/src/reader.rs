@@ -60,6 +60,9 @@ pub struct ChunkedTraceReader<R: io::Read> {
     chunk_target: u32,
     chunks_read: u32,
     events_read: u64,
+    /// Threads spawned so far, thread 0 included: the ids later events
+    /// may name.
+    threads: u32,
     /// Framing buffer of the chunk being read, kept across chunks so a
     /// steady stream reads into memory it already owns.
     raw: Vec<u8>,
@@ -201,6 +204,7 @@ impl<R: io::Read> ChunkedTraceReader<R> {
             chunk_target,
             chunks_read: 0,
             events_read: 0,
+            threads: 1,
             raw,
             done: false,
         })
@@ -334,7 +338,7 @@ impl<R: io::Read> ChunkedTraceReader<R> {
         }
 
         let cols: [&[u8]; NUM_COLUMNS] = std::array::from_fn(|i| &raw[spans[i].clone()]);
-        decode_chunk_columns(n as usize, &cols, out)
+        decode_chunk_columns(n as usize, &cols, out, &mut self.threads)
     }
 
     /// Decode the entire stream into an in-memory [`Trace`], each chunk

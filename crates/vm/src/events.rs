@@ -221,7 +221,7 @@ impl<S: EventSink + ?Sized> EventSink for Box<S> {
 /// and generic — monomorphized call sites keep the per-event cost at two
 /// direct calls, and either slot can hold `&mut` to an external sink (the
 /// recorder-plus-detector path records a trace while detecting live).
-/// Nest tees for wider fan-out, or use [`FanoutSink`] for a dynamic set.
+/// Nest tees for wider fan-out.
 pub struct Tee<A, B> {
     /// First receiver (e.g. a [`crate::TraceRecorder`]).
     pub a: A,
@@ -245,29 +245,6 @@ impl<A: EventSink, B: EventSink> EventSink for Tee<A, B> {
     fn on_event(&mut self, ev: &Event) {
         self.a.on_event(ev);
         self.b.on_event(ev);
-    }
-}
-
-/// Fans one stream out to a dynamic number of owned sinks (the rare case
-/// where the fan-out width is only known at run time; prefer [`Tee`]).
-#[derive(Default)]
-pub struct FanoutSink {
-    /// The sinks, invoked in order.
-    pub sinks: Vec<Box<dyn EventSink>>,
-}
-
-impl FanoutSink {
-    /// Add a sink to the end of the fan-out order.
-    pub fn push(&mut self, sink: impl EventSink + 'static) {
-        self.sinks.push(Box::new(sink));
-    }
-}
-
-impl EventSink for FanoutSink {
-    fn on_event(&mut self, ev: &Event) {
-        for s in self.sinks.iter_mut() {
-            s.on_event(ev);
-        }
     }
 }
 
@@ -343,11 +320,6 @@ mod tests {
         let (owned, _) = tee.into_inner();
         assert_eq!(owned.events.len(), 2);
         assert_eq!(external.events, owned.events);
-
-        let mut fan = FanoutSink::default();
-        fan.push(RecordingSink::default());
-        fan.push(NullSink);
-        fan.on_event(&Event::Output { tid: 0, value: 3 });
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod sync;
 pub mod trace;
 
 pub use error::VmError;
-pub use events::{Event, EventSink, FanoutSink, NullSink, RecordingSink, Tee, ThreadId};
+pub use events::{Event, EventSink, NullSink, RecordingSink, Tee, ThreadId};
 pub use exec::{run_module, RunSummary, Vm, VmConfig};
 pub use sched::{RoundRobin, Scheduler, SchedulerKind, SeededRandom};
 pub use trace::{record_run, Trace, TraceError, TraceHeader, TraceRecorder, TRACE_FORMAT_VERSION};

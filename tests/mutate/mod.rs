@@ -8,7 +8,7 @@
 use spinrace::core::{PreparedModule, Session, Tool};
 use spinrace::tracefmt::varint::put_uvarint;
 use spinrace::tracefmt::{checksum, encode_trace_chunked, MAGIC};
-use spinrace::vm::Trace;
+use spinrace::vm::{Event, Trace};
 use spinrace::workloads::{Family, WorkloadSpec};
 use std::sync::OnceLock;
 
@@ -29,6 +29,18 @@ pub fn recorded() -> (PreparedModule, Trace) {
 pub fn base_binary() -> &'static [u8] {
     static BIN: OnceLock<Vec<u8>> = OnceLock::new();
     BIN.get_or_init(|| encode_trace_chunked(&recorded().1, 16))
+}
+
+/// The base trace with its first `Spawn`'s child id replaced by `child`,
+/// encoded like [`base_binary`]: every checksum valid, the id forged.
+pub fn forged_spawn(child: u32) -> Vec<u8> {
+    let mut trace = recorded().1;
+    let spawn = trace.events.iter_mut().find_map(|ev| match ev {
+        Event::Spawn { child, .. } => Some(child),
+        _ => None,
+    });
+    *spawn.expect("the ring run spawns workers") = child;
+    encode_trace_chunked(&trace, 16)
 }
 
 /// Read one LEB128 varint out of a test buffer (trusted input — the

@@ -19,7 +19,7 @@ use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 mod mutate;
-use mutate::{base_binary, header_counts_offsets, recorded};
+use mutate::{base_binary, forged_spawn, header_counts_offsets, recorded};
 
 /// Request body naming one tool, with optional extra fields.
 fn params(tool: Tool, extra: &[(&str, serde_json::Value)]) -> serde_json::Value {
@@ -146,6 +146,13 @@ fn corrupt_uploads_get_structured_error_frames() {
         "unexpected code {:?}",
         err.code
     );
+
+    // A spawn forging a thread id near u32::MAX: refused as corrupt by
+    // the reader, before any detector sizes per-thread state by it.
+    let out = run_client(&addr, &body, &forged_spawn(u32::MAX - 1)).unwrap();
+    let err = out.error.expect("a forged thread id must fail the session");
+    assert_eq!(err.code, "corrupt");
+    assert!(out.outcomes.is_empty() && out.done.is_none());
 
     // A request frame that is not the protocol at all.
     let mut raw = TcpStream::connect(&addr).unwrap();

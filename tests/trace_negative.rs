@@ -12,11 +12,12 @@ use spinrace::tracefmt::{
     checksum, decode_trace, encode_trace_chunked, ChunkedTraceReader, BINARY_FORMAT_VERSION, MAGIC,
 };
 use spinrace::vm::trace::{TraceError, TRACE_FORMAT_VERSION};
+use spinrace::vm::Event;
 use spinrace::workloads::{Family, WorkloadSpec};
 
 mod mutate;
 use mutate::{
-    base_binary, header_counts_offsets, header_json, leb, patched_header, recorded,
+    base_binary, forged_spawn, header_counts_offsets, header_json, leb, patched_header, recorded,
     with_header_json,
 };
 
@@ -111,6 +112,35 @@ fn a_trace_header_version_1_is_refused() {
             ),
             "expected a version-1 refusal, got {result:?}"
         );
+    }
+}
+
+#[test]
+fn thread_ids_must_be_spawned_before_use() {
+    // Detectors size per-thread clocks by the largest id they see, so a
+    // forged id must be refused by the reader. A spawn has to create the
+    // next fresh id, as the VM does...
+    for child in [2, u32::MAX - 1] {
+        match decode_trace(&forged_spawn(child)) {
+            Err(TraceError::Corrupt(m)) => {
+                assert_eq!(
+                    m,
+                    format!("spawn of thread {child}, expected the fresh id 1")
+                );
+            }
+            other => panic!("spawn of {child}: expected a corrupt error, got {other:?}"),
+        }
+    }
+    // ...and no other event may name a thread that was never spawned.
+    let mut trace = recorded().1;
+    let write = trace.events.iter_mut().find_map(|ev| match ev {
+        Event::Write { tid, .. } => Some(tid),
+        _ => None,
+    });
+    *write.unwrap() = 1000;
+    match decode_trace(&encode_trace_chunked(&trace, 16)) {
+        Err(TraceError::Corrupt(m)) => assert_eq!(m, "thread 1000 was never spawned"),
+        other => panic!("expected a corrupt error, got {other:?}"),
     }
 }
 
