@@ -633,7 +633,7 @@ pub fn decode_chunk_columns(
         let ev = match tag {
             TAG_SPAWN => {
                 let child = tid_u32(aux_tid.delta()?)?;
-                if child != *threads {
+                if child != *threads || child == u32::MAX {
                     return Err(TraceError::Corrupt(format!(
                         "spawn of thread {child}, expected the fresh id {threads}"
                     )));
