@@ -6,8 +6,8 @@
 //! program).
 //!
 //! ```text
-//! trace record --program <name> [--tool <TOOL>] [--seed N] [--obscure]
-//!              [--scale N] [--out FILE] [--json FILE]
+//! trace record --program <name> [--tool <TOOL>] [--seed N] [--out FILE]
+//!              [--json FILE]
 //! trace gen --family <ring|spinflag|barrier|zipf|fanout|straddle|publish> [--threads N]
 //!           [--events TOTAL] [--addr-space N] [--skew K] [--races N]
 //!           [--seed N] [--tool <TOOL>] [--out FILE] [--json FILE]
@@ -53,11 +53,15 @@
 //!
 //! `<TOOL>` accepts the table labels (`Helgrind+ lib+spin(7)`) and the
 //! short forms `lib`, `lib+spin[(W)]`, `nolib+spin[(W)]`, `drd`,
-//! `sync-preserving`. `record` tees a trace recorder with the tool's own
-//! detector, so the recording run also prints its racy contexts;
-//! `replay` re-prepares the named program, checks the module
-//! fingerprint, and replays the decoded stream into a fresh detector —
-//! bit-identical to the live run.
+//! `sync-preserving`. `record` prepares a PARSEC program at its own
+//! thread count, size and nolib library style, and tees a trace recorder
+//! with the tool's own detector, so the recording run also prints its
+//! racy contexts. `replay` looks up the one module the header names
+//! (`spinrace_suites::prepared_for_replay`), checks its fingerprint, and
+//! replays the decoded stream into a fresh detector — bit-identical to
+//! the live run. A header that names no known program, or whose
+//! fingerprint no preparation reproduces, replays on raw addresses with
+//! a note instead.
 //!
 //! `--json FILE` writes the detection outcome (contexts, promoted
 //! locations, described reports, detector metrics, run summary) in a
@@ -77,7 +81,7 @@ use spinrace_core::{
 };
 use spinrace_detector::{AnyDetector, MsmMode};
 use spinrace_serve::outcome_json;
-use spinrace_suites::{all_programs, prepared_for_replay, MAX_SCALE};
+use spinrace_suites::{all_programs, prepared_for_replay};
 use spinrace_tracefmt::ChunkedTraceReader;
 use spinrace_vm::{Event, Trace, TraceError, TraceHeader};
 use spinrace_workloads::{Family, WorkloadSpec};
@@ -196,15 +200,12 @@ fn maybe_write_json(args: &[String], out: &AnalysisOutcome) -> i32 {
 
 fn record(args: &[String]) -> i32 {
     let Some(name) = opt(args, "--program") else {
-        eprintln!("usage: trace record --program <name> [--tool T] [--seed N] [--obscure] [--scale N] [--out FILE] [--json FILE]");
+        eprintln!(
+            "usage: trace record --program <name> [--tool T] [--seed N] [--out FILE] [--json FILE]"
+        );
         return 2;
     };
     let tool = parse_tool(&opt(args, "--tool").unwrap_or_else(|| "lib+spin".into()));
-    let scale: u32 = num_opt(args, "--scale", 1);
-    if !(1..=MAX_SCALE).contains(&scale) {
-        eprintln!("error: --scale must be in 1..={MAX_SCALE} (replay probes that range when rebinding the module)");
-        return 2;
-    }
     let programs = all_programs();
     let Some(prog) = programs.iter().find(|p| p.name == name) else {
         eprintln!(
@@ -217,13 +218,10 @@ fn record(args: &[String]) -> i32 {
         );
         return 1;
     };
-    let module = (prog.build)(prog.threads, prog.size * scale);
-    let mut session = Session::for_module(&module);
+    let module = prog.module();
+    let mut session = Session::for_module(&module).nolib_style(prog.nolib_style());
     if opt(args, "--seed").is_some() {
         session = session.seed(num_opt(args, "--seed", 0));
-    }
-    if has(args, "--obscure") || prog.obscure_nolib {
-        session = session.obscure_nolib();
     }
     let prepared = match session.prepare(tool) {
         Ok(p) => p,

@@ -8,7 +8,7 @@
 
 use crate::dom::Dominators;
 use crate::graph::Cfg;
-use spinrace_tir::{BlockId, Function, Terminator};
+use spinrace_tir::{BlockId, Function};
 use std::collections::BTreeSet;
 
 /// One natural loop.
@@ -176,14 +176,6 @@ pub fn find_candidate_loops(func: &Function, cfg: &Cfg, dom: &Dominators) -> Vec
     }
     candidates.sort_by_key(|l| (l.header, l.blocks.len()));
     candidates
-}
-
-/// Does the function contain any `Exit` terminator inside the given loop?
-/// (Such loops can end the program from within; they are still loops.)
-pub fn loop_has_exit_terminator(func: &Function, l: &NaturalLoop) -> bool {
-    l.blocks
-        .iter()
-        .any(|b| matches!(func.block(*b).term, Terminator::Exit))
 }
 
 #[cfg(test)]

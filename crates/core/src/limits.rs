@@ -128,7 +128,8 @@ pub struct PartialMetrics {
 ///   is returned.
 /// * `max_shadow_bytes` bounds resident shadow memory. It is checked
 ///   every 4096 events, and once more at the end of the stream, against
-///   a cheap O(shards) resident-size estimate of each target's detector.
+///   each target's resident-size estimate: O(shards) for the HB shadow
+///   table, a running count for the sync-preserving frontiers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Budget {
     /// Maximum events one detection may process.

@@ -280,8 +280,8 @@ impl PreparedModule {
 
     /// [`Self::try_run_streamed`] with a per-chunk progress observer:
     /// after each decoded chunk has been fed to every target, `observe`
-    /// is called once per target with the running totals and the
-    /// reports that chunk newly produced — the hook a streaming server
+    /// is called once per target with the running totals and the number
+    /// of reports that chunk newly produced — the hook a streaming server
     /// uses to push incremental verdicts before end-of-upload.
     pub fn try_run_streamed_observed<R, F>(
         &self,
@@ -307,22 +307,16 @@ impl PreparedModule {
             replay.feed(events)?;
             chunk += 1;
             for (idx, det) in replay.detectors().iter().enumerate() {
-                let reports = det.reports().reports();
-                let new: Vec<DescribedReport> = reports[seen[idx]..]
-                    .iter()
-                    .map(|r| DescribedReport {
-                        location: self.module.describe_addr(r.addr),
-                        report: r.clone(),
-                    })
-                    .collect();
-                seen[idx] = reports.len();
+                let reports = det.reports().reports().len();
+                let new_reports = reports - seen[idx];
+                seen[idx] = reports;
                 observe(StreamProgress {
                     target: idx,
                     tool_label: &labels[idx],
                     chunk,
                     events: replay.events(),
                     contexts: det.racy_contexts(),
-                    new_reports: &new,
+                    new_reports,
                 });
             }
             Ok(())
@@ -374,9 +368,8 @@ pub struct StreamProgress<'a> {
     pub events: u64,
     /// Racy contexts this target has recorded so far.
     pub contexts: usize,
-    /// Reports this chunk newly produced for this target, described
-    /// against the prepared module.
-    pub new_reports: &'a [DescribedReport],
+    /// Number of reports this chunk newly produced for this target.
+    pub new_reports: usize,
 }
 
 /// One recorded execution of a prepared module: the trace plus everything
@@ -768,7 +761,7 @@ mod tests {
             .prepared()
             .try_run_streamed_observed(&DetectRequest::tools(&tools), reader, |p| {
                 calls += 1;
-                deltas[p.target] += p.new_reports.len();
+                deltas[p.target] += p.new_reports;
                 assert_eq!(p.tool_label, tools[p.target].label());
                 assert!(p.chunk >= 1 && p.chunk <= chunks);
             })

@@ -42,6 +42,7 @@ use crate::vc::{Epoch, VectorClock};
 use fxhash::FxHashMap;
 use spinrace_tir::Pc;
 use spinrace_vm::ThreadId;
+use std::collections::hash_map::Entry;
 use std::mem::size_of;
 
 /// The sync-preserving predictive detector: same surface as
@@ -66,6 +67,11 @@ struct AddrState {
     reads: FxHashMap<ThreadId, SiteEpoch>,
 }
 
+/// Accounted bytes of one address's entry in the frontier map.
+const ADDR_BYTES: usize = size_of::<u64>() + size_of::<AddrState>();
+/// Accounted bytes of one thread's last read or write of an address.
+const SITE_BYTES: usize = size_of::<(ThreadId, SiteEpoch)>();
+
 /// Per-thread access frontiers and the conflict-conditional mutex edges.
 pub struct SyncPreserving {
     /// Footprints of the open critical sections, keyed by (thread, lock):
@@ -78,6 +84,9 @@ pub struct SyncPreserving {
     rel_r: FxHashMap<u64, FxHashMap<u64, VectorClock>>,
     /// Per-address frontier state.
     state: FxHashMap<u64, AddrState>,
+    /// Accounted bytes of `state`, kept as entries are first inserted
+    /// (the frontier maps never shrink), so budget polls are O(1).
+    state_bytes: usize,
     /// Racy-pair scratch (kept to avoid per-event allocation).
     scratch: Vec<(AccessSummary, RaceKind)>,
 }
@@ -89,6 +98,7 @@ impl AccessModel for SyncPreserving {
             rel_w: FxHashMap::default(),
             rel_r: FxHashMap::default(),
             state: FxHashMap::default(),
+            state_bytes: 0,
             scratch: Vec::new(),
         }
     }
@@ -126,12 +136,7 @@ impl AccessModel for SyncPreserving {
     /// Retained per-address frontier bytes — the analogue of shadow
     /// memory, and the quantity budget polls bound.
     fn resident_bytes(&self) -> usize {
-        let entry = size_of::<u64>() + size_of::<AddrState>();
-        let site = size_of::<(ThreadId, SiteEpoch)>();
-        self.state
-            .values()
-            .map(|s| entry + (s.writes.len() + s.reads.len()) * site)
-            .sum()
+        self.state_bytes
     }
 
     /// Conflict maps count as library-sync state (they are the per-lock
@@ -175,7 +180,13 @@ impl SyncPreserving {
             }
         }
         let vc = &e.vcs[ti];
-        let st = self.state.entry(addr).or_default();
+        let st = match self.state.entry(addr) {
+            Entry::Occupied(o) => o.into_mut(),
+            Entry::Vacant(v) => {
+                self.state_bytes += ADDR_BYTES;
+                v.insert(AddrState::default())
+            }
+        };
         self.scratch.clear();
         let mut check = |priors: &FxHashMap<ThreadId, SiteEpoch>, is_write: bool, kind| {
             for (&u, p) in priors {
@@ -201,10 +212,13 @@ impl SyncPreserving {
             pc,
             stack,
         };
-        if is_write {
-            st.writes.insert(tid, site);
+        let history = if is_write {
+            &mut st.writes
         } else {
-            st.reads.insert(tid, site);
+            &mut st.reads
+        };
+        if history.insert(tid, site).is_none() {
+            self.state_bytes += SITE_BYTES;
         }
         // Canonical order (prior thread, writes before reads) so reports
         // are byte-stable regardless of hash-map iteration order.
@@ -474,6 +488,40 @@ mod tests {
         }
         assert_eq!(d.racy_contexts(), 5);
         assert!(d.reports().dropped() > 0);
+    }
+
+    /// The running byte count equals a walk over every address's
+    /// frontier maps after a stream mixing fresh addresses, repeated
+    /// reads and writes, and accesses inside critical sections.
+    #[test]
+    fn resident_bytes_counter_matches_a_walk() {
+        let mut d = sp();
+        spawn2(&mut d);
+        for i in 0..40u64 {
+            let tid = 1 + (i % 2) as u32;
+            let addr = 0x1000 + i % 7;
+            if i % 5 == 0 {
+                lock(&mut d, tid, 0x2000, i as u32);
+            }
+            if i % 3 == 0 {
+                read(&mut d, tid, addr, i as u32);
+            } else {
+                write(&mut d, tid, addr, i as u32);
+            }
+            read(&mut d, 0, addr + 1, i as u32);
+            if i % 5 == 0 {
+                unlock(&mut d, tid, 0x2000, i as u32);
+            }
+        }
+        let walked: usize = d
+            .model
+            .state
+            .values()
+            .map(|s| ADDR_BYTES + (s.writes.len() + s.reads.len()) * SITE_BYTES)
+            .sum();
+        assert_eq!(d.model.state.len(), 8);
+        assert_eq!(d.shadow_resident_bytes(), walked);
+        assert_eq!(d.metrics().shadow_bytes, walked);
     }
 
     #[test]

@@ -147,7 +147,7 @@ pub fn t3_characteristics() -> Experiment {
     ]);
     let mut rows_json = Vec::new();
     for p in &programs {
-        let module = (p.build)(p.threads, p.size);
+        let module = p.module();
         let inv = sync_inventory(&module, 7);
         let mark = |b: bool| if b { "x" } else { "-" }.to_string();
         t.row(vec![
@@ -334,14 +334,13 @@ pub fn f1_memory() -> Experiment {
     ]);
     let mut rows_json = Vec::new();
     for p in &programs {
-        let module = (p.build)(p.threads, p.size);
+        let module = p.module();
         let mut totals = Vec::new();
         let mut spin_share = 0.0;
         for &tool in &tools {
-            let mut session = Session::for_module(&module).long_msm();
-            if p.obscure_nolib {
-                session = session.obscure_nolib();
-            }
+            let session = Session::for_module(&module)
+                .long_msm()
+                .nolib_style(p.nolib_style());
             match session.prepare(tool).and_then(|p| p.detect_live()) {
                 Ok(out) => {
                     let m = out.metrics;
@@ -393,7 +392,7 @@ pub fn f2_runtime() -> Experiment {
     ]);
     let mut rows_json = Vec::new();
     for p in &programs {
-        let module = (p.build)(p.threads, p.size);
+        let module = p.module();
         // Native: VM without a detector.
         let t0 = Instant::now();
         let _ = spinrace_vm::run_module(
@@ -404,10 +403,9 @@ pub fn f2_runtime() -> Experiment {
         let native = t0.elapsed().as_secs_f64().max(1e-6);
         let mut factors = Vec::new();
         for &tool in &tools {
-            let mut session = Session::for_module(&module).long_msm();
-            if p.obscure_nolib {
-                session = session.obscure_nolib();
-            }
+            let session = Session::for_module(&module)
+                .long_msm()
+                .nolib_style(p.nolib_style());
             let t1 = Instant::now();
             let _ = session.prepare(tool).and_then(|p| p.detect_live());
             factors.push(t1.elapsed().as_secs_f64() / native);

@@ -397,7 +397,7 @@ fn session_body<R: Read + Send, W: Write>(
             "chunk": p.chunk as u64,
             "events": p.events,
             "contexts": p.contexts as u64,
-            "new_reports": p.new_reports.len() as u64,
+            "new_reports": p.new_reports as u64,
         });
         let payload = serde_json::to_string(&verdict).unwrap_or_default();
         if let Err(e) = write_frame(output, FrameKind::Verdict, payload.as_bytes()) {

@@ -358,11 +358,6 @@ pub fn may_alias(a: &AddrExpr, b: &AddrExpr) -> bool {
     }
 }
 
-/// Convenience: instrument a module with the default window (7).
-pub fn instrument_default(m: &mut Module) -> SpinAnalysis {
-    SpinFinder::default().instrument(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -285,15 +285,15 @@ pub fn run_parsec(programs: &[ParsecProgram], tools: &[Tool], seeds: &[u64]) -> 
     let mut cells = Vec::with_capacity(programs.len());
     let mut vm_runs = 0;
     for prog in programs {
-        let module = (prog.build)(prog.threads, prog.size);
+        let module = prog.module();
         // counts[tool][seed]; filled seed-major so each seed's distinct
         // prepared modules execute once and fan out across the lineup.
         let mut counts = vec![Vec::with_capacity(seeds.len()); tools.len()];
         for &seed in seeds {
-            let mut session = Session::for_module(&module).long_msm().seed(seed);
-            if prog.obscure_nolib {
-                session = session.obscure_nolib();
-            }
+            let session = Session::for_module(&module)
+                .long_msm()
+                .seed(seed)
+                .nolib_style(prog.nolib_style());
             let (outs, runs) = lineup_outcomes(&session, tools);
             vm_runs += runs;
             for (ti, result) in outs.into_iter().enumerate() {

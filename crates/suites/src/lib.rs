@@ -25,10 +25,9 @@
 //! every outcome against the workload's oracle (soundness and
 //! completeness on known ground truth).
 
-//! [`rebind`] re-prepares the module a serialized trace names in its
-//! header (probing scales and nolib styles until the fingerprint
-//! matches), so replay tools and the analysis server can bind uploads
-//! back to source locations.
+//! [`rebind`] re-prepares the one module a serialized trace's header
+//! names and checks its fingerprint, so replay tools and the analysis
+//! server can bind uploads back to source locations.
 
 pub mod drt;
 pub mod harness;
@@ -41,9 +40,7 @@ pub use harness::{
     run_drt, run_drt_with, run_parsec, CaseOutcome, DrtRow, DrtTable, ParsecCell, ParsecTable,
 };
 pub use parsec::{all_programs, ParsecProgram};
-pub use rebind::{
-    nolib_styles, prepared_for_replay, prepared_matching, rebuild_run, try_rebuild_run, MAX_SCALE,
-};
+pub use rebind::prepared_for_replay;
 pub use workloads::{
     judge_outcome, run_workloads, run_workloads_with, standard_specs, WorkloadRow, WorkloadTable,
 };

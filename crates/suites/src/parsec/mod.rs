@@ -14,6 +14,7 @@
 mod programs_a;
 mod programs_b;
 
+use spinrace_synclib::LibStyle;
 use spinrace_tir::Module;
 
 /// The paper's reported racy-context row for one program (for
@@ -59,6 +60,23 @@ pub struct ParsecProgram {
     pub paper: PaperRow,
     /// Program builder.
     pub build: fn(u32, u32) -> Module,
+}
+
+impl ParsecProgram {
+    /// The program built at its own thread count and kernel size: the
+    /// module every table, `trace record` and trace rebinding prepare.
+    pub fn module(&self) -> Module {
+        (self.build)(self.threads, self.size)
+    }
+
+    /// The library flavour `nolib` lowering uses for this program.
+    pub fn nolib_style(&self) -> LibStyle {
+        if self.obscure_nolib {
+            LibStyle::Obscure
+        } else {
+            LibStyle::Textbook
+        }
+    }
 }
 
 /// All thirteen programs in the paper's table order.

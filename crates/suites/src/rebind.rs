@@ -2,64 +2,68 @@
 //! header alone.
 //!
 //! A trace header names the program, its VM configuration, the
-//! recording tool, and the prepared module's fingerprint — but not the
-//! scale or nolib library style (preparation inputs, not run
-//! configuration). These helpers re-prepare candidate modules until one
-//! reproduces the recorded fingerprint, which is exactly the guarantee
-//! replay needs: a fingerprint match means the stream replays against
-//! the very module it was recorded from, so reports carry source
-//! locations. Shared by the `trace` CLI and the analysis server, which
-//! must rebind every upload before detection.
+//! recording tool, and the prepared module's fingerprint. The program
+//! name fixes every other preparation input: a generated workload's
+//! name encodes its full spec (and `trace gen` records only the textbook
+//! library style), and a PARSEC program is recorded only at its own
+//! thread count, size and nolib style. So rebinding is a lookup: prepare
+//! the one candidate module per tool and compare fingerprints. A match
+//! means the stream replays against the very module it was recorded
+//! from, so reports carry source locations; a mismatch (a stale or
+//! forged header) binds nothing, at the cost of one preparation per
+//! tool. Shared by the `trace` CLI and the analysis server, which must
+//! rebind every upload before detection.
 
 use crate::parsec::all_programs;
-use spinrace_core::{AnalyzeError, ExecutedRun, PreparedModule, Session, Tool};
+use spinrace_core::{PreparedModule, Session, Tool};
 use spinrace_detector::MsmMode;
 use spinrace_synclib::LibStyle;
-use spinrace_vm::{Trace, TraceHeader};
+use spinrace_vm::TraceHeader;
 use spinrace_workloads::WorkloadSpec;
-
-/// Largest `--scale` the `trace record` CLI accepts, and the last scale
-/// [`prepared_matching`] probes when rebinding a trace to its module.
-pub const MAX_SCALE: u32 = 32;
-
-/// The nolib library styles a tool's preparation can have used (only
-/// nolib lowering is style-sensitive).
-pub fn nolib_styles(tool: Tool) -> &'static [LibStyle] {
-    if matches!(tool, Tool::HelgrindNolibSpin { .. }) {
-        &[LibStyle::Textbook, LibStyle::Obscure]
-    } else {
-        &[LibStyle::Textbook]
-    }
-}
-
-/// Bind the trace to a freshly prepared module. Prefers the preparation
-/// of `tool` (a fingerprint match means the replay equals a live `tool`
-/// run); falls back to the recording tool's preparation with a warning.
-/// Returns `None` when the program is unknown or no probed scale
-/// reproduces the recorded module.
-pub fn rebuild_run(trace: &Trace, tool: Tool, msm: MsmMode, cap: usize) -> Option<ExecutedRun> {
-    let prepared = prepared_for_replay(&trace.header, tool, msm, cap)?;
-    ExecutedRun::from_trace(prepared, trace.clone()).ok()
-}
 
 /// The preparation a replay should bind to: the *requested* tool's when
 /// its fingerprint matches the header (the replay then equals a live
 /// `tool` run), else the recording tool's, with a plain warning that the
-/// results describe the recorded stream.
+/// results describe the recorded stream. Returns `None` when the header
+/// names no known program or neither preparation reproduces its
+/// fingerprint.
 pub fn prepared_for_replay(
     header: &TraceHeader,
     tool: Tool,
     msm: MsmMode,
     cap: usize,
 ) -> Option<PreparedModule> {
-    if let Some(prepared) = prepared_matching(header, tool, msm, cap) {
+    // Lowered (nolib) modules are renamed `<name>.nolib`.
+    let base = header
+        .module_name
+        .strip_suffix(".nolib")
+        .unwrap_or(&header.module_name);
+    let (module, style) = match WorkloadSpec::from_name(base) {
+        Some(spec) => (spec.build().module, LibStyle::Textbook),
+        None => {
+            let prog = all_programs().into_iter().find(|p| p.name == base)?;
+            (prog.module(), prog.nolib_style())
+        }
+    };
+    let session = Session::for_module(&module)
+        .msm(msm)
+        .cap(cap)
+        .vm_config(header.vm)
+        .nolib_style(style);
+    let matching = |t: Tool| {
+        session
+            .prepare(t)
+            .ok()
+            .filter(|p| p.fingerprint() == header.module_fingerprint)
+    };
+    if let Some(prepared) = matching(tool) {
         return Some(prepared);
     }
     let rec_tool: Tool = header.tool_label.parse().ok()?;
     if rec_tool == tool {
         return None;
     }
-    let prepared = prepared_matching(header, rec_tool, msm, cap)?;
+    let prepared = matching(rec_tool)?;
     eprintln!(
         "note: stream was recorded from the `{}` preparation; results show that stream under \
          `{}`'s detector configuration, NOT what a live `{}` run would report",
@@ -70,72 +74,36 @@ pub fn prepared_for_replay(
     Some(prepared)
 }
 
-/// Re-prepare the program named in the trace header under `prep_tool`,
-/// probing scales `1..=MAX_SCALE` (the header does not record the scale),
-/// and return the preparation whose fingerprint matches the recording.
-pub fn prepared_matching(
-    header: &TraceHeader,
-    prep_tool: Tool,
-    msm: MsmMode,
-    cap: usize,
-) -> Option<PreparedModule> {
-    // Lowered (nolib) modules are renamed `<name>.nolib`.
-    let base = header
-        .module_name
-        .strip_suffix(".nolib")
-        .unwrap_or(&header.module_name);
-    // Generated workloads encode their full spec in the module name, so
-    // the rebuild needs no program table and no scale probing — only the
-    // nolib style is still a free preparation input.
-    if let Some(spec) = WorkloadSpec::from_name(base) {
-        let module = spec.build().module;
-        for &style in nolib_styles(prep_tool) {
-            let prepared = Session::for_module(&module)
-                .msm(msm)
-                .cap(cap)
-                .vm_config(header.vm)
-                .nolib_style(style)
-                .prepare(prep_tool);
-            let Ok(prepared) = prepared else { continue };
-            if prepared.fingerprint() == header.module_fingerprint {
-                return Some(prepared);
-            }
-        }
-        return None;
-    }
-    let programs = all_programs();
-    let prog = programs.iter().find(|p| p.name == base)?;
-    // The header records neither the scale nor the nolib library style
-    // (both are preparation inputs, not run configuration), so probe:
-    // every scale record accepts, and — for nolib tools, whose lowering
-    // is the only style-sensitive phase — both library styles.
-    for scale in 1..=MAX_SCALE {
-        let module = (prog.build)(prog.threads, prog.size * scale);
-        for &style in nolib_styles(prep_tool) {
-            let prepared = Session::for_module(&module)
-                .msm(msm)
-                .cap(cap)
-                .vm_config(header.vm)
-                .nolib_style(style)
-                .prepare(prep_tool);
-            let Ok(prepared) = prepared else { continue };
-            if prepared.fingerprint() == header.module_fingerprint {
-                return Some(prepared);
-            }
-        }
-    }
-    None
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spinrace_vm::VmConfig;
 
-/// [`rebuild_run`], but with the mismatch distinguished: `Err` carries
-/// the [`AnalyzeError::TraceMismatch`] (or decode failure) when a
-/// preparation was found but the trace refused to bind to it.
-pub fn try_rebuild_run(
-    trace: &Trace,
-    tool: Tool,
-    msm: MsmMode,
-    cap: usize,
-) -> Option<Result<ExecutedRun, AnalyzeError>> {
-    let prepared = prepared_for_replay(&trace.header, tool, msm, cap)?;
-    Some(ExecutedRun::from_trace(prepared, trace.clone()))
+    /// Every PARSEC program, recorded the way `trace record` records it
+    /// under each paper-lineup tool and both schedulers, rebinds to the
+    /// requested tool's own preparation with the recorded fingerprint —
+    /// the obscure-style programs included — and a header whose
+    /// fingerprint drifted binds nothing.
+    #[test]
+    fn every_parsec_recording_rebinds_to_its_own_preparation() {
+        for prog in all_programs() {
+            let module = (prog.build)(prog.threads, prog.size);
+            for vm in [VmConfig::round_robin(), VmConfig::random(1)] {
+                let mut session = Session::for_module(&module).vm_config(vm);
+                if prog.obscure_nolib {
+                    session = session.obscure_nolib();
+                }
+                for tool in Tool::paper_lineup() {
+                    let run = session.prepare(tool).unwrap().execute().unwrap();
+                    let mut header = run.trace().header.clone();
+                    let prepared = prepared_for_replay(&header, tool, MsmMode::Long, 1000)
+                        .unwrap_or_else(|| panic!("{} under {tool} did not rebind", prog.name));
+                    assert_eq!(prepared.fingerprint(), header.module_fingerprint);
+                    assert_eq!(prepared.tool(), tool, "{}", prog.name);
+                    header.module_fingerprint ^= 1;
+                    assert!(prepared_for_replay(&header, tool, MsmMode::Long, 1000).is_none());
+                }
+            }
+        }
+    }
 }

@@ -77,18 +77,6 @@ pub fn spin_until_nonzero_sized(f: &mut FunctionBuilder, addr: AddrExpr, blocks:
     f.switch_to(done);
 }
 
-/// Publish: `mem[data] = value; mem[flag] = 1` — the counterpart-write
-/// side of a flag handoff.
-pub fn publish_with_flag(
-    f: &mut FunctionBuilder,
-    data: AddrExpr,
-    value: impl Into<Operand>,
-    flag: AddrExpr,
-) {
-    f.store(data, value);
-    f.store(flag, 1);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

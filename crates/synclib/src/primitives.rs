@@ -109,14 +109,6 @@ impl SpinLib {
             }
         }
     }
-
-    /// Number of functions the chosen style appends.
-    pub fn function_count(style: LibStyle) -> usize {
-        match style {
-            LibStyle::Textbook => 10,
-            LibStyle::Obscure => 12,
-        }
-    }
 }
 
 fn based(p: Reg, disp: i64) -> AddrExpr {

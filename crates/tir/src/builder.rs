@@ -248,15 +248,6 @@ impl FunctionBuilder {
         dst
     }
 
-    /// Plain load into an existing register.
-    pub fn load_into(&mut self, dst: Reg, addr: AddrExpr) {
-        self.push(Instr::Load {
-            dst,
-            addr,
-            atomic: Atomicity::Plain,
-        });
-    }
-
     /// Atomic load with the given ordering.
     pub fn load_atomic(&mut self, addr: AddrExpr, order: MemOrder) -> Reg {
         let dst = self.reg();

@@ -197,11 +197,6 @@ impl AddrExpr {
             _ => None,
         }
     }
-
-    /// True when the address is fully static (global + constant disp).
-    pub fn is_static(&self) -> bool {
-        matches!(self, AddrExpr::Global { .. })
-    }
 }
 
 /// One non-terminator instruction.

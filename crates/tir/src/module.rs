@@ -115,10 +115,6 @@ pub struct SpinTable {
 }
 
 impl SpinTable {
-    /// Look up the spin loop a given load instruction belongs to.
-    pub fn loop_of_load(&self, pc: Pc) -> Option<SpinLoopId> {
-        self.tagged_loads.get(&pc).copied()
-    }
     /// Number of detected loops.
     pub fn len(&self) -> usize {
         self.loops.len()
@@ -155,14 +151,6 @@ impl Module {
     /// Access a function by id.
     pub fn function(&self, f: FuncId) -> &Function {
         &self.functions[f.0 as usize]
-    }
-
-    /// Look up a function by name.
-    pub fn function_by_name(&self, name: &str) -> Option<FuncId> {
-        self.functions
-            .iter()
-            .position(|f| f.name == name)
-            .map(|i| FuncId(i as u32))
     }
 
     /// Base address of a global in the VM's flat address space.

@@ -30,7 +30,7 @@ fn main() {
         eprintln!("unknown program `{name}` (run without arguments for the list)");
         std::process::exit(2);
     };
-    let module = (prog.build)(prog.threads, prog.size);
+    let module = prog.module();
 
     let tools: Vec<Tool> = match args.get(1).map(|s| s.as_str()) {
         None => Tool::paper_lineup().to_vec(),
@@ -63,12 +63,11 @@ fn main() {
     );
 
     for tool in tools {
-        let mut session = Session::for_module(&module).long_msm();
+        let mut session = Session::for_module(&module)
+            .long_msm()
+            .nolib_style(prog.nolib_style());
         if let Some(s) = seed {
             session = session.seed(s);
-        }
-        if prog.obscure_nolib {
-            session = session.obscure_nolib();
         }
         match session.prepare(tool).and_then(|p| p.detect_live()) {
             Ok(out) => {

@@ -19,7 +19,7 @@ use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 mod mutate;
-use mutate::{base_binary, forged_spawn, header_counts_offsets, recorded};
+use mutate::{base_binary, forged_spawn, header_counts_offsets, patched_header, recorded};
 
 /// Request body naming one tool, with optional extra fields.
 fn params(tool: Tool, extra: &[(&str, serde_json::Value)]) -> serde_json::Value {
@@ -263,6 +263,38 @@ fn zero_watchdog_sessions_end_in_a_watchdog_error() {
     let frames = collect_frames(&out[..]).unwrap();
     assert_eq!(frames.error.expect("an E frame").code, "watchdog");
     assert!(frames.outcomes.is_empty() && frames.done.is_none());
+}
+
+/// A header the server cannot bind to a module ends the session in an
+/// `E` frame `unknown-module`: once with a drifted fingerprint (the
+/// program rebuilds, but not to the recorded module), once naming no
+/// known program at all.
+#[test]
+fn unbindable_headers_end_in_an_unknown_module_error() {
+    let (prepared, _) = recorded();
+    let fp = prepared.fingerprint();
+    let name = &prepared.module().name;
+    for bytes in [
+        patched_header(
+            &format!("\"module_fingerprint\":{fp}"),
+            &format!("\"module_fingerprint\":{}", fp ^ 1),
+        ),
+        patched_header(
+            &format!("\"module_name\":\"{name}\""),
+            "\"module_name\":\"no-such-program\"",
+        ),
+    ] {
+        let mut session: Vec<u8> = Vec::new();
+        write_request(&mut session, &params(Tool::HelgrindLib, &[])).unwrap();
+        session.extend_from_slice(&bytes);
+        let mut out = Vec::new();
+        let code = handle_session(&session[..], &mut out, ServeOptions::default())
+            .expect_err("an unbindable header must fail the session");
+        assert_eq!(code, "unknown-module");
+        let frames = collect_frames(&out[..]).unwrap();
+        assert_eq!(frames.error.expect("an E frame").code, "unknown-module");
+        assert!(frames.outcomes.is_empty() && frames.done.is_none());
+    }
 }
 
 /// A client that stalls past the server's read timeout fails its
