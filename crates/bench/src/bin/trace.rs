@@ -25,7 +25,10 @@
 //!
 //! Exit codes: `0` success, `1` runtime failure (I/O, tripped limit,
 //! oracle violation), `2` usage or malformed input (bad flags,
-//! undecodable trace file).
+//! undecodable trace file). Each subcommand checks its arguments before
+//! it does anything: a flag it does not take, a value flag with nothing
+//! after it, or a stray argument is refused with exit 2 and the
+//! subcommand's usage line.
 //!
 //! **Trace files.** Traces are stored in the binary columnar format of
 //! `spinrace-tracefmt` (`.sptrace`, magic `SPINRTRC`); a file without
@@ -92,23 +95,167 @@ use std::time::{Duration, Instant};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("record") => record(&args[1..]),
-        Some("gen") => gen(&args[1..]),
-        Some("replay") => replay(&args[1..]),
-        Some("inspect") => inspect(&args[1..]),
-        Some("stats") => stats(&args[1..]),
-        Some("serve") => serve_cmd(&args[1..]),
-        Some("client") => client_cmd(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: trace <record|gen|replay|inspect|stats|serve|client> ...  \
-                 (see --help in source)"
-            );
-            2
-        }
+    let Some(cmd) = args
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|c| c.name == name))
+    else {
+        eprintln!(
+            "usage: trace <record|gen|replay|inspect|stats|serve|client> ...  \
+             (see --help in source)"
+        );
+        exit(2);
     };
-    exit(code);
+    let rest = &args[1..];
+    if let Err(e) = cmd.check(rest) {
+        eprintln!("error: {e}");
+        eprintln!("{}", cmd.usage);
+        exit(2);
+    }
+    exit((cmd.run)(rest));
+}
+
+/// One subcommand: its handler, the arguments it takes, and its usage
+/// line.
+struct Command {
+    name: &'static str,
+    run: fn(&[String]) -> i32,
+    /// Takes a leading FILE argument.
+    file: bool,
+    /// Flags followed by a value.
+    values: &'static [&'static str],
+    /// Flags that stand alone.
+    switches: &'static [&'static str],
+    usage: &'static str,
+}
+
+const RECORD: Command = Command {
+    name: "record",
+    run: record,
+    file: false,
+    values: &["--program", "--tool", "--seed", "--out", "--json"],
+    switches: &[],
+    usage: "usage: trace record --program <name> [--tool T] [--seed N] [--out FILE] [--json FILE]",
+};
+
+const GEN: Command = Command {
+    name: "gen",
+    run: gen,
+    file: false,
+    values: &[
+        "--family",
+        "--threads",
+        "--events",
+        "--addr-space",
+        "--skew",
+        "--races",
+        "--seed",
+        "--tool",
+        "--out",
+        "--json",
+    ],
+    switches: &[],
+    usage: "usage: trace gen --family <ring|spinflag|barrier|zipf|fanout|straddle|publish> \
+            [--threads N] [--events TOTAL] [--addr-space N] [--skew K] [--races N] [--seed N] \
+            [--tool T] [--out FILE] [--json FILE]",
+};
+
+const REPLAY: Command = Command {
+    name: "replay",
+    run: replay,
+    file: true,
+    values: &[
+        "--tool",
+        "--cap",
+        "--json",
+        "--watchdog",
+        "--max-events",
+        "--max-shadow-bytes",
+    ],
+    switches: &["--long-msm"],
+    usage: "usage: trace replay FILE [--tool T] [--long-msm] [--cap N] [--json FILE] \
+            [--watchdog MS] [--max-events N] [--max-shadow-bytes N]",
+};
+
+const INSPECT: Command = Command {
+    name: "inspect",
+    run: inspect,
+    file: true,
+    values: &["--events"],
+    switches: &[],
+    usage: "usage: trace inspect FILE [--events N]",
+};
+
+const STATS: Command = Command {
+    name: "stats",
+    run: stats,
+    file: true,
+    values: &[],
+    switches: &[],
+    usage: "usage: trace stats FILE",
+};
+
+const SERVE: Command = Command {
+    name: "serve",
+    run: serve_cmd,
+    file: false,
+    values: &[
+        "--addr",
+        "--sessions",
+        "--max-events",
+        "--max-shadow-bytes",
+        "--watchdog",
+        "--read-timeout",
+        "--write-timeout",
+    ],
+    switches: &["--stdin"],
+    usage: "usage: trace serve [--addr HOST:PORT] [--sessions N] [--max-events N] \
+            [--max-shadow-bytes N] [--watchdog MS] [--read-timeout MS] [--write-timeout MS] \
+            [--stdin]",
+};
+
+const CLIENT: Command = Command {
+    name: "client",
+    run: client_cmd,
+    file: true,
+    values: &[
+        "--addr",
+        "--tool",
+        "--cap",
+        "--max-events",
+        "--max-shadow-bytes",
+        "--watchdog",
+        "--json",
+    ],
+    switches: &["--long-msm"],
+    usage: "usage: trace client FILE --addr HOST:PORT [--tool T] [--long-msm] [--cap N] \
+            [--max-events N] [--max-shadow-bytes N] [--watchdog MS] [--json FILE]",
+};
+
+const COMMANDS: [Command; 7] = [RECORD, GEN, REPLAY, INSPECT, STATS, SERVE, CLIENT];
+
+impl Command {
+    /// Refuse a flag this subcommand does not take, a value flag given
+    /// last with no value, and any argument that is neither a flag, a
+    /// flag's value, nor the leading FILE.
+    fn check(&self, args: &[String]) -> Result<(), String> {
+        let mut i = usize::from(self.file && args.first().is_some_and(|a| !a.starts_with("--")));
+        while i < args.len() {
+            let a = args[i].as_str();
+            if self.values.contains(&a) {
+                if i + 1 == args.len() {
+                    return Err(format!("{a} expects a value (trace {})", self.name));
+                }
+                i += 2;
+            } else if self.switches.contains(&a) {
+                i += 1;
+            } else if a.starts_with('-') {
+                return Err(format!("unknown option {a} for trace {}", self.name));
+            } else {
+                return Err(format!("unexpected argument {a:?} for trace {}", self.name));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// `--flag value` lookup.
@@ -200,9 +347,7 @@ fn maybe_write_json(args: &[String], out: &AnalysisOutcome) -> i32 {
 
 fn record(args: &[String]) -> i32 {
     let Some(name) = opt(args, "--program") else {
-        eprintln!(
-            "usage: trace record --program <name> [--tool T] [--seed N] [--out FILE] [--json FILE]"
-        );
+        eprintln!("{}", RECORD.usage);
         return 2;
     };
     let tool = parse_tool(&opt(args, "--tool").unwrap_or_else(|| "lib+spin".into()));
@@ -262,11 +407,7 @@ fn record(args: &[String]) -> i32 {
 /// `gen`: record a generated workload with computable ground truth.
 fn gen(args: &[String]) -> i32 {
     let Some(family_s) = opt(args, "--family") else {
-        eprintln!(
-            "usage: trace gen --family <ring|spinflag|barrier|zipf|fanout|straddle|publish> \
-             [--threads N] [--events TOTAL] [--addr-space N] [--skew K] [--races N] [--seed N] \
-             [--tool T] [--out FILE] [--json FILE]"
-        );
+        eprintln!("{}", GEN.usage);
         return 2;
     };
     let family: Family = match family_s.parse() {
@@ -354,10 +495,7 @@ fn gen(args: &[String]) -> i32 {
 /// ahead of the detector, so the stream is never materialized.
 fn replay(args: &[String]) -> i32 {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!(
-            "usage: trace replay FILE [--tool T] [--long-msm] [--cap N] [--json FILE] \
-             [--watchdog MS] [--max-events N] [--max-shadow-bytes N]"
-        );
+        eprintln!("{}", REPLAY.usage);
         return 2;
     };
     let msm = if has(args, "--long-msm") {
@@ -533,7 +671,7 @@ fn print_header(h: &TraceHeader, summary: &spinrace_vm::RunSummary) {
 
 fn inspect(args: &[String]) -> i32 {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: trace inspect FILE [--events N]");
+        eprintln!("{}", INSPECT.usage);
         return 2;
     };
     let n: usize = num_opt(args, "--events", 10);
@@ -622,7 +760,7 @@ impl StatsAcc {
 
 fn stats(args: &[String]) -> i32 {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: trace stats FILE");
+        eprintln!("{}", STATS.usage);
         return 2;
     };
     let file_bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
@@ -695,10 +833,7 @@ fn serve_cmd(args: &[String]) -> i32 {
 /// document — byte-identical to `replay --json` of the same file.
 fn client_cmd(args: &[String]) -> i32 {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!(
-            "usage: trace client FILE --addr HOST:PORT [--tool T] [--long-msm] [--cap N] \
-             [--max-events N] [--max-shadow-bytes N] [--watchdog MS] [--json FILE]"
-        );
+        eprintln!("{}", CLIENT.usage);
         return 2;
     };
     let Some(addr) = opt(args, "--addr") else {
@@ -826,5 +961,83 @@ fn kind_of(ev: &Event) -> &'static str {
         Event::SpinEnter { .. } => "SpinEnter",
         Event::SpinExit { .. } => "SpinExit",
         Event::Output { .. } => "Output",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn check(cmd: &Command, args: &[&str]) -> Result<(), String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        cmd.check(&args)
+    }
+
+    #[test]
+    fn known_flags_and_values_pass() {
+        assert_eq!(
+            check(&RECORD, &["--program", "ferret", "--seed", "3"]),
+            Ok(())
+        );
+        assert_eq!(
+            check(&RECORD, &[]),
+            Ok(()),
+            "a missing --program is the handler's"
+        );
+        assert_eq!(
+            check(
+                &REPLAY,
+                &["t.sptrace", "--long-msm", "--cap", "5", "--json", "o.json"]
+            ),
+            Ok(())
+        );
+        assert_eq!(check(&SERVE, &["--stdin", "--sessions", "2"]), Ok(()));
+        assert_eq!(check(&STATS, &["t.sptrace"]), Ok(()));
+    }
+
+    #[test]
+    fn unknown_options_are_refused() {
+        assert_eq!(
+            check(&RECORD, &["--program", "ferret", "--scale", "2"]),
+            Err("unknown option --scale for trace record".into())
+        );
+        assert_eq!(
+            check(&REPLAY, &["t.sptrace", "--bogus"]),
+            Err("unknown option --bogus for trace replay".into())
+        );
+        // A flag of another subcommand is unknown here.
+        assert!(check(&INSPECT, &["t.sptrace", "--long-msm"]).is_err());
+    }
+
+    #[test]
+    fn a_trailing_value_flag_is_refused() {
+        assert_eq!(
+            check(&GEN, &["--family", "zipf", "--seed"]),
+            Err("--seed expects a value (trace gen)".into())
+        );
+        assert!(check(&REPLAY, &["t.sptrace", "--cap"]).is_err());
+    }
+
+    #[test]
+    fn stray_arguments_are_refused() {
+        assert!(check(&STATS, &["a.sptrace", "b.sptrace"]).is_err());
+        assert!(check(&RECORD, &["ferret"]).is_err(), "record takes no FILE");
+        assert!(check(&GEN, &["--family", "zipf", "4"]).is_err());
+    }
+
+    #[test]
+    fn every_declared_flag_is_in_its_usage_line() {
+        for cmd in &COMMANDS {
+            assert!(cmd
+                .usage
+                .starts_with(&format!("usage: trace {} ", cmd.name)));
+            for flag in cmd.values.iter().chain(cmd.switches) {
+                assert!(
+                    cmd.usage.contains(flag),
+                    "{flag} missing from {}",
+                    cmd.usage
+                );
+            }
+        }
     }
 }

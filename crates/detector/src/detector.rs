@@ -15,9 +15,32 @@
 //! bit-for-bit those of the retained [`crate::ReferenceDetector`] — the
 //! differential proptest in `tests/epoch_equivalence.rs` holds the two to
 //! identical reports.
+//!
+//! # The sync-free shared-read path
+//!
+//! A read of a promoted (`Shared`) location must drop every record its
+//! thread's clock covers, keeping the rest in arrival order. That prune
+//! checks every record, and on a read-shared location it runs on every
+//! read. Two facts make it skippable when nothing synchronized:
+//!
+//! * a vector holds at most one record per thread, since a thread's
+//!   clock always covers its own earlier record;
+//! * for `u ≠ t`, `C_t[u] < C_u[u]` unless `u`'s current epoch is
+//!   exposed (see [`crate::engine`]), because every release ticks the
+//!   releasing thread.
+//!
+//! So each record pushed into a shared vector carries its thread's
+//! acquire count. When thread `t` reads again and its own record's stamp
+//! still equals its count, `t` has joined nothing since the record went
+//! in. The records that were there then survived `t`'s prune, and those
+//! added later came from threads whose epochs `t` cannot know. Only
+//! `t`'s own record is covered, so removing it and appending the new one
+//! gives exactly what the prune and push give. A thread that pushes while
+//! its epoch is exposed clears every other stamp, since those threads
+//! may cover its record.
 
 use crate::config::{DetectorConfig, MsmMode};
-use crate::engine::{acquire, release, AccessModel, Detector, HbEngine};
+use crate::engine::{acquire, bump, release, AccessModel, Detector, HbEngine, ThreadState};
 use crate::lockset::{LocksetId, LocksetTable};
 use crate::metrics::{vc_map_bytes, DetectorMetrics};
 use crate::report::{AccessSummary, RaceKind, RaceReport, ReportCollector};
@@ -76,21 +99,28 @@ impl AccessModel for HbAccess {
                 addr,
                 spin: Some(_),
                 ..
-            } => self.promote(addr),
+            } => self.promote(e, addr),
             Event::Read { addr, .. } => return self.sync_loc.contains_key(&addr),
             Event::Write { tid, addr, .. } => match self.sync_loc.get_mut(&addr) {
                 Some(lvc) => release(&mut e.vcs[tid as usize], tid, lvc),
                 None => return false,
             },
             Event::Update { tid, addr, .. } => {
-                self.promote(addr);
+                self.promote(e, addr);
+                let ti = tid as usize;
                 let lvc = self.sync_loc.get_mut(&addr).expect("promoted");
-                e.vcs[tid as usize].join(lvc);
-                release(&mut e.vcs[tid as usize], tid, lvc);
+                e.vcs[ti].join(lvc);
+                bump(&mut e.threads[ti].acquires);
+                release(&mut e.vcs[ti], tid, lvc);
             }
             Event::SpinExit { tid, ref reads, .. } => {
+                let ti = tid as usize;
                 for &(addr, _) in reads {
-                    acquire(&mut e.vcs[tid as usize], self.sync_loc.get(&addr));
+                    acquire(
+                        &mut e.vcs[ti],
+                        &mut e.threads[ti].acquires,
+                        self.sync_loc.get(&addr),
+                    );
                 }
             }
             _ => return false,
@@ -101,12 +131,7 @@ impl AccessModel for HbAccess {
     #[inline]
     fn read(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
         let ti = tid as usize;
-        let rec = AccessRecord {
-            tid,
-            clock: e.vcs[ti].get(tid),
-            pc,
-            stack,
-        };
+        let rec = AccessRecord::new(tid, e.vcs[ti].get(tid), pc, stack);
         let vc = &e.vcs[ti];
         let cell = self.shadow.cell(addr);
         // Race check: unordered prior write — one epoch compare against
@@ -116,11 +141,11 @@ impl AccessModel for HbAccess {
             .filter(|w| !vc.covers(Epoch::new(w.tid, w.clock)));
         match racy_write {
             // Fast path (race-free read): fold into the adaptive state.
-            None => push_read(&mut cell.reads, rec, vc),
+            None => push_read(&mut cell.reads, rec, e),
             // Racy read: report first (the reference's order), then update.
             Some(w) => {
                 self.report_hb(e, addr, w, true, tid, pc, stack, false);
-                push_read(&mut self.shadow.cell(addr).reads, rec, &e.vcs[ti]);
+                push_read(&mut self.shadow.cell(addr).reads, rec, e);
             }
         }
     }
@@ -128,14 +153,9 @@ impl AccessModel for HbAccess {
     #[inline]
     fn write(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
         let ti = tid as usize;
-        let rec = AccessRecord {
-            tid,
-            clock: e.vcs[ti].get(tid),
-            pc,
-            stack,
-        };
+        let rec = AccessRecord::new(tid, e.vcs[ti].get(tid), pc, stack);
         let vc = &e.vcs[ti];
-        let has_lockset = e.cfg.has_lockset() && !e.held[ti].is_empty();
+        let has_lockset = e.cfg.has_lockset() && !e.threads[ti].held.is_empty();
         let cell = self.shadow.cell(addr);
         let racy_write = cell
             .last_write
@@ -206,7 +226,12 @@ impl AccessModel for HbAccess {
     }
 
     fn lock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64) {
-        acquire(&mut e.vcs[tid as usize], self.mutex_vc.get(&mutex));
+        let ti = tid as usize;
+        acquire(
+            &mut e.vcs[ti],
+            &mut e.threads[ti].acquires,
+            self.mutex_vc.get(&mutex),
+        );
         self.intern_held(e, tid);
     }
 
@@ -241,19 +266,22 @@ impl HbAccess {
         if self.held_ids.len() <= ti {
             self.held_ids.resize(ti + 1, LocksetId::EMPTY);
         }
-        self.held_ids[ti] = self.locksets.intern_presorted(&e.held[ti]);
+        self.held_ids[ti] = self.locksets.intern_presorted(&e.threads[ti].held);
     }
 
     /// Promote `addr` to a synchronization location, seeding its release
     /// clock with the last writer's epoch (the partial edge for writes
-    /// that happened before promotion).
-    fn promote(&mut self, addr: u64) {
+    /// that happened before promotion). The writer may not have ticked
+    /// since, so that epoch becomes exposed.
+    fn promote(&mut self, e: &mut HbEngine, addr: u64) {
         if self.sync_loc.contains_key(&addr) {
             return;
         }
         let mut vc = VectorClock::new();
         if let Some(w) = self.shadow.get(addr).and_then(|cell| cell.last_write) {
             vc.set(w.tid, w.clock);
+            let exposed = &mut e.threads[w.tid as usize].exposed;
+            *exposed = (*exposed).max(w.clock);
         }
         self.sync_loc.insert(addr, vc);
     }
@@ -360,22 +388,48 @@ fn eraser_update(
 ///   or covered by the reader's clock) → overwrite in place, O(1);
 /// * `Exclusive` genuinely concurrent with the new read → promote to the
 ///   `Shared` vector (the only allocating transition);
-/// * `Shared` → prune covered entries, append (exactly the reference).
+/// * `Shared` → prune covered entries, append (exactly the reference),
+///   skipping the prune when the reader's own record is the only one its
+///   clock can cover (see the module docs).
+///
+/// `rec` comes unstamped; only records entering a `Shared` vector are
+/// stamped with the reader's acquire count.
 #[inline]
-fn push_read(reads: &mut ReadState, rec: AccessRecord, vc: &VectorClock) {
+fn push_read(reads: &mut ReadState, mut rec: AccessRecord, e: &HbEngine) {
+    let ti = rec.tid as usize;
+    let vc = &e.vcs[ti];
     match reads {
         ReadState::None => *reads = ReadState::Exclusive(rec),
         ReadState::Exclusive(r) => {
-            if *r == rec {
+            if r.same_access(&rec) {
                 // Same epoch, same site: nothing changes.
             } else if r.tid == rec.tid || vc.covers(Epoch::new(r.tid, r.clock)) {
                 *r = rec;
             } else {
+                rec.acquires = e.threads[ti].acquires;
                 *reads = ReadState::Shared(vec![*r, rec]);
             }
         }
         ReadState::Shared(v) => {
-            v.retain(|r| !vc.covers(Epoch::new(r.tid, r.clock)));
+            let ThreadState {
+                acquires, exposed, ..
+            } = e.threads[ti];
+            match v.iter().position(|r| r.tid == rec.tid) {
+                // Nothing joined since the reader's record went in: it is
+                // the only record the reader's clock covers.
+                Some(i) if v[i].acquires == acquires && acquires != AccessRecord::UNSTAMPED => {
+                    v.remove(i);
+                }
+                _ => v.retain(|r| !vc.covers(Epoch::new(r.tid, r.clock))),
+            }
+            // Another reader's clock may hold this epoch, so its stamp no
+            // longer rules out covering the record pushed here.
+            if rec.clock <= exposed {
+                for r in v.iter_mut() {
+                    r.acquires = AccessRecord::UNSTAMPED;
+                }
+            }
+            rec.acquires = acquires;
             v.push(rec);
         }
     }
@@ -384,14 +438,15 @@ fn push_read(reads: &mut ReadState, rec: AccessRecord, vc: &VectorClock) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spinrace_tir::{BlockId, FuncId, MemOrder};
+    use crate::ReferenceDetector;
+    use spinrace_tir::{BlockId, FuncId, MemOrder, SpinLoopId};
     use spinrace_vm::EventSink;
 
     fn pc(n: u32) -> Pc {
         Pc::new(FuncId(0), BlockId(0), n)
     }
 
-    fn spawn(det: &mut RaceDetector, parent: u32, child: u32) {
+    fn spawn(det: &mut impl EventSink, parent: u32, child: u32) {
         det.on_event(&Event::Spawn {
             parent,
             child,
@@ -399,7 +454,7 @@ mod tests {
         });
     }
 
-    fn write(det: &mut RaceDetector, tid: u32, addr: u64, at: u32) {
+    fn write(det: &mut impl EventSink, tid: u32, addr: u64, at: u32) {
         det.on_event(&Event::Write {
             tid,
             addr,
@@ -410,7 +465,7 @@ mod tests {
         });
     }
 
-    fn read(det: &mut RaceDetector, tid: u32, addr: u64, at: u32) {
+    fn read(det: &mut impl EventSink, tid: u32, addr: u64, at: u32) {
         det.on_event(&Event::Read {
             tid,
             addr,
@@ -420,6 +475,175 @@ mod tests {
             atomic: None,
             spin: None,
         });
+    }
+
+    /// The fast detector and the reference, fed the same events.
+    struct Both {
+        fast: RaceDetector,
+        slow: ReferenceDetector,
+    }
+
+    impl EventSink for Both {
+        fn on_event(&mut self, ev: &Event) {
+            self.fast.on_event(ev);
+            self.slow.on_event(ev);
+        }
+    }
+
+    impl Both {
+        /// Threads 1..=3 spawned by thread 0.
+        fn three_workers(cfg: DetectorConfig) -> Both {
+            let mut b = Both {
+                fast: RaceDetector::new(cfg),
+                slow: ReferenceDetector::new(cfg),
+            };
+            for child in 1..=3 {
+                spawn(&mut b, 0, child);
+            }
+            b
+        }
+
+        /// The fast detector's read records of `addr`, oldest first.
+        fn reads(&self, addr: u64) -> Vec<AccessRecord> {
+            let cell = self.fast.model.shadow.get(addr).expect("cell exists");
+            cell.reads.as_slice().to_vec()
+        }
+
+        fn readers(&self, addr: u64) -> Vec<u32> {
+            self.reads(addr).iter().map(|r| r.tid).collect()
+        }
+
+        /// Thread 0, ordered after none of the workers' reads, writes
+        /// `addr`: the report list names the surviving readers in
+        /// vector order, and must be the reference's.
+        fn write_and_compare(&mut self, addr: u64) -> Vec<u32> {
+            write(self, 0, addr, 99);
+            assert_eq!(self.fast.reports().reports(), self.slow.reports().reports());
+            self.fast
+                .reports()
+                .reports()
+                .iter()
+                .map(|r| r.prior.tid)
+                .collect()
+        }
+    }
+
+    fn lock(det: &mut impl EventSink, tid: u32, mutex: u64) {
+        det.on_event(&Event::MutexLock {
+            tid,
+            mutex,
+            pc: pc(50),
+        });
+    }
+
+    fn unlock(det: &mut impl EventSink, tid: u32, mutex: u64) {
+        det.on_event(&Event::MutexUnlock {
+            tid,
+            mutex,
+            pc: pc(51),
+        });
+    }
+
+    #[test]
+    fn sync_free_rereads_keep_arrival_order() {
+        let mut b = Both::three_workers(DetectorConfig::helgrind_lib(MsmMode::Short));
+        let x = 0x1000;
+        read(&mut b, 1, x, 1);
+        read(&mut b, 2, x, 2);
+        read(&mut b, 3, x, 3);
+        assert_eq!(b.readers(x), [1, 2, 3]);
+        // 2 joined nothing since its record went in: its record alone is
+        // replaced, and it moves to the back.
+        read(&mut b, 2, x, 4);
+        assert_eq!(b.readers(x), [1, 3, 2]);
+        read(&mut b, 3, x, 5);
+        assert_eq!(b.readers(x), [1, 2, 3]);
+        assert!(b.reads(x)[1..]
+            .iter()
+            .all(|r| r.acquires != AccessRecord::UNSTAMPED));
+        assert_eq!(b.write_and_compare(x), [1, 2, 3]);
+    }
+
+    /// 2 releases a mutex that 1 then acquires, so 1's clock covers 2's
+    /// read; 1's own record was stamped before the acquire.
+    fn acquire_after_stamp(b: &mut Both, x: u64) {
+        read(b, 2, x, 1);
+        read(b, 1, x, 2);
+        read(b, 3, x, 3);
+        assert_eq!(b.readers(x), [2, 1, 3]);
+        lock(b, 2, 0x2000);
+        unlock(b, 2, 0x2000);
+        lock(b, 1, 0x2000);
+        read(b, 1, x, 4);
+    }
+
+    #[test]
+    fn acquiring_reader_prunes_what_it_now_covers() {
+        let mut b = Both::three_workers(DetectorConfig::drd());
+        let x = 0x1000;
+        acquire_after_stamp(&mut b, x);
+        assert_eq!(b.readers(x), [3, 1], "2's read is covered by 1's clock");
+        assert_eq!(b.write_and_compare(x), [3, 1]);
+    }
+
+    #[test]
+    fn saturated_acquire_count_never_skips_the_prune() {
+        let mut b = Both::three_workers(DetectorConfig::drd());
+        b.fast.engine.threads[1].acquires = AccessRecord::UNSTAMPED;
+        let x = 0x1000;
+        acquire_after_stamp(&mut b, x);
+        assert_eq!(b.fast.engine.threads[1].acquires, AccessRecord::UNSTAMPED);
+        assert_eq!(b.readers(x), [3, 1]);
+        assert_eq!(b.write_and_compare(x), [3, 1]);
+    }
+
+    #[test]
+    fn exposed_epoch_of_a_joined_thread_clears_stamps() {
+        // A trace may join a thread that keeps running: 1 then knows 2's
+        // current epoch without acquiring again, so 2's next read is
+        // covered by 1's clock.
+        let mut b = Both::three_workers(DetectorConfig::drd());
+        let x = 0x1000;
+        read(&mut b, 3, x, 1);
+        b.on_event(&Event::Join {
+            parent: 1,
+            child: 2,
+            pc: pc(9),
+        });
+        read(&mut b, 1, x, 2);
+        read(&mut b, 2, x, 3);
+        read(&mut b, 1, x, 4);
+        assert_eq!(b.readers(x), [3, 1]);
+        assert_eq!(b.write_and_compare(x), [3, 1]);
+    }
+
+    #[test]
+    fn exposed_epoch_of_a_promotion_seed_clears_stamps() {
+        // Promotion seeds the flag's clock with 2's write epoch, and 2
+        // has not ticked since; 1's spin exit acquires it.
+        let mut b = Both::three_workers(DetectorConfig::helgrind_lib_spin(MsmMode::Short));
+        let (x, flag) = (0x1000, 0x1001);
+        write(&mut b, 2, flag, 1);
+        b.on_event(&Event::Read {
+            tid: 1,
+            addr: flag,
+            value: 1,
+            pc: pc(10),
+            stack: 0,
+            atomic: None,
+            spin: Some(SpinLoopId(0)),
+        });
+        b.on_event(&Event::SpinExit {
+            tid: 1,
+            spin: SpinLoopId(0),
+            reads: vec![(flag, pc(10))],
+        });
+        read(&mut b, 3, x, 2);
+        read(&mut b, 1, x, 3);
+        read(&mut b, 2, x, 4);
+        read(&mut b, 1, x, 5);
+        assert_eq!(b.readers(x), [3, 1]);
+        assert_eq!(b.write_and_compare(x), [3, 1]);
     }
 
     #[test]

@@ -14,10 +14,32 @@
 //! [`crate::predict::SyncPreserving`] (per-thread frontiers,
 //! conflict-conditional mutex edges). [`Detector`] pairs the engine with
 //! a model and is the [`EventSink`] every replay path drives.
+//!
+//! # Acquire counts and exposed epochs
+//!
+//! Besides the clocks, the engine keeps two per-thread numbers (in
+//! `ThreadState`) that let [`crate::detector::HbAccess`] skip the
+//! prune of a shared read vector when no synchronization happened:
+//!
+//! * `acquires` of thread `t` counts the joins into `t`'s clock — spawn
+//!   (child), join, acquiring atomic loads and RMWs, every `acquire`
+//!   (mutex, condvar, barrier, semaphore, spin exit), the spin feature's
+//!   RMW join and the predictive model's conditional edges. Only a join
+//!   moves another thread's component of `t`'s clock, so while the count
+//!   stands still, so do those components. It saturates at
+//!   [`AccessRecord::UNSTAMPED`], which never matches a stamp.
+//! * `exposed` of thread `u` is the highest own epoch of `u` that
+//!   reached another clock before `u` ticked again. Every release ticks
+//!   the releasing thread, so normally `C_t[u] < C_u[u]` for every
+//!   `t ≠ u`; only a join (the joined thread's clock, final in a VM run),
+//!   a spin promotion (seeded with the last writer's epoch) and the
+//!   initial clocks (thread 0 at 1, fresh threads at 0) break it, and `u`
+//!   is exposed while `C_u[u] <= exposed`.
 
 use crate::config::DetectorConfig;
 use crate::metrics::{vc_map_bytes, DetectorMetrics};
 use crate::report::ReportCollector;
+use crate::shadow::AccessRecord;
 use crate::vc::VectorClock;
 use fxhash::FxHashMap;
 use spinrace_tir::Pc;
@@ -29,8 +51,8 @@ pub struct HbEngine {
     pub(crate) cfg: DetectorConfig,
     /// Per-thread vector clocks.
     pub(crate) vcs: Vec<VectorClock>,
-    /// Per-thread held locks, sorted.
-    pub(crate) held: Vec<Vec<u64>>,
+    /// Per-thread held locks and fast-path numbers.
+    pub(crate) threads: Vec<ThreadState>,
     /// Release clocks of condvars, barrier generations and semaphores.
     cv_vc: FxHashMap<u64, VectorClock>,
     barrier_vc: FxHashMap<(u64, u64), VectorClock>,
@@ -39,6 +61,19 @@ pub struct HbEngine {
     atomic_vc: FxHashMap<u64, VectorClock>,
     pub(crate) reports: ReportCollector,
     events_seen: u64,
+}
+
+/// What the engine keeps of one thread besides its clock. The default
+/// is a fresh thread's: no locks, nothing acquired, and its epoch 0 is
+/// in every clock.
+#[derive(Debug, Default)]
+pub(crate) struct ThreadState {
+    /// Held locks, sorted.
+    pub(crate) held: Vec<u64>,
+    /// Joins into the thread's clock, saturating (see the module docs).
+    pub(crate) acquires: u32,
+    /// Highest own epoch known to another clock without a tick since.
+    pub(crate) exposed: u32,
 }
 
 /// What a detector family adds to the engine: how it checks plain
@@ -75,7 +110,7 @@ pub trait AccessModel {
 /// Feed it a VM event stream (it implements [`EventSink`]) and read the
 /// results from [`Detector::reports`].
 pub struct Detector<M> {
-    engine: HbEngine,
+    pub(crate) engine: HbEngine,
     pub(crate) model: M,
 }
 
@@ -86,7 +121,11 @@ impl<M: AccessModel> Detector<M> {
             engine: HbEngine {
                 cfg,
                 vcs: vec![initial_vc()],
-                held: vec![Vec::new()],
+                // Every fresh clock carries thread 0 at 1.
+                threads: vec![ThreadState {
+                    exposed: 1,
+                    ..ThreadState::default()
+                }],
                 cv_vc: FxHashMap::default(),
                 barrier_vc: FxHashMap::default(),
                 sem_vc: FxHashMap::default(),
@@ -174,7 +213,7 @@ impl HbEngine {
     fn add_threads(&mut self, t: ThreadId) {
         let n = t as usize + 1;
         self.vcs.resize_with(n, initial_vc);
-        self.held.resize_with(n, Vec::new);
+        self.threads.resize_with(n, ThreadState::default);
     }
 
     /// The event cascade.
@@ -198,14 +237,18 @@ impl HbEngine {
                 if spin && m.spin(self, ev) => {}
             Event::Spawn { child, .. } => {
                 let pvc = self.vcs[ti].clone();
-                let cvc = &mut self.vcs[child as usize];
-                cvc.join(&pvc);
-                cvc.tick(child);
+                let ci = child as usize;
+                self.vcs[ci].join(&pvc);
+                bump(&mut self.threads[ci].acquires);
+                self.vcs[ci].tick(child);
                 self.vcs[ti].tick(tid);
             }
             Event::Join { child, .. } => {
-                let cvc = self.vcs[child as usize].clone();
+                let ci = child as usize;
+                let cvc = self.vcs[ci].clone();
                 self.vcs[ti].join(&cvc);
+                bump(&mut self.threads[ti].acquires);
+                self.threads[ci].exposed = cvc.get(child);
             }
             // Machine atomics are synchronization, not data: acquiring
             // loads and releasing stores move clocks, and no atomic access
@@ -215,7 +258,11 @@ impl HbEngine {
                 atomic: Some(ord),
                 ..
             } if atomics && ord.acquires() => {
-                acquire(&mut self.vcs[ti], self.atomic_vc.get(&addr));
+                acquire(
+                    &mut self.vcs[ti],
+                    &mut self.threads[ti].acquires,
+                    self.atomic_vc.get(&addr),
+                );
             }
             Event::Write {
                 addr,
@@ -241,6 +288,7 @@ impl HbEngine {
                 // Acquire + release through one map probe.
                 let avc = self.atomic_vc.entry(addr).or_default();
                 self.vcs[ti].join(avc);
+                bump(&mut self.threads[ti].acquires);
                 release(&mut self.vcs[ti], tid, avc);
             }
             // Without atomics (or spin) knowledge an RMW is a plain
@@ -252,14 +300,14 @@ impl HbEngine {
                 m.write(self, tid, addr, pc, stack);
             }
             Event::MutexLock { mutex, .. } if lib => {
-                let held = &mut self.held[ti];
+                let held = &mut self.threads[ti].held;
                 if let Err(i) = held.binary_search(&mutex) {
                     held.insert(i, mutex);
                 }
                 m.lock(self, tid, mutex);
             }
             Event::MutexUnlock { mutex, .. } if lib => {
-                let held = &mut self.held[ti];
+                let held = &mut self.threads[ti].held;
                 if let Ok(i) = held.binary_search(&mutex) {
                     held.remove(i);
                 }
@@ -270,20 +318,32 @@ impl HbEngine {
                 release(&mut self.vcs[ti], tid, self.cv_vc.entry(cv).or_default());
             }
             Event::CondWaitReturn { cv, .. } if lib => {
-                acquire(&mut self.vcs[ti], self.cv_vc.get(&cv));
+                acquire(
+                    &mut self.vcs[ti],
+                    &mut self.threads[ti].acquires,
+                    self.cv_vc.get(&cv),
+                );
             }
             Event::BarrierEnter { barrier, gen, .. } if lib => {
                 let bvc = self.barrier_vc.entry((barrier, gen)).or_default();
                 release(&mut self.vcs[ti], tid, bvc);
             }
             Event::BarrierLeave { barrier, gen, .. } if lib => {
-                acquire(&mut self.vcs[ti], self.barrier_vc.get(&(barrier, gen)));
+                acquire(
+                    &mut self.vcs[ti],
+                    &mut self.threads[ti].acquires,
+                    self.barrier_vc.get(&(barrier, gen)),
+                );
             }
             Event::SemPost { sem, .. } if lib => {
                 release(&mut self.vcs[ti], tid, self.sem_vc.entry(sem).or_default());
             }
             Event::SemAcquired { sem, .. } if lib => {
-                acquire(&mut self.vcs[ti], self.sem_vc.get(&sem));
+                acquire(
+                    &mut self.vcs[ti],
+                    &mut self.threads[ti].acquires,
+                    self.sem_vc.get(&sem),
+                );
             }
             _ => {}
         }
@@ -297,12 +357,23 @@ pub(crate) fn release(vc: &mut VectorClock, tid: ThreadId, into: &mut VectorCloc
     vc.tick(tid);
 }
 
-/// Acquire a sync object's release clock, if it was ever released.
-pub(crate) fn acquire(vc: &mut VectorClock, from: Option<&VectorClock>) {
+/// Acquire a sync object's release clock, if it was ever released, and
+/// count the join in the thread's `acquires`.
+pub(crate) fn acquire(vc: &mut VectorClock, acquires: &mut u32, from: Option<&VectorClock>) {
     if let Some(from) = from {
         vc.join(from);
+        bump(acquires);
     }
 }
+
+/// Count one join into a thread's clock. The count saturates at
+/// [`AccessRecord::UNSTAMPED`], which never takes the fast path.
+#[inline]
+pub(crate) fn bump(acquires: &mut u32) {
+    *acquires = acquires.saturating_add(1);
+}
+
+const _: () = assert!(AccessRecord::UNSTAMPED == u32::MAX);
 
 fn initial_vc() -> VectorClock {
     let mut vc = VectorClock::new();

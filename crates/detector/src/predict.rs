@@ -35,7 +35,7 @@
 //! byte-identical.
 
 use crate::config::DetectorConfig;
-use crate::engine::{AccessModel, Detector, HbEngine};
+use crate::engine::{bump, AccessModel, Detector, HbEngine};
 use crate::metrics::{vc_map_bytes, DetectorMetrics};
 use crate::report::{AccessSummary, RaceKind, RaceReport};
 use crate::vc::{Epoch, VectorClock};
@@ -169,13 +169,16 @@ impl SyncPreserving {
         // Join the release clocks of earlier conflicting sections on every
         // held lock *before* the race check, so a kept edge suppresses the
         // pair exactly like a hard HB edge would.
-        for m in &e.held[ti] {
+        let (clock, t) = (&mut e.vcs[ti], &mut e.threads[ti]);
+        for m in &t.held {
             if let Some(vc) = self.rel_w.get(m).and_then(|per| per.get(&addr)) {
-                e.vcs[ti].join(vc);
+                clock.join(vc);
+                bump(&mut t.acquires);
             }
             if is_write {
                 if let Some(vc) = self.rel_r.get(m).and_then(|per| per.get(&addr)) {
-                    e.vcs[ti].join(vc);
+                    clock.join(vc);
+                    bump(&mut t.acquires);
                 }
             }
         }
@@ -238,7 +241,7 @@ impl SyncPreserving {
                 kind,
             });
         }
-        for &m in &e.held[ti] {
+        for &m in &e.threads[ti].held {
             let slot = self
                 .cs
                 .entry((tid, m))

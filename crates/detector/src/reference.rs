@@ -191,12 +191,7 @@ impl ReferenceDetector {
         let cell = self.shadow.entry(addr).or_default();
         cell.reads
             .retain(|r| !vc.covers(Epoch::new(r.tid, r.clock)));
-        cell.reads.push(AccessRecord {
-            tid,
-            clock,
-            pc,
-            stack,
-        });
+        cell.reads.push(AccessRecord::new(tid, clock, pc, stack));
     }
 
     fn on_plain_write(&mut self, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
@@ -257,12 +252,7 @@ impl ReferenceDetector {
         }
 
         let cell = self.shadow.entry(addr).or_default();
-        cell.last_write = Some(AccessRecord {
-            tid,
-            clock,
-            pc,
-            stack,
-        });
+        cell.last_write = Some(AccessRecord::new(tid, clock, pc, stack));
         cell.reads.clear();
     }
 

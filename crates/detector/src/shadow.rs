@@ -8,6 +8,16 @@
 //!   threads that are ordered). Such locations keep a single inline
 //!   [`AccessRecord`]; only a *genuinely concurrent* second reader promotes
 //!   the cell to a heap-allocated read vector.
+//! * **Stamped shared records** — a record in a promoted read vector
+//!   carries its thread's acquire count (the joins into that thread's
+//!   clock, kept by [`crate::engine::HbEngine`]) in what would otherwise
+//!   be padding. While a reader's count still equals its own record's
+//!   stamp, its clock covers no other record of the vector: the vector
+//!   holds at most one record per thread, the others survived the prune
+//!   when the stamp was taken, and later ones come from threads whose
+//!   current epochs the reader cannot know. Replacing the reader's own
+//!   record then equals the full prune (see [`crate::detector`]).
+//!   Exclusive records and writes stay [`AccessRecord::UNSTAMPED`].
 //! * **Paged, sharded table** ([`ShadowTable`]) — instead of one SipHash
 //!   `HashMap<addr, cell>` lookup per access, addresses map to 64-cell
 //!   pages; pages live in per-shard arenas indexed by a flat open-addressed
@@ -29,7 +39,43 @@ pub struct AccessRecord {
     pub pc: Pc,
     /// Call-chain hash (Helgrind-style context).
     pub stack: u64,
+    /// Shared read vectors only: the accessing thread's acquire count
+    /// when the record went in, or [`AccessRecord::UNSTAMPED`]. It sits
+    /// in what would otherwise be padding.
+    pub acquires: u32,
 }
+
+impl AccessRecord {
+    /// The stamp of a record whose acquire count is unknown: the
+    /// exclusive read path, writes, and a saturated counter. It never
+    /// matches, so such a record never takes the shared fast path.
+    pub const UNSTAMPED: u32 = u32::MAX;
+
+    /// An unstamped record of one access.
+    #[inline]
+    pub fn new(tid: u32, clock: u32, pc: Pc, stack: u64) -> AccessRecord {
+        AccessRecord {
+            tid,
+            clock,
+            pc,
+            stack,
+            acquires: AccessRecord::UNSTAMPED,
+        }
+    }
+
+    /// The same access: epoch and site equal, whatever the stamps.
+    #[inline]
+    pub fn same_access(&self, other: &AccessRecord) -> bool {
+        (self.tid, self.clock, self.pc, self.stack)
+            == (other.tid, other.clock, other.pc, other.stack)
+    }
+}
+
+// `shadow_bytes` in every outcome document is computed from these two
+// sizes (`ShadowCell::approx_bytes`, `ReadState::heap_bytes`), so a
+// layout change would move pinned outcome bytes.
+const _: () = assert!(std::mem::size_of::<AccessRecord>() == 32);
+const _: () = assert!(std::mem::size_of::<ShadowCell>() == 128);
 
 /// Reads since the last write that are still concurrent-relevant.
 ///
@@ -342,12 +388,7 @@ mod tests {
     use spinrace_tir::{BlockId, FuncId};
 
     fn rec(tid: u32, clock: u32) -> AccessRecord {
-        AccessRecord {
-            tid,
-            clock,
-            pc: Pc::new(FuncId(0), BlockId(0), 0),
-            stack: 0,
-        }
+        AccessRecord::new(tid, clock, Pc::new(FuncId(0), BlockId(0), 0), 0)
     }
 
     #[test]
