@@ -25,10 +25,10 @@
 //!
 //! Exit codes: `0` success, `1` runtime failure (I/O, tripped limit,
 //! oracle violation), `2` usage or malformed input (bad flags,
-//! undecodable trace file). Each subcommand checks its arguments before
-//! it does anything: a flag it does not take, a value flag with nothing
-//! after it, or a stray argument is refused with exit 2 and the
-//! subcommand's usage line.
+//! undecodable trace file, a header no module rebinds to). Each
+//! subcommand checks its arguments before it does anything: a flag it
+//! does not take, a value flag with nothing after it, or a stray
+//! argument is refused with exit 2 and the subcommand's usage line.
 //!
 //! **Trace files.** Traces are stored in the binary columnar format of
 //! `spinrace-tracefmt` (`.sptrace`, magic `SPINRTRC`); a file without
@@ -63,8 +63,8 @@
 //! (`spinrace_suites::prepared_for_replay`), checks its fingerprint, and
 //! replays the decoded stream into a fresh detector — bit-identical to
 //! the live run. A header that names no known program, or whose
-//! fingerprint no preparation reproduces, replays on raw addresses with
-//! a note instead.
+//! fingerprint no preparation reproduces, is refused with exit 2 and the
+//! message `trace serve` sends in its `unknown-module` error frame.
 //!
 //! `--json FILE` writes the detection outcome (contexts, promoted
 //! locations, described reports, detector metrics, run summary) in a
@@ -79,12 +79,11 @@
 //! file, which the CI `serve-smoke` job checks.
 
 use spinrace_core::{
-    AnalysisOutcome, AnalyzeError, Budget, DetectRequest, EngineError, EngineOptions, ReplayLoop,
-    Session, Tool,
+    AnalysisOutcome, AnalyzeError, Budget, DetectRequest, EngineOptions, ExecutedRun, Session, Tool,
 };
-use spinrace_detector::{AnyDetector, MsmMode};
+use spinrace_detector::MsmMode;
 use spinrace_serve::outcome_json;
-use spinrace_suites::{all_programs, prepared_for_replay};
+use spinrace_suites::{all_programs, prepared_for_replay, unbound_message};
 use spinrace_tracefmt::ChunkedTraceReader;
 use spinrace_vm::{Event, Trace, TraceError, TraceHeader};
 use spinrace_workloads::{Family, WorkloadSpec};
@@ -291,6 +290,19 @@ fn parse_tool(s: &str) -> Tool {
     }
 }
 
+/// The tool a replay runs under: `--tool`, else the label the header
+/// recorded. `None` (after saying why) when there is neither.
+fn replay_tool(args: &[String], header: &TraceHeader) -> Option<Tool> {
+    match opt(args, "--tool") {
+        Some(s) => Some(parse_tool(&s)),
+        None if header.tool_label.is_empty() => {
+            eprintln!("error: trace has no recorded tool label; pass --tool");
+            None
+        }
+        None => Some(parse_tool(&header.tool_label)),
+    }
+}
+
 /// Open a binary trace as a streaming chunk reader (header validated),
 /// exiting with code 2 on failure.
 fn open_stream(path: &str) -> ChunkedTraceReader<BufReader<std::fs::File>> {
@@ -368,40 +380,15 @@ fn record(args: &[String]) -> i32 {
     if opt(args, "--seed").is_some() {
         session = session.seed(num_opt(args, "--seed", 0));
     }
-    let prepared = match session.prepare(tool) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: prepare failed: {e}");
-            return 1;
-        }
-    };
-    // One execution, two consumers: the trace recorder and the tool's own
-    // detector, teed on the same stream.
-    let (run, outcome) = match prepared.execute_detecting() {
+    let (run, outcome) = match record_detecting(&session, tool, &format!("recorded {name}")) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: execution failed: {e}");
-            return 1;
-        }
+        Err(code) => return code,
     };
-    let out_path = opt(args, "--out").unwrap_or_else(|| format!("{name}.trace.sptrace"));
-    let trace = run.trace();
-    println!(
-        "recorded {name} under {}: {} events, {} steps, fingerprint {:#018x}",
-        trace.header.tool_label,
-        trace.events.len(),
-        trace.summary.steps,
-        trace.header.module_fingerprint,
-    );
     println!(
         "live detection on the recording run: {} racy context(s), {} promoted location(s)",
         outcome.contexts, outcome.promoted_locations
     );
-    let write_code = write_trace(&out_path, trace);
-    if write_code != 0 {
-        return write_code;
-    }
-    maybe_write_json(args, &outcome)
+    write_outputs(args, run.trace(), &outcome, format!("{name}.trace.sptrace"))
 }
 
 /// `gen`: record a generated workload with computable ground truth.
@@ -439,38 +426,16 @@ fn gen(args: &[String]) -> i32 {
 
     let wl = spec.build();
     let session = Session::for_module(&wl.module).vm_config(spec.vm_config());
-    let prepared = match session.prepare(tool) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: prepare failed: {e}");
-            return 1;
-        }
-    };
-    let (run, outcome) = match prepared.execute_detecting() {
+    let what = format!("generated {}", spec.name());
+    let (run, outcome) = match record_detecting(&session, tool, &what) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: execution failed: {e}");
-            return 1;
-        }
+        Err(code) => return code,
     };
-    let out_path = opt(args, "--out").unwrap_or_else(|| format!("{}.trace.sptrace", spec.name()));
-    let trace = run.trace();
-    println!(
-        "generated {} under {}: {} events, {} steps, fingerprint {:#018x}",
-        spec.name(),
-        trace.header.tool_label,
-        trace.events.len(),
-        trace.summary.steps,
-        trace.header.module_fingerprint,
-    );
     println!("oracle: {}", wl.oracle.describe());
-    let write_code = write_trace(&out_path, trace);
-    if write_code != 0 {
-        return write_code;
-    }
-    let json_code = maybe_write_json(args, &outcome);
-    if json_code != 0 {
-        return json_code;
+    let default_out = format!("{}.trace.sptrace", spec.name());
+    let code = write_outputs(args, run.trace(), &outcome, default_out);
+    if code != 0 {
+        return code;
     }
 
     // The workload knows its ground truth — hold the recording run's own
@@ -488,6 +453,49 @@ fn gen(args: &[String]) -> i32 {
             outcome.tool_label
         );
         1
+    }
+}
+
+/// Prepare `session` for `tool` and execute it once, two consumers on
+/// one stream: the trace recorder and the tool's own detector. Prints
+/// `what` with the recording's size and fingerprint; `Err` is the exit
+/// code.
+fn record_detecting(
+    session: &Session<'_>,
+    tool: Tool,
+    what: &str,
+) -> Result<(ExecutedRun, AnalysisOutcome), i32> {
+    let prepared = session.prepare(tool).map_err(|e| {
+        eprintln!("error: prepare failed: {e}");
+        1
+    })?;
+    let (run, outcome) = prepared.execute_detecting().map_err(|e| {
+        eprintln!("error: execution failed: {e}");
+        1
+    })?;
+    let trace = run.trace();
+    println!(
+        "{what} under {}: {} events, {} steps, fingerprint {:#018x}",
+        trace.header.tool_label,
+        trace.events.len(),
+        trace.summary.steps,
+        trace.header.module_fingerprint,
+    );
+    Ok((run, outcome))
+}
+
+/// Write `trace` to `--out` (else `default_out`), then the outcome to
+/// `--json` when given. Returns the exit code.
+#[must_use]
+fn write_outputs(
+    args: &[String],
+    trace: &Trace,
+    outcome: &AnalysisOutcome,
+    default_out: String,
+) -> i32 {
+    match write_trace(&opt(args, "--out").unwrap_or(default_out), trace) {
+        0 => maybe_write_json(args, outcome),
+        code => code,
     }
 }
 
@@ -517,58 +525,14 @@ fn replay(args: &[String]) -> i32 {
     };
 
     let reader = open_stream(path);
-    let header = reader.header().clone();
-    let tool = match opt(args, "--tool") {
-        Some(s) => parse_tool(&s),
-        None if header.tool_label.is_empty() => {
-            eprintln!("error: trace has no recorded tool label; pass --tool");
-            return 2;
-        }
-        None => parse_tool(&header.tool_label),
+    let Some(tool) = replay_tool(args, reader.header()) else {
+        return 2;
     };
-    // Rebuild a prepared module the trace matches, so reports resolve to
-    // source locations and the fingerprint check rejects stale traces.
-    // Try the *requested* tool's preparation first: when its fingerprint
-    // matches the header the replay is equivalent to a live run of that
-    // tool (e.g. lib and drd share the unmodified module). Otherwise fall
-    // back to the recording tool's preparation and say plainly that the
-    // results describe the recorded stream, not a live run of `tool`.
-    let Some(prepared) = prepared_for_replay(&header, tool, msm, cap) else {
-        if let Err(code) = unbound_note(args, &header) {
-            return code;
-        }
-        // No module to bind: drive the replay loop straight off the
-        // decode-ahead pipeline.
-        let t0 = Instant::now();
-        let mut replay = ReplayLoop::new([tool.detector_config(msm, cap)], opts, header.events);
-        let stats = match reader.decode_ahead(|events| replay.feed(events)) {
-            Ok(stats) => stats,
-            Err(EngineError::Trace(e)) => {
-                eprintln!("error: {path}: {e}");
-                return 2;
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        };
-        let det = match replay.finish() {
-            Ok(mut dets) => dets.remove(0),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        };
-        let eps = det.events_seen() as f64 / t0.elapsed().as_secs_f64().max(1e-9) / 1e6;
-        print_unbound(
-            tool,
-            &det,
-            &format!(
-                "streamed {} chunk(s), {eps:.2} M ev/s, decode+detect",
-                stats.chunks
-            ),
-        );
-        return 0;
+    // Rebind the one module the header names, so reports resolve to
+    // source locations; a header no preparation reproduces binds nothing.
+    let Some(prepared) = prepared_for_replay(reader.header(), tool, msm, cap) else {
+        eprintln!("error: {path}: {}", unbound_message(reader.header()));
+        return 2;
     };
     let t0 = Instant::now();
     let req = DetectRequest::tool(tool).options(opts);
@@ -609,39 +573,6 @@ fn print_reports(out: &AnalysisOutcome) {
     }
     if out.reports.len() > 10 {
         println!("  … {} more", out.reports.len() - 10);
-    }
-}
-
-/// Announce a replay whose module could not be rebuilt. Without source
-/// locations there is no outcome document, so `--json` fails the replay
-/// with exit code 1.
-fn unbound_note(args: &[String], header: &TraceHeader) -> Result<(), i32> {
-    eprintln!(
-        "note: could not rebuild module {:?} (unknown program or fingerprint drift); \
-         replaying without source locations",
-        header.module_name
-    );
-    if opt(args, "--json").is_some() {
-        eprintln!("error: --json needs a rebuildable module (source locations)");
-        return Err(1);
-    }
-    Ok(())
-}
-
-/// Print a replay without source locations: raw addresses only.
-fn print_unbound(tool: Tool, det: &AnyDetector, how: &str) {
-    println!(
-        "replayed {} events under {} [{how}]: {} racy context(s), {} promoted location(s)",
-        det.events_seen(),
-        tool.label(),
-        det.racy_contexts(),
-        det.promoted_locations(),
-    );
-    for r in det.reports().reports().iter().take(10) {
-        println!(
-            "  {:?} race at {:#x} (t{} vs t{})",
-            r.kind, r.addr, r.prior.tid, r.current.tid
-        );
     }
 }
 
@@ -841,7 +772,7 @@ fn client_cmd(args: &[String]) -> i32 {
         return 2;
     };
     // The file is uploaded as is: the wire format is the trace encoding.
-    let header_tool = open_stream(path).header().tool_label.clone();
+    let header = open_stream(path).header().clone();
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) => {
@@ -849,42 +780,20 @@ fn client_cmd(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let tool = match opt(args, "--tool") {
-        Some(s) => parse_tool(&s),
-        None if header_tool.is_empty() => {
-            eprintln!("error: trace has no recorded tool label; pass --tool");
-            return 2;
-        }
-        None => parse_tool(&header_tool),
+    let Some(tool) = replay_tool(args, &header) else {
+        return 2;
     };
-    let mut entries: Vec<(serde_json::Value, serde_json::Value)> = vec![
-        (
-            serde_json::Value::Str("tools".into()),
-            serde_json::Value::Seq(vec![serde_json::Value::Str(tool.label())]),
-        ),
-        (
-            serde_json::Value::Str("cap".into()),
-            serde_json::Value::U64(num_opt(args, "--cap", 1000)),
-        ),
-        (
-            serde_json::Value::Str("long_msm".into()),
-            serde_json::Value::Bool(has(args, "--long-msm")),
-        ),
-    ];
-    for (flag, field) in [
-        ("--max-events", "max_events"),
-        ("--max-shadow-bytes", "max_shadow_bytes"),
-        ("--watchdog", "watchdog_ms"),
-    ] {
-        let n: u64 = num_opt(args, flag, 0);
-        if n > 0 {
-            entries.push((
-                serde_json::Value::Str(field.into()),
-                serde_json::Value::U64(n),
-            ));
-        }
-    }
-    let params = serde_json::Value::Map(entries);
+    // A limit of `0` is no limit: sent as `null`, which the server reads
+    // as an absent field.
+    let limit = |flag| Some(num_opt::<u64>(args, flag, 0)).filter(|&n| n > 0);
+    let params = serde_json::json!({
+        "tools": [tool.label()],
+        "cap": num_opt::<u64>(args, "--cap", 1000),
+        "long_msm": has(args, "--long-msm"),
+        "max_events": limit("--max-events"),
+        "max_shadow_bytes": limit("--max-shadow-bytes"),
+        "watchdog_ms": limit("--watchdog"),
+    });
     let outcome = match spinrace_serve::run_client(&addr, &params, &bytes) {
         Ok(o) => o,
         Err(e) => {
@@ -968,9 +877,12 @@ fn kind_of(ev: &Event) -> &'static str {
 mod tests {
     use super::*;
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
     fn check(cmd: &Command, args: &[&str]) -> Result<(), String> {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        cmd.check(&args)
+        cmd.check(&strings(args))
     }
 
     #[test]
@@ -1023,6 +935,49 @@ mod tests {
         assert!(check(&STATS, &["a.sptrace", "b.sptrace"]).is_err());
         assert!(check(&RECORD, &["ferret"]).is_err(), "record takes no FILE");
         assert!(check(&GEN, &["--family", "zipf", "4"]).is_err());
+    }
+
+    /// A short recorded zipf trace, its header passed through `edit`,
+    /// written to a fresh temporary file whose path is returned.
+    fn zipf_file(name: &str, edit: fn(&mut TraceHeader)) -> String {
+        let spec = WorkloadSpec::new(Family::Zipf)
+            .threads(2)
+            .with_total_events(2000);
+        let mut trace = Session::for_module(&spec.build().module)
+            .vm_config(spec.vm_config())
+            .prepare(Tool::HelgrindLib)
+            .unwrap()
+            .execute()
+            .unwrap()
+            .into_trace();
+        edit(&mut trace.header);
+        let path = std::env::temp_dir().join(format!(
+            "spinrace-trace-cli-{}-{name}.sptrace",
+            std::process::id()
+        ));
+        spinrace_tracefmt::write_trace_file(&path, &trace).unwrap();
+        path.to_str().unwrap().to_string()
+    }
+
+    #[test]
+    fn replay_refuses_a_header_no_module_rebinds_to() {
+        let bound = zipf_file("bound", |_| {});
+        let json = format!("{bound}.json");
+        assert_eq!(replay(&strings(&[&bound])), 0);
+        assert_eq!(replay(&strings(&[&bound, "--json", &json])), 0);
+        assert!(std::fs::metadata(&json).is_ok());
+        for path in [
+            zipf_file("implausible", |h| h.module_name = "wl-zipf-t0".into()),
+            zipf_file("drifted", |h| h.module_fingerprint ^= 1),
+        ] {
+            let json = format!("{path}.json");
+            assert_eq!(replay(&strings(&[&path])), 2, "{path}");
+            assert_eq!(replay(&strings(&[&path, "--json", &json])), 2, "{path}");
+            assert!(std::fs::metadata(&json).is_err(), "wrote {json}");
+            std::fs::remove_file(path).unwrap();
+        }
+        std::fs::remove_file(json).unwrap();
+        std::fs::remove_file(bound).unwrap();
     }
 
     #[test]

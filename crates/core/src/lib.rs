@@ -60,7 +60,7 @@ pub mod limits;
 pub mod request;
 pub mod session;
 
-pub use limits::{Budget, BudgetResource, EngineError, EngineOptions, PartialMetrics, ReplayLoop};
+pub use limits::{Budget, BudgetResource, EngineError, EngineOptions, PartialMetrics};
 pub use request::{DetectOutcome, DetectRequest, DetectTarget};
 pub use session::{ExecutedRun, PreparedModule, Session, StreamProgress};
 
@@ -317,10 +317,7 @@ impl From<TraceError> for AnalyzeError {
 }
 impl From<EngineError> for AnalyzeError {
     fn from(e: EngineError) -> Self {
-        match e {
-            EngineError::Trace(e) => AnalyzeError::Trace(e),
-            other => AnalyzeError::Engine(other),
-        }
+        AnalyzeError::Engine(e)
     }
 }
 

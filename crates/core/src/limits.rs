@@ -1,19 +1,20 @@
 //! Replay limits and the one replay loop that enforces them.
 //!
-//! Every detection replays its event stream through [`ReplayLoop`]: one
-//! in-order pass that feeds each event to every target's detector, in
-//! event-major order, and polls the optional wall-clock watchdog and the
-//! shadow-byte budget every 4096 events. The loop is fed chunks: the
-//! decode-ahead reader of [`PreparedModule::try_run_streamed`] hands it
-//! one decoded chunk at a time, and [`ExecutedRun::try_run`] hands it the
-//! whole in-memory trace as a single chunk. Both paths therefore trip
-//! the same limits at the same event with the same partial metrics.
+//! Every detection replays its event stream through one crate-private
+//! replay loop: one in-order pass that feeds each event to every
+//! target's detector, in event-major order, and polls the optional
+//! wall-clock watchdog and the shadow-byte budget every 4096 events. A
+//! [`DetectRequest`](crate::DetectRequest) is the only way in. The loop
+//! is fed chunks: the decode-ahead reader of
+//! [`PreparedModule::try_run_streamed`] hands it one decoded chunk at a
+//! time, and [`ExecutedRun::try_run`] hands it the whole in-memory trace
+//! as a single chunk. Both paths therefore trip the same limits at the
+//! same event with the same partial metrics.
 //!
 //! [`PreparedModule::try_run_streamed`]: crate::PreparedModule::try_run_streamed
 //! [`ExecutedRun::try_run`]: crate::ExecutedRun::try_run
 
 use spinrace_detector::{AnyDetector, DetectorConfig};
-use spinrace_vm::trace::TraceError;
 use spinrace_vm::{Event, EventSink};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -23,8 +24,7 @@ use std::time::{Duration, Instant};
 /// event in the common case.
 const PERIODIC_MASK: u64 = 0xFFF;
 
-/// A structured replay failure: a tripped limit, or a trace that could
-/// not be decoded.
+/// A structured replay failure: a tripped limit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EngineError {
     /// The whole detection ran past [`EngineOptions::watchdog`].
@@ -44,10 +44,6 @@ pub enum EngineError {
         /// What the detection had seen when it stopped.
         partial: PartialMetrics,
     },
-    /// The trace could not be decoded at all (wraps
-    /// [`spinrace_vm::trace::TraceError`] so callers that feed the loop
-    /// from serialized traces have one error type end to end).
-    Trace(TraceError),
 }
 
 impl fmt::Display for EngineError {
@@ -67,25 +63,11 @@ impl fmt::Display for EngineError {
                  {} racy context(s) so far",
                 partial.events_processed, partial.contexts
             ),
-            EngineError::Trace(e) => write!(f, "trace decode failed: {e}"),
         }
     }
 }
 
-impl std::error::Error for EngineError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            EngineError::Trace(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<TraceError> for EngineError {
-    fn from(e: TraceError) -> EngineError {
-        EngineError::Trace(e)
-    }
-}
+impl std::error::Error for EngineError {}
 
 /// The resource whose [`Budget`] ceiling a detection ran into.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -180,10 +162,8 @@ impl EngineOptions {
 /// The one replay loop: feeds chunks of a `total`-event stream to one
 /// detector per target and enforces an [`EngineOptions`]' limits.
 ///
-/// Sessions drive it for every [`DetectRequest`](crate::DetectRequest);
-/// it is public for callers that hold raw events but no prepared module
-/// (a trace whose module cannot be rebuilt).
-pub struct ReplayLoop {
+/// Sessions drive it for every [`DetectRequest`](crate::DetectRequest).
+pub(crate) struct ReplayLoop {
     dets: Vec<AnyDetector>,
     events: u64,
     total: u64,

@@ -365,11 +365,7 @@ fn session_body<R: Read + Send, W: Write>(
     else {
         return Err(WireError {
             code: "unknown-module".into(),
-            message: format!(
-                "cannot rebuild module {:?} from the trace header (unknown program or \
-                 fingerprint drift)",
-                reader.header().module_name
-            ),
+            message: spinrace_suites::unbound_message(reader.header()),
             partial: None,
         });
     };

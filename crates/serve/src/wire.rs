@@ -309,7 +309,6 @@ pub fn engine_error_code(e: &EngineError) -> &'static str {
     match e {
         EngineError::Watchdog { .. } => "watchdog",
         EngineError::BudgetExhausted { .. } => "budget-exhausted",
-        EngineError::Trace(t) => trace_error_code(t),
     }
 }
 

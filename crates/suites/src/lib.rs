@@ -40,7 +40,7 @@ pub use harness::{
     run_drt, run_drt_with, run_parsec, CaseOutcome, DrtRow, DrtTable, ParsecCell, ParsecTable,
 };
 pub use parsec::{all_programs, ParsecProgram};
-pub use rebind::prepared_for_replay;
+pub use rebind::{prepared_for_replay, unbound_message};
 pub use workloads::{
     judge_outcome, run_workloads, run_workloads_with, standard_specs, WorkloadRow, WorkloadTable,
 };

@@ -74,6 +74,16 @@ pub fn prepared_for_replay(
     Some(prepared)
 }
 
+/// Why [`prepared_for_replay`] bound nothing, in the words the `trace`
+/// CLI prints and the analysis server sends in its `unknown-module`
+/// error frame.
+pub fn unbound_message(header: &TraceHeader) -> String {
+    format!(
+        "cannot rebuild module {:?} from the trace header (unknown program or fingerprint drift)",
+        header.module_name
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -526,13 +526,15 @@ fn never_spawned(v: i64) -> TraceError {
 /// varint and the checksum) into `out`. `n` is the framed event count.
 /// `threads` counts the threads spawned before this chunk (thread 0
 /// included) and is advanced past every `Spawn` in it: as in the VM,
-/// each spawn's child must be the next fresh id.
+/// each spawn's child must be the next fresh id. Returns the number of
+/// spin reads the chunk's `SpinExit` events carry, the heap the decoded
+/// events own beyond the event slots themselves.
 pub fn decode_chunk_columns(
     n: usize,
     cols: &[&[u8]; NUM_COLUMNS],
     out: &mut Vec<Event>,
     threads: &mut u32,
-) -> Result<(), TraceError> {
+) -> Result<usize, TraceError> {
     // The kind column is one raw byte per event: its length is the one
     // structural invariant checkable before decoding anything.
     if cols[COL_KIND].len() != n {
@@ -612,6 +614,7 @@ pub fn decode_chunk_columns(
     let mut spin_col = Cur::new(cols[COL_SPIN]);
     let mut gen_col = Cur::new(cols[COL_GEN]);
 
+    let mut spin_reads = 0;
     out.reserve(n);
     for (pos, &kind) in cols[COL_KIND].iter().enumerate() {
         let tag = kind & TAG_MASK;
@@ -760,6 +763,7 @@ pub fn decode_chunk_columns(
                 if count > 1 << 20 {
                     return Err(TraceError::Corrupt("implausible spin-read count".into()));
                 }
+                spin_reads += count as usize;
                 let mut reads = Vec::with_capacity(count as usize);
                 for _ in 0..count {
                     let addr = sr_addr.delta()? as u64;
@@ -807,5 +811,5 @@ pub fn decode_chunk_columns(
             )));
         }
     }
-    Ok(())
+    Ok(spin_reads)
 }

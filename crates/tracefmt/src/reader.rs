@@ -10,7 +10,9 @@
 //! a couple of chunks — O(chunk), not O(trace).
 
 use crate::chunk::{decode_chunk_columns, NUM_COLUMNS};
+use crate::varint::get_uvarint;
 use crate::{checksum, BINARY_FORMAT_VERSION, MAGIC};
+use spinrace_tir::Pc;
 use spinrace_vm::{Event, RunSummary, Trace, TraceError, TraceHeader, TRACE_FORMAT_VERSION};
 use std::io::{self, Read};
 use std::ops::Range;
@@ -39,16 +41,11 @@ pub struct StreamStats {
     pub peak_resident_bytes: usize,
 }
 
-/// Approximate heap footprint of a decoded chunk — what the streaming
+/// Approximate heap footprint of a decoded chunk of `events` events
+/// whose `SpinExit`s carry `spin_reads` reads in all — what the streaming
 /// pipeline holds resident per in-flight chunk.
-fn chunk_mem(events: &[Event]) -> usize {
-    let mut bytes = std::mem::size_of_val(events);
-    for ev in events {
-        if let Event::SpinExit { reads, .. } = ev {
-            bytes += reads.len() * std::mem::size_of::<(u64, spinrace_tir::Pc)>();
-        }
-    }
-    bytes
+fn resident_bytes(events: usize, spin_reads: usize) -> usize {
+    events * std::mem::size_of::<Event>() + spin_reads * std::mem::size_of::<(u64, Pc)>()
 }
 
 /// Streaming decoder for the binary trace format over any byte source.
@@ -70,34 +67,22 @@ pub struct ChunkedTraceReader<R: io::Read> {
     done: bool,
 }
 
-/// Read one LEB128 varint from a byte stream, mirroring the slice-based
-/// decoder's bounds checks. `raw` accumulates the consumed bytes for
-/// checksumming.
+/// Read one LEB128 varint from a byte stream onto the end of `raw`
+/// (which accumulates the consumed bytes for checksumming) and decode it
+/// with the slice decoder's rules. At most 10 bytes are read: a tenth
+/// byte that does not end the varint is overlong.
 fn stream_uvarint<R: io::Read>(src: &mut R, raw: &mut Vec<u8>) -> Result<u64, TraceError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
+    let start = raw.len();
     loop {
         let mut b = [0u8; 1];
         src.read_exact(&mut b).map_err(map_eof_truncated)?;
         raw.push(b[0]);
-        if shift == 63 && b[0] > 1 {
-            return Err(TraceError::Corrupt("overlong varint".into()));
-        }
-        v |= u64::from(b[0] & 0x7f) << shift;
-        if b[0] & 0x80 == 0 {
-            // Mirror the slice decoder's canonicality check: a zero
-            // final byte after a continuation is a longer-than-needed
-            // encoding the writer never emits.
-            if b[0] == 0 && shift > 0 {
-                return Err(TraceError::Corrupt("non-canonical varint".into()));
-            }
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(TraceError::Corrupt("overlong varint".into()));
+        if b[0] & 0x80 == 0 || raw.len() - start == 10 {
+            break;
         }
     }
+    let mut pos = start;
+    get_uvarint(raw, &mut pos)
 }
 
 fn map_eof_truncated(e: io::Error) -> TraceError {
@@ -241,15 +226,16 @@ impl<R: io::Read> ChunkedTraceReader<R> {
     /// and validated (event total, no trailing bytes).
     pub fn next_chunk(&mut self) -> Result<Option<Vec<Event>>, TraceError> {
         let mut events = Vec::new();
-        Ok(self.next_chunk_into(&mut events)?.then_some(events))
+        Ok(self.next_chunk_into(&mut events)?.map(|_| events))
     }
 
     /// Decode the next chunk onto the end of `out`, leaving what `out`
-    /// already holds in place. Returns `Ok(false)` once the stream is
-    /// complete and validated; on error `out` is left as it was.
-    fn next_chunk_into(&mut self, out: &mut Vec<Event>) -> Result<bool, TraceError> {
+    /// already holds in place, and return its [`resident_bytes`].
+    /// Returns `Ok(None)` once the stream is complete and validated; on
+    /// error `out` is left as it was.
+    fn next_chunk_into(&mut self, out: &mut Vec<Event>) -> Result<Option<usize>, TraceError> {
         if self.done {
-            return Ok(false);
+            return Ok(None);
         }
         if self.chunks_read == self.chunk_count {
             // Finalize: the event total must match the header, and the
@@ -271,15 +257,16 @@ impl<R: io::Read> ChunkedTraceReader<R> {
                 Err(e) => return Err(TraceError::Io(e.to_string())),
             }
             self.done = true;
-            return Ok(false);
+            return Ok(None);
         }
 
         let before = out.len();
         match self.read_chunk(out) {
-            Ok(()) => {
+            Ok(spin_reads) => {
+                let events = out.len() - before;
                 self.chunks_read += 1;
-                self.events_read += (out.len() - before) as u64;
-                Ok(true)
+                self.events_read += events as u64;
+                Ok(Some(resident_bytes(events, spin_reads)))
             }
             Err(e) => {
                 out.truncate(before);
@@ -295,8 +282,9 @@ impl<R: io::Read> ChunkedTraceReader<R> {
         }
     }
 
-    /// Read, checksum and decode one chunk onto the end of `out`.
-    fn read_chunk(&mut self, out: &mut Vec<Event>) -> Result<(), TraceError> {
+    /// Read, checksum and decode one chunk onto the end of `out`,
+    /// returning its spin-read count.
+    fn read_chunk(&mut self, out: &mut Vec<Event>) -> Result<usize, TraceError> {
         let raw = &mut self.raw;
         raw.clear();
 
@@ -348,7 +336,7 @@ impl<R: io::Read> ChunkedTraceReader<R> {
     /// bounded-memory replay use [`Self::decode_ahead`].
     pub fn read_all(mut self) -> Result<Trace, TraceError> {
         let mut events: Vec<Event> = Vec::new();
-        while self.next_chunk_into(&mut events)? {}
+        while self.next_chunk_into(&mut events)?.is_some() {}
         Ok(Trace {
             header: self.header,
             summary: self.summary,
@@ -378,7 +366,7 @@ impl<R: io::Read> ChunkedTraceReader<R> {
     {
         let resident = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        // Each decoded chunk travels with its `chunk_mem`, computed once.
+        // Each decoded chunk travels with its resident bytes.
         let (tx, rx) = sync_channel::<Result<(Vec<Event>, usize), TraceError>>(1);
         // The decoder's two buffers start out here; room for both, so
         // returning one never blocks.
@@ -397,8 +385,7 @@ impl<R: io::Read> ChunkedTraceReader<R> {
                 // means the consumer bailed on an error.
                 while let Ok(mut chunk) = recycle_rx.recv() {
                     match reader.next_chunk_into(&mut chunk) {
-                        Ok(true) => {
-                            let mem = chunk_mem(&chunk);
+                        Ok(Some(mem)) => {
                             let now = resident.fetch_add(mem, Ordering::Relaxed) + mem;
                             peak.fetch_max(now, Ordering::Relaxed);
                             // A closed receiver means the consumer bailed on
@@ -407,7 +394,7 @@ impl<R: io::Read> ChunkedTraceReader<R> {
                                 return;
                             }
                         }
-                        Ok(false) => return,
+                        Ok(None) => return,
                         Err(e) => {
                             let _ = tx.send(Err(e));
                             return;
@@ -442,9 +429,21 @@ impl<R: io::Read> ChunkedTraceReader<R> {
 mod tests {
     use super::*;
     use crate::encode_trace_chunked;
-    use spinrace_tir::{BlockId, FuncId, Pc, SpinLoopId};
+    use spinrace_tir::{BlockId, FuncId, SpinLoopId};
     use spinrace_vm::{record_run, VmConfig};
     use std::time::Duration;
+
+    /// The decoder's [`resident_bytes`] recomputed by a walk over the
+    /// decoded events.
+    fn chunk_mem(events: &[Event]) -> usize {
+        let mut bytes = std::mem::size_of_val(events);
+        for ev in events {
+            if let Event::SpinExit { reads, .. } = ev {
+                bytes += reads.len() * std::mem::size_of::<(u64, Pc)>();
+            }
+        }
+        bytes
+    }
 
     /// A recorded run with a `SpinExit` after every event, its read list
     /// cycling through lengths 0..=4, so chunks differ in heap footprint.
@@ -502,12 +501,12 @@ mod tests {
                 assert_eq!(buf[..stale.len()], stale[..], "stale events were touched");
                 match fresh.next_chunk().unwrap() {
                     Some(chunk) => {
-                        assert!(more);
+                        assert_eq!(more, Some(chunk_mem(&chunk)));
                         assert_eq!(buf[stale.len()..], chunk[..], "target {target}");
                         decoded.extend_from_slice(&chunk);
                     }
                     None => {
-                        assert!(!more);
+                        assert_eq!(more, None);
                         assert_eq!(buf.len(), stale.len());
                         break;
                     }

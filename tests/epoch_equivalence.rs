@@ -359,6 +359,98 @@ fn read_state_transitions_match_reference() {
     }
 }
 
+/// A plain read by `tid` of `addr` at site `at`.
+fn plain_read(tid: u32, addr: u64, at: u64) -> Event {
+    Event::Read {
+        tid,
+        addr,
+        value: 0,
+        pc: pc(at),
+        stack: 0,
+        atomic: None,
+        spin: None,
+    }
+}
+
+/// The shared-read fast path skips the prune when the reader joined
+/// nothing since its own record went in. Two event shapes let a thread's
+/// current epoch reach another clock without a tick: a join of a thread
+/// that keeps running, and a spin promotion seeded with a writer's
+/// epoch. Afterwards that thread's next shared read is covered by the
+/// other reader's clock, which the fast path must notice.
+#[test]
+fn exposed_epochs_match_reference() {
+    let (x, flag) = (0x1000, 0x1001);
+    let spawns = (1..=3).map(|child| Event::Spawn {
+        parent: 0,
+        child,
+        pc: pc(0),
+    });
+    // 1 joins 2 while 2 keeps running.
+    let joined = [Event::Join {
+        parent: 1,
+        child: 2,
+        pc: pc(9),
+    }];
+    // 2 writes the flag 1 spins on; the promotion seeds the flag's clock
+    // with 2's epoch, which 1's spin exit acquires.
+    let seeded = [
+        Event::Write {
+            tid: 2,
+            addr: flag,
+            value: 1,
+            pc: pc(1),
+            stack: 0,
+            atomic: None,
+        },
+        Event::Read {
+            tid: 1,
+            addr: flag,
+            value: 1,
+            pc: pc(10),
+            stack: 0,
+            atomic: None,
+            spin: Some(SpinLoopId(0)),
+        },
+        Event::SpinExit {
+            tid: 1,
+            spin: SpinLoopId(0),
+            reads: vec![(flag, pc(10))],
+        },
+    ];
+    // Shared reads of `x`, then a write by thread 0, ordered after none
+    // of them: its report list names the surviving readers in order.
+    let reads = [
+        plain_read(3, x, 2),
+        plain_read(1, x, 3),
+        plain_read(2, x, 4),
+        plain_read(1, x, 5),
+        Event::Write {
+            tid: 0,
+            addr: x,
+            value: 1,
+            pc: pc(99),
+            stack: 0,
+            atomic: None,
+        },
+    ];
+    for exposure in [&joined[..], &seeded[..]] {
+        let events: Vec<Event> = spawns
+            .clone()
+            .chain(exposure.iter().cloned())
+            .chain(reads.iter().cloned())
+            .collect();
+        let checked = roundtrip(&events).and_then(|(trace, parsed)| {
+            configs()
+                .into_iter()
+                .try_for_each(|cfg| assert_equivalent(cfg, &trace, &parsed))
+        });
+        if let Err(e) = checked {
+            panic!("{e}");
+        }
+    }
+}
+
 /// Recorded PARSEC streams, not just synthetic schedules: blackscholes
 /// (no ad-hoc sync), vips (plain-flag spins) and dedup (atomics spins),
 /// each scaled 16× and recorded once per paper tool. The fast detector

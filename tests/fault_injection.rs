@@ -2,15 +2,15 @@
 //! the watchdog, a zero-length watchdog, an exhausted event budget and an
 //! exhausted shadow budget must each come back as a structured
 //! [`EngineError`] within a bound — never a hang — on whole-trace replay
-//! (`ExecutedRun::try_run`), streamed replay
-//! (`PreparedModule::try_run_streamed`) and a raw [`ReplayLoop`]. Both
-//! session paths drive the same loop, so a limit must trip identically on
-//! them: same error, same partial metrics. Limits that are set but never
-//! reached leave the outcome byte-identical.
+//! (`ExecutedRun::try_run`) and streamed replay
+//! (`PreparedModule::try_run_streamed`). Both paths drive the same loop,
+//! so a limit must trip identically on them: same error, same partial
+//! metrics. Limits that are set but never reached leave the outcome
+//! byte-identical.
 
 use spinrace::core::{
     AnalyzeError, Budget, BudgetResource, DetectRequest, EngineError, EngineOptions, ExecutedRun,
-    ReplayLoop, Session, Tool,
+    Session, Tool,
 };
 use spinrace::detector::AnyDetector;
 use spinrace::tracefmt::{encode_trace_chunked, ChunkedTraceReader};
@@ -75,26 +75,6 @@ fn streamed_stalling(
     }
 }
 
-/// Feed `run`'s events to a raw [`ReplayLoop`] for `tools` in
-/// [`CHUNK`]-sized chunks, stalling for `stall` after the first one.
-fn raw_loop_stalling(
-    run: &ExecutedRun,
-    tools: &[Tool],
-    opts: EngineOptions,
-    stall: Option<Duration>,
-) -> Result<(), EngineError> {
-    let events = &run.trace().events;
-    let cfgs = tools.iter().map(|&t| run.prepared().config_for(t));
-    let mut replay = ReplayLoop::new(cfgs, opts, events.len() as u64);
-    for (i, chunk) in events.chunks(CHUNK).enumerate() {
-        replay.feed(chunk)?;
-        if let (Some(d), 0) = (stall, i) {
-            std::thread::sleep(d);
-        }
-    }
-    replay.finish().map(|_| ())
-}
-
 /// The largest shadow footprint a full replay under `tool` reaches at
 /// any event: a shadow budget of exactly this never trips.
 fn peak_shadow_bytes(run: &ExecutedRun, tool: Tool) -> usize {
@@ -141,9 +121,9 @@ fn session_api_surfaces_engine_errors_and_budgets() {
 }
 
 /// A consumer stalled past the watchdog trips it at the next poll, even
-/// though nothing else is wrong with the stream: streamed replay (the
-/// observer stalls) and a raw loop (the caller stalls between chunks)
-/// both stop with the watchdog error well before the stream ends.
+/// though nothing else is wrong with the stream: streamed replay, whose
+/// observer stalls between chunks, stops with the watchdog error well
+/// before the stream ends.
 #[test]
 fn delay_past_the_global_watchdog_errors_even_without_handoffs() {
     let run = zipf_run();
@@ -151,15 +131,7 @@ fn delay_past_the_global_watchdog_errors_even_without_handoffs() {
     let expected = EngineError::Watchdog { limit_ms: 100 };
     let t0 = Instant::now();
     let req = DetectRequest::own().watchdog(watchdog);
-    assert_eq!(
-        streamed_stalling(&run, &req, Some(STALL)),
-        Err(expected.clone())
-    );
-    let opts = EngineOptions::default().with_watchdog(watchdog);
-    assert_eq!(
-        raw_loop_stalling(&run, &[Tool::HelgrindLib], opts, Some(STALL)),
-        Err(expected)
-    );
+    assert_eq!(streamed_stalling(&run, &req, Some(STALL)), Err(expected));
     assert!(t0.elapsed() < BOUND, "took {:?}", t0.elapsed());
 }
 
@@ -197,10 +169,7 @@ fn full_fault_matrix_always_errors_within_the_bound() {
         for tools in [&[Tool::HelgrindLib][..], &[Tool::HelgrindLib, Tool::Drd]] {
             let req = DetectRequest::tools(tools).options(opts);
             let t0 = Instant::now();
-            let mut results = vec![
-                ("streamed", streamed_stalling(&run, &req, stall)),
-                ("raw loop", raw_loop_stalling(&run, tools, opts, stall)),
-            ];
+            let mut results = vec![("streamed", streamed_stalling(&run, &req, stall))];
             // The whole trace is one chunk: there is no gap to stall in.
             if stall.is_none() {
                 results.push(("whole", run.try_run(&req).map(|_| ())));
@@ -219,7 +188,6 @@ fn full_fault_matrix_always_errors_within_the_bound() {
                         resource: BudgetResource::ShadowBytes,
                         ..
                     } => opts.budget.max_shadow_bytes.is_some(),
-                    EngineError::Trace(_) => false,
                 };
                 assert!(expected_kind, "{label} × {path}: unexpected {err}");
             }
@@ -256,11 +224,6 @@ fn fault_aimed_at_nothing_changes_nothing() {
             assert_eq!(a.report, b.report);
         }
         assert_eq!(streamed_stalling(&run, &req, stall), Ok(()), "{opts:?}");
-        assert_eq!(
-            raw_loop_stalling(&run, &[Tool::HelgrindLib], opts, stall),
-            Ok(()),
-            "{opts:?}"
-        );
     }
 }
 
