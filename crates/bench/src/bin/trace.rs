@@ -373,10 +373,10 @@ fn record(args: &[String]) -> i32 {
                 .collect::<Vec<_>>()
                 .join(", ")
         );
-        return 1;
+        return 2;
     };
     let module = prog.module();
-    let mut session = Session::for_module(&module).nolib_style(prog.nolib_style());
+    let mut session = Session::for_module(&module).nolib_style(prog.nolib_style);
     if opt(args, "--seed").is_some() {
         session = session.seed(num_opt(args, "--seed", 0));
     }
@@ -919,6 +919,8 @@ mod tests {
         );
         // A flag of another subcommand is unknown here.
         assert!(check(&INSPECT, &["t.sptrace", "--long-msm"]).is_err());
+        // So is a value no handler knows: a usage error too, before any run.
+        assert_eq!(record(&strings(&["--program", "nosuch"])), 2);
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! # SpinRace core — the analysis pipeline
 //!
-//! The pipeline is staged around an explicit, replayable trace artifact
-//! (see [`session`]): **prepare** (lower/instrument), **execute** (one VM
-//! run, recorded as a [`spinrace_vm::Trace`]), **detect** (replay the
-//! trace under any number of detector configurations), **report**.
+//! The pipeline is staged (see [`session`]): **prepare** (lower/
+//! instrument), **detect** (a [`DetectRequest`]: one or more detector
+//! configurations under optional limits), **report**. A request runs
+//! three ways through the one detection loop in [`limits`]: **live**, on
+//! the running VM with nothing recorded; **recorded**, replaying a
+//! [`spinrace_vm::Trace`] of one VM run as often as needed; and
+//! **streamed**, over a binary chunk stream.
 //!
 //! The staged [`Session`] API is the one interface. A single live
-//! analysis is `Session::for_module(&m).prepare(tool)?.detect_live()`;
-//! one execution fans out to many detections through a
-//! [`DetectRequest`], and every detection — of a recorded trace or of a
-//! binary chunk stream — runs through the one replay loop in [`limits`]:
+//! analysis is
+//! `Session::for_module(&m).prepare(tool)?.try_run(&DetectRequest::own())?`;
+//! a recorded run fans out to many detections:
 //!
 //! ```
 //! use spinrace_core::{DetectRequest, Session, Tool};
@@ -33,7 +35,16 @@
 //! });
 //! let m = mb.finish().unwrap();
 //!
-//! // Prepare once, execute once…
+//! // Detect live: one VM run, no recording.
+//! let live = Session::for_module(&m)
+//!     .prepare(Tool::HelgrindLibSpin { window: 7 })
+//!     .unwrap()
+//!     .try_run(&DetectRequest::own())
+//!     .unwrap()
+//!     .into_single();
+//! assert!(live.has_race_on("g"));
+//!
+//! // Or prepare once, execute once…
 //! let run = Session::for_module(&m)
 //!     .prepare(Tool::HelgrindLibSpin { window: 7 })
 //!     .unwrap()
@@ -44,7 +55,7 @@
 //! // configuration, a capped variant, even another tool that shares the
 //! // same prepared module.
 //! let out = run.run(&DetectRequest::own()).into_single();
-//! assert!(out.has_race_on("g"));
+//! assert_eq!(out.contexts, live.contexts);
 //! let cfg = run.prepared().default_config().with_cap(1);
 //! let capped = run.run(&DetectRequest::config(cfg)).into_single();
 //! assert_eq!(capped.contexts, 1);
@@ -331,12 +342,35 @@ mod tests {
         Session::for_module(m)
             .prepare(tool)
             .unwrap()
-            .detect_live()
+            .try_run(&DetectRequest::own())
             .unwrap()
+            .into_single()
+    }
+
+    /// Two threads increment `g` with no synchronization at all.
+    pub(crate) fn racy() -> Module {
+        let mut mb = ModuleBuilder::new("racy");
+        let g = mb.global("g", 1);
+        let w = mb.function("w", 1, |f| {
+            let v = f.load(g.at(0));
+            let v2 = f.add(v, 1);
+            f.store(g.at(0), v2);
+            f.ret(None);
+        });
+        mb.entry("main", |f| {
+            let t1 = f.spawn(w, 0);
+            let t2 = f.spawn(w, 1);
+            f.join(t1);
+            f.join(t2);
+            f.ret(None);
+        });
+        mb.finish().unwrap()
     }
 
     /// Race-free flag handoff — the paper's canonical motivating example.
-    fn flag_handoff() -> Module {
+    /// Spin instrumentation accepts its waiter loop, so `+spin`
+    /// preparations differ from the plain one.
+    pub(crate) fn flag_handoff() -> Module {
         let mut mb = ModuleBuilder::new("flag-handoff");
         let flag = mb.global("flag", 1);
         let data = mb.global("data", 1);
@@ -413,22 +447,7 @@ mod tests {
 
     #[test]
     fn racy_program_is_caught_by_every_tool() {
-        let mut mb = ModuleBuilder::new("racy");
-        let g = mb.global("g", 1);
-        let w = mb.function("w", 1, |f| {
-            let v = f.load(g.at(0));
-            let v2 = f.add(v, 1);
-            f.store(g.at(0), v2);
-            f.ret(None);
-        });
-        mb.entry("main", |f| {
-            let t1 = f.spawn(w, 0);
-            let t2 = f.spawn(w, 1);
-            f.join(t1);
-            f.join(t2);
-            f.ret(None);
-        });
-        let m = mb.finish().unwrap();
+        let m = racy();
         for tool in Tool::paper_lineup() {
             let out = analyze(tool, &m);
             assert!(out.has_race_on("g"), "{} must catch the race", tool.label());

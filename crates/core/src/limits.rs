@@ -1,16 +1,36 @@
-//! Replay limits and the one replay loop that enforces them.
+//! Replay limits and the one detection loop that enforces them.
 //!
-//! Every detection replays its event stream through one crate-private
-//! replay loop: one in-order pass that feeds each event to every
-//! target's detector, in event-major order, and polls the optional
-//! wall-clock watchdog and the shadow-byte budget every 4096 events. A
-//! [`DetectRequest`](crate::DetectRequest) is the only way in. The loop
-//! is fed chunks: the decode-ahead reader of
-//! [`PreparedModule::try_run_streamed`] hands it one decoded chunk at a
-//! time, and [`ExecutedRun::try_run`] hands it the whole in-memory trace
-//! as a single chunk. Both paths therefore trip the same limits at the
-//! same event with the same partial metrics.
+//! Every detection feeds its event stream through one crate-private
+//! loop: one in-order pass that feeds each event to every target's
+//! detector, in event-major order, and polls the optional wall-clock
+//! watchdog and the shadow-byte budget every 4096 events. A
+//! [`DetectRequest`](crate::DetectRequest) is the only way in, and it
+//! runs three ways:
 //!
+//! * **live** — [`PreparedModule::try_run`] makes the loop the VM's
+//!   [`EventSink`], so events go from the interpreter to the detectors
+//!   with no recording;
+//! * **recorded** — [`ExecutedRun::try_run`] feeds it the whole
+//!   in-memory trace as a single chunk;
+//! * **streamed** — the decode-ahead reader of
+//!   [`PreparedModule::try_run_streamed`] feeds it one decoded chunk at a
+//!   time.
+//!
+//! All three trip the same limits at the same event with the same
+//! partial metrics.
+//!
+//! A recorded or streamed replay knows its stream length up front, so a
+//! tripped limit simply ends the feeding. A live run learns its length
+//! only when the VM stops, and the sink interface cannot return an
+//! error, so the loop latches the first watchdog or shadow-budget error,
+//! feeds no detector after it, and reports [`EventSink::halted`]; the VM
+//! polls that every 4096 steps and stops. An exhausted event budget does
+//! not halt the VM: the loop keeps counting events without feeding them,
+//! so the error's `used` is the whole stream's length, as the recorded
+//! and streamed paths report it. `VmConfig::max_steps` bounds that
+//! counting.
+//!
+//! [`PreparedModule::try_run`]: crate::PreparedModule::try_run
 //! [`PreparedModule::try_run_streamed`]: crate::PreparedModule::try_run_streamed
 //! [`ExecutedRun::try_run`]: crate::ExecutedRun::try_run
 
@@ -159,22 +179,28 @@ impl EngineOptions {
     }
 }
 
-/// The one replay loop: feeds chunks of a `total`-event stream to one
-/// detector per target and enforces an [`EngineOptions`]' limits.
+/// The one detection loop: feeds a `total`-event stream, in chunks or
+/// one event at a time from the VM, to one detector per target and
+/// enforces an [`EngineOptions`]' limits.
 ///
 /// Sessions drive it for every [`DetectRequest`](crate::DetectRequest).
 pub(crate) struct ReplayLoop {
     dets: Vec<AnyDetector>,
+    /// Events seen so far: fed, except for those a live run offers past
+    /// the event budget.
     events: u64,
     total: u64,
     /// Events the event budget affords (`total` when unlimited).
     limit: u64,
     deadline: Option<(Instant, Duration)>,
     shadow_limit: usize,
+    /// The first limit a live run tripped (see the module docs).
+    tripped: Option<EngineError>,
 }
 
 impl ReplayLoop {
     /// A loop over fresh detectors for `cfgs`, starting its watchdog now.
+    /// A live run, whose length is unknown, passes `u64::MAX` as `total`.
     pub fn new(
         cfgs: impl IntoIterator<Item = DetectorConfig>,
         opts: EngineOptions,
@@ -187,6 +213,7 @@ impl ReplayLoop {
             limit: opts.budget.max_events.map_or(total, |m| m.min(total)),
             deadline: opts.watchdog.map(|d| (Instant::now() + d, d)),
             shadow_limit: opts.budget.max_shadow_bytes.unwrap_or(usize::MAX),
+            tripped: None,
         }
     }
 
@@ -206,36 +233,57 @@ impl ReplayLoop {
     pub fn feed(&mut self, chunk: &[Event]) -> Result<(), EngineError> {
         let affordable = (self.limit - self.events).min(chunk.len() as u64) as usize;
         for ev in &chunk[..affordable] {
-            if self.events & PERIODIC_MASK == 0 {
-                self.poll()?;
-            }
-            for det in &mut self.dets {
-                det.on_event(ev);
-            }
-            self.events += 1;
+            self.step(ev)?;
         }
         if self.events == self.limit && self.limit < self.total {
-            let first = self.dets.first();
-            return Err(EngineError::BudgetExhausted {
-                resource: BudgetResource::Events,
-                limit: self.limit,
-                used: self.total,
-                partial: PartialMetrics {
-                    events_processed: self.limit,
-                    contexts: first.map_or(0, AnyDetector::racy_contexts),
-                    shadow_bytes: first.map_or(0, AnyDetector::shadow_resident_bytes),
-                },
-            });
+            return Err(self.events_exhausted(self.total));
         }
         Ok(())
     }
 
-    /// End of stream: one last shadow check (the periodic poll samples
-    /// every 4096 events, so a short stream that ends over budget is
-    /// caught here), then hand back the detectors in target order.
+    /// Feed one event to every detector, polling the limits first at
+    /// every 4096th event. Inlined: it is the per-event body of both the
+    /// chunk loop and the live sink.
+    #[inline(always)]
+    fn step(&mut self, ev: &Event) -> Result<(), EngineError> {
+        if self.events & PERIODIC_MASK == 0 {
+            self.poll()?;
+        }
+        for det in &mut self.dets {
+            det.on_event(ev);
+        }
+        self.events += 1;
+        Ok(())
+    }
+
+    /// End of stream: the error a live run latched or ran into, else one
+    /// last shadow check (the periodic poll samples every 4096 events, so
+    /// a short stream that ends over budget is caught here), then hand
+    /// back the detectors in target order.
     pub fn finish(self) -> Result<Vec<AnyDetector>, EngineError> {
+        if let Some(e) = self.tripped {
+            return Err(e);
+        }
+        if self.events > self.limit {
+            return Err(self.events_exhausted(self.events));
+        }
         self.check_shadow()?;
         Ok(self.dets)
+    }
+
+    /// The event-budget error for a stream of `used` events.
+    fn events_exhausted(&self, used: u64) -> EngineError {
+        let first = self.dets.first();
+        EngineError::BudgetExhausted {
+            resource: BudgetResource::Events,
+            limit: self.limit,
+            used,
+            partial: PartialMetrics {
+                events_processed: self.limit,
+                contexts: first.map_or(0, AnyDetector::racy_contexts),
+                shadow_bytes: first.map_or(0, AnyDetector::shadow_resident_bytes),
+            },
+        }
     }
 
     fn poll(&self) -> Result<(), EngineError> {
@@ -269,6 +317,21 @@ impl ReplayLoop {
             }
         }
         Ok(())
+    }
+}
+
+/// The live face of the loop: the VM hands it each event as it runs.
+impl EventSink for ReplayLoop {
+    fn on_event(&mut self, ev: &Event) {
+        if self.tripped.is_some() || self.events >= self.limit {
+            self.events += 1;
+        } else if let Err(e) = self.step(ev) {
+            self.tripped = Some(e);
+        }
+    }
+
+    fn halted(&self) -> bool {
+        self.tripped.is_some()
     }
 }
 

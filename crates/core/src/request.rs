@@ -1,15 +1,16 @@
-//! The detection request: **one** entry point over every detection a
-//! recorded or streamed trace supports.
+//! The detection request: **one** entry point over every detection, live,
+//! recorded or streamed.
 //!
 //! A [`DetectRequest`] names *what* to detect (its targets: the run's own
 //! tool, other tools sharing the prepared module, or explicit detector
 //! configurations) and under which [`EngineOptions`] (watchdog and
-//! budgets). It is executed by [`ExecutedRun::run`] /
-//! [`ExecutedRun::try_run`] against a recorded trace, and by
+//! budgets). It runs three ways: live, by [`PreparedModule::try_run`] on
+//! the running VM; recorded, by [`ExecutedRun::run`] /
+//! [`ExecutedRun::try_run`] against a recorded trace; and streamed, by
 //! [`PreparedModule::try_run_streamed`] against a binary chunk stream —
 //! the same request type a detection server decodes straight off the
-//! wire. Either way every target is fed by one in-order pass over the
-//! events.
+//! wire. Every way feeds every target through the one detection loop, in
+//! one in-order pass over the events.
 //!
 //! ```
 //! use spinrace_core::{Budget, DetectRequest, Session, Tool};
@@ -49,11 +50,14 @@
 //! assert_eq!(outs.len(), 2);
 //! assert_eq!(outs[0].contexts, out.contexts);
 //!
-//! // An event budget stops the replay with partial metrics.
+//! // An event budget stops the replay with partial metrics, and stops a
+//! // live run the same way.
 //! let capped = DetectRequest::own().budget(Budget::default().with_max_events(3));
 //! assert!(run.try_run(&capped).is_err());
+//! assert!(run.prepared().try_run(&capped).is_err());
 //! ```
 //!
+//! [`PreparedModule::try_run`]: crate::PreparedModule::try_run
 //! [`ExecutedRun::run`]: crate::ExecutedRun::run
 //! [`ExecutedRun::try_run`]: crate::ExecutedRun::try_run
 //! [`PreparedModule::try_run_streamed`]: crate::PreparedModule::try_run_streamed

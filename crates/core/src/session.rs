@@ -1,29 +1,32 @@
-//! The staged session API: **prepare once, execute once, detect many**.
+//! The staged session API: **prepare once, then detect live, or execute
+//! once and detect many**.
 //!
 //! [`Session`] holds the run configuration (MSM flavour, VM config,
 //! context cap, nolib library style) and stages the pipeline explicitly:
 //!
 //! 1. [`Session::prepare`] applies a tool's static phases (nolib lowering,
 //!    spin instrumentation) and yields a [`PreparedModule`];
-//! 2. [`PreparedModule::execute`] interprets the prepared module once and
-//!    records the event stream as a replayable [`Trace`] inside an
-//!    [`ExecutedRun`];
-//! 3. [`ExecutedRun::run`] executes a [`DetectRequest`] — replay the
-//!    trace under any fan-out of tools/configurations, in one pass,
-//!    under an optional watchdog and budgets — and each replay is
-//!    equivalent to having run that detector live (the VM hands events
-//!    to sinks by reference, synchronously, and detectors are
-//!    deterministic).
+//! 2. [`PreparedModule::try_run`] executes a [`DetectRequest`] **live**:
+//!    the VM runs once and hands its events straight to the request's
+//!    detectors, with nothing recorded;
+//! 3. or [`PreparedModule::execute`] interprets the prepared module once
+//!    and records the event stream as a replayable [`Trace`] inside an
+//!    [`ExecutedRun`], and [`ExecutedRun::run`] executes any number of
+//!    requests against it — each replay is equivalent to the live run
+//!    (the VM hands events to sinks by reference, synchronously, and
+//!    detectors are deterministic).
 //!
 //! [`PreparedModule::try_run_streamed`] executes the same request
-//! against a binary trace stream without materializing it. Both entry
-//! points drive the one replay loop in [`crate::limits`].
+//! against a binary trace stream without materializing it. All three
+//! ways run a request through the one detection loop in
+//! [`crate::limits`], with the same targets, labels, watchdog and
+//! budgets.
 //!
 //! Because the VM is deterministic, two tools whose preparation produced
 //! the same module (same [`Module::fingerprint`]) see the same stream —
 //! e.g. `Helgrind+ lib` and `DRD` (neither rewrites the module), or two
 //! spin windows that accepted the same loops. Harnesses exploit this by
-//! caching [`ExecutedRun`]s per fingerprint and fanning detection out.
+//! running one multi-target request per distinct fingerprint.
 
 use crate::limits::{EngineError, ReplayLoop};
 use crate::request::{DetectOutcome, DetectRequest, DetectTarget};
@@ -33,7 +36,9 @@ use spinrace_spinfind::{SpinCriteria, SpinFinder};
 use spinrace_synclib::{lower_to_spinlib_styled, LibStyle};
 use spinrace_tir::Module;
 use spinrace_tracefmt::{ChunkedTraceReader, StreamStats};
-use spinrace_vm::{run_module, RunSummary, Tee, Trace, TraceRecorder, VmConfig};
+use spinrace_vm::{
+    run_module, EventSink, NullSink, RunSummary, Tee, Trace, TraceRecorder, VmConfig,
+};
 use std::io;
 
 /// A configured analysis session over one source module.
@@ -92,11 +97,6 @@ impl<'m> Session<'m> {
     pub fn nolib_style(mut self, style: LibStyle) -> Self {
         self.nolib_style = style;
         self
-    }
-
-    /// Use the obscure library flavour for nolib lowering.
-    pub fn obscure_nolib(self) -> Self {
-        self.nolib_style(LibStyle::Obscure)
     }
 
     /// Run `tool`'s static phases: lower the module for `nolib` tools,
@@ -194,34 +194,47 @@ impl PreparedModule {
         })
     }
 
-    /// Interpret the module once with the default detector attached
-    /// **live** — no event buffering. The single-shot path: use it when
-    /// one detection per execution is all that's needed (benches,
-    /// overhead measurements, one-off analyses).
-    pub fn detect_live(&self) -> Result<AnalysisOutcome, AnalyzeError> {
-        let mut det = AnyDetector::new(self.default_config());
-        let summary = run_module(&self.module, self.vm, &mut det)?;
-        Ok(self.assemble(self.tool.label(), det, summary))
+    /// Execute a [`DetectRequest`] **live**: interpret the module once
+    /// with the request's detection loop as the VM's sink, so no event is
+    /// recorded. Targets, labels, watchdog and budgets behave exactly as
+    /// on [`ExecutedRun::try_run`] over a recording of the same run, and a
+    /// tripped watchdog or shadow budget stops the VM (see
+    /// [`crate::limits`]).
+    ///
+    /// Fails with [`AnalyzeError::Vm`] when the program itself fails, and
+    /// with [`AnalyzeError::Engine`] on a tripped limit.
+    pub fn try_run(&self, req: &DetectRequest) -> Result<DetectOutcome, AnalyzeError> {
+        Ok(self.run_live(req, &mut NullSink)?.0)
     }
 
-    /// Interpret the module once with the default detector attached live
-    /// **and** a trace recorder teed into the same stream: one run yields
-    /// both the outcome and a replayable [`Trace`] for further fan-out.
+    /// Interpret the module once with its own tool detecting live **and**
+    /// a trace recorder teed in front of the detection loop: one run
+    /// yields both the outcome and a replayable [`Trace`] for further
+    /// fan-out.
     pub fn execute_detecting(self) -> Result<(ExecutedRun, AnalysisOutcome), AnalyzeError> {
-        let mut det = AnyDetector::new(self.default_config());
-        let rec =
+        let mut rec =
             TraceRecorder::new(&self.module, self.fingerprint, self.vm).labeled(self.tool.label());
-        let mut tee = Tee::new(rec, &mut det);
-        let summary = run_module(&self.module, self.vm, &mut tee)?;
-        let (rec, _) = tee.into_inner();
-        let outcome = self.assemble(self.tool.label(), det, summary.clone());
+        let (outcome, summary) = self.run_live(&DetectRequest::own(), &mut rec)?;
         Ok((
             ExecutedRun {
                 trace: rec.finish(summary),
                 prepared: self,
             },
-            outcome,
+            outcome.into_single(),
         ))
+    }
+
+    /// One VM run feeding `tap`, then the request's detection loop.
+    fn run_live<S: EventSink>(
+        &self,
+        req: &DetectRequest,
+        tap: &mut S,
+    ) -> Result<(DetectOutcome, RunSummary), AnalyzeError> {
+        // A live stream's length is known only once the VM stops.
+        let (labels, mut replay) = self.start_replay(req, u64::MAX);
+        let summary = run_module(&self.module, self.vm, &mut Tee::new(tap, &mut replay))?;
+        let outcome = self.finish_replay(labels, replay, &summary)?;
+        Ok((outcome, summary))
     }
 
     /// Resolve a request's targets against this prepared module into
@@ -445,25 +458,16 @@ impl ExecutedRun {
 mod tests {
     use super::*;
     use crate::limits::{Budget, BudgetResource};
+    use crate::tests::{flag_handoff, racy};
     use spinrace_tir::ModuleBuilder;
 
-    fn racy() -> Module {
-        let mut mb = ModuleBuilder::new("racy");
-        let g = mb.global("g", 1);
-        let w = mb.function("w", 1, |f| {
-            let v = f.load(g.at(0));
-            let v2 = f.add(v, 1);
-            f.store(g.at(0), v2);
-            f.ret(None);
-        });
-        mb.entry("main", |f| {
-            let t1 = f.spawn(w, 0);
-            let t2 = f.spawn(w, 1);
-            f.join(t1);
-            f.join(t2);
-            f.ret(None);
-        });
-        mb.finish().unwrap()
+    /// `m` prepared for `tool` under the default session, and recorded.
+    fn recorded(m: &Module, tool: Tool) -> ExecutedRun {
+        Session::for_module(m)
+            .prepare(tool)
+            .unwrap()
+            .execute()
+            .unwrap()
     }
 
     /// The tentpole equivalence: one recorded trace replayed under a
@@ -473,16 +477,9 @@ mod tests {
     fn replay_equals_live_for_every_tool() {
         let m = racy();
         for tool in Tool::paper_lineup() {
-            let live = Session::for_module(&m)
-                .prepare(tool)
-                .unwrap()
-                .detect_live()
-                .unwrap();
-            let run = Session::for_module(&m)
-                .prepare(tool)
-                .unwrap()
-                .execute()
-                .unwrap();
+            let run = recorded(&m, tool);
+            let live = run.prepared().try_run(&DetectRequest::own());
+            let live = live.unwrap().into_single();
             let replayed = run.run(&DetectRequest::own()).into_single();
             assert_eq!(replayed.contexts, live.contexts, "{}", tool.label());
             assert_eq!(replayed.reports.len(), live.reports.len());
@@ -505,19 +502,14 @@ mod tests {
         assert_eq!(lib.fingerprint(), drd.fingerprint());
         let run = lib.execute().unwrap();
         let as_drd = run.run(&DetectRequest::tool(Tool::Drd)).into_single();
-        let live_drd = drd.detect_live().unwrap();
+        let live_drd = drd.try_run(&DetectRequest::own()).unwrap().into_single();
         assert_eq!(as_drd.contexts, live_drd.contexts);
         assert_eq!(as_drd.tool_label, "DRD");
     }
 
     #[test]
     fn detect_many_fans_out_configurations() {
-        let m = racy();
-        let run = Session::for_module(&m)
-            .prepare(Tool::HelgrindLib)
-            .unwrap()
-            .execute()
-            .unwrap();
+        let run = recorded(&racy(), Tool::HelgrindLib);
         let short = run.prepared().config_for(Tool::HelgrindLib);
         let capped = short.with_cap(1);
         let outs = run
@@ -530,12 +522,7 @@ mod tests {
 
     #[test]
     fn tool_fanout_matches_individual_detections() {
-        let m = racy();
-        let run = Session::for_module(&m)
-            .prepare(Tool::HelgrindLib)
-            .unwrap()
-            .execute()
-            .unwrap();
+        let run = recorded(&racy(), Tool::HelgrindLib);
         // Lib and DRD share the unmodified module's fingerprint, so both
         // may replay this recording.
         let tools = [Tool::HelgrindLib, Tool::Drd];
@@ -555,12 +542,7 @@ mod tests {
     /// and the same outcome as the plain forms, on both replay paths.
     #[test]
     fn legacy_wrappers_delegate_to_requests() {
-        let m = racy();
-        let run = Session::for_module(&m)
-            .prepare(Tool::HelgrindLib)
-            .unwrap()
-            .execute()
-            .unwrap();
+        let run = recorded(&racy(), Tool::HelgrindLib);
         let via_request = run.try_run(&DetectRequest::own()).unwrap().into_single();
         let legacy = run.run(&DetectRequest::own()).into_single();
         assert_eq!(legacy.contexts, via_request.contexts);
@@ -597,17 +579,55 @@ mod tests {
         assert_eq!(replayed.reports.len(), live.reports.len());
     }
 
+    /// A live run whose watchdog or shadow budget trips stops the VM: a
+    /// program that never ends comes back with the limit's error, not
+    /// with the VM's step limit.
+    #[test]
+    fn tripped_live_limits_halt_the_vm() {
+        let mut mb = ModuleBuilder::new("endless");
+        let g = mb.global("g", 1);
+        mb.entry("main", |f| {
+            let head = f.new_block();
+            f.jump(head);
+            f.switch_to(head);
+            f.store(g.at(0), 1);
+            f.jump(head);
+        });
+        let m = mb.finish().unwrap();
+        let vm = VmConfig {
+            max_steps: 100_000,
+            ..VmConfig::round_robin()
+        };
+        let prepared = Session::for_module(&m)
+            .vm_config(vm)
+            .prepare(Tool::HelgrindLib)
+            .unwrap();
+        assert!(matches!(
+            prepared.try_run(&DetectRequest::own()),
+            Err(AnalyzeError::Vm(_))
+        ));
+        let watchdog = DetectRequest::own().watchdog(std::time::Duration::ZERO);
+        assert!(matches!(
+            prepared.try_run(&watchdog),
+            Err(AnalyzeError::Engine(EngineError::Watchdog { limit_ms: 0 }))
+        ));
+        let shadow = DetectRequest::own().budget(Budget::default().with_max_shadow_bytes(1));
+        assert!(matches!(
+            prepared.try_run(&shadow),
+            Err(AnalyzeError::Engine(EngineError::BudgetExhausted {
+                resource: BudgetResource::ShadowBytes,
+                ..
+            }))
+        ));
+    }
+
     /// Streaming replay of the binary encoding produces the same outcome
     /// as the in-memory replay, with O(chunk) resident memory.
     #[test]
     fn streamed_detection_matches_in_memory_detection() {
         let m = racy();
         for tool in [Tool::HelgrindLib, Tool::HelgrindLibSpin { window: 7 }] {
-            let run = Session::for_module(&m)
-                .prepare(tool)
-                .unwrap()
-                .execute()
-                .unwrap();
+            let run = recorded(&m, tool);
             let expected = run.run(&DetectRequest::own()).into_single();
             // Tiny chunks force many boundaries through the pipeline.
             let bytes = spinrace_tracefmt::encode_trace_chunked(run.trace(), 8);
@@ -631,34 +651,11 @@ mod tests {
 
     #[test]
     fn streamed_detection_rejects_foreign_streams() {
-        // A flag handoff: the spin tool instruments the waiter loop, so
-        // its prepared module differs from the plain one.
-        let mut mb = ModuleBuilder::new("handoff");
-        let flag = mb.global("flag", 1);
-        let waiter = mb.function("waiter", 1, |f| {
-            let head = f.new_block();
-            let done = f.new_block();
-            f.jump(head);
-            f.switch_to(head);
-            let v = f.load(flag.at(0));
-            f.branch(v, done, head);
-            f.switch_to(done);
-            f.ret(None);
-        });
-        mb.entry("main", |f| {
-            let t = f.spawn(waiter, 0);
-            f.store(flag.at(0), 1);
-            f.join(t);
-            f.ret(None);
-        });
-        let m = mb.finish().unwrap();
-        let session = Session::for_module(&m);
-        let run = session
-            .prepare(Tool::HelgrindLibSpin { window: 7 })
-            .unwrap()
-            .execute()
-            .unwrap();
-        let plain = session.prepare(Tool::HelgrindLib).unwrap();
+        // The spin tool instruments the waiter loop, so its prepared
+        // module differs from the plain one.
+        let m = flag_handoff();
+        let run = recorded(&m, Tool::HelgrindLibSpin { window: 7 });
+        let plain = Session::for_module(&m).prepare(Tool::HelgrindLib).unwrap();
         assert_ne!(plain.fingerprint(), run.prepared().fingerprint());
         let bytes = spinrace_tracefmt::encode_trace(run.trace());
         let reader = ChunkedTraceReader::new(&bytes[..]).unwrap();
@@ -670,34 +667,12 @@ mod tests {
 
     #[test]
     fn from_trace_rejects_foreign_traces() {
-        // A flag handoff: the spin tool instruments the waiter loop, so
-        // its prepared module differs from the uninstrumented one and the
-        // trace must be refused.
-        let mut mb = ModuleBuilder::new("handoff");
-        let flag = mb.global("flag", 1);
-        let waiter = mb.function("waiter", 1, |f| {
-            let head = f.new_block();
-            let done = f.new_block();
-            f.jump(head);
-            f.switch_to(head);
-            let v = f.load(flag.at(0));
-            f.branch(v, done, head);
-            f.switch_to(done);
-            f.ret(None);
-        });
-        mb.entry("main", |f| {
-            let t = f.spawn(waiter, 0);
-            f.store(flag.at(0), 1);
-            f.join(t);
-            f.ret(None);
-        });
-        let m = mb.finish().unwrap();
+        // The spin tool instruments the waiter loop, so its prepared
+        // module differs from the uninstrumented one and the trace must
+        // be refused.
+        let m = flag_handoff();
         let session = Session::for_module(&m);
-        let run = session
-            .prepare(Tool::HelgrindLib)
-            .unwrap()
-            .execute()
-            .unwrap();
+        let run = recorded(&m, Tool::HelgrindLib);
         let other = session
             .prepare(Tool::HelgrindLibSpin { window: 7 })
             .unwrap();
@@ -707,11 +682,7 @@ mod tests {
 
         // And the matching prepared module is accepted.
         let lib = session.prepare(Tool::HelgrindLib).unwrap();
-        let run2 = session
-            .prepare(Tool::HelgrindLib)
-            .unwrap()
-            .execute()
-            .unwrap();
+        let run2 = recorded(&m, Tool::HelgrindLib);
         assert!(ExecutedRun::from_trace(lib, run2.into_trace()).is_ok());
     }
 
@@ -719,12 +690,7 @@ mod tests {
     /// explicit configuration on one pass, in target order.
     #[test]
     fn mixed_target_requests_fan_out_in_order() {
-        let m = racy();
-        let run = Session::for_module(&m)
-            .prepare(Tool::HelgrindLib)
-            .unwrap()
-            .execute()
-            .unwrap();
+        let run = recorded(&racy(), Tool::HelgrindLib);
         let capped = run.prepared().default_config().with_cap(1);
         let req = DetectRequest::own()
             .and_target(DetectTarget::Tool(Tool::Drd))
@@ -745,12 +711,7 @@ mod tests {
     /// verdicts are available before end-of-stream.
     #[test]
     fn streamed_observer_reports_incremental_progress() {
-        let m = racy();
-        let run = Session::for_module(&m)
-            .prepare(Tool::HelgrindLib)
-            .unwrap()
-            .execute()
-            .unwrap();
+        let run = recorded(&racy(), Tool::HelgrindLib);
         let bytes = spinrace_tracefmt::encode_trace_chunked(run.trace(), 8);
         let reader = ChunkedTraceReader::new(&bytes[..]).unwrap();
         let chunks = reader.chunk_count();
@@ -784,12 +745,7 @@ mod tests {
     /// partial metrics, mirroring the engine's sequential contract.
     #[test]
     fn streamed_budget_trips_with_partial_metrics() {
-        let m = racy();
-        let run = Session::for_module(&m)
-            .prepare(Tool::HelgrindLib)
-            .unwrap()
-            .execute()
-            .unwrap();
+        let run = recorded(&racy(), Tool::HelgrindLib);
         let total = run.trace().events.len() as u64;
         let limit = total / 2;
         let bytes = spinrace_tracefmt::encode_trace_chunked(run.trace(), 8);

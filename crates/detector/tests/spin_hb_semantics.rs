@@ -4,7 +4,7 @@
 
 use spinrace_detector::{DetectorConfig, MsmMode, RaceDetector};
 use spinrace_spinfind::SpinFinder;
-use spinrace_synclib::lower_to_spinlib;
+use spinrace_synclib::{lower_to_spinlib_styled, LibStyle};
 use spinrace_tir::{Module, ModuleBuilder};
 use spinrace_vm::{run_module, VmConfig};
 
@@ -135,7 +135,7 @@ fn lowered_barrier_gives_all_to_all_ordering() {
         f.ret(None);
     });
     let m = mb.finish().unwrap();
-    let low = lower_to_spinlib(&m).unwrap();
+    let low = lower_to_spinlib_styled(&m, LibStyle::Textbook).unwrap();
     for seed in 0..10 {
         let det = analyze(
             &low,
@@ -178,7 +178,7 @@ fn lowered_mutex_chains_transitively() {
         f.ret(None);
     });
     let m = mb.finish().unwrap();
-    let low = lower_to_spinlib(&m).unwrap();
+    let low = lower_to_spinlib_styled(&m, LibStyle::Textbook).unwrap();
     for seed in 0..15 {
         let det = analyze(
             &low,
@@ -312,8 +312,8 @@ fn obscure_lowering_is_semantically_equivalent_but_noisier() {
     });
     let m = mb.finish().unwrap();
 
-    let textbook = lower_to_spinlib(&m).unwrap();
-    let obscure = spinrace_synclib::lower_to_spinlib_obscure(&m).unwrap();
+    let textbook = lower_to_spinlib_styled(&m, LibStyle::Textbook).unwrap();
+    let obscure = lower_to_spinlib_styled(&m, LibStyle::Obscure).unwrap();
     let run_one = |module: &Module| {
         let mut module = module.clone();
         let _ = SpinFinder::default().instrument(&mut module);

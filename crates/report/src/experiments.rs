@@ -4,7 +4,7 @@
 
 use crate::ascii::AsciiTable;
 use serde_json::json;
-use spinrace_core::{Session, Tool};
+use spinrace_core::{DetectRequest, Session, Tool};
 use spinrace_spinfind::sync_inventory;
 use spinrace_suites::{all_programs, run_drt, run_parsec, run_workloads, ParsecProgram};
 use std::time::Instant;
@@ -340,10 +340,13 @@ pub fn f1_memory() -> Experiment {
         for &tool in &tools {
             let session = Session::for_module(&module)
                 .long_msm()
-                .nolib_style(p.nolib_style());
-            match session.prepare(tool).and_then(|p| p.detect_live()) {
+                .nolib_style(p.nolib_style);
+            match session
+                .prepare(tool)
+                .and_then(|p| p.try_run(&DetectRequest::own()))
+            {
                 Ok(out) => {
-                    let m = out.metrics;
+                    let m = out.into_single().metrics;
                     if matches!(tool, Tool::HelgrindLibSpin { .. }) && m.total() > 0 {
                         spin_share = m.spin_sync_bytes as f64 / m.total() as f64;
                     }
@@ -405,9 +408,11 @@ pub fn f2_runtime() -> Experiment {
         for &tool in &tools {
             let session = Session::for_module(&module)
                 .long_msm()
-                .nolib_style(p.nolib_style());
+                .nolib_style(p.nolib_style);
             let t1 = Instant::now();
-            let _ = session.prepare(tool).and_then(|p| p.detect_live());
+            let _ = session
+                .prepare(tool)
+                .and_then(|p| p.try_run(&DetectRequest::own()));
             factors.push(t1.elapsed().as_secs_f64() / native);
         }
         t.row(vec![

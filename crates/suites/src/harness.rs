@@ -1,20 +1,17 @@
 //! Classification harness: runs tools over the suites and aggregates the
 //! numbers behind every table of the paper.
 //!
-//! Since the session redesign the harness is **trace-centric**: for each
-//! case (and, for PARSEC, each seed) every tool's module is prepared, but
-//! the VM only runs once per *distinct prepared module* — the recorded
-//! [`spinrace_core::ExecutedRun`] is cached by module fingerprint and
-//! each tool's detector replays the shared trace. `Helgrind+ lib` and
-//! `DRD` always share one execution (neither rewrites the module), and
+//! Tables detect **live**, one VM run per fingerprint group: for each
+//! case (and, for PARSEC, each seed) every tool's module is prepared,
+//! the prepared modules are grouped by fingerprint, and each distinct
+//! module runs once with its group's tools fanned out on **one**
+//! multi-target [`spinrace_core::DetectRequest`] through
+//! [`spinrace_core::PreparedModule::try_run`]: the VM feeds every
+//! member's detector directly, and nothing is recorded. `Helgrind+ lib`
+//! and `DRD` always share one run (neither rewrites the module), and
 //! window-sweep lineups share whenever two windows accept the same loops.
-//! Replayed detection is bit-identical to a live run, so the tables are
-//! unchanged; only the number of VM executions drops.
-//!
-//! The tools sharing one execution fan out on **one** multi-target
-//! [`spinrace_core::DetectRequest`] through
-//! [`spinrace_core::ExecutedRun::try_run`]: a single event-major pass
-//! over the shared trace feeds every member's detector.
+//! A recording would be replayed only once, so none is made: live
+//! detection equals the replay of a recording of the same run.
 
 use crate::drt::DrtCase;
 use crate::parsec::ParsecProgram;
@@ -67,9 +64,8 @@ pub struct DrtTable {
     pub rows: Vec<DrtRow>,
     /// Every individual outcome (for drill-down).
     pub outcomes: Vec<CaseOutcome>,
-    /// VM executions actually performed. With trace fan-out this is the
-    /// number of *distinct prepared modules*, at most (and typically well
-    /// under) `tools × cases`.
+    /// VM runs actually performed: the number of *distinct prepared
+    /// modules*, at most (and typically well under) `tools × cases`.
     pub vm_runs: usize,
 }
 
@@ -94,12 +90,12 @@ pub fn classify(case: &DrtCase, out: &AnalysisOutcome) -> (bool, bool) {
 }
 
 /// Run a whole tool lineup over one session: prepare every tool, group
-/// the prepared modules by fingerprint (first-seen order), execute each
-/// distinct module once, and replay each group's detections on **one**
-/// pass over its trace. Returns per-tool outcomes in lineup order plus the
-/// number of VM executions performed; a prepare/execute failure surfaces
-/// as that tool's (or that whole group's) `Err`. (Shared with the
-/// generated-workloads table in [`crate::workloads`].)
+/// the prepared modules by fingerprint (first-seen order), and run each
+/// distinct module once with its group's detections live on that run.
+/// Returns per-tool outcomes in lineup order plus the number of VM runs
+/// performed; a prepare/run failure surfaces as that tool's (or that
+/// whole group's) `Err`. (Shared with the generated-workloads table in
+/// [`crate::workloads`].)
 pub(crate) fn lineup_outcomes(
     session: &Session<'_>,
     tools: &[Tool],
@@ -123,24 +119,13 @@ pub(crate) fn lineup_outcomes(
             Err(e) => results[ti] = Some(Err(e.to_string())),
         }
     }
-    let mut vm_runs = 0;
+    let vm_runs = groups.len();
     for (prepared, members) in groups {
-        match prepared.execute() {
-            Ok(run) => {
-                vm_runs += 1;
-                let member_tools: Vec<Tool> = members.iter().map(|&ti| tools[ti]).collect();
-                match run.try_run(&DetectRequest::tools(&member_tools)) {
-                    Ok(outs) => {
-                        for (ti, out) in members.into_iter().zip(outs) {
-                            results[ti] = Some(Ok(out));
-                        }
-                    }
-                    Err(e) => {
-                        let msg = format!("replay failed: {e}");
-                        for ti in members {
-                            results[ti] = Some(Err(msg.clone()));
-                        }
-                    }
+        let member_tools: Vec<Tool> = members.iter().map(|&ti| tools[ti]).collect();
+        match prepared.try_run(&DetectRequest::tools(&member_tools)) {
+            Ok(outs) => {
+                for (ti, out) in members.into_iter().zip(outs) {
+                    results[ti] = Some(Ok(out));
                 }
             }
             Err(e) => {
@@ -167,9 +152,9 @@ pub fn run_drt(tools: &[Tool]) -> DrtTable {
 
 /// Same, over a provided case list (useful for category slices in tests).
 ///
-/// Trace fan-out: each case's module is executed once per *distinct
-/// prepared module* across the lineup, and every tool's detector replays
-/// the recorded trace (identical to a live run; see the module docs).
+/// Each case's module runs once per *distinct prepared module* across
+/// the lineup, with every sharing tool's detector fed live by that run
+/// (see the module docs).
 pub fn run_drt_with(tools: &[Tool], cases: &[DrtCase]) -> DrtTable {
     // Aggregates and per-case detail, indexed by tool; flattened to the
     // historical tool-major order at the end.
@@ -287,13 +272,13 @@ pub fn run_parsec(programs: &[ParsecProgram], tools: &[Tool], seeds: &[u64]) -> 
     for prog in programs {
         let module = prog.module();
         // counts[tool][seed]; filled seed-major so each seed's distinct
-        // prepared modules execute once and fan out across the lineup.
+        // prepared modules run once and fan out across the lineup.
         let mut counts = vec![Vec::with_capacity(seeds.len()); tools.len()];
         for &seed in seeds {
             let session = Session::for_module(&module)
                 .long_msm()
                 .seed(seed)
-                .nolib_style(prog.nolib_style());
+                .nolib_style(prog.nolib_style);
             let (outs, runs) = lineup_outcomes(&session, tools);
             vm_runs += runs;
             for (ti, result) in outs.into_iter().enumerate() {

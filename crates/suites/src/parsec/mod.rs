@@ -53,9 +53,10 @@ pub struct ParsecProgram {
     pub threads: u32,
     /// Kernel size (items/frames/cells — drives unrolling).
     pub size: u32,
-    /// Whether `nolib` lowering uses the obscure library internals (the
-    /// programs whose real libraries defeated the paper's patterns).
-    pub obscure_nolib: bool,
+    /// The library flavour `nolib` lowering uses: obscure internals for
+    /// the programs whose real libraries defeated the paper's patterns,
+    /// textbook primitives otherwise.
+    pub nolib_style: LibStyle,
     /// The paper's racy-context row (for comparison output).
     pub paper: PaperRow,
     /// Program builder.
@@ -67,15 +68,6 @@ impl ParsecProgram {
     /// module every table, `trace record` and trace rebinding prepare.
     pub fn module(&self) -> Module {
         (self.build)(self.threads, self.size)
-    }
-
-    /// The library flavour `nolib` lowering uses for this program.
-    pub fn nolib_style(&self) -> LibStyle {
-        if self.obscure_nolib {
-            LibStyle::Obscure
-        } else {
-            LibStyle::Textbook
-        }
     }
 }
 
@@ -92,7 +84,7 @@ pub fn all_programs() -> Vec<ParsecProgram> {
             uses_barriers: true,
             threads: 4,
             size: 16,
-            obscure_nolib: false,
+            nolib_style: LibStyle::Textbook,
             paper: PaperRow {
                 lib: 0.0,
                 lib_spin: 0.0,
@@ -111,7 +103,7 @@ pub fn all_programs() -> Vec<ParsecProgram> {
             uses_barriers: false,
             threads: 4,
             size: 16,
-            obscure_nolib: false,
+            nolib_style: LibStyle::Textbook,
             paper: PaperRow {
                 lib: 0.0,
                 lib_spin: 0.0,
@@ -130,7 +122,7 @@ pub fn all_programs() -> Vec<ParsecProgram> {
             uses_barriers: true,
             threads: 4,
             size: 12,
-            obscure_nolib: false,
+            nolib_style: LibStyle::Textbook,
             paper: PaperRow {
                 lib: 0.0,
                 lib_spin: 0.0,
@@ -149,7 +141,7 @@ pub fn all_programs() -> Vec<ParsecProgram> {
             uses_barriers: false,
             threads: 4,
             size: 16,
-            obscure_nolib: false,
+            nolib_style: LibStyle::Textbook,
             paper: PaperRow {
                 lib: 0.0,
                 lib_spin: 0.0,
@@ -168,7 +160,7 @@ pub fn all_programs() -> Vec<ParsecProgram> {
             uses_barriers: true,
             threads: 4,
             size: 24,
-            obscure_nolib: false,
+            nolib_style: LibStyle::Textbook,
             paper: PaperRow {
                 lib: 153.4,
                 lib_spin: 2.0,
@@ -187,7 +179,7 @@ pub fn all_programs() -> Vec<ParsecProgram> {
             uses_barriers: false,
             threads: 3,
             size: 16,
-            obscure_nolib: false,
+            nolib_style: LibStyle::Textbook,
             paper: PaperRow {
                 lib: 50.8,
                 lib_spin: 0.0,
@@ -206,7 +198,7 @@ pub fn all_programs() -> Vec<ParsecProgram> {
             uses_barriers: true,
             threads: 4,
             size: 8,
-            obscure_nolib: true,
+            nolib_style: LibStyle::Obscure,
             paper: PaperRow {
                 lib: 36.8,
                 lib_spin: 3.6,
@@ -225,7 +217,7 @@ pub fn all_programs() -> Vec<ParsecProgram> {
             uses_barriers: false,
             threads: 4,
             size: 20,
-            obscure_nolib: false,
+            nolib_style: LibStyle::Textbook,
             paper: PaperRow {
                 lib: 113.8,
                 lib_spin: 0.0,
@@ -244,7 +236,7 @@ pub fn all_programs() -> Vec<ParsecProgram> {
             uses_barriers: false,
             threads: 4,
             size: 12,
-            obscure_nolib: true,
+            nolib_style: LibStyle::Obscure,
             paper: PaperRow {
                 lib: 111.0,
                 lib_spin: 2.0,
@@ -263,7 +255,7 @@ pub fn all_programs() -> Vec<ParsecProgram> {
             uses_barriers: false,
             threads: 4,
             size: 10,
-            obscure_nolib: true,
+            nolib_style: LibStyle::Obscure,
             paper: PaperRow {
                 lib: 1000.0,
                 lib_spin: 19.0,
@@ -282,7 +274,7 @@ pub fn all_programs() -> Vec<ParsecProgram> {
             uses_barriers: false,
             threads: 3,
             size: 16,
-            obscure_nolib: true,
+            nolib_style: LibStyle::Obscure,
             paper: PaperRow {
                 lib: 1000.0,
                 lib_spin: 0.0,
@@ -301,7 +293,7 @@ pub fn all_programs() -> Vec<ParsecProgram> {
             uses_barriers: true,
             threads: 4,
             size: 16,
-            obscure_nolib: true,
+            nolib_style: LibStyle::Obscure,
             paper: PaperRow {
                 lib: 4.0,
                 lib_spin: 0.0,
@@ -320,7 +312,7 @@ pub fn all_programs() -> Vec<ParsecProgram> {
             uses_barriers: false,
             threads: 4,
             size: 16,
-            obscure_nolib: false,
+            nolib_style: LibStyle::Textbook,
             paper: PaperRow {
                 lib: 106.4,
                 lib_spin: 0.0,

@@ -42,7 +42,7 @@ pub fn prepared_for_replay(
         Some(spec) => (spec.build().module, LibStyle::Textbook),
         None => {
             let prog = all_programs().into_iter().find(|p| p.name == base)?;
-            (prog.module(), prog.nolib_style())
+            (prog.module(), prog.nolib_style)
         }
     };
     let session = Session::for_module(&module)
@@ -99,10 +99,9 @@ mod tests {
         for prog in all_programs() {
             let module = (prog.build)(prog.threads, prog.size);
             for vm in [VmConfig::round_robin(), VmConfig::random(1)] {
-                let mut session = Session::for_module(&module).vm_config(vm);
-                if prog.obscure_nolib {
-                    session = session.obscure_nolib();
-                }
+                let session = Session::for_module(&module)
+                    .vm_config(vm)
+                    .nolib_style(prog.nolib_style);
                 for tool in Tool::paper_lineup() {
                     let run = session.prepare(tool).unwrap().execute().unwrap();
                     let mut header = run.trace().header.clone();

@@ -11,9 +11,9 @@
 //! missed injected race) or a *completeness* bug (a report on a
 //! correct-by-construction program) — no recorded baseline involved.
 //!
-//! Like the other suites, execution is trace-centric: one VM run per
-//! distinct prepared module, cached by fingerprint, with every tool that
-//! shares the module replayed on one pass over its trace.
+//! Like the other suites, detection is live: one VM run per distinct
+//! prepared module, grouped by fingerprint, feeding every tool that
+//! shares the module on that one run.
 
 use crate::harness::lineup_outcomes;
 use spinrace_core::{AnalysisOutcome, Session, Tool};

@@ -8,11 +8,11 @@
 //!   implemented **in TIR** from plain loads/stores, CAS/RMW and pure
 //!   spinning read loops (test-and-test-and-set locks, sequence-number
 //!   condvars, generation barriers);
-//! * [`lower::lower_to_spinlib`] — the lowering pass that replaces every
-//!   library synchronization instruction in a module with calls into those
-//!   implementations. A lowered module contains **no** library operations,
-//!   so a detector run on it has no library knowledge to exploit — the
-//!   paper's `nolib` configuration;
+//! * [`lower::lower_to_spinlib_styled`] — the lowering pass that replaces
+//!   every library synchronization instruction in a module with calls into
+//!   those implementations, in the [`LibStyle`] given. A lowered module
+//!   contains **no** library operations, so a detector run on it has no
+//!   library knowledge to exploit — the paper's `nolib` configuration;
 //! * [`patterns`] — builder combinators for the ad-hoc spin patterns the
 //!   test suites use (flag waits, padded multi-block spin conditions).
 //!
@@ -32,5 +32,5 @@ pub mod lower;
 pub mod patterns;
 pub mod primitives;
 
-pub use lower::{lower_to_spinlib, lower_to_spinlib_obscure, lower_to_spinlib_styled, LowerError};
+pub use lower::{lower_to_spinlib_styled, LowerError};
 pub use primitives::{LibStyle, SpinLib};

@@ -35,18 +35,6 @@ impl fmt::Display for LowerError {
 
 impl std::error::Error for LowerError {}
 
-/// Lower `m` with the textbook (fully detectable) library.
-pub fn lower_to_spinlib(m: &Module) -> Result<Module, LowerError> {
-    lower_to_spinlib_styled(m, LibStyle::Textbook)
-}
-
-/// Lower `m` with the obscure library — realistic internals whose
-/// condition-variable paths do not match the spin patterns (models real
-/// pthread internals; used for the PARSEC `nolib` experiments).
-pub fn lower_to_spinlib_obscure(m: &Module) -> Result<Module, LowerError> {
-    lower_to_spinlib_styled(m, LibStyle::Obscure)
-}
-
 /// Lower `m` to its spin-library form. The input is unchanged; the output
 /// has every library sync instruction replaced by a call and the spin
 /// library functions appended. Any previous spin table is dropped (the
@@ -270,7 +258,7 @@ mod tests {
             f.ret(None);
         });
         let m = mb.finish().unwrap();
-        let low = lower_to_spinlib(&m).unwrap();
+        let low = lower_to_spinlib_styled(&m, LibStyle::Textbook).unwrap();
         for func in &low.functions {
             for block in &func.blocks {
                 for i in &block.instrs {
@@ -292,7 +280,7 @@ mod tests {
         });
         let m = mb.finish().unwrap();
         assert!(matches!(
-            lower_to_spinlib(&m),
+            lower_to_spinlib_styled(&m, LibStyle::Textbook),
             Err(LowerError::BarrierTooSmall { .. })
         ));
     }
@@ -308,7 +296,7 @@ mod tests {
             f.ret(None);
         });
         let m = mb.finish().unwrap();
-        let low = lower_to_spinlib(&m).unwrap();
+        let low = lower_to_spinlib_styled(&m, LibStyle::Textbook).unwrap();
         assert_eq!(
             low.functions[0].blocks[0].instrs,
             m.functions[0].blocks[0].instrs

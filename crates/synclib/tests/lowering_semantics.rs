@@ -4,7 +4,7 @@
 
 use spinrace_spinfind::SpinFinder;
 use spinrace_synclib::lower::spinlib_ids;
-use spinrace_synclib::lower_to_spinlib;
+use spinrace_synclib::{lower_to_spinlib_styled, LibStyle};
 use spinrace_tir::{Module, ModuleBuilder};
 use spinrace_vm::{run_module, NullSink, VmConfig};
 
@@ -21,7 +21,7 @@ fn outputs(m: &Module, cfg: VmConfig) -> Vec<i64> {
 /// Run lib and lowered versions under many seeds; outputs must agree with
 /// the deterministic expectation.
 fn check_equivalence(m: &Module, expected: &[i64], seeds: u64) {
-    let low = lower_to_spinlib(m).expect("lowering ok");
+    let low = lower_to_spinlib_styled(m, LibStyle::Textbook).expect("lowering ok");
     for seed in 0..seeds {
         assert_eq!(
             outputs(m, VmConfig::random(seed)),
@@ -213,7 +213,7 @@ fn spinfind_rediscovers_library_primitives() {
     // all be detected with the default window — this is the paper's claim
     // that primitives are identifiable from their spin loops.
     let m = mutex_counter_module();
-    let mut low = lower_to_spinlib(&m).unwrap();
+    let mut low = lower_to_spinlib_styled(&m, LibStyle::Textbook).unwrap();
     let analysis = SpinFinder::default().instrument(&mut low);
     let lib = spinlib_ids(&m);
     let spin = low.spin.as_ref().unwrap();
@@ -253,7 +253,7 @@ fn spinfind_finds_all_four_primitive_wait_loops() {
         f.ret(None);
     });
     let m = mb.finish().unwrap();
-    let mut low = lower_to_spinlib(&m).unwrap();
+    let mut low = lower_to_spinlib_styled(&m, LibStyle::Textbook).unwrap();
     let _ = SpinFinder::default().instrument(&mut low);
     let lib = spinlib_ids(&m);
     let spin = low.spin.as_ref().unwrap();
@@ -273,7 +273,7 @@ fn spinfind_finds_all_four_primitive_wait_loops() {
 #[test]
 fn lowered_runs_track_spin_instances() {
     let m = mutex_counter_module();
-    let mut low = lower_to_spinlib(&m).unwrap();
+    let mut low = lower_to_spinlib_styled(&m, LibStyle::Textbook).unwrap();
     let _ = SpinFinder::default().instrument(&mut low);
     let mut sink = NullSink;
     let summary = run_module(&low, VmConfig::random(5), &mut sink).expect("run");

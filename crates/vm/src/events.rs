@@ -179,9 +179,20 @@ impl Event {
 /// ([`RecordingSink`] is the canonical buffering sink); a detector reads
 /// the fields it needs and keeps nothing, which is what makes the
 /// replay-from-recording path equivalent to live runs.
+///
+/// A sink can also stop the run: [`crate::Vm::run`] polls
+/// [`EventSink::halted`] once every 4096 steps and ends the run early
+/// when it returns true (a detection whose watchdog or shadow budget
+/// tripped has no use for the rest of the stream).
 pub trait EventSink {
     /// Called for every event, in execution order.
     fn on_event(&mut self, ev: &Event);
+
+    /// True once the sink wants no more events. Sampled, not checked per
+    /// event: up to 4096 further steps' events may still arrive.
+    fn halted(&self) -> bool {
+        false
+    }
 }
 
 /// Discards all events.
@@ -209,11 +220,19 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
     fn on_event(&mut self, ev: &Event) {
         (**self).on_event(ev);
     }
+
+    fn halted(&self) -> bool {
+        (**self).halted()
+    }
 }
 
 impl<S: EventSink + ?Sized> EventSink for Box<S> {
     fn on_event(&mut self, ev: &Event) {
         (**self).on_event(ev);
+    }
+
+    fn halted(&self) -> bool {
+        (**self).halted()
     }
 }
 
@@ -234,17 +253,16 @@ impl<A, B> Tee<A, B> {
     pub fn new(a: A, b: B) -> Tee<A, B> {
         Tee { a, b }
     }
-
-    /// Recover the sinks.
-    pub fn into_inner(self) -> (A, B) {
-        (self.a, self.b)
-    }
 }
 
 impl<A: EventSink, B: EventSink> EventSink for Tee<A, B> {
     fn on_event(&mut self, ev: &Event) {
         self.a.on_event(ev);
         self.b.on_event(ev);
+    }
+
+    fn halted(&self) -> bool {
+        self.a.halted() || self.b.halted()
     }
 }
 
@@ -317,7 +335,7 @@ mod tests {
         let mut tee = Tee::new(RecordingSink::default(), &mut external);
         tee.on_event(&Event::Output { tid: 0, value: 1 });
         tee.on_event(&Event::Output { tid: 1, value: 2 });
-        let (owned, _) = tee.into_inner();
+        let owned = tee.a;
         assert_eq!(owned.events.len(), 2);
         assert_eq!(external.events, owned.events);
     }

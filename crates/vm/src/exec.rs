@@ -66,6 +66,18 @@ pub struct RunSummary {
     pub memory_words: usize,
 }
 
+/// [`Vm::run`] asks the sink whether it has halted once every
+/// `HALT_POLL_MASK + 1` steps.
+const HALT_POLL_MASK: u64 = 0xFFF;
+
+/// The halt poll, kept out of line: the step loop then carries only the
+/// masked compare in front of it.
+#[cold]
+#[inline(never)]
+fn poll_halted(sink: &dyn EventSink) -> bool {
+    sink.halted()
+}
+
 /// The virtual machine for one run.
 pub struct Vm<'m> {
     m: &'m Module,
@@ -119,7 +131,9 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// Execute until all threads finish (or an error occurs).
+    /// Execute until all threads finish (or an error occurs), or until
+    /// the sink reports [`EventSink::halted`]: that is polled every 4096
+    /// steps, and a halted run returns the summary of the steps it took.
     pub fn run(&mut self, sink: &mut dyn EventSink) -> Result<RunSummary, VmError> {
         let mut sched = self.cfg.sched.build();
         let mut runnable: Vec<ThreadId> = Vec::new();
@@ -153,6 +167,9 @@ impl<'m> Vm<'m> {
             }
             if self.steps >= self.cfg.max_steps {
                 return Err(VmError::StepLimit { steps: self.steps });
+            }
+            if self.steps & HALT_POLL_MASK == 0 && poll_halted(sink) {
+                break;
             }
             let pick = sched.pick(&runnable);
             self.step(runnable[pick] as usize, sink)?;

@@ -4,7 +4,9 @@
 
 use spinrace_spinfind::SpinFinder;
 use spinrace_tir::{MemOrder, Module, ModuleBuilder, Operand, RmwOp};
-use spinrace_vm::{run_module, Event, NullSink, RecordingSink, RunSummary, VmConfig, VmError};
+use spinrace_vm::{
+    run_module, Event, EventSink, NullSink, RecordingSink, RunSummary, VmConfig, VmError,
+};
 
 fn run(m: &Module, cfg: VmConfig) -> (RunSummary, Vec<Event>) {
     let mut sink = RecordingSink::default();
@@ -660,6 +662,41 @@ fn step_limit_stops_runaway_loops() {
     };
     let err = run_module(&m, cfg, &mut NullSink).unwrap_err();
     assert!(matches!(err, VmError::StepLimit { steps: 1000 }));
+}
+
+/// A sink that reports `halted` stops the run at the VM's next poll, at
+/// most 4096 steps later, instead of the step limit ending it.
+#[test]
+fn halted_sink_stops_the_run_within_one_poll_period() {
+    /// Counts events; halted from the 10,000th on.
+    struct HaltAfter(u64);
+    impl EventSink for HaltAfter {
+        fn on_event(&mut self, _ev: &Event) {
+            self.0 += 1;
+        }
+        fn halted(&self) -> bool {
+            self.0 >= 10_000
+        }
+    }
+    // One read per iteration, so a step emits at most one event.
+    let mut mb = ModuleBuilder::new("endless-reader");
+    let g = mb.global("g", 1);
+    mb.entry("main", |f| {
+        let head = f.new_block();
+        f.jump(head);
+        f.switch_to(head);
+        f.load(g.at(0));
+        f.jump(head);
+    });
+    let m = mb.finish().unwrap();
+    let mut sink = HaltAfter(0);
+    let summary = run_module(&m, VmConfig::round_robin(), &mut sink).expect("halts cleanly");
+    assert!(
+        (10_000..=10_000 + 4096).contains(&sink.0),
+        "{} events",
+        sink.0
+    );
+    assert!(summary.steps < VmConfig::round_robin().max_steps);
 }
 
 #[test]

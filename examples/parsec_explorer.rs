@@ -7,7 +7,7 @@
 //! cargo run --example parsec_explorer -- x264 drd 42  # one tool, seed 42
 //! ```
 
-use spinrace::core::{Session, Tool};
+use spinrace::core::{DetectRequest, Session, Tool};
 use spinrace::suites::all_programs;
 
 fn main() {
@@ -65,12 +65,16 @@ fn main() {
     for tool in tools {
         let mut session = Session::for_module(&module)
             .long_msm()
-            .nolib_style(prog.nolib_style());
+            .nolib_style(prog.nolib_style);
         if let Some(s) = seed {
             session = session.seed(s);
         }
-        match session.prepare(tool).and_then(|p| p.detect_live()) {
+        match session
+            .prepare(tool)
+            .and_then(|p| p.try_run(&DetectRequest::own()))
+        {
             Ok(out) => {
+                let out = out.into_single();
                 println!(
                     "{:<26} contexts={:<4} spin loops={:<3} promoted locations={:<4} steps={}",
                     tool.label(),

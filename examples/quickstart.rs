@@ -6,7 +6,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use spinrace::core::{Session, Tool};
+use spinrace::core::{DetectRequest, Session, Tool};
 use spinrace::tir::ModuleBuilder;
 
 fn main() {
@@ -50,8 +50,9 @@ fn main() {
     for tool in Tool::paper_lineup() {
         let out = Session::for_module(&module)
             .prepare(tool)
-            .and_then(|p| p.detect_live())
-            .expect("analysis");
+            .and_then(|p| p.try_run(&DetectRequest::own()))
+            .expect("analysis")
+            .into_single();
         println!(
             "{:<26} racy contexts: {:>2}   spin loops found: {}",
             tool.label(),

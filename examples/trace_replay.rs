@@ -7,8 +7,8 @@
 //! ```
 //!
 //! The staged session API splits a live analysis
-//! (`prepare(tool)?.detect_live()`) into prepare → execute → detect. Because the VM is deterministic, tools
-//! whose preparation produced the same module (same fingerprint) share
+//! (`prepare(tool)?.try_run(&DetectRequest::own())?`) into prepare →
+//! execute → detect. Because the VM is deterministic, tools whose preparation produced the same module (same fingerprint) share
 //! one recorded execution — here `Helgrind+ lib` and `DRD`, which both
 //! run the unmodified program — and every detector configuration replays
 //! the stream with results identical to a live run.

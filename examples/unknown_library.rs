@@ -11,9 +11,9 @@
 //! cargo run --example unknown_library
 //! ```
 
-use spinrace::core::{Session, Tool};
+use spinrace::core::{DetectRequest, Session, Tool};
 use spinrace::spinfind::SpinFinder;
-use spinrace::synclib::lower_to_spinlib;
+use spinrace::synclib::{lower_to_spinlib_styled, LibStyle};
 use spinrace::tir::ModuleBuilder;
 
 fn main() {
@@ -42,7 +42,7 @@ fn main() {
     let module = mb.finish().expect("valid program");
 
     // Show what the lowering produces.
-    let lowered = lower_to_spinlib(&module).expect("lowering");
+    let lowered = lower_to_spinlib_styled(&module, LibStyle::Textbook).expect("lowering");
     println!(
         "Original module: {} functions; lowered: {} (the spin library)",
         module.functions.len(),
@@ -69,8 +69,9 @@ fn main() {
     for tool in [Tool::HelgrindLib, Tool::HelgrindNolibSpin { window: 7 }] {
         let out = Session::for_module(&module)
             .prepare(tool)
-            .and_then(|p| p.detect_live())
-            .expect("analysis");
+            .and_then(|p| p.try_run(&DetectRequest::own()))
+            .expect("analysis")
+            .into_single();
         println!(
             "{:<26} racy contexts: {}  (program output: {:?})",
             tool.label(),

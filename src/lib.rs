@@ -24,8 +24,8 @@
 //! * [`tracefmt`] — the binary columnar trace encoding with chunked
 //!   streaming replay
 //! * [`report`] — tables and experiment summaries
-//! * [`core`] — the staged [`core::Session`] pipeline (prepare → execute
-//!   → detect over a replayable [`vm::Trace`]) and its one detection
+//! * [`core`] — the staged [`core::Session`] pipeline (prepare → detect,
+//!   live or over a replayable [`vm::Trace`]) and its one detection
 //!   entry point, [`core::DetectRequest`]
 //! * [`serve`] — detection as a service: a streaming analysis server
 //!   accepting framed trace uploads over TCP or stdin, multiplexing

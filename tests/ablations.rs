@@ -10,6 +10,7 @@ use spinrace::core::{DetectRequest, Session, Tool};
 use spinrace::detector::{DetectorConfig, MsmMode};
 use spinrace::spinfind::{SpinCriteria, SpinFinder};
 use spinrace::suites::all_programs;
+use spinrace::synclib::LibStyle;
 use spinrace::tir::{ModuleBuilder, Operand};
 
 /// Long MSM trades first-iteration sensitivity for fewer false positives
@@ -155,28 +156,19 @@ fn obscure_library_drives_nolib_regressions() {
         .find(|p| p.name == "bodytrack")
         .unwrap();
     let m = (p.build)(p.threads, p.size);
-    let spin = Session::for_module(&m)
-        .long_msm()
-        .seed(1)
-        .prepare(Tool::HelgrindLibSpin { window: 7 })
-        .and_then(|p| p.detect_live())
-        .unwrap()
-        .contexts;
-    let nolib_textbook = Session::for_module(&m)
-        .long_msm()
-        .seed(1)
-        .prepare(Tool::HelgrindNolibSpin { window: 7 })
-        .and_then(|p| p.detect_live())
-        .unwrap()
-        .contexts;
-    let nolib_obscure = Session::for_module(&m)
-        .long_msm()
-        .seed(1)
-        .obscure_nolib()
-        .prepare(Tool::HelgrindNolibSpin { window: 7 })
-        .and_then(|p| p.detect_live())
-        .unwrap()
-        .contexts;
+    let session = Session::for_module(&m).long_msm().seed(1);
+    let contexts = |session: Session<'_>, tool| {
+        session
+            .prepare(tool)
+            .and_then(|p| p.try_run(&DetectRequest::own()))
+            .unwrap()
+            .into_single()
+            .contexts
+    };
+    let nolib = Tool::HelgrindNolibSpin { window: 7 };
+    let spin = contexts(session, Tool::HelgrindLibSpin { window: 7 });
+    let nolib_textbook = contexts(session, nolib);
+    let nolib_obscure = contexts(session.nolib_style(LibStyle::Obscure), nolib);
     assert!(
         nolib_obscure > nolib_textbook,
         "obscure internals add contexts: {nolib_obscure} vs {nolib_textbook}"

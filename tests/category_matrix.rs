@@ -5,7 +5,7 @@
 //! matrix, so any detector regression shows up as the exact case and
 //! tool that changed behaviour.
 
-use spinrace::core::{Session, Tool};
+use spinrace::core::{DetectRequest, Session, Tool};
 use spinrace::suites::harness::DRT_CAP;
 use spinrace::suites::{all_cases, Category};
 
@@ -94,8 +94,9 @@ fn full_category_matrix_holds() {
             let out = Session::for_module(&case.module)
                 .cap(DRT_CAP)
                 .prepare(tool)
-                .and_then(|p| p.detect_live())
-                .unwrap_or_else(|e| panic!("{} on {}: {e}", tool.label(), case.name));
+                .and_then(|p| p.try_run(&DetectRequest::own()))
+                .unwrap_or_else(|e| panic!("{} on {}: {e}", tool.label(), case.name))
+                .into_single();
             let expect = expectation(&case.category, &tool);
             let actual = if case.racy {
                 if out.has_race_on(case.race_location.unwrap()) {
@@ -146,8 +147,9 @@ fn window_matrix_on_adhoc_cases() {
             let out = Session::for_module(&case.module)
                 .cap(DRT_CAP)
                 .prepare(Tool::HelgrindLibSpin { window })
-                .and_then(|p| p.detect_live())
-                .unwrap();
+                .and_then(|p| p.try_run(&DetectRequest::own()))
+                .unwrap()
+                .into_single();
             if weight <= window {
                 assert!(
                     out.is_clean(),

@@ -1,5 +1,8 @@
 //! Cross-crate integration: facade-level pipeline behaviour.
 
+mod common;
+
+use common::{analyze, motivating};
 use spinrace::core::{Session, Tool};
 use spinrace::detector::RaceKind;
 use spinrace::tir::{MemOrder, ModuleBuilder};
@@ -7,51 +10,20 @@ use spinrace::tir::{MemOrder, ModuleBuilder};
 /// The paper's motivating example, end to end through the facade.
 #[test]
 fn motivating_example_through_facade() {
-    let mut mb = ModuleBuilder::new("motivating");
-    let flag = mb.global("FLAG", 1);
-    let data = mb.global("DATA", 1);
-    let t2 = mb.function("thread2", 1, |f| {
-        let head = f.new_block();
-        let done = f.new_block();
-        f.jump(head);
-        f.switch_to(head);
-        let v = f.load(flag.at(0));
-        f.branch(v, done, head);
-        f.switch_to(done);
-        let d = f.load(data.at(0));
-        let d2 = f.sub(d, 1);
-        f.store(data.at(0), d2);
-        f.ret(None);
-    });
-    mb.entry("main", |f| {
-        let t = f.spawn(t2, 0);
-        let d = f.load(data.at(0));
-        let d2 = f.add(d, 1);
-        f.store(data.at(0), d2);
-        f.store(flag.at(0), 1);
-        f.join(t);
-        f.ret(None);
-    });
-    let m = mb.finish().unwrap();
+    let m = motivating();
 
-    let lib = Session::for_module(&m)
-        .prepare(Tool::HelgrindLib)
-        .and_then(|p| p.detect_live())
-        .unwrap();
+    let lib = analyze(Session::for_module(&m), Tool::HelgrindLib);
     assert!(lib.has_race_on("FLAG"), "synchronization race");
     assert!(lib.has_race_on("DATA"), "apparent race");
 
-    let spin = Session::for_module(&m)
-        .prepare(Tool::HelgrindLibSpin { window: 7 })
-        .and_then(|p| p.detect_live())
-        .unwrap();
+    let spin = analyze(Session::for_module(&m), Tool::HelgrindLibSpin { window: 7 });
     assert!(spin.is_clean());
     assert_eq!(spin.spin_loops_found, 1);
 
-    let nolib = Session::for_module(&m)
-        .prepare(Tool::HelgrindNolibSpin { window: 7 })
-        .and_then(|p| p.detect_live())
-        .unwrap();
+    let nolib = analyze(
+        Session::for_module(&m),
+        Tool::HelgrindNolibSpin { window: 7 },
+    );
     assert!(nolib.is_clean());
 }
 
@@ -84,10 +56,7 @@ fn outputs_agree_across_tools() {
     let m = mb.finish().unwrap();
     let mut outputs = Vec::new();
     for tool in Tool::paper_lineup() {
-        let out = Session::for_module(&m)
-            .prepare(tool)
-            .and_then(|p| p.detect_live())
-            .unwrap();
+        let out = analyze(Session::for_module(&m), tool);
         outputs.push(
             out.summary
                 .outputs
@@ -140,10 +109,7 @@ fn lockset_violation_end_to_end() {
     });
     let m = mb.finish().unwrap();
 
-    let hybrid = Session::for_module(&m)
-        .prepare(Tool::HelgrindLib)
-        .and_then(|p| p.detect_live())
-        .unwrap();
+    let hybrid = analyze(Session::for_module(&m), Tool::HelgrindLib);
     // Either the schedule exposes the HB race directly, or the lockset
     // stage flags the discipline violation — the hybrid must not be silent.
     assert!(hybrid.has_race_on("victim"), "{:?}", hybrid.reports);
@@ -151,10 +117,7 @@ fn lockset_violation_end_to_end() {
         .reports
         .iter()
         .any(|r| r.report.kind == RaceKind::LocksetViolation);
-    let drd = Session::for_module(&m)
-        .prepare(Tool::Drd)
-        .and_then(|p| p.detect_live())
-        .unwrap();
+    let drd = analyze(Session::for_module(&m), Tool::Drd);
     if has_lockset_kind {
         assert!(
             !drd.has_race_on("victim"),
@@ -190,21 +153,9 @@ fn atomic_adhoc_tool_matrix() {
     });
     let m = mb.finish().unwrap();
 
-    assert!(!Session::for_module(&m)
-        .prepare(Tool::HelgrindLib)
-        .and_then(|p| p.detect_live())
-        .unwrap()
-        .is_clean());
-    assert!(Session::for_module(&m)
-        .prepare(Tool::HelgrindLibSpin { window: 7 })
-        .and_then(|p| p.detect_live())
-        .unwrap()
-        .is_clean());
-    assert!(Session::for_module(&m)
-        .prepare(Tool::Drd)
-        .and_then(|p| p.detect_live())
-        .unwrap()
-        .is_clean());
+    assert!(!analyze(Session::for_module(&m), Tool::HelgrindLib).is_clean());
+    assert!(analyze(Session::for_module(&m), Tool::HelgrindLibSpin { window: 7 }).is_clean());
+    assert!(analyze(Session::for_module(&m), Tool::Drd).is_clean());
 }
 
 /// Seeds explore different interleavings but never produce spurious
@@ -236,11 +187,7 @@ fn no_false_positives_across_seeds_on_locked_program() {
     let m = mb.finish().unwrap();
     for seed in 0..15 {
         for tool in Tool::paper_lineup() {
-            let out = Session::for_module(&m)
-                .seed(seed)
-                .prepare(tool)
-                .and_then(|p| p.detect_live())
-                .unwrap();
+            let out = analyze(Session::for_module(&m).seed(seed), tool);
             assert!(
                 out.is_clean(),
                 "{} seed {} reported {:?}",

@@ -1,12 +1,13 @@
-//! Fault injection against the one replay loop: a consumer stalled past
-//! the watchdog, a zero-length watchdog, an exhausted event budget and an
-//! exhausted shadow budget must each come back as a structured
-//! [`EngineError`] within a bound — never a hang — on whole-trace replay
+//! Fault injection against the one detection loop: a consumer stalled
+//! past the watchdog, a zero-length watchdog, an exhausted event budget
+//! and an exhausted shadow budget must each come back as a structured
+//! [`EngineError`] within a bound — never a hang — on live detection
+//! (`PreparedModule::try_run`), whole-trace replay
 //! (`ExecutedRun::try_run`) and streamed replay
-//! (`PreparedModule::try_run_streamed`). Both paths drive the same loop,
-//! so a limit must trip identically on them: same error, same partial
-//! metrics. Limits that are set but never reached leave the outcome
-//! byte-identical.
+//! (`PreparedModule::try_run_streamed`). All three paths drive the same
+//! loop, so a limit must trip identically on them: same error, same
+//! partial metrics. Limits that are set but never reached leave the
+//! outcome byte-identical.
 
 use spinrace::core::{
     AnalyzeError, Budget, BudgetResource, DetectRequest, EngineError, EngineOptions, ExecutedRun,
@@ -45,6 +46,21 @@ fn zipf_run() -> ExecutedRun {
         .unwrap()
 }
 
+/// Detect live: run `run`'s prepared module again with the request's
+/// detectors on the VM, and return the engine error, if any.
+fn live(run: &ExecutedRun, req: &DetectRequest) -> Result<(), EngineError> {
+    engine_error(run.prepared().try_run(req).map(|_| ()))
+}
+
+/// The engine error of a detection; any other failure is a test bug.
+fn engine_error(res: Result<(), AnalyzeError>) -> Result<(), EngineError> {
+    match res {
+        Ok(()) => Ok(()),
+        Err(AnalyzeError::Engine(e)) => Err(e),
+        Err(other) => panic!("unexpected non-engine error: {other}"),
+    }
+}
+
 /// Replay `run`'s trace as a chunk stream (small chunks, so limits can
 /// trip mid-stream) and return the engine error, if any.
 fn streamed(run: &ExecutedRun, req: &DetectRequest) -> Result<(), EngineError> {
@@ -65,14 +81,11 @@ fn streamed_stalling(
             std::thread::sleep(d);
         }
     };
-    match run
-        .prepared()
-        .try_run_streamed_observed(req, reader, observe)
-    {
-        Ok(_) => Ok(()),
-        Err(AnalyzeError::Engine(e)) => Err(e),
-        Err(other) => panic!("unexpected non-engine error: {other}"),
-    }
+    engine_error(
+        run.prepared()
+            .try_run_streamed_observed(req, reader, observe)
+            .map(|_| ()),
+    )
 }
 
 /// The largest shadow footprint a full replay under `tool` reaches at
@@ -170,9 +183,11 @@ fn full_fault_matrix_always_errors_within_the_bound() {
             let req = DetectRequest::tools(tools).options(opts);
             let t0 = Instant::now();
             let mut results = vec![("streamed", streamed_stalling(&run, &req, stall))];
-            // The whole trace is one chunk: there is no gap to stall in.
+            // The whole trace is one chunk and the VM feeds events one by
+            // one: neither has a gap to stall in.
             if stall.is_none() {
                 results.push(("whole", run.try_run(&req).map(|_| ())));
+                results.push(("live", live(&run, &req)));
             }
             let elapsed = t0.elapsed();
             assert!(elapsed < BOUND, "{label}: took {elapsed:?}");
@@ -227,7 +242,7 @@ fn fault_aimed_at_nothing_changes_nothing() {
     }
 }
 
-/// Generous limits never perturb the outcome.
+/// Generous limits never perturb the outcome, replayed or live.
 #[test]
 fn fault_free_runs_with_explicit_options_stay_byte_identical() {
     let run = zipf_run();
@@ -240,19 +255,22 @@ fn fault_free_runs_with_explicit_options_stay_byte_identical() {
                 .with_max_events(total)
                 .with_max_shadow_bytes(1 << 40),
         );
-    let out = run
-        .try_run(&DetectRequest::own().options(opts))
-        .unwrap()
-        .into_single();
-    assert_eq!(out.reports.len(), baseline.reports.len());
-    for (a, b) in out.reports.iter().zip(&baseline.reports) {
-        assert_eq!(a.report, b.report);
+    let req = DetectRequest::own().options(opts);
+    let whole = run.try_run(&req).unwrap().into_single();
+    let live = run.prepared().try_run(&req).unwrap().into_single();
+    for out in [whole, live] {
+        assert_eq!(out.reports.len(), baseline.reports.len());
+        for (a, b) in out.reports.iter().zip(&baseline.reports) {
+            assert_eq!(a.report, b.report);
+        }
+        assert_eq!(out.metrics, baseline.metrics);
+        assert_eq!(&out.summary, run.summary());
     }
-    assert_eq!(out.metrics, baseline.metrics);
 }
 
-/// The same event budget and the same shadow budget trip whole-trace and
-/// streamed replay with equal errors, partial metrics included.
+/// The same event budget and the same shadow budget trip live detection,
+/// whole-trace and streamed replay with equal errors, partial metrics
+/// included.
 #[test]
 fn whole_and_streamed_replay_trip_identical_budget_errors() {
     let run = zipf_run();
@@ -280,17 +298,19 @@ fn whole_and_streamed_replay_trip_identical_budget_errors() {
                 matches!(whole, EngineError::BudgetExhausted { .. }),
                 "{whole}"
             );
+            assert_eq!(live(&run, &req), Err(whole.clone()), "live {budget:?}");
             assert_eq!(streamed(&run, &req), Err(whole), "{budget:?}");
         }
     }
 }
 
-/// A zero-length watchdog trips on the first event of either path.
+/// A zero-length watchdog trips on the first event of every path.
 #[test]
 fn zero_watchdog_trips_whole_and_streamed_replay() {
     let run = zipf_run();
     let req = DetectRequest::own().watchdog(Duration::ZERO);
     let expected = EngineError::Watchdog { limit_ms: 0 };
     assert_eq!(run.try_run(&req).map(|_| ()), Err(expected.clone()));
+    assert_eq!(live(&run, &req), Err(expected.clone()));
     assert_eq!(streamed(&run, &req), Err(expected));
 }

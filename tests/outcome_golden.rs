@@ -8,7 +8,7 @@
 //! counted differently, a report reordered) still fails here, naming the
 //! case and tool.
 
-use spinrace::core::{AnalysisOutcome, Session, Tool};
+use spinrace::core::{AnalysisOutcome, DetectRequest, Session, Tool};
 use spinrace::serve::outcome_json;
 use spinrace::suites::all_programs;
 use spinrace::suites::workloads::standard_specs;
@@ -34,8 +34,9 @@ fn check(case: &str, session: &Session, pinned: [u64; 5]) {
         .map(|tool| {
             let out = session
                 .prepare(tool)
-                .and_then(|p| p.detect_live())
-                .unwrap_or_else(|e| panic!("{case} under {tool}: {e}"));
+                .and_then(|p| p.try_run(&DetectRequest::own()))
+                .unwrap_or_else(|e| panic!("{case} under {tool}: {e}"))
+                .into_single();
             doc_crc(&out)
         })
         .collect();
@@ -105,10 +106,10 @@ fn parsec_outcomes_match_pins() {
     for &(name, pinned) in PARSEC {
         let prog = programs.iter().find(|p| p.name == name).unwrap();
         let module = (prog.build)(prog.threads, prog.size);
-        let mut session = Session::for_module(&module).long_msm().seed(1);
-        if prog.obscure_nolib {
-            session = session.obscure_nolib();
-        }
+        let session = Session::for_module(&module)
+            .long_msm()
+            .seed(1)
+            .nolib_style(prog.nolib_style);
         check(name, &session, pinned);
     }
 }

@@ -11,10 +11,12 @@
 //! determinism guarantee the CI `replay-determinism` job re-checks end to
 //! end through the `trace` CLI.
 
+mod common;
+
+use common::feature_mix;
 use proptest::prelude::*;
 use spinrace::core::{AnalysisOutcome, DetectRequest, ExecutedRun, Session, Tool};
 use spinrace::detector::shadow::PAGE_CELLS;
-use spinrace::tir::{Module, ModuleBuilder};
 use spinrace::tracefmt::{encode_trace_chunked, ChunkedTraceReader};
 use spinrace::vm::{Event, SchedulerKind};
 use spinrace::workloads::{Family, WorkloadSpec};
@@ -25,77 +27,6 @@ const WIDTHS: [usize; 4] = [1, 3, 64, 5000];
 
 /// Shards of `ShadowTable`'s page index: page `p` lives in shard `p % 8`.
 const SHADOW_SHARDS: usize = 8;
-
-/// A small random workload exercising every detector feature: lock-
-/// protected counters (locksets), an optional ad-hoc flag handoff (spin
-/// promotion), an optional deliberately racy slot (HB reports), and an
-/// optional atomic-counter rendezvous (RMW promotion / DRD atomic edges).
-fn build_module(threads: u32, iters: u8, lock: bool, flag: bool, racy: bool, rmw: bool) -> Module {
-    let mut mb = ModuleBuilder::new("par-prop");
-    let mu = mb.global("mu", 1);
-    let shared = mb.global("shared", 1);
-    let flag_g = mb.global("flag", 1);
-    let data = mb.global("data", 1);
-    let victim = mb.global("victim", 1);
-    let counter = mb.global("counter", 1);
-    let w = mb.function("w", 1, |f| {
-        for _ in 0..iters {
-            if lock {
-                f.lock(mu.at(0));
-            }
-            let v = f.load(shared.at(0));
-            let v2 = f.add(v, 1);
-            f.store(shared.at(0), v2);
-            if lock {
-                f.unlock(mu.at(0));
-            }
-            if racy {
-                let r = f.load(victim.at(0));
-                let r2 = f.add(r, 1);
-                f.store(victim.at(0), r2);
-            }
-            if rmw {
-                f.rmw(
-                    spinrace::tir::RmwOp::Add,
-                    counter.at(0),
-                    1,
-                    spinrace::tir::MemOrder::SeqCst,
-                );
-            }
-        }
-        f.ret(None);
-    });
-    let waiter = mb.function("waiter", 1, |f| {
-        let head = f.new_block();
-        let done = f.new_block();
-        f.jump(head);
-        f.switch_to(head);
-        let v = f.load(flag_g.at(0));
-        f.branch(v, done, head);
-        f.switch_to(done);
-        let d = f.load(data.at(0));
-        f.output(d);
-        f.ret(None);
-    });
-    mb.entry("main", |f| {
-        let mut tids = Vec::new();
-        if flag {
-            tids.push(f.spawn(waiter, 0));
-        }
-        for i in 0..threads {
-            tids.push(f.spawn(w, i as i64));
-        }
-        if flag {
-            f.store(data.at(0), 7);
-            f.store(flag_g.at(0), 1);
-        }
-        for t in tids {
-            f.join(t);
-        }
-        f.ret(None);
-    });
-    mb.finish().unwrap()
-}
 
 /// Replay `run`'s trace streamed from a `width`-event chunk encoding.
 fn streamed_at(run: &ExecutedRun, req: &DetectRequest, width: usize) -> Vec<AnalysisOutcome> {
@@ -136,14 +67,17 @@ proptest! {
         rmw in proptest::bool::ANY,
         seed in proptest::option::of(0u64..1000),
     ) {
-        let m = build_module(threads, iters, lock, flag, racy, rmw);
+        let m = feature_mix(threads, iters, lock, flag, racy, rmw);
         for tool in Tool::paper_lineup() {
             let mut session = Session::for_module(&m);
             if let Some(s) = seed {
                 session = session.seed(s);
             }
             let prepared = session.prepare(tool).unwrap();
-            let live = prepared.detect_live().unwrap();
+            let live = prepared
+                .try_run(&DetectRequest::own())
+                .unwrap()
+                .into_single();
             let run = prepared.execute().unwrap();
             let sequential = run.run(&DetectRequest::own()).into_single();
             let label = tool.label();

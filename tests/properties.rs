@@ -1,6 +1,9 @@
 //! Cross-crate property tests: determinism, serde round trips, detection
 //! stability, and randomized soundness checks.
 
+mod common;
+
+use common::{analyze, racy};
 use proptest::prelude::*;
 use spinrace::core::{Session, Tool};
 use spinrace::spinfind::SpinFinder;
@@ -39,26 +42,6 @@ fn locked_program(threads: u32, iters: u8) -> Module {
     mb.finish().unwrap()
 }
 
-/// A racy program with an unsynchronized shared counter.
-fn racy_program(threads: u32) -> Module {
-    let mut mb = ModuleBuilder::new("prop-racy");
-    let victim = mb.global("victim", 1);
-    let w = mb.function("w", 1, |f| {
-        let v = f.load(victim.at(0));
-        let v2 = f.add(v, 1);
-        f.store(victim.at(0), v2);
-        f.ret(None);
-    });
-    mb.entry("main", |f| {
-        let tids: Vec<_> = (0..threads).map(|i| f.spawn(w, i as i64)).collect();
-        for t in tids {
-            f.join(t);
-        }
-        f.ret(None);
-    });
-    mb.finish().unwrap()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -78,7 +61,7 @@ proptest! {
     fn no_fp_on_locked_programs(threads in 2u32..5, iters in 1u8..4, seed in 0u64..500) {
         let m = locked_program(threads, iters);
         for tool in Tool::paper_lineup() {
-            let out = Session::for_module(&m).seed(seed).prepare(tool).and_then(|p| p.detect_live()).unwrap();
+            let out = analyze(Session::for_module(&m).seed(seed), tool);
             prop_assert!(out.is_clean(), "{} seed {} -> {:?}", tool.label(), seed, out.reports);
         }
     }
@@ -87,9 +70,8 @@ proptest! {
     /// write race on the same location is never schedule-hidden for HB).
     #[test]
     fn racy_always_caught(threads in 2u32..6, seed in 0u64..500) {
-        let m = racy_program(threads);
-        let out = Session::for_module(&m).seed(seed).prepare(Tool::HelgrindLibSpin { window: 7 }).and_then(|p| p.detect_live())
-            .unwrap();
+        let m = racy(threads);
+        let out = analyze(Session::for_module(&m).seed(seed), Tool::HelgrindLibSpin { window: 7 });
         prop_assert!(out.has_race_on("victim"));
     }
 
@@ -107,7 +89,7 @@ proptest! {
     /// Spin detection results are identical when re-run (pure analysis).
     #[test]
     fn spinfind_is_pure(threads in 2u32..4) {
-        let m = racy_program(threads);
+        let m = racy(threads);
         let a = SpinFinder::default().analyze(&m);
         let b = SpinFinder::default().analyze(&m);
         prop_assert_eq!(a.table, b.table);

@@ -15,11 +15,13 @@
 //! Two ≥1M-event generated streams hold the encoding to a size ceiling,
 //! after their recording run's detection passes the workload's oracle.
 
+mod common;
+
+use common::feature_mix;
 use proptest::prelude::*;
 use spinrace::core::{AnalysisOutcome, DetectRequest, ExecutedRun, Session, Tool};
 use spinrace::serve::outcome_json;
 use spinrace::suites::judge_outcome;
-use spinrace::tir::{Module, ModuleBuilder};
 use spinrace::tracefmt::{decode_trace, encode_trace, encode_trace_chunked, ChunkedTraceReader};
 use spinrace::workloads::{Family, WorkloadSpec};
 use std::io::Cursor;
@@ -35,70 +37,6 @@ fn doc(out: &AnalysisOutcome) -> String {
     serde_json::to_string_pretty(&outcome_json(out)).expect("render outcome json")
 }
 
-/// A small random workload: `threads` workers, each doing `iters` rounds
-/// of (optionally lock-protected) shared-counter updates, with an
-/// optional ad-hoc flag handoff guarding a data word and an optional
-/// deliberately racy slot. Every combination is a valid program; the
-/// knobs steer which detector features fire (locksets, spin promotion,
-/// HB edges, report dedup).
-fn build_module(threads: u32, iters: u8, lock: bool, flag: bool, racy: bool) -> Module {
-    let mut mb = ModuleBuilder::new("rt-prop");
-    let mu = mb.global("mu", 1);
-    let shared = mb.global("shared", 1);
-    let flag_g = mb.global("flag", 1);
-    let data = mb.global("data", 1);
-    let victim = mb.global("victim", 1);
-    let w = mb.function("w", 1, |f| {
-        for _ in 0..iters {
-            if lock {
-                f.lock(mu.at(0));
-            }
-            let v = f.load(shared.at(0));
-            let v2 = f.add(v, 1);
-            f.store(shared.at(0), v2);
-            if lock {
-                f.unlock(mu.at(0));
-            }
-            if racy {
-                let r = f.load(victim.at(0));
-                let r2 = f.add(r, 1);
-                f.store(victim.at(0), r2);
-            }
-        }
-        f.ret(None);
-    });
-    let waiter = mb.function("waiter", 1, |f| {
-        let head = f.new_block();
-        let done = f.new_block();
-        f.jump(head);
-        f.switch_to(head);
-        let v = f.load(flag_g.at(0));
-        f.branch(v, done, head);
-        f.switch_to(done);
-        let d = f.load(data.at(0));
-        f.output(d);
-        f.ret(None);
-    });
-    mb.entry("main", |f| {
-        let mut tids = Vec::new();
-        if flag {
-            tids.push(f.spawn(waiter, 0));
-        }
-        for i in 0..threads {
-            tids.push(f.spawn(w, i as i64));
-        }
-        if flag {
-            f.store(data.at(0), 7);
-            f.store(flag_g.at(0), 1);
-        }
-        for t in tids {
-            f.join(t);
-        }
-        f.ret(None);
-    });
-    mb.finish().unwrap()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -111,14 +49,19 @@ proptest! {
         racy in proptest::bool::ANY,
         seed in proptest::option::of(0u64..1000),
     ) {
-        let m = build_module(threads, iters, lock, flag, racy);
+        let m = feature_mix(threads, iters, lock, flag, racy, false);
         for tool in Tool::paper_lineup() {
             let mut session = Session::for_module(&m);
             if let Some(s) = seed {
                 session = session.seed(s);
             }
             // Live path: prepare + detect in one pass, no recording.
-            let live = session.prepare(tool).unwrap().detect_live().unwrap();
+            let live = session
+                .prepare(tool)
+                .unwrap()
+                .try_run(&DetectRequest::own())
+                .unwrap()
+                .into_single();
 
             // Trace path: record, encode with a 9-event chunk target
             // (multi-chunk framing on all but the tiniest streams),
@@ -170,7 +113,7 @@ proptest! {
         racy in proptest::bool::ANY,
         chunk in 1usize..32,
     ) {
-        let m = build_module(threads, iters, lock, flag, racy);
+        let m = feature_mix(threads, iters, lock, flag, racy, false);
         let run = Session::for_module(&m)
             .prepare(Tool::HelgrindLibSpin { window: 7 })
             .unwrap()

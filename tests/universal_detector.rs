@@ -4,7 +4,7 @@
 //! the library-aware tools; for every plainly racy case it must still
 //! find the race.
 
-use spinrace::core::{AnalysisOutcome, AnalyzeError, Session, Tool};
+use spinrace::core::{AnalysisOutcome, AnalyzeError, DetectRequest, Session, Tool};
 use spinrace::suites::{all_cases, Category};
 use spinrace::tir::Module;
 
@@ -13,7 +13,10 @@ const NOLIB: Tool = Tool::HelgrindNolibSpin { window: 7 };
 
 /// One live analysis of `m` under `tool`.
 fn analyze(tool: Tool, m: &Module) -> Result<AnalysisOutcome, AnalyzeError> {
-    Session::for_module(m).prepare(tool)?.detect_live()
+    Ok(Session::for_module(m)
+        .prepare(tool)?
+        .try_run(&DetectRequest::own())?
+        .into_single())
 }
 
 #[test]
