@@ -42,7 +42,7 @@
 use crate::config::{DetectorConfig, MsmMode};
 use crate::engine::{acquire, bump, release, AccessModel, Detector, HbEngine, ThreadState};
 use crate::lockset::{LocksetId, LocksetTable};
-use crate::metrics::{vc_map_bytes, DetectorMetrics};
+use crate::metrics::{self, DetectorMetrics};
 use crate::report::{AccessSummary, RaceKind, RaceReport, ReportCollector};
 use crate::shadow::{AccessRecord, ReadState, ShadowTable};
 use crate::vc::{Epoch, VectorClock};
@@ -249,13 +249,17 @@ impl AccessModel for HbAccess {
         self.sync_loc.len()
     }
 
-    /// Shadow bytes are the honest walk of the paged layout (probe
-    /// tables, page slabs and promoted read vectors).
+    /// Shadow bytes count touched cells and live read records, wherever
+    /// the paged layout keeps them.
     fn metrics(&self, m: &mut DetectorMetrics) {
-        m.shadow_bytes = self.shadow.approx_bytes();
-        m.lib_sync_bytes += vc_map_bytes(&self.mutex_vc);
-        m.spin_sync_bytes = vc_map_bytes(&self.sync_loc);
-        m.lockset_bytes = self.locksets.approx_bytes();
+        let (cells, records) = self.shadow.counts();
+        let (sets, locks, memo) = self.locksets.counts();
+        m.shadow_bytes = metrics::shadow_bytes(cells, records);
+        m.lib_sync_bytes += metrics::keyed_clock_bytes(self.mutex_vc.values());
+        m.spin_sync_bytes = metrics::keyed_clock_bytes(self.sync_loc.values());
+        m.lockset_bytes = sets * metrics::LOCKSET_BYTES
+            + locks * metrics::LOCK_ENTRY_BYTES
+            + memo * metrics::MEMO_ENTRY_BYTES;
     }
 }
 

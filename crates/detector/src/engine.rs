@@ -37,14 +37,13 @@
 //!   is exposed while `C_u[u] <= exposed`.
 
 use crate::config::DetectorConfig;
-use crate::metrics::{vc_map_bytes, DetectorMetrics};
+use crate::metrics::{self, DetectorMetrics};
 use crate::report::ReportCollector;
 use crate::shadow::AccessRecord;
 use crate::vc::VectorClock;
 use fxhash::FxHashMap;
 use spinrace_tir::Pc;
 use spinrace_vm::{Event, EventSink, ThreadId};
-use std::mem::size_of;
 
 /// The state every detector family shares.
 pub struct HbEngine {
@@ -169,23 +168,20 @@ impl<M: AccessModel> Detector<M> {
         self.model.resident_bytes()
     }
 
-    /// Measure retained state.
+    /// Measure retained state (counts at the costs of [`metrics`]).
     pub fn metrics(&self) -> DetectorMetrics {
         let e = &self.engine;
-        let barrier_bytes: usize = e
-            .barrier_vc
+        let sync = e
+            .cv_vc
             .values()
-            .map(|v| size_of::<(u64, u64)>() + v.approx_bytes())
-            .sum();
+            .chain(e.barrier_vc.values())
+            .chain(e.sem_vc.values());
         let mut m = DetectorMetrics {
-            thread_vc_bytes: e
-                .vcs
-                .iter()
-                .map(|v| size_of::<VectorClock>() + v.approx_bytes())
-                .sum(),
-            lib_sync_bytes: vc_map_bytes(&e.cv_vc) + barrier_bytes + vc_map_bytes(&e.sem_vc),
-            atomic_bytes: vc_map_bytes(&e.atomic_vc),
-            report_bytes: e.reports.approx_bytes(),
+            thread_vc_bytes: metrics::clock_bytes(&e.vcs),
+            lib_sync_bytes: metrics::keyed_clock_bytes(sync),
+            atomic_bytes: metrics::keyed_clock_bytes(e.atomic_vc.values()),
+            report_bytes: e.reports.reports().len() * metrics::REPORT_BYTES
+                + e.reports.contexts() * metrics::CONTEXT_BYTES,
             ..DetectorMetrics::default()
         };
         self.model.metrics(&mut m);

@@ -117,14 +117,11 @@ impl LocksetTable {
         self.sets.is_empty()
     }
 
-    /// Approximate retained bytes (memory metrics).
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.sets
-            .iter()
-            .map(|s| s.capacity() * size_of::<u64>() + size_of::<Vec<u64>>())
-            .sum::<usize>()
-            + self.intersect_memo.len() * size_of::<((LocksetId, LocksetId), LocksetId)>()
+    /// What the table holds, for the memory metrics: interned sets,
+    /// the locks in them, and memoized intersections.
+    pub fn counts(&self) -> (usize, usize, usize) {
+        let locks = self.sets.iter().map(Vec::len).sum();
+        (self.sets.len(), locks, self.intersect_memo.len())
     }
 }
 

@@ -1,9 +1,61 @@
 //! Detector-state memory accounting — the series behind the paper's
 //! memory-consumption figure (library mode vs. spin-augmented modes).
+//!
+//! Every [`DetectorMetrics`] field is a count of what the detector
+//! holds, times a fixed cost from the table below. No field reads a
+//! container's capacity or the `size_of` of a detector type, so growth
+//! policy and layout changes (a smaller access record, another page
+//! size) move no outcome document. The costs are the sizes of today's
+//! representation, so the numbers stay familiar; they are a model, not
+//! a measurement. Budget polls guard the host instead, and read a
+//! physical estimate of the shadow table
+//! ([`Detector::shadow_resident_bytes`](crate::engine::Detector::shadow_resident_bytes)).
+//!
+//! | Field | Count | Cost per item (bytes) |
+//! |---|---|---|
+//! | `shadow_bytes` (HB) | touched shadow cells; live read records | [`CELL_BYTES`] 128; [`READ_RECORD_BYTES`] 32 |
+//! | `shadow_bytes` (predictive) | frontier addresses; per-thread last reads and writes | [`FRONTIER_ADDR_BYTES`] 72; [`FRONTIER_SITE_BYTES`] 32 |
+//! | `thread_vc_bytes` | thread clocks; their entries | [`CLOCK_BYTES`] 24; [`CLOCK_ENTRY_BYTES`] 4 |
+//! | `lib_sync_bytes` | mutex, condvar, barrier-generation and semaphore clocks, the predictive model's per-lock conflict clocks; their entries | [`SYNC_KEY_BYTES`] 8 + [`CLOCK_BYTES`] 24; 4 |
+//! | `atomic_bytes` | atomic-location clocks; their entries | 8 + 24; 4 |
+//! | `spin_sync_bytes` | promoted spin-location clocks; their entries | 8 + 24; 4 |
+//! | `lockset_bytes` | interned locksets; their locks; memoized intersections | [`LOCKSET_BYTES`] 24; [`LOCK_ENTRY_BYTES`] 8; [`MEMO_ENTRY_BYTES`] 12 |
+//! | `report_bytes` | race reports; racy contexts | [`REPORT_BYTES`] 80; [`CONTEXT_BYTES`] 48 |
+//!
+//! The predictive model also charges [`SYNC_KEY_BYTES`] for each lock
+//! that has a conflict map.
 
+use crate::vc::VectorClock;
 use serde::{Deserialize, Serialize};
 
-/// Byte-granular breakdown of a detector's retained state.
+/// One touched shadow cell: the last write, the read state, the lockset
+/// stage and the suspicion counter of one word.
+pub const CELL_BYTES: usize = 128;
+/// One live read record (an epoch, its site and its call-chain hash).
+pub const READ_RECORD_BYTES: usize = 32;
+/// One vector clock, whatever its width.
+pub const CLOCK_BYTES: usize = 24;
+/// One vector-clock entry.
+pub const CLOCK_ENTRY_BYTES: usize = 4;
+/// The key under which a sync object's or a lock's state is found.
+pub const SYNC_KEY_BYTES: usize = 8;
+/// One interned lockset, whatever its size.
+pub const LOCKSET_BYTES: usize = 24;
+/// One lock in an interned lockset.
+pub const LOCK_ENTRY_BYTES: usize = 8;
+/// One memoized lockset intersection.
+pub const MEMO_ENTRY_BYTES: usize = 12;
+/// One race report.
+pub const REPORT_BYTES: usize = 80;
+/// One racy context in the deduplication set.
+pub const CONTEXT_BYTES: usize = 48;
+/// One address in the predictive model's frontier map.
+pub const FRONTIER_ADDR_BYTES: usize = 72;
+/// One thread's last read or last write of a frontier address.
+pub const FRONTIER_SITE_BYTES: usize = 32;
+
+/// Byte-granular breakdown of a detector's retained state (see the
+/// module docs for what each field counts).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DetectorMetrics {
     /// Shadow cells (access history per word).
@@ -36,11 +88,26 @@ impl DetectorMetrics {
     }
 }
 
-/// Bytes of a `u64 → VectorClock` map's retained clocks.
-pub(crate) fn vc_map_bytes(m: &fxhash::FxHashMap<u64, crate::vc::VectorClock>) -> usize {
-    use std::mem::size_of;
-    m.values()
-        .map(|v| size_of::<u64>() + size_of::<crate::vc::VectorClock>() + v.approx_bytes())
+/// Charged bytes of the HB shadow table: `cells` touched cells holding
+/// `records` live read records.
+pub(crate) fn shadow_bytes(cells: usize, records: usize) -> usize {
+    cells * CELL_BYTES + records * READ_RECORD_BYTES
+}
+
+/// Charged bytes of thread clocks.
+pub(crate) fn clock_bytes<'a>(clocks: impl IntoIterator<Item = &'a VectorClock>) -> usize {
+    clocks
+        .into_iter()
+        .map(|c| CLOCK_BYTES + c.width() * CLOCK_ENTRY_BYTES)
+        .sum()
+}
+
+/// Charged bytes of keyed clocks: sync objects, atomic and promoted
+/// locations, conflict-map entries.
+pub(crate) fn keyed_clock_bytes<'a>(clocks: impl IntoIterator<Item = &'a VectorClock>) -> usize {
+    clocks
+        .into_iter()
+        .map(|c| SYNC_KEY_BYTES + CLOCK_BYTES + c.width() * CLOCK_ENTRY_BYTES)
         .sum()
 }
 
@@ -81,9 +148,18 @@ mod tests {
         };
         let with = mk(true);
         let without = mk(false);
-        assert!(with.spin_sync_bytes > 0);
+        // 50 promoted locations whose clocks are still empty, and no
+        // shadow history for them; without spin, 50 cells of one record.
+        assert_eq!(with.spin_sync_bytes, 50 * (SYNC_KEY_BYTES + CLOCK_BYTES));
+        assert_eq!(with.shadow_bytes, 0);
         assert_eq!(without.spin_sync_bytes, 0);
-        assert!(with.total() > 0 && without.total() > 0);
+        assert_eq!(without.shadow_bytes, 50 * (CELL_BYTES + READ_RECORD_BYTES));
+        // Thread 0's clock ⟨2⟩ and thread 1's ⟨1,1⟩ on both sides.
+        for m in [with, without] {
+            assert_eq!(m.thread_vc_bytes, 2 * CLOCK_BYTES + 3 * CLOCK_ENTRY_BYTES);
+            assert_eq!(m.lockset_bytes, LOCKSET_BYTES, "the empty lockset");
+            assert_eq!(m.report_bytes, 0);
+        }
     }
 
     #[test]

@@ -36,14 +36,13 @@
 
 use crate::config::DetectorConfig;
 use crate::engine::{bump, AccessModel, Detector, HbEngine};
-use crate::metrics::{vc_map_bytes, DetectorMetrics};
+use crate::metrics::{self, DetectorMetrics, FRONTIER_ADDR_BYTES, FRONTIER_SITE_BYTES};
 use crate::report::{AccessSummary, RaceKind, RaceReport};
 use crate::vc::{Epoch, VectorClock};
 use fxhash::FxHashMap;
 use spinrace_tir::Pc;
 use spinrace_vm::ThreadId;
 use std::collections::hash_map::Entry;
-use std::mem::size_of;
 
 /// The sync-preserving predictive detector: same surface as
 /// [`crate::RaceDetector`], same [`crate::ReportCollector`] dedup/cap
@@ -67,11 +66,6 @@ struct AddrState {
     reads: FxHashMap<ThreadId, SiteEpoch>,
 }
 
-/// Accounted bytes of one address's entry in the frontier map.
-const ADDR_BYTES: usize = size_of::<u64>() + size_of::<AddrState>();
-/// Accounted bytes of one thread's last read or write of an address.
-const SITE_BYTES: usize = size_of::<(ThreadId, SiteEpoch)>();
-
 /// Per-thread access frontiers and the conflict-conditional mutex edges.
 pub struct SyncPreserving {
     /// Footprints of the open critical sections, keyed by (thread, lock):
@@ -84,8 +78,9 @@ pub struct SyncPreserving {
     rel_r: FxHashMap<u64, FxHashMap<u64, VectorClock>>,
     /// Per-address frontier state.
     state: FxHashMap<u64, AddrState>,
-    /// Accounted bytes of `state`, kept as entries are first inserted
-    /// (the frontier maps never shrink), so budget polls are O(1).
+    /// Charged bytes of `state` (the frontier costs of
+    /// [`crate::metrics`]), kept as entries are first inserted (the
+    /// frontier maps never shrink), so budget polls are O(1).
     state_bytes: usize,
     /// Racy-pair scratch (kept to avoid per-event allocation).
     scratch: Vec<(AccessSummary, RaceKind)>,
@@ -133,7 +128,7 @@ impl AccessModel for SyncPreserving {
         }
     }
 
-    /// Retained per-address frontier bytes — the analogue of shadow
+    /// Charged per-address frontier bytes — the analogue of shadow
     /// memory, and the quantity budget polls bound.
     fn resident_bytes(&self) -> usize {
         self.state_bytes
@@ -144,10 +139,10 @@ impl AccessModel for SyncPreserving {
     fn metrics(&self, m: &mut DetectorMetrics) {
         let rel_bytes = |m: &FxHashMap<u64, FxHashMap<u64, VectorClock>>| -> usize {
             m.values()
-                .map(|per| size_of::<u64>() + vc_map_bytes(per))
+                .map(|per| metrics::SYNC_KEY_BYTES + metrics::keyed_clock_bytes(per.values()))
                 .sum()
         };
-        m.shadow_bytes = self.resident_bytes();
+        m.shadow_bytes = self.state_bytes;
         m.lib_sync_bytes += rel_bytes(&self.rel_w) + rel_bytes(&self.rel_r);
     }
 }
@@ -186,7 +181,7 @@ impl SyncPreserving {
         let st = match self.state.entry(addr) {
             Entry::Occupied(o) => o.into_mut(),
             Entry::Vacant(v) => {
-                self.state_bytes += ADDR_BYTES;
+                self.state_bytes += FRONTIER_ADDR_BYTES;
                 v.insert(AddrState::default())
             }
         };
@@ -221,7 +216,7 @@ impl SyncPreserving {
             &mut st.reads
         };
         if history.insert(tid, site).is_none() {
-            self.state_bytes += SITE_BYTES;
+            self.state_bytes += FRONTIER_SITE_BYTES;
         }
         // Canonical order (prior thread, writes before reads) so reports
         // are byte-stable regardless of hash-map iteration order.
@@ -520,7 +515,7 @@ mod tests {
             .model
             .state
             .values()
-            .map(|s| ADDR_BYTES + (s.writes.len() + s.reads.len()) * SITE_BYTES)
+            .map(|s| FRONTIER_ADDR_BYTES + (s.writes.len() + s.reads.len()) * FRONTIER_SITE_BYTES)
             .sum();
         assert_eq!(d.model.state.len(), 8);
         assert_eq!(d.shadow_resident_bytes(), walked);

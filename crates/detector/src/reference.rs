@@ -90,16 +90,18 @@ impl ReferenceDetector {
         self.sync_loc.len()
     }
 
-    /// Approximate shadow bytes (HashMap representation).
+    /// Charged shadow bytes, counted from the `HashMap` representation:
+    /// the fast detector's `metrics().shadow_bytes` must equal it.
     pub fn shadow_bytes(&self) -> usize {
-        self.shadow
-            .values()
-            .map(|c| {
-                std::mem::size_of::<u64>()
-                    + std::mem::size_of::<RefShadowCell>()
-                    + c.reads.capacity() * std::mem::size_of::<AccessRecord>()
-            })
-            .sum()
+        let touched = self.shadow.values().filter(|c| {
+            c.last_write.is_some()
+                || !c.reads.is_empty()
+                || c.write_lockset.is_some()
+                || c.suspicions != 0
+        });
+        let (cells, records) =
+            touched.fold((0, 0), |(n, records), c| (n + 1, records + c.reads.len()));
+        crate::metrics::shadow_bytes(cells, records)
     }
 
     fn ensure_thread(&mut self, t: ThreadId) {

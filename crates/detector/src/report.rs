@@ -116,13 +116,6 @@ impl ReportCollector {
     pub fn has_race_on(&self, addr: u64) -> bool {
         self.reports.iter().any(|r| r.addr == addr)
     }
-
-    /// Approximate retained bytes (memory metrics).
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.reports.capacity() * size_of::<RaceReport>()
-            + self.contexts.len() * size_of::<((Pc, u64), (Pc, u64))>()
-    }
 }
 
 impl Default for ReportCollector {

@@ -71,12 +71,6 @@ impl AccessRecord {
     }
 }
 
-// `shadow_bytes` in every outcome document is computed from these two
-// sizes (`ShadowCell::approx_bytes`, `ReadState::heap_bytes`), so a
-// layout change would move pinned outcome bytes.
-const _: () = assert!(std::mem::size_of::<AccessRecord>() == 32);
-const _: () = assert!(std::mem::size_of::<ShadowCell>() == 128);
-
 /// Reads since the last write that are still concurrent-relevant.
 ///
 /// `Exclusive` is the epoch fast path: one inline record, overwritten in
@@ -121,15 +115,6 @@ impl ReadState {
     pub fn is_shared(&self) -> bool {
         matches!(self, ReadState::Shared(_))
     }
-
-    /// Heap bytes retained beyond the inline enum (memory metrics).
-    #[inline]
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            ReadState::Shared(v) => v.capacity() * std::mem::size_of::<AccessRecord>(),
-            _ => 0,
-        }
-    }
 }
 
 /// The shadow cell of one memory word.
@@ -147,16 +132,11 @@ pub struct ShadowCell {
 }
 
 impl ShadowCell {
-    /// Approximate retained bytes (memory metrics): inline size plus any
-    /// promoted read vector.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<ShadowCell>() + self.reads.heap_bytes()
-    }
-
-    /// Has this cell recorded anything at all?
+    /// Has this cell recorded anything at all? A read vector emptied by
+    /// a write holds nothing.
     pub fn is_untouched(&self) -> bool {
         self.last_write.is_none()
-            && matches!(self.reads, ReadState::None)
+            && self.reads.as_slice().is_empty()
             && self.write_lockset.is_none()
             && self.suspicions == 0
     }
@@ -187,16 +167,6 @@ impl Page {
         Page {
             cells: (0..PAGE_CELLS).map(|_| ShadowCell::default()).collect(),
         }
-    }
-
-    /// Retained bytes of this page (slab plus promoted read vectors).
-    pub fn approx_bytes(&self) -> usize {
-        self.cells.len() * std::mem::size_of::<ShadowCell>()
-            + self
-                .cells
-                .iter()
-                .map(|c| c.reads.heap_bytes())
-                .sum::<usize>()
     }
 }
 
@@ -349,25 +319,22 @@ impl ShadowTable {
         self.shards.iter().map(|s| s.pages.len()).sum()
     }
 
-    /// Retained bytes: probe tables, arena headers, page slabs, and
-    /// promoted read vectors — the honest cost of the paged layout
-    /// (untouched cells inside an allocated page are real memory too).
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.shards
+    /// What the table holds, for the memory metrics: touched cells and
+    /// the live read records in them. Walks every page.
+    pub fn counts(&self) -> (usize, usize) {
+        let cells = self
+            .shards
             .iter()
-            .map(|s| {
-                s.keys.capacity() * size_of::<u64>()
-                    + s.slots.capacity() * size_of::<u32>()
-                    + s.pages.capacity() * size_of::<Page>()
-                    + s.pages.iter().map(|p| p.approx_bytes()).sum::<usize>()
-            })
-            .sum()
+            .flat_map(|s| &s.pages)
+            .flat_map(|p| p.cells.iter())
+            .filter(|c| !c.is_untouched());
+        cells.fold((0, 0), |(n, records), c| {
+            (n + 1, records + c.reads.as_slice().len())
+        })
     }
 
     /// Cheap lower bound on retained bytes: probe tables and page slabs
-    /// only, skipping the per-page walk over promoted read vectors that
-    /// [`approx_bytes`](ShadowTable::approx_bytes) pays for. O(shards),
+    /// only, skipping a walk over promoted read vectors. O(shards),
     /// suitable for polling on the replay hot path (budget checks).
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -401,13 +368,18 @@ mod tests {
     }
 
     #[test]
-    fn bytes_grow_on_promotion_only() {
-        let mut c = ShadowCell::default();
-        let inline = c.approx_bytes();
-        c.reads = ReadState::Exclusive(rec(0, 1));
-        assert_eq!(c.approx_bytes(), inline, "exclusive read is inline");
-        c.reads = ReadState::Shared(vec![rec(0, 1), rec(1, 1)]);
-        assert!(c.approx_bytes() > inline, "promotion costs heap");
+    fn counts_hold_touched_cells_and_live_records() {
+        let mut t = ShadowTable::new();
+        assert_eq!(t.counts(), (0, 0));
+        t.cell(0x1000);
+        assert_eq!(t.counts(), (0, 0), "a created cell holds nothing");
+        t.cell(0x1000).reads = ReadState::Exclusive(rec(0, 1));
+        assert_eq!(t.counts(), (1, 1), "an exclusive read is one record");
+        t.cell(0x1000).reads = ReadState::Shared(vec![rec(0, 1), rec(1, 1)]);
+        t.cell(0x1001).suspicions = 1;
+        assert_eq!(t.counts(), (2, 2));
+        t.cell(0x1000).reads.clear();
+        assert_eq!(t.counts(), (1, 0), "an emptied read vector holds nothing");
     }
 
     #[test]
@@ -445,18 +417,18 @@ mod tests {
         // 1000 pages spread over all shards force several grow() rounds.
         for i in 0..1000u64 {
             let addr = i * PAGE_CELLS as u64;
-            t.cell(addr).suspicions = (i % 250) as u8;
+            t.cell(addr).suspicions = 1 + (i % 250) as u8;
         }
         assert_eq!(t.page_count(), 1000);
         for i in 0..1000u64 {
             let addr = i * PAGE_CELLS as u64;
             assert_eq!(
                 t.get(addr).unwrap().suspicions,
-                (i % 250) as u8,
+                1 + (i % 250) as u8,
                 "page {i} lost"
             );
         }
-        assert!(t.approx_bytes() > 1000 * PAGE_CELLS * std::mem::size_of::<ShadowCell>());
+        assert_eq!(t.counts(), (1000, 0));
     }
 
     #[test]

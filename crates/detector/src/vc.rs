@@ -62,11 +62,6 @@ impl VectorClock {
     pub fn width(&self) -> usize {
         self.0.len()
     }
-
-    /// Approximate heap bytes (memory metrics).
-    pub fn approx_bytes(&self) -> usize {
-        self.0.capacity() * std::mem::size_of::<u32>()
-    }
 }
 
 impl fmt::Display for VectorClock {

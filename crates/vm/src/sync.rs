@@ -77,14 +77,6 @@ impl SyncState {
     pub fn barrier(&mut self, addr: u64) -> Option<&mut BarrierState> {
         self.barriers.get_mut(&addr)
     }
-    /// Approximate retained bytes (memory metrics).
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.mutexes.len() * (size_of::<u64>() + size_of::<MutexState>())
-            + self.conds.len() * (size_of::<u64>() + size_of::<CondState>())
-            + self.barriers.len() * (size_of::<u64>() + size_of::<BarrierState>())
-            + self.sems.len() * (size_of::<u64>() + size_of::<SemState>())
-    }
 }
 
 #[cfg(test)]

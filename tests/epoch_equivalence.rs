@@ -248,6 +248,12 @@ fn assert_equivalent(
         "promotions diverge under {:?}",
         cfg
     );
+    prop_assert_eq!(
+        fast.metrics().shadow_bytes,
+        slow.shadow_bytes(),
+        "shadow accounting diverges under {:?}",
+        cfg
+    );
     Ok(())
 }
 

@@ -50,43 +50,43 @@ fn check(case: &str, session: &Session, pinned: [u64; 5]) {
 #[rustfmt::skip]
 const WORKLOADS: &[[u64; 5]] = &[
     // wl-ring-t4-e48-a64-k0-r0-s100
-    [0xffd1dbec1ee7fef5, 0xd05a2107125d8b65, 0x41bc91d573f62849, 0x55d92915f1e3d431, 0x3ca942fe90ded80c],
+    [0x6c7fb54440a3f2e4, 0x6d110455a6de038f, 0x8ccdc8cd16495a38, 0x674b00121337b1b5, 0x80c208f2c24fec0f],
     // wl-ring-t4-e48-a64-k0-r2-s200
-    [0x6077b9c1d4960dbe, 0x65d589c7d5335119, 0xe9104d5607ef48b7, 0x5aa91015b7802307, 0xfdaf60e9a56585f8],
+    [0x5f256da630fb528b, 0x93c6895e7783b295, 0x50eda0745ca1b640, 0xb057683ff24c9698, 0x8c1ccfdc99c51651],
     // wl-spinflag-t4-e48-a64-k0-r0-s101
-    [0x82747c933894bfe5, 0x3eb397d3a340a4b5, 0xf2bd3fbb20420ddd, 0x75cdadc4664f4821, 0x436b5d3c6e448618],
+    [0xb491c5cb73422560, 0x0d302bed4b600562, 0x38d84dbfe92e7130, 0x4328149c2d99d2a4, 0x408a28488d4fde53],
     // wl-spinflag-t4-e48-a64-k0-r2-s201
-    [0x8bc7a7285dd4d143, 0x5dfbd73215a9baf8, 0x532b929ace8ef70c, 0xb2a1b58c8ee32288, 0x913facc0ea0f6e2b],
+    [0x88a6c932c5879d5f, 0x8804bf4b07f9ff40, 0xfe8b9baf0729ba51, 0xb1c0db9616b06e94, 0xea669f61d8ec4d5e],
     // wl-barrier-t4-e48-a64-k0-r0-s102
-    [0xd9cb5aa1c63bebb3, 0xb8c9b6a8f026e797, 0x0d3ab6ab37919643, 0x8157d25a5859d622, 0xbd77bc45b6200116],
+    [0xe0b3e521be162d53, 0x81b10928880b2177, 0x9ece133e46204c42, 0xb82f6dda207410c2, 0x0c89ad544b6020c0],
     // wl-barrier-t4-e48-a64-k0-r2-s202
-    [0x3f1ed1ce8a907b07, 0x2413cd3f78def511, 0x590e6949a03d7608, 0xbf4baa809dc3dcb3, 0x233d85f5a9c909f0],
+    [0x1fd1eb0b2d65dd0b, 0x04dcf7fadf2b531d, 0xae7c29d3ab1a5ec0, 0x9f8490453a367abf, 0x47bff80212f37e68],
     // wl-zipf-t4-e48-a1024-k2-r0-s103
-    [0xc4d530119b9ff6cf, 0xb0826e3082748634, 0x12663414ae179a8d, 0xba97feb8aaf93e3b, 0x3a9473211796b479],
+    [0x8fad34247c85325d, 0xbb44b6c83ec7337b, 0x3616ead23f3fa099, 0x7373fb137737b247, 0x2140028122537ffe],
     // wl-zipf-t4-e48-a1024-k2-r2-s203
-    [0x0e5fe7f52175c705, 0x11b5cb87520f636d, 0x0eaaaab1a8f1698a, 0xb53c06660f5066a3, 0x3addde2387bd373c],
+    [0xf619cb5cc8c65121, 0x7addf73bfebbab65, 0x03548fd54c68de21, 0xd17ad2fe7f623593, 0xd27e6d6f6e803b8d],
     // wl-fanout-t16-e48-a64-k0-r0-s104
-    [0x0b7d8b6ac5b0781e, 0x1254f6644a6c5797, 0x4855d38844946744, 0x3aebfce6ebd6888b, 0x4e619cda46e96b29],
+    [0x8fbb46e078558974, 0x96923beef789a6fd, 0xcc931e02f971962e, 0xbe2d316c563379e1, 0x56048522f5991481],
     // wl-fanout-t16-e48-a64-k0-r2-s204
-    [0xb2c41c0b9b83de70, 0x0412fa22b353dd15, 0xbf699d86336176f5, 0x6ca404fa5c43dd6e, 0x492481cc2eda002e],
+    [0xa2ee4ab4db98c223, 0x1438ac9df348c146, 0xaf43cb39737a6aa6, 0x7c8e52451c58c13d, 0x3165e55857e60909],
     // wl-straddle-t4-e48-a64-k0-r0-s105
-    [0x169d742cc3f902a0, 0xebf46ab2150bc4cd, 0x3a773e9b715ed2a8, 0x26539d81bba1ec50, 0x4845530487e6abcd],
+    [0xee129ed6bac9c136, 0xfb2ccc0c92fb4402, 0x9233d36f1ac85dba, 0xcc8727a7f2f6c219, 0xbba0d6296f55c035],
     // wl-straddle-t4-e48-a64-k0-r2-s205
-    [0x6725921583a706b9, 0x4073d2f77ff9a432, 0xf8b41042b59396b7, 0x6e66d4532e6a58f8, 0x27d50cb4d58d1a23],
+    [0x77470dc061cc23cd, 0xc15d81ae563c6415, 0x5ee21efef5d2d640, 0xcc17d0c936c6d1fb, 0x4bd2b411a50025f8],
     // wl-publish-t4-e48-a64-k0-r0-s106
-    [0x82b500826b653620, 0xe80f3cfe46e42c98, 0x81f0f5ad471fd1ab, 0xaa2ddd8dbeea34df, 0x3e5259e75ae38e39],
+    [0xf642b9d63bdef071, 0xdbf98731f0213e96, 0xaf4836ec1ae08e96, 0x3db1ff9bfbe20a8b, 0x80c40a4d9563f155],
     // wl-publish-t4-e48-a64-k0-r2-s206
-    [0xb9a0152fe77337da, 0x0925772fe05e4984, 0x099e28e04f9a9057, 0xa8b567cbe7698594, 0xfe565b75f08a65fe],
+    [0x15110e43b6811cea, 0x9b8eee1062bc10e1, 0x199fdffea3a00b0c, 0x47272c7669881709, 0x9251e3d080075a25],
     // wl-fanout-t32-e24-a64-k0-r3-s300
-    [0xc613472853592087, 0xbcd6bfae1da9f9ab, 0xf64ef1a0fde02b6a, 0xf6f2ac29415408e1, 0x71e861028ac0a270],
+    [0xacc5926e5bf2a5a1, 0xd6006ae815027c8d, 0x9c9824e6f54bae4c, 0x9c24796f49ff8dc7, 0x14bf2fd804aec0de],
 ];
 
 /// Pinned checksums per PARSEC program (seed 1, long MSM).
 #[rustfmt::skip]
 const PARSEC: &[(&str, [u64; 5])] = &[
-    ("vips", [0xf4b69b5d513f7c6e, 0x6861145539e8ea6a, 0xf1203c18da52ecc3, 0x764f0f3ac6546a09, 0x42220c839ee77771]),
-    ("bodytrack", [0x7de89073d9aac9bc, 0xd98c48eeebb8f5c1, 0xbc434ef1581e5569, 0xceb698e45f46e4ec, 0xa04770429644a39b]),
-    ("streamcluster", [0x057f9becaca99512, 0x82217c1878c6bd55, 0xfd8695873bbeea7a, 0xa2c571189fcfa0db, 0xdf2e0a1e5167dfe5]),
+    ("vips", [0x805cc9a7f063237b, 0x38d98dde2bb79de5, 0xa198a593c80d9b4c, 0xe65f64344b48be09, 0x7dcc0c8b6438c9e5]),
+    ("bodytrack", [0x137558154f3bb7ed, 0xd961927268d76c43, 0xf1d465218cf997e0, 0xbbb654ebeadfa47a, 0xdd0965f72125d1f8]),
+    ("streamcluster", [0xd94113da0c16304e, 0x1ccd0156ec0dd0da, 0x5248959beeaf3890, 0xb44263f702468de1, 0xa6581bfd8cca4ad7]),
 ];
 
 #[test]
