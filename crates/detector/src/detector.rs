@@ -67,7 +67,7 @@ pub struct HbAccess {
     /// Release clocks of *promoted* spin-condition locations — the memory
     /// cost of the paper's feature, reported by the memory figure.
     sync_loc: FxHashMap<u64, VectorClock>,
-    /// Shadow memory: flat paged/sharded direct map.
+    /// Shadow memory: flat paged direct map.
     shadow: ShadowTable,
     /// Racy-write slow-path scratch (kept to avoid per-event allocation).
     read_scratch: Vec<AccessRecord>,

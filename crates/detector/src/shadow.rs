@@ -18,12 +18,11 @@
 //!   current epochs the reader cannot know. Replacing the reader's own
 //!   record then equals the full prune (see [`crate::detector`]).
 //!   Exclusive records and writes stay [`AccessRecord::UNSTAMPED`].
-//! * **Paged, sharded table** ([`ShadowTable`]) — instead of one SipHash
+//! * **Flat paged table** ([`ShadowTable`]) — instead of one SipHash
 //!   `HashMap<addr, cell>` lookup per access, addresses map to 64-cell
-//!   pages; pages live in per-shard arenas indexed by a flat open-addressed
-//!   probe table keyed on the page number, fronted by a one-entry hot-page
+//!   pages; pages live in one arena indexed by one open-addressed probe
+//!   table keyed on the page number, fronted by a one-entry hot-page
 //!   cache (spatial locality makes consecutive accesses hit the same page).
-//!   Sharding by low page bits keeps probe tables small.
 
 use crate::lockset::LocksetId;
 use spinrace_tir::Pc;
@@ -147,12 +146,7 @@ impl ShadowCell {
 pub const PAGE_CELLS: usize = 64;
 const PAGE_BITS: u32 = PAGE_CELLS.trailing_zeros();
 
-/// Number of shards (low page-number bits pick the shard), each with its
-/// own probe table and page arena.
-const NUM_SHARDS: usize = 8;
-const SHARD_MASK: u64 = (NUM_SHARDS as u64) - 1;
-
-/// Initial probe-table capacity per shard (slots; power of two).
+/// Initial probe-table capacity (slots; power of two).
 const INITIAL_SLOTS: usize = 16;
 
 /// One shadow page: the cells of 64 consecutive addresses.
@@ -170,19 +164,6 @@ impl Page {
     }
 }
 
-/// One shard: a flat open-addressed index (page number → arena slot) plus
-/// the page arena itself.
-#[derive(Clone, Debug, Default)]
-struct Shard {
-    /// Probe keys: `page_number + 1`, 0 marks an empty slot. Power-of-two
-    /// length, linear probing, grown at 75% load.
-    keys: Vec<u64>,
-    /// Parallel to `keys`: arena index of the page.
-    slots: Vec<u32>,
-    /// Page arena (never shrinks; insertion order).
-    pages: Vec<Page>,
-}
-
 /// Fibonacci-style multiplicative mix spreading sequential page numbers
 /// across the probe table.
 #[inline]
@@ -190,7 +171,80 @@ fn mix(page: u64) -> usize {
     (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize
 }
 
-impl Shard {
+/// The flat shadow table: address → page of cells. One open-addressed
+/// probe table maps a page number to its slot in one page arena.
+#[derive(Clone, Debug)]
+pub struct ShadowTable {
+    /// Probe keys: `page_number + 1`, 0 marks an empty slot. Power-of-two
+    /// length, linear probing, grown at 75% load.
+    keys: Vec<u64>,
+    /// Parallel to `keys`: arena index of the page.
+    slots: Vec<u32>,
+    /// Page arena (never shrinks; insertion order).
+    pages: Vec<Page>,
+    /// Hot-page cache: page number of the most recently used page
+    /// (`u64::MAX` = none) and its arena slot.
+    cache_page: u64,
+    cache_slot: u32,
+}
+
+impl Default for ShadowTable {
+    fn default() -> Self {
+        ShadowTable::new()
+    }
+}
+
+impl ShadowTable {
+    /// Empty table; nothing is allocated until the first access.
+    pub fn new() -> ShadowTable {
+        ShadowTable {
+            keys: Vec::new(),
+            slots: Vec::new(),
+            pages: Vec::new(),
+            cache_page: u64::MAX,
+            cache_slot: 0,
+        }
+    }
+
+    /// The cell of `addr`, creating its page on demand. The common case —
+    /// another access to the most recently used page — is two compares and
+    /// an index.
+    #[inline]
+    pub fn cell(&mut self, addr: u64) -> &mut ShadowCell {
+        let page = addr >> PAGE_BITS;
+        let off = (addr as usize) & (PAGE_CELLS - 1);
+        if page == self.cache_page {
+            return &mut self.pages[self.cache_slot as usize].cells[off];
+        }
+        self.cell_cold(page, off)
+    }
+
+    #[cold]
+    fn cell_cold(&mut self, page: u64, off: usize) -> &mut ShadowCell {
+        let slot = self.find_or_insert(page);
+        self.cache_page = page;
+        self.cache_slot = slot;
+        &mut self.pages[slot as usize].cells[off]
+    }
+
+    /// The cell of `addr` if its page exists (no creation).
+    #[inline]
+    pub fn get(&self, addr: u64) -> Option<&ShadowCell> {
+        let page = addr >> PAGE_BITS;
+        let off = (addr as usize) & (PAGE_CELLS - 1);
+        let slot = if page == self.cache_page {
+            self.cache_slot
+        } else {
+            self.find(page)?
+        };
+        Some(&self.pages[slot as usize].cells[off])
+    }
+
+    /// Number of allocated pages.
+    pub fn page_count(&self) -> usize {
+        self.pages.len()
+    }
+
     /// Slot of `page` in the probe table: its current position, or the
     /// empty position where it would be inserted.
     #[inline]
@@ -245,87 +299,13 @@ impl Shard {
             }
         }
     }
-}
-
-/// The flat, sharded shadow table: address → page of cells.
-#[derive(Clone, Debug)]
-pub struct ShadowTable {
-    shards: Vec<Shard>,
-    /// Hot-page cache: page number of the most recently used page
-    /// (`u64::MAX` = none) and its (shard, arena slot).
-    cache_page: u64,
-    cache_shard: u32,
-    cache_slot: u32,
-}
-
-impl Default for ShadowTable {
-    fn default() -> Self {
-        ShadowTable::new()
-    }
-}
-
-impl ShadowTable {
-    /// Empty table; nothing is allocated until the first access.
-    pub fn new() -> ShadowTable {
-        ShadowTable {
-            shards: (0..NUM_SHARDS).map(|_| Shard::default()).collect(),
-            cache_page: u64::MAX,
-            cache_shard: 0,
-            cache_slot: 0,
-        }
-    }
-
-    /// The cell of `addr`, creating its page on demand. The common case —
-    /// another access to the most recently used page — is two compares and
-    /// an index.
-    #[inline]
-    pub fn cell(&mut self, addr: u64) -> &mut ShadowCell {
-        let page = addr >> PAGE_BITS;
-        let off = (addr as usize) & (PAGE_CELLS - 1);
-        if page == self.cache_page {
-            return &mut self.shards[self.cache_shard as usize].pages[self.cache_slot as usize]
-                .cells[off];
-        }
-        self.cell_cold(page, off)
-    }
-
-    #[cold]
-    fn cell_cold(&mut self, page: u64, off: usize) -> &mut ShadowCell {
-        let si = (page & SHARD_MASK) as usize;
-        let slot = self.shards[si].find_or_insert(page);
-        self.cache_page = page;
-        self.cache_shard = si as u32;
-        self.cache_slot = slot;
-        &mut self.shards[si].pages[slot as usize].cells[off]
-    }
-
-    /// The cell of `addr` if its page exists (no creation).
-    #[inline]
-    pub fn get(&self, addr: u64) -> Option<&ShadowCell> {
-        let page = addr >> PAGE_BITS;
-        let off = (addr as usize) & (PAGE_CELLS - 1);
-        if page == self.cache_page {
-            return Some(
-                &self.shards[self.cache_shard as usize].pages[self.cache_slot as usize].cells[off],
-            );
-        }
-        let si = (page & SHARD_MASK) as usize;
-        let slot = self.shards[si].find(page)?;
-        Some(&self.shards[si].pages[slot as usize].cells[off])
-    }
-
-    /// Number of allocated pages.
-    pub fn page_count(&self) -> usize {
-        self.shards.iter().map(|s| s.pages.len()).sum()
-    }
 
     /// What the table holds, for the memory metrics: touched cells and
     /// the live read records in them. Walks every page.
     pub fn counts(&self) -> (usize, usize) {
         let cells = self
-            .shards
+            .pages
             .iter()
-            .flat_map(|s| &s.pages)
             .flat_map(|p| p.cells.iter())
             .filter(|c| !c.is_untouched());
         cells.fold((0, 0), |(n, records), c| {
@@ -333,19 +313,14 @@ impl ShadowTable {
         })
     }
 
-    /// Cheap lower bound on retained bytes: probe tables and page slabs
-    /// only, skipping a walk over promoted read vectors. O(shards),
+    /// Cheap lower bound on retained bytes: the probe table and page
+    /// slabs only, skipping a walk over promoted read vectors. O(1),
     /// suitable for polling on the replay hot path (budget checks).
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.shards
-            .iter()
-            .map(|s| {
-                s.keys.capacity() * size_of::<u64>()
-                    + s.slots.capacity() * size_of::<u32>()
-                    + s.pages.capacity() * size_of::<Page>()
-            })
-            .sum()
+        self.keys.capacity() * size_of::<u64>()
+            + self.slots.capacity() * size_of::<u32>()
+            + self.pages.capacity() * size_of::<Page>()
     }
 }
 
@@ -414,7 +389,7 @@ mod tests {
     #[test]
     fn table_survives_many_pages_and_growth() {
         let mut t = ShadowTable::new();
-        // 1000 pages spread over all shards force several grow() rounds.
+        // 1000 pages force several grow() rounds.
         for i in 0..1000u64 {
             let addr = i * PAGE_CELLS as u64;
             t.cell(addr).suspicions = 1 + (i % 250) as u8;
@@ -433,7 +408,7 @@ mod tests {
 
     #[test]
     fn adversarial_page_numbers_collide_safely() {
-        // Same low bits (same shard), same mixed prefix patterns.
+        // Same low bits, same mixed prefix patterns.
         let mut t = ShadowTable::new();
         let pages = [0u64, 8, 16, 1 << 20, (1 << 20) + 8, 1 << 40, u64::MAX >> 7];
         for (i, p) in pages.iter().enumerate() {

@@ -25,9 +25,6 @@ use spinrace::workloads::{Family, WorkloadSpec};
 /// typical width, and one wider than the 4096-event poll period.
 const WIDTHS: [usize; 4] = [1, 3, 64, 5000];
 
-/// Shards of `ShadowTable`'s page index: page `p` lives in shard `p % 8`.
-const SHADOW_SHARDS: usize = 8;
-
 /// Replay `run`'s trace streamed from a `width`-event chunk encoding.
 fn streamed_at(run: &ExecutedRun, req: &DetectRequest, width: usize) -> Vec<AnalysisOutcome> {
     let bytes = encode_trace_chunked(run.trace(), width);
@@ -138,28 +135,36 @@ fn workload_widths_equal_sequential(
     (sequential, events)
 }
 
-/// Plain-*read* counts per `ShadowTable` shard. Reads only: the zipf
-/// family's skewed traffic is its shared-table read stream (each worker's
-/// private accumulator writes sit on one fixed page and would mask the
-/// distribution under test).
-fn shard_histogram(events: &[Event]) -> [u64; SHADOW_SHARDS] {
-    let mut hist = [0u64; SHADOW_SHARDS];
+/// Plain-*read* counts per `ShadowTable` page, over the pages read at
+/// least once. Reads only: the zipf family's skewed traffic is its
+/// shared-table read stream (each worker's private accumulator writes sit
+/// on one fixed page and would mask the distribution under test).
+fn page_histogram(events: &[Event]) -> Vec<u64> {
+    let mut hist = std::collections::BTreeMap::<u64, u64>::new();
     for ev in events {
         if matches!(ev, Event::Read { .. }) && ev.is_plain_access() {
             if let Some(addr) = ev.data_addr() {
-                hist[(addr / PAGE_CELLS as u64) as usize % SHADOW_SHARDS] += 1;
+                *hist.entry(addr / PAGE_CELLS as u64).or_default() += 1;
             }
         }
     }
-    hist
+    hist.into_values().collect()
 }
 
-/// A zipf-skewed stream piles its reads onto one shard of the shadow
-/// table — the hottest shard carries more than twice an even share —
-/// and streamed replay still lands on the sequential bytes at every
-/// chunk width: the table's internal layout is invisible in the output.
+/// The hottest page's share of `hist`, as a multiple of an even share.
+fn hottest_page_excess(hist: &[u64]) -> f64 {
+    let total: u64 = hist.iter().sum();
+    assert!(total > 0);
+    let max = *hist.iter().max().unwrap();
+    max as f64 * hist.len() as f64 / total as f64
+}
+
+/// A zipf-skewed stream piles its reads onto one page of the shadow
+/// table — the hottest page carries far more than an even share — and
+/// streamed replay still lands on the sequential bytes at every chunk
+/// width: the table's internal layout is invisible in the output.
 #[test]
-fn zipf_skew_is_deterministic_across_widths_despite_shard_imbalance() {
+fn zipf_skew_is_deterministic_across_widths_despite_page_imbalance() {
     let spec = WorkloadSpec::new(Family::Zipf)
         .threads(4)
         .events_per_thread(4_000)
@@ -173,13 +178,10 @@ fn zipf_skew_is_deterministic_across_widths_despite_shard_imbalance() {
     );
     assert_eq!(out.contexts, 0, "the zipf scaffolding is race-free");
 
-    let hist = shard_histogram(&events);
-    let total: u64 = hist.iter().sum();
-    let max = *hist.iter().max().unwrap();
-    assert!(total > 0);
+    let hist = page_histogram(&events);
     assert!(
-        max as f64 > 2.0 * total as f64 / SHADOW_SHARDS as f64,
-        "expected a skewed shard histogram, got {hist:?}"
+        hottest_page_excess(&hist) > 8.0,
+        "expected a skewed page histogram, got {hist:?}"
     );
 
     // The same spec with skew 0 spreads far more evenly — the imbalance
@@ -192,11 +194,9 @@ fn zipf_skew_is_deterministic_across_widths_despite_shard_imbalance() {
         .seed(11);
     let trace =
         spinrace::vm::record_run(&uniform.build().module, uniform.vm_config(), "u").unwrap();
-    let uhist = shard_histogram(&trace.events);
-    let umax = *uhist.iter().max().unwrap();
-    let utotal: u64 = uhist.iter().sum();
+    let uhist = page_histogram(&trace.events);
     assert!(
-        (umax as f64) < 1.5 * utotal as f64 / SHADOW_SHARDS as f64,
+        hottest_page_excess(&uhist) < 2.0,
         "uniform stream should be near-even, got {uhist:?}"
     );
 }
