@@ -117,7 +117,8 @@ pub struct PartialMetrics {
     /// Racy contexts recorded so far by the detector the error names
     /// (the first target for an event-budget trip).
     pub contexts: usize,
-    /// Shadow memory resident at termination.
+    /// Shadow memory resident at termination: the physical estimate the
+    /// budget polls, not the logical metric.
     pub shadow_bytes: usize,
 }
 
@@ -130,8 +131,13 @@ pub struct PartialMetrics {
 ///   is returned.
 /// * `max_shadow_bytes` bounds resident shadow memory. It is checked
 ///   every 4096 events, and once more at the end of the stream, against
-///   each target's resident-size estimate: O(shards) for the HB shadow
-///   table, a running count for the sync-preserving frontiers.
+///   each target's physical resident-size estimate, read in O(1): the HB
+///   shadow table's probe table, arena and page slabs, or the
+///   sync-preserving frontiers' running count. This is the quantity
+///   [`PartialMetrics::shadow_bytes`] reports. It is not the logical
+///   `metrics.shadow_bytes` of an outcome, which counts touched cells
+///   and read records at fixed costs (`spinrace_detector::metrics`):
+///   that guards nothing, and the budget guards the host.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Budget {
     /// Maximum events one detection may process.

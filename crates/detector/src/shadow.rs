@@ -313,14 +313,16 @@ impl ShadowTable {
         })
     }
 
-    /// Cheap lower bound on retained bytes: the probe table and page
-    /// slabs only, skipping a walk over promoted read vectors. O(1),
-    /// suitable for polling on the replay hot path (budget checks).
+    /// Physical lower bound on retained bytes, for budget polls: the
+    /// probe table, the arena and every page's slab of cells, skipping a
+    /// walk over promoted read vectors. O(1), suitable for polling on
+    /// the replay hot path.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         self.keys.capacity() * size_of::<u64>()
             + self.slots.capacity() * size_of::<u32>()
             + self.pages.capacity() * size_of::<Page>()
+            + self.pages.len() * PAGE_CELLS * size_of::<ShadowCell>()
     }
 }
 
@@ -404,6 +406,7 @@ mod tests {
             );
         }
         assert_eq!(t.counts(), (1000, 0));
+        assert!(t.resident_bytes() > 1000 * PAGE_CELLS * std::mem::size_of::<ShadowCell>());
     }
 
     #[test]

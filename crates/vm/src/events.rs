@@ -157,9 +157,7 @@ impl Event {
 
     /// The single data address this event touches (`Read`/`Write`/
     /// `Update`), if any. Data accesses are the only events whose effect
-    /// can be confined to one memory word — the property partitioned
-    /// replay exploits when it routes an event to the worker owning that
-    /// word's shadow shard instead of broadcasting it.
+    /// is confined to one memory word.
     pub fn data_addr(&self) -> Option<u64> {
         match self {
             Event::Read { addr, .. } | Event::Write { addr, .. } | Event::Update { addr, .. } => {

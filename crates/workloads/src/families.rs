@@ -322,9 +322,8 @@ const LCG_MASK: i64 = 0x7FFF_FFFF;
 
 /// Zipf-skewed read streams over a shared read-only table. Each worker
 /// runs an in-TIR LCG and maps the uniform sample through `spec.skew`
-/// squaring rounds (u ← u²/2¹⁶ biases hard toward low indices), so the
-/// hot pages — and therefore the static shadow shards — see most of the
-/// traffic. The table is never written (contents come from the global
+/// squaring rounds (u ← u²/2¹⁶ biases hard toward low indices), so a
+/// few hot shadow pages see most of the traffic. The table is never written (contents come from the global
 /// initializer), every worker reads it concurrently (driving `ReadState`
 /// promotion), and each worker's accumulator write goes to its own slot.
 fn zipf(mb: &mut ModuleBuilder, spec: &WorkloadSpec, seeds: &VictimPlan, rng: &mut StdRng) {
@@ -376,7 +375,7 @@ fn zipf(mb: &mut ModuleBuilder, spec: &WorkloadSpec, seeds: &VictimPlan, rng: &m
 /// handful of shared hot words (promoting their read states to vectors
 /// as wide as the thread count) and then streams strided reads over the
 /// shared input with private accumulator writes — vector-clock width and
-/// cross-shard spread, no synchronization beyond spawn/join.
+/// spread over many shadow pages, no synchronization beyond spawn/join.
 fn fanout(mb: &mut ModuleBuilder, spec: &WorkloadSpec, seeds: &VictimPlan, rng: &mut StdRng) {
     let workers = spec.worker_threads() as usize;
     let n = (spec.addr_space as i64).max(workers as i64);

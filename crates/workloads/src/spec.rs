@@ -16,7 +16,7 @@ use std::str::FromStr;
 /// | `spinflag`  | spin-flag + guarded publication   | spin promotion, promotion seeds  |
 /// | `barrier`   | barrier-phased neighbour compute  | barrier generations, phase HB    |
 /// | `zipf`      | skewed shared-array read streams  | `ReadState` promotion, hot pages |
-/// | `fanout`    | wide thread fan-out (16–64)       | vector-clock width, shard spread |
+/// | `fanout`    | wide thread fan-out (16–64)       | vector-clock width, page spread  |
 /// | `straddle`  | racy pair straddling an unrelated lock region | predictive CS-conflict edges |
 /// | `publish`   | write published after an unordered release    | predictive write→read edges  |
 ///
@@ -134,7 +134,7 @@ pub struct WorkloadSpec {
     /// Skew intensity for [`Family::Zipf`]: the number of in-TIR
     /// squaring rounds applied to the uniform sample (0 = uniform; each
     /// round biases the index distribution harder toward low indices and
-    /// therefore toward few shadow pages/shards).
+    /// therefore toward few shadow pages).
     pub skew: u32,
     /// Number of deliberately injected races. 0 builds the
     /// correct-by-construction variant ([`crate::Oracle::RaceFree`]);

@@ -13,6 +13,7 @@ use spinrace::core::{
     AnalyzeError, Budget, BudgetResource, DetectRequest, EngineError, EngineOptions, ExecutedRun,
     Session, Tool,
 };
+use spinrace::detector::shadow::{ShadowCell, PAGE_CELLS};
 use spinrace::detector::AnyDetector;
 use spinrace::tracefmt::{encode_trace_chunked, ChunkedTraceReader};
 use spinrace::vm::EventSink;
@@ -302,6 +303,38 @@ fn whole_and_streamed_replay_trip_identical_budget_errors() {
             assert_eq!(streamed(&run, &req), Err(whole), "{budget:?}");
         }
     }
+}
+
+/// The resident estimate a shadow budget polls counts every page's slab
+/// of cells: a budget below the slabs of the pages the run's plain
+/// accesses touch trips on live detection, whole-trace and streamed
+/// replay alike, with the same error.
+#[test]
+fn shadow_budget_below_the_page_slabs_trips_on_every_path() {
+    let run = zipf_run();
+    let pages: std::collections::BTreeSet<u64> = run
+        .trace()
+        .events
+        .iter()
+        .filter(|ev| ev.is_plain_access())
+        .filter_map(|ev| ev.data_addr())
+        .map(|addr| addr / PAGE_CELLS as u64)
+        .collect();
+    let slabs = pages.len() * PAGE_CELLS * std::mem::size_of::<ShadowCell>();
+    let limit = slabs / 2;
+    let req = DetectRequest::tool(Tool::HelgrindLib)
+        .budget(Budget::default().with_max_shadow_bytes(limit));
+    let whole = run.try_run(&req).map(|_| ());
+    match &whole {
+        Err(EngineError::BudgetExhausted {
+            resource: BudgetResource::ShadowBytes,
+            used,
+            ..
+        }) => assert!(*used > limit as u64, "{used} within {limit}"),
+        other => panic!("a budget of {limit} under {slabs} slab bytes: {other:?}"),
+    }
+    assert_eq!(live(&run, &req), whole);
+    assert_eq!(streamed(&run, &req), whole);
 }
 
 /// A zero-length watchdog trips on the first event of every path.
