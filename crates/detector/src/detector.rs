@@ -42,7 +42,7 @@
 use crate::config::{DetectorConfig, MsmMode};
 use crate::engine::{acquire, bump, release, AccessModel, Detector, HbEngine, ThreadState};
 use crate::lockset::{LocksetId, LocksetTable};
-use crate::metrics::{self, DetectorMetrics};
+use crate::metrics::{self, DetectorMetrics, SYNC_KEY_BYTES};
 use crate::report::{AccessSummary, RaceKind, RaceReport, ReportCollector};
 use crate::shadow::{AccessRecord, ReadState, ShadowTable};
 use crate::vc::{Epoch, VectorClock};
@@ -255,8 +255,8 @@ impl AccessModel for HbAccess {
         let (cells, records) = self.shadow.counts();
         let (sets, locks, memo) = self.locksets.counts();
         m.shadow_bytes = metrics::shadow_bytes(cells, records);
-        m.lib_sync_bytes += metrics::keyed_clock_bytes(self.mutex_vc.values());
-        m.spin_sync_bytes = metrics::keyed_clock_bytes(self.sync_loc.values());
+        m.lib_sync_bytes += metrics::clock_bytes(SYNC_KEY_BYTES, self.mutex_vc.values());
+        m.spin_sync_bytes = metrics::clock_bytes(SYNC_KEY_BYTES, self.sync_loc.values());
         m.lockset_bytes = sets * metrics::LOCKSET_BYTES
             + locks * metrics::LOCK_ENTRY_BYTES
             + memo * metrics::MEMO_ENTRY_BYTES;

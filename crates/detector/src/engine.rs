@@ -37,7 +37,7 @@
 //!   is exposed while `C_u[u] <= exposed`.
 
 use crate::config::DetectorConfig;
-use crate::metrics::{self, DetectorMetrics};
+use crate::metrics::{self, DetectorMetrics, SYNC_KEY_BYTES};
 use crate::report::ReportCollector;
 use crate::shadow::AccessRecord;
 use crate::vc::VectorClock;
@@ -177,9 +177,9 @@ impl<M: AccessModel> Detector<M> {
             .chain(e.barrier_vc.values())
             .chain(e.sem_vc.values());
         let mut m = DetectorMetrics {
-            thread_vc_bytes: metrics::clock_bytes(&e.vcs),
-            lib_sync_bytes: metrics::keyed_clock_bytes(sync),
-            atomic_bytes: metrics::keyed_clock_bytes(e.atomic_vc.values()),
+            thread_vc_bytes: metrics::clock_bytes(0, &e.vcs),
+            lib_sync_bytes: metrics::clock_bytes(SYNC_KEY_BYTES, sync),
+            atomic_bytes: metrics::clock_bytes(SYNC_KEY_BYTES, e.atomic_vc.values()),
             report_bytes: e.reports.reports().len() * metrics::REPORT_BYTES
                 + e.reports.contexts() * metrics::CONTEXT_BYTES,
             ..DetectorMetrics::default()

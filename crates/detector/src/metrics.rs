@@ -94,20 +94,16 @@ pub(crate) fn shadow_bytes(cells: usize, records: usize) -> usize {
     cells * CELL_BYTES + records * READ_RECORD_BYTES
 }
 
-/// Charged bytes of thread clocks.
-pub(crate) fn clock_bytes<'a>(clocks: impl IntoIterator<Item = &'a VectorClock>) -> usize {
+/// Charged bytes of `clocks`, each found under a key of `key` bytes:
+/// 0 for thread clocks, [`SYNC_KEY_BYTES`] for the clocks of sync
+/// objects, atomic and promoted locations and conflict maps.
+pub(crate) fn clock_bytes<'a>(
+    key: usize,
+    clocks: impl IntoIterator<Item = &'a VectorClock>,
+) -> usize {
     clocks
         .into_iter()
-        .map(|c| CLOCK_BYTES + c.width() * CLOCK_ENTRY_BYTES)
-        .sum()
-}
-
-/// Charged bytes of keyed clocks: sync objects, atomic and promoted
-/// locations, conflict-map entries.
-pub(crate) fn keyed_clock_bytes<'a>(clocks: impl IntoIterator<Item = &'a VectorClock>) -> usize {
-    clocks
-        .into_iter()
-        .map(|c| SYNC_KEY_BYTES + CLOCK_BYTES + c.width() * CLOCK_ENTRY_BYTES)
+        .map(|c| key + CLOCK_BYTES + c.width() * CLOCK_ENTRY_BYTES)
         .sum()
 }
 

@@ -36,7 +36,9 @@
 
 use crate::config::DetectorConfig;
 use crate::engine::{bump, AccessModel, Detector, HbEngine};
-use crate::metrics::{self, DetectorMetrics, FRONTIER_ADDR_BYTES, FRONTIER_SITE_BYTES};
+use crate::metrics::{
+    self, DetectorMetrics, FRONTIER_ADDR_BYTES, FRONTIER_SITE_BYTES, SYNC_KEY_BYTES,
+};
 use crate::report::{AccessSummary, RaceKind, RaceReport};
 use crate::vc::{Epoch, VectorClock};
 use fxhash::FxHashMap;
@@ -139,7 +141,7 @@ impl AccessModel for SyncPreserving {
     fn metrics(&self, m: &mut DetectorMetrics) {
         let rel_bytes = |m: &FxHashMap<u64, FxHashMap<u64, VectorClock>>| -> usize {
             m.values()
-                .map(|per| metrics::SYNC_KEY_BYTES + metrics::keyed_clock_bytes(per.values()))
+                .map(|per| SYNC_KEY_BYTES + metrics::clock_bytes(SYNC_KEY_BYTES, per.values()))
                 .sum()
         };
         m.shadow_bytes = self.state_bytes;
