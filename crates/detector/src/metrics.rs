@@ -5,9 +5,9 @@
 //! holds, times a fixed cost from the table below. No field reads a
 //! container's capacity or the `size_of` of a detector type, so growth
 //! policy and layout changes (a smaller access record, another page
-//! size) move no outcome document. The costs are the sizes of today's
-//! representation, so the numbers stay familiar; they are a model, not
-//! a measurement. Budget polls guard the host instead, and read a
+//! size) move no outcome document. The costs are the sizes the
+//! representation had when this model was fixed, so the numbers stay
+//! familiar; they are a model, not a measurement. Budget polls guard the host instead, and read a
 //! physical estimate of the shadow table
 //! ([`Detector::shadow_resident_bytes`](crate::engine::Detector::shadow_resident_bytes)).
 //!
