@@ -506,4 +506,49 @@ mod tests {
             "window sweep must share recorded traces ({vm_runs} runs for {cells} cells)"
         );
     }
+
+    /// F1 counts detector state, so its cells are exact: 13 programs ×
+    /// {lib, lib+spin, nolib+spin, drd} bytes, and the spin-state share
+    /// of lib+spin in tenths of a percent as `tables f1` prints it. Every
+    /// cell is a live round-robin run, so this also pins the VM's
+    /// schedules of the whole PARSEC set.
+    #[test]
+    fn f1_cells_are_pinned() {
+        #[rustfmt::skip]
+        let expect: [(&str, [u64; 4], u64); 13] = [
+            ("blackscholes", [7624, 7624, 8316, 7624], 0),
+            ("swaptions", [5340, 5340, 5340, 5340], 0),
+            ("fluidanimate", [3428, 3428, 3148, 3428], 0),
+            ("canneal", [2524, 3260, 3260, 3260], 226),
+            ("freqmine", [19932, 12144, 12144, 13916], 13),
+            ("vips", [32332, 8892, 8892, 38780], 156),
+            ("bodytrack", [7248, 5384, 9268, 9808], 79),
+            ("facesim", [18364, 14988, 15116, 23612], 48),
+            ("ferret", [9680, 6704, 7528, 13008], 72),
+            ("x264", [12680, 10592, 12436, 19592], 48),
+            ("dedup", [14904, 10744, 10956, 8824], 113),
+            ("streamcluster", [4340, 4064, 4800, 4468], 11),
+            ("raytrace", [14112, 6064, 4112, 18080], 148),
+        ];
+        let f1 = f1_memory();
+        let rows = f1.json["rows"].as_array().unwrap();
+        assert_eq!(rows.len(), expect.len());
+        let cols = [
+            "lib_bytes",
+            "lib_spin_bytes",
+            "nolib_spin_bytes",
+            "drd_bytes",
+        ];
+        for (row, (program, bytes, share)) in rows.iter().zip(expect) {
+            assert_eq!(row["program"].as_str().unwrap(), program);
+            for (col, want) in cols.into_iter().zip(bytes) {
+                assert_eq!(row[col].as_u64().unwrap(), want, "{program} {col}");
+            }
+            let got = (row["spin_state_share"].as_f64().unwrap() * 1000.0).round() as u64;
+            assert_eq!(
+                got, share,
+                "{program} spin-state share (tenths of a percent)"
+            );
+        }
+    }
 }

@@ -224,16 +224,6 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
     }
 }
 
-impl<S: EventSink + ?Sized> EventSink for Box<S> {
-    fn on_event(&mut self, ev: &Event) {
-        (**self).on_event(ev);
-    }
-
-    fn halted(&self) -> bool {
-        (**self).halted()
-    }
-}
-
 /// Tee: duplicates one stream into two sinks, first `a` then `b`. Owned
 /// and generic — monomorphized call sites keep the per-event cost at two
 /// direct calls, and either slot can hold `&mut` to an external sink (the

@@ -1,12 +1,12 @@
-//! The interpreter: executes a module one instruction at a time under a
-//! deterministic scheduler, streaming events to an [`EventSink`].
+//! The interpreter: executes a module one instruction at a time, picking
+//! the next thread deterministically, streaming events to an [`EventSink`].
 
 use crate::error::VmError;
 use crate::events::{Event, EventSink, ThreadId};
 use crate::machine::{Frame, Thread, ThreadState};
 use crate::memory::Memory;
-use crate::sched::SchedulerKind;
-use crate::spin_rt::{SpinAction, SpinRuntime};
+use crate::sched::{Picker, SchedulerKind};
+use crate::spin_rt::SpinRuntime;
 use crate::sync::{BarrierState, SyncState};
 use serde::{Deserialize, Serialize};
 use spinrace_tir::{
@@ -89,8 +89,6 @@ pub struct Vm<'m> {
     spin_rt: SpinRuntime,
     outputs: Vec<(ThreadId, i64)>,
     steps: u64,
-    spin_enters: u64,
-    spin_exits: u64,
     exited: bool,
 }
 
@@ -109,11 +107,7 @@ impl<'m> Vm<'m> {
         let global_base = (0..m.globals.len())
             .map(|g| m.global_base(spinrace_tir::GlobalId(g as u32)))
             .collect();
-        let spin_rt = SpinRuntime::new(m);
-        let entry_fn = m.function(m.entry);
-        let mut root = Frame::new(m.entry, entry_fn.num_regs, None);
-        // The entry block could itself be a spin header.
-        let _ = spin_rt.on_block_entry(&mut root, BlockId(0));
+        let root = Frame::new(m.entry, m.function(m.entry).num_regs, None);
         let threads = vec![Thread::new(0, root)];
         Vm {
             m,
@@ -122,11 +116,9 @@ impl<'m> Vm<'m> {
             sync: SyncState::default(),
             threads,
             global_base,
-            spin_rt,
+            spin_rt: SpinRuntime::new(m),
             outputs: Vec::new(),
             steps: 0,
-            spin_enters: 0,
-            spin_exits: 0,
             exited: false,
         }
     }
@@ -134,21 +126,20 @@ impl<'m> Vm<'m> {
     /// Execute until all threads finish (or an error occurs), or until
     /// the sink reports [`EventSink::halted`]: that is polled every 4096
     /// steps, and a halted run returns the summary of the steps it took.
-    pub fn run(&mut self, sink: &mut dyn EventSink) -> Result<RunSummary, VmError> {
-        let mut sched = self.cfg.sched.build();
-        let mut runnable: Vec<ThreadId> = Vec::new();
-        loop {
-            if self.exited {
-                break;
-            }
-            runnable.clear();
-            runnable.extend(
-                self.threads
-                    .iter()
-                    .filter(|t| t.state == ThreadState::Runnable)
-                    .map(|t| t.id),
-            );
-            if runnable.is_empty() {
+    ///
+    /// Each step runs one instruction of a thread picked straight from
+    /// the thread table: under [`SchedulerKind::RoundRobin`] the first
+    /// runnable thread after the last pick, wrapping; under
+    /// [`SchedulerKind::Random`] the `k`-th of the `n` runnable threads
+    /// for one seeded draw of `k` in `0..n`. No runnable thread means the
+    /// run is finished, or else deadlocked.
+    pub fn run(mut self, sink: &mut dyn EventSink) -> Result<RunSummary, VmError> {
+        // The entry block could itself be a spin header.
+        self.spin_rt
+            .on_block_entry(0, &mut self.threads[0].frames[0], BlockId(0), sink);
+        let mut picker = Picker::new(self.cfg.sched);
+        while !self.exited {
+            let Some(t) = picker.pick(&self.threads) else {
                 if self
                     .threads
                     .iter()
@@ -164,23 +155,22 @@ impl<'m> Vm<'m> {
                         .map(|t| (t.id, t.state.describe()))
                         .collect(),
                 });
-            }
+            };
             if self.steps >= self.cfg.max_steps {
                 return Err(VmError::StepLimit { steps: self.steps });
             }
             if self.steps & HALT_POLL_MASK == 0 && poll_halted(sink) {
                 break;
             }
-            let pick = sched.pick(&runnable);
-            self.step(runnable[pick] as usize, sink)?;
+            self.step(t, sink)?;
             self.steps += 1;
         }
         Ok(RunSummary {
             steps: self.steps,
-            outputs: std::mem::take(&mut self.outputs),
+            outputs: self.outputs,
             threads_created: self.threads.len(),
-            spin_enters: self.spin_enters,
-            spin_exits: self.spin_exits,
+            spin_enters: self.spin_rt.enters,
+            spin_exits: self.spin_rt.exits,
             memory_words: self.mem.words(),
         })
     }
@@ -265,40 +255,12 @@ impl<'m> Vm<'m> {
         }
     }
 
-    fn emit_spin_actions(
-        &mut self,
-        tid: ThreadId,
-        actions: Vec<SpinAction>,
-        sink: &mut dyn EventSink,
-    ) {
-        for a in actions {
-            match a {
-                SpinAction::Enter(id) => {
-                    self.spin_enters += 1;
-                    sink.on_event(&Event::SpinEnter { tid, spin: id });
-                }
-                SpinAction::Exit(id, reads) => {
-                    self.spin_exits += 1;
-                    sink.on_event(&Event::SpinExit {
-                        tid,
-                        spin: id,
-                        reads,
-                    });
-                }
-            }
-        }
-    }
-
     fn goto(&mut self, t: usize, block: BlockId, sink: &mut dyn EventSink) {
-        let tid = self.threads[t].id;
-        let actions = {
-            let this = &mut *self;
-            let frame = this.threads[t].frames.last_mut().expect("frame");
-            frame.block = block;
-            frame.ip = 0;
-            this.spin_rt.on_block_entry(frame, block)
-        };
-        self.emit_spin_actions(tid, actions, sink);
+        let thread = &mut self.threads[t];
+        let frame = thread.frames.last_mut().expect("frame");
+        frame.block = block;
+        frame.ip = 0;
+        self.spin_rt.on_block_entry(thread.id, frame, block, sink);
     }
 
     // ---- the interpreter ----
@@ -353,13 +315,8 @@ impl<'m> Vm<'m> {
 
     fn do_ret(&mut self, t: usize, value: Option<i64>, sink: &mut dyn EventSink) {
         let tid = self.threads[t].id;
-        let actions = {
-            let this = &mut *self;
-            let frame = this.threads[t].frames.last_mut().expect("frame");
-            this.spin_rt.drain_frame(frame)
-        };
-        self.emit_spin_actions(tid, actions, sink);
-        let frame = self.threads[t].frames.pop().expect("frame");
+        let mut frame = self.threads[t].frames.pop().expect("frame");
+        self.spin_rt.drain_frame(tid, &mut frame, sink);
         if self.threads[t].frames.is_empty() {
             self.threads[t].state = ThreadState::Finished;
             sink.on_event(&Event::ThreadEnd { tid });
@@ -465,17 +422,12 @@ impl<'m> Vm<'m> {
                 false
             }
         };
+        self.threads[w].state = ThreadState::BlockedMutex {
+            mutex,
+            for_cond: Some(cv),
+        };
         if acquired {
-            self.threads[w].state = ThreadState::BlockedMutex {
-                mutex,
-                for_cond: Some(cv),
-            };
             self.grant_mutex(w, mutex, sink);
-        } else {
-            self.threads[w].state = ThreadState::BlockedMutex {
-                mutex,
-                for_cond: Some(cv),
-            };
         }
     }
 
@@ -871,14 +823,14 @@ impl<'m> Vm<'m> {
                 if callee.params >= 1 {
                     root.regs[0] = argv;
                 }
-                let actions = self.spin_rt.on_block_entry(&mut root, BlockId(0));
                 self.threads.push(Thread::new(child, root));
                 sink.on_event(&Event::Spawn {
                     parent: tid,
                     child,
                     pc,
                 });
-                self.emit_spin_actions(child, actions, sink);
+                let root = &mut self.threads[child as usize].frames[0];
+                self.spin_rt.on_block_entry(child, root, BlockId(0), sink);
                 self.set_reg(t, *dst, child as i64);
                 self.advance(t);
             }
@@ -912,9 +864,9 @@ impl<'m> Vm<'m> {
                 for (i, v) in argv.into_iter().enumerate() {
                     frame.regs[i] = v;
                 }
-                let actions = self.spin_rt.on_block_entry(&mut frame, BlockId(0));
                 self.threads[t].frames.push(frame);
-                self.emit_spin_actions(tid, actions, sink);
+                let frame = self.threads[t].frame_mut();
+                self.spin_rt.on_block_entry(tid, frame, BlockId(0), sink);
             }
 
             // ---- misc ----

@@ -9,9 +9,12 @@
 //! Key properties:
 //!
 //! * **Determinism** — given the same module, scheduler and seed, the VM
-//!   produces bit-identical event streams (property-tested). Schedulers
-//!   preempt at every instruction, so all interleavings of interest are
-//!   reachable by varying seeds.
+//!   produces bit-identical event streams (property-tested). The VM
+//!   preempts at every instruction and picks the next thread straight
+//!   from its thread table: [`SchedulerKind::RoundRobin`] takes the first
+//!   runnable thread after the last pick, [`SchedulerKind::Random`] a
+//!   seeded uniform draw among the runnable threads. All interleavings of
+//!   interest are reachable by varying seeds.
 //! * **Two synchronization levels** — library ops ([`tir`] `MutexLock`
 //!   etc.) are executed natively with blocking semantics (the *known
 //!   library* mode of the paper), while lowered programs synchronize
@@ -29,15 +32,15 @@
 pub mod error;
 pub mod events;
 pub mod exec;
-pub mod machine;
-pub mod memory;
-pub mod sched;
-pub mod spin_rt;
-pub mod sync;
+mod machine;
+mod memory;
+mod sched;
+mod spin_rt;
+mod sync;
 pub mod trace;
 
 pub use error::VmError;
 pub use events::{Event, EventSink, NullSink, RecordingSink, Tee, ThreadId};
 pub use exec::{run_module, RunSummary, Vm, VmConfig};
-pub use sched::{RoundRobin, Scheduler, SchedulerKind, SeededRandom};
+pub use sched::SchedulerKind;
 pub use trace::{record_run, Trace, TraceError, TraceHeader, TraceRecorder, TRACE_FORMAT_VERSION};

@@ -3,24 +3,18 @@
 //! The instrumentation phase marks loops statically; at run time the VM
 //! must know, per thread and frame, which instances are live, reset their
 //! read sets at each iteration (header re-entry) and report the final
-//! iteration's reads on exit. This module precomputes the lookup tables
-//! and encodes the block-transition bookkeeping as a small list of
-//! [`SpinAction`]s the interpreter turns into events.
+//! iteration's reads on exit. This module precomputes the lookup tables,
+//! does the block-transition bookkeeping, emits the resulting
+//! [`Event::SpinEnter`] and [`Event::SpinExit`] events straight into the
+//! run's sink, and counts them for the run summary.
 
+use crate::events::{Event, EventSink, ThreadId};
 use crate::machine::{ActiveSpin, Frame};
 use spinrace_tir::{BlockId, FuncId, Module, Pc, SpinLoopId};
 use std::collections::{HashMap, HashSet};
 
-/// What happened to the frame's spin stack on a block transition.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SpinAction {
-    /// An instance was entered.
-    Enter(SpinLoopId),
-    /// An instance exited; carries the final iteration's `(addr, pc)` reads.
-    Exit(SpinLoopId, Vec<(u64, Pc)>),
-}
-
-/// Precomputed spin-table lookups for one module.
+/// Precomputed spin-table lookups for one module, plus the run's spin
+/// event counts.
 #[derive(Clone, Debug, Default)]
 pub struct SpinRuntime {
     /// `(func, header block)` → loop index.
@@ -31,6 +25,10 @@ pub struct SpinRuntime {
     ids: Vec<SpinLoopId>,
     /// Tagged condition-load locations.
     tagged: HashSet<Pc>,
+    /// `SpinEnter` events emitted.
+    pub enters: u64,
+    /// `SpinExit` events emitted.
+    pub exits: u64,
 }
 
 impl SpinRuntime {
@@ -58,51 +56,63 @@ impl SpinRuntime {
         self.ids[idx]
     }
 
-    /// Update `frame`'s spin stack for a transition to `block`. Returns
-    /// the actions in event order (exits outer-to-inner... i.e. inner
-    /// first, then possibly one enter).
-    pub fn on_block_entry(&self, frame: &mut Frame, block: BlockId) -> Vec<SpinAction> {
-        let mut actions = Vec::new();
-        // Pop instances whose loop no longer contains the block.
+    /// Update `frame`'s spin stack for `tid`'s transition to `block`:
+    /// exit (innermost first) every instance whose loop does not contain
+    /// the block, then enter the loop the block heads, unless this is its
+    /// own back edge, which only starts a new iteration.
+    pub fn on_block_entry(
+        &mut self,
+        tid: ThreadId,
+        frame: &mut Frame,
+        block: BlockId,
+        sink: &mut dyn EventSink,
+    ) {
         while let Some(top) = frame.spins.last() {
             if self.blocks[top.loop_idx].contains(&block) {
                 break;
             }
             let top = frame.spins.pop().expect("checked non-empty");
-            actions.push(SpinAction::Exit(self.ids[top.loop_idx], top.reads));
+            self.exit(tid, top, sink);
         }
-        // Entering (or re-entering) a header?
         if let Some(&idx) = self.headers.get(&(frame.func, block)) {
             match frame.spins.last_mut() {
-                Some(top) if top.loop_idx == idx => {
-                    // Back edge: new iteration, reset the read set.
-                    top.reads.clear();
-                }
+                Some(top) if top.loop_idx == idx => top.reads.clear(),
                 _ => {
                     frame.spins.push(ActiveSpin {
                         loop_idx: idx,
                         reads: Vec::new(),
                     });
-                    actions.push(SpinAction::Enter(self.ids[idx]));
+                    self.enters += 1;
+                    sink.on_event(&Event::SpinEnter {
+                        tid,
+                        spin: self.ids[idx],
+                    });
                 }
             }
         }
-        actions
     }
 
-    /// Drain all live instances of a frame (frame pop / thread end).
-    pub fn drain_frame(&self, frame: &mut Frame) -> Vec<SpinAction> {
-        let mut actions = Vec::new();
+    /// Exit all live instances of a frame (frame pop / thread end).
+    pub fn drain_frame(&mut self, tid: ThreadId, frame: &mut Frame, sink: &mut dyn EventSink) {
         while let Some(top) = frame.spins.pop() {
-            actions.push(SpinAction::Exit(self.ids[top.loop_idx], top.reads));
+            self.exit(tid, top, sink);
         }
-        actions
+    }
+
+    fn exit(&mut self, tid: ThreadId, spin: ActiveSpin, sink: &mut dyn EventSink) {
+        self.exits += 1;
+        sink.on_event(&Event::SpinExit {
+            tid,
+            spin: self.ids[spin.loop_idx],
+            reads: spin.reads,
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::RecordingSink;
     use spinrace_tir::{SpinLoopInfo, SpinTable};
 
     fn runtime_with_loop(func: FuncId, header: u32, blocks: &[u32]) -> SpinRuntime {
@@ -124,53 +134,67 @@ mod tests {
 
     #[test]
     fn enter_iterate_exit() {
-        let rt = runtime_with_loop(FuncId(0), 1, &[1, 2]);
+        let mut rt = runtime_with_loop(FuncId(0), 1, &[1, 2]);
         let mut frame = Frame::new(FuncId(0), 0, None);
+        let mut sink = RecordingSink::default();
 
         // entry block 0: nothing
-        assert!(rt.on_block_entry(&mut frame, BlockId(0)).is_empty());
+        rt.on_block_entry(3, &mut frame, BlockId(0), &mut sink);
+        assert!(sink.events.is_empty());
         // into the header: enter
-        let a = rt.on_block_entry(&mut frame, BlockId(1));
-        assert_eq!(a, vec![SpinAction::Enter(SpinLoopId(0))]);
+        rt.on_block_entry(3, &mut frame, BlockId(1), &mut sink);
+        assert_eq!(
+            sink.events,
+            vec![Event::SpinEnter {
+                tid: 3,
+                spin: SpinLoopId(0)
+            }]
+        );
         // record a read, move to body, back to header: reads reset
         frame.spins[0]
             .reads
             .push((0x1000, Pc::new(FuncId(0), BlockId(1), 0)));
-        assert!(rt.on_block_entry(&mut frame, BlockId(2)).is_empty());
-        assert!(rt.on_block_entry(&mut frame, BlockId(1)).is_empty());
+        rt.on_block_entry(3, &mut frame, BlockId(2), &mut sink);
+        rt.on_block_entry(3, &mut frame, BlockId(1), &mut sink);
+        assert_eq!(sink.events.len(), 1);
         assert!(frame.spins[0].reads.is_empty(), "iteration reset");
         // final iteration reads
         frame.spins[0]
             .reads
             .push((0x1001, Pc::new(FuncId(0), BlockId(1), 0)));
         // leave to block 3: exit with final reads
-        let a = rt.on_block_entry(&mut frame, BlockId(3));
-        match &a[..] {
-            [SpinAction::Exit(id, reads)] => {
-                assert_eq!(*id, SpinLoopId(0));
+        rt.on_block_entry(3, &mut frame, BlockId(3), &mut sink);
+        match &sink.events[1..] {
+            [Event::SpinExit { tid, spin, reads }] => {
+                assert_eq!((*tid, *spin), (3, SpinLoopId(0)));
                 assert_eq!(reads.len(), 1);
                 assert_eq!(reads[0].0, 0x1001);
             }
-            other => panic!("unexpected actions {other:?}"),
+            other => panic!("unexpected events {other:?}"),
         }
         assert!(frame.spins.is_empty());
+        assert_eq!((rt.enters, rt.exits), (1, 1));
     }
 
     #[test]
     fn drain_on_frame_pop() {
-        let rt = runtime_with_loop(FuncId(0), 1, &[1]);
+        let mut rt = runtime_with_loop(FuncId(0), 1, &[1]);
         let mut frame = Frame::new(FuncId(0), 0, None);
-        rt.on_block_entry(&mut frame, BlockId(1));
-        let a = rt.drain_frame(&mut frame);
-        assert_eq!(a.len(), 1);
-        assert!(matches!(a[0], SpinAction::Exit(..)));
+        let mut sink = RecordingSink::default();
+        rt.on_block_entry(0, &mut frame, BlockId(1), &mut sink);
+        rt.drain_frame(0, &mut frame, &mut sink);
+        assert_eq!(sink.events.len(), 2);
+        assert!(matches!(sink.events[1], Event::SpinExit { .. }));
+        assert_eq!((rt.enters, rt.exits), (1, 1));
     }
 
     #[test]
     fn untracked_function_is_noop() {
-        let rt = runtime_with_loop(FuncId(5), 1, &[1]);
+        let mut rt = runtime_with_loop(FuncId(5), 1, &[1]);
         let mut frame = Frame::new(FuncId(0), 0, None);
-        assert!(rt.on_block_entry(&mut frame, BlockId(1)).is_empty());
+        let mut sink = RecordingSink::default();
+        rt.on_block_entry(0, &mut frame, BlockId(1), &mut sink);
+        assert!(sink.events.is_empty());
         assert!(frame.spins.is_empty());
     }
 }

@@ -89,6 +89,35 @@ fn entry_block_spin_header_is_tracked() {
     assert_eq!(summary.spin_enters, summary.spin_exits);
 }
 
+/// `main`'s own entry block is a spin header: the run opens with its
+/// `SpinEnter`, so the instance's exit is balanced.
+#[test]
+fn main_entry_block_spin_header_is_entered() {
+    let mut mb = ModuleBuilder::new("main-entry-spin");
+    let flag = mb.global_init("flag", 1, vec![1]);
+    mb.entry("main", |f| {
+        let done = f.new_block();
+        let v = f.load(flag.at(0));
+        f.branch(v, done, spinrace_tir::BlockId(0));
+        f.switch_to(done);
+        f.ret(None);
+    });
+    let m = mb.finish().unwrap();
+    let (summary, events) = run_instrumented(&m, VmConfig::round_robin());
+    assert_eq!((summary.spin_enters, summary.spin_exits), (1, 1));
+    let spin_events: Vec<&Event> = events
+        .iter()
+        .filter(|e| matches!(e, Event::SpinEnter { .. } | Event::SpinExit { .. }))
+        .collect();
+    assert!(matches!(
+        spin_events[..],
+        [
+            Event::SpinEnter { tid: 0, .. },
+            Event::SpinExit { tid: 0, .. }
+        ]
+    ));
+}
+
 /// Scaled and displaced addressing round-trips through memory.
 #[test]
 fn scaled_indexed_addressing() {

@@ -14,6 +14,10 @@
 //!
 //! Two ≥1M-event generated streams hold the encoding to a size ceiling,
 //! after their recording run's detection passes the workload's oracle.
+//!
+//! Checksums of recorded streams pin the VM's schedules across builds:
+//! the outcome pins cannot see a reordered schedule that keeps the same
+//! races and counts.
 
 mod common;
 
@@ -21,8 +25,11 @@ use common::feature_mix;
 use proptest::prelude::*;
 use spinrace::core::{AnalysisOutcome, DetectRequest, ExecutedRun, Session, Tool};
 use spinrace::serve::outcome_json;
-use spinrace::suites::judge_outcome;
-use spinrace::tracefmt::{decode_trace, encode_trace, encode_trace_chunked, ChunkedTraceReader};
+use spinrace::suites::{all_programs, judge_outcome};
+use spinrace::tracefmt::{
+    checksum, decode_trace, encode_trace, encode_trace_chunked, ChunkedTraceReader,
+};
+use spinrace::vm::VmConfig;
 use spinrace::workloads::{Family, WorkloadSpec};
 use std::io::Cursor;
 
@@ -175,4 +182,53 @@ fn long_fanout_stream_meets_its_oracle_and_size_ceiling() {
             .seed(2)
             .with_total_events(1_050_000),
     );
+}
+
+/// CRC-64 of the encoded trace of one recorded run.
+fn stream_crc(session: &Session, tool: Tool) -> u64 {
+    let run = session.prepare(tool).unwrap().execute().unwrap();
+    checksum(&encode_trace(run.trace()))
+}
+
+/// `dedup` blocks on mutexes, condvars and its queues; both pickers and
+/// the spin events of `lib+spin(7)` shape its stream.
+#[test]
+fn parsec_streams_match_pins() {
+    let programs = all_programs();
+    let prog = programs.iter().find(|p| p.name == "dedup").unwrap();
+    let module = prog.module();
+    let session = |cfg| Session::for_module(&module).vm_config(cfg);
+    let spin = Tool::HelgrindLibSpin { window: 7 };
+    let cases = [
+        (
+            VmConfig::round_robin(),
+            Tool::HelgrindLib,
+            0xdadfb53c4ffd7794,
+        ),
+        (VmConfig::round_robin(), spin, 0x1349c22284d41ccf),
+        (VmConfig::random(3), Tool::HelgrindLib, 0xb0b3f10a01769b05),
+        (VmConfig::random(3), spin, 0x6ddeb252eba2ec42),
+    ];
+    for (cfg, tool, want) in cases {
+        let got = stream_crc(&session(cfg), tool);
+        assert_eq!(
+            got, want,
+            "dedup under {tool}, {:?}: stream changed",
+            cfg.sched
+        );
+    }
+}
+
+#[test]
+fn zipf_stream_matches_pin() {
+    let spec = WorkloadSpec::new(Family::Zipf)
+        .threads(8)
+        .addr_space(4096)
+        .skew(3)
+        .seed(1)
+        .with_total_events(200_000);
+    let wl = spec.build();
+    let session = Session::for_module(&wl.module).vm_config(spec.vm_config());
+    let got = stream_crc(&session, Tool::HelgrindLibSpin { window: 7 });
+    assert_eq!(got, 0x3a7d1410dfe04b29, "{}: stream changed", spec.name());
 }
