@@ -499,6 +499,22 @@ fn write_outputs(
     }
 }
 
+/// The `--watchdog`, `--max-events` and `--max-shadow-bytes` limits of
+/// `replay` and `serve`. `0` disables each limit (and is each one's
+/// default).
+fn engine_limits(args: &[String]) -> EngineOptions {
+    let watchdog_ms: u64 = num_opt(args, "--watchdog", 0);
+    let max_events: u64 = num_opt(args, "--max-events", 0);
+    let max_shadow: u64 = num_opt(args, "--max-shadow-bytes", 0);
+    EngineOptions {
+        watchdog: (watchdog_ms > 0).then(|| Duration::from_millis(watchdog_ms)),
+        budget: Budget {
+            max_events: (max_events > 0).then_some(max_events),
+            max_shadow_bytes: (max_shadow > 0).then_some(max_shadow as usize),
+        },
+    }
+}
+
 /// Streaming replay of a trace file: the chunk reader decodes one chunk
 /// ahead of the detector, so the stream is never materialized.
 fn replay(args: &[String]) -> i32 {
@@ -512,17 +528,7 @@ fn replay(args: &[String]) -> i32 {
         MsmMode::Short
     };
     let cap: usize = num_opt(args, "--cap", 1000);
-    // `0` disables each limit (and is each one's default).
-    let watchdog_ms: u64 = num_opt(args, "--watchdog", 0);
-    let max_events: u64 = num_opt(args, "--max-events", 0);
-    let max_shadow: u64 = num_opt(args, "--max-shadow-bytes", 0);
-    let opts = EngineOptions {
-        watchdog: (watchdog_ms > 0).then(|| Duration::from_millis(watchdog_ms)),
-        budget: Budget {
-            max_events: (max_events > 0).then_some(max_events),
-            max_shadow_bytes: (max_shadow > 0).then_some(max_shadow as usize),
-        },
-    };
+    let opts = engine_limits(args);
 
     let reader = open_stream(path);
     let Some(tool) = replay_tool(args, reader.header()) else {
@@ -715,9 +721,7 @@ fn serve_cmd(args: &[String]) -> i32 {
     let zero_is_none = |n: u64| (n > 0).then_some(n);
     let opts = spinrace_serve::ServeOptions {
         sessions: num_opt(args, "--sessions", 4),
-        max_events: zero_is_none(num_opt(args, "--max-events", 0)),
-        max_shadow_bytes: zero_is_none(num_opt(args, "--max-shadow-bytes", 0)).map(|n| n as usize),
-        watchdog_ms: zero_is_none(num_opt(args, "--watchdog", 0)),
+        limits: engine_limits(args),
         // `0` disables either socket timeout.
         read_timeout_ms: zero_is_none(num_opt(args, "--read-timeout", 60_000)),
         write_timeout_ms: zero_is_none(num_opt(args, "--write-timeout", 60_000)),

@@ -183,6 +183,23 @@ impl EngineOptions {
         self.budget = budget;
         self
     }
+
+    /// These limits clamped under `ceiling`: each limit is the tighter
+    /// of the two, and one that only one side sets applies as set.
+    pub fn within(self, ceiling: EngineOptions) -> EngineOptions {
+        let (b, c) = (self.budget, ceiling.budget);
+        EngineOptions {
+            watchdog: self.watchdog.into_iter().chain(ceiling.watchdog).min(),
+            budget: Budget {
+                max_events: b.max_events.into_iter().chain(c.max_events).min(),
+                max_shadow_bytes: b
+                    .max_shadow_bytes
+                    .into_iter()
+                    .chain(c.max_shadow_bytes)
+                    .min(),
+            },
+        }
+    }
 }
 
 /// The one detection loop: feeds a `total`-event stream, in chunks or
@@ -344,7 +361,7 @@ impl EventSink for ReplayLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spinrace_detector::{MsmMode, RaceDetector};
+    use spinrace_detector::MsmMode;
     use spinrace_tir::{Module, ModuleBuilder};
     use spinrace_vm::{record_run, Trace, VmConfig};
 
@@ -439,7 +456,7 @@ mod tests {
         let budget = (trace.events.len() / 2) as u64;
         let opts = EngineOptions::default().with_budget(Budget::default().with_max_events(budget));
         // Ground truth: a sequential detector over the affordable prefix.
-        let mut prefix = RaceDetector::new(cfg);
+        let mut prefix = AnyDetector::new(cfg);
         for ev in &trace.events[..budget as usize] {
             prefix.on_event(ev);
         }
@@ -487,6 +504,34 @@ mod tests {
                 other => panic!("expected shadow-budget error, got {other}"),
             }
         }
+    }
+
+    #[test]
+    fn within_takes_the_tighter_of_each_limit() {
+        let ms = Duration::from_millis;
+        let client = EngineOptions::default()
+            .with_watchdog(ms(50))
+            .with_budget(Budget::default().with_max_events(10));
+        let ceiling = EngineOptions::default().with_watchdog(ms(20)).with_budget(
+            Budget::default()
+                .with_max_events(30)
+                .with_max_shadow_bytes(4096),
+        );
+        assert_eq!(
+            client.within(ceiling),
+            EngineOptions {
+                watchdog: Some(ms(20)),
+                budget: Budget {
+                    max_events: Some(10),
+                    max_shadow_bytes: Some(4096),
+                },
+            }
+        );
+        // `None` on either side: the side that sets a limit decides it.
+        let none = EngineOptions::default();
+        assert_eq!(client.within(none), client);
+        assert_eq!(none.within(ceiling), ceiling);
+        assert_eq!(none.within(none), none);
     }
 
     #[test]

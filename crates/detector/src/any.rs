@@ -1,23 +1,22 @@
-//! One [`spinrace_vm::EventSink`] surface over both detector families.
+//! The access model of either detector family.
 //!
 //! The witnessed-interleaving model ([`HbAccess`]: Helgrind+ hybrids and
 //! DRD) and the predictive one ([`SyncPreserving`]) run on the same
-//! engine; [`AnyModel`] picks one by [`DetectorConfig::kind`] so replay
-//! engines can instantiate whatever the request's tool asks for without
-//! caring which family it is.
+//! engine. [`AnyModel`] holds whichever [`DetectorConfig::kind`] picks,
+//! so replay engines can instantiate whatever the request's tool asks
+//! for without caring which family it is, and the engine dispatches each
+//! hook with one match.
 
 use crate::config::DetectorConfig;
 use crate::detector::HbAccess;
-use crate::engine::{AccessModel, Detector, HbEngine};
+use crate::engine::HbEngine;
 use crate::metrics::DetectorMetrics;
 use crate::predict::SyncPreserving;
 use spinrace_tir::Pc;
 use spinrace_vm::{Event, ThreadId};
 
-/// A detector of either family, chosen by [`DetectorConfig::kind`].
-pub type AnyDetector = Detector<AnyModel>;
-
-/// The access model of either family.
+/// The access model of either family: how it checks plain accesses,
+/// which mutex edges it keeps, and the memory it retains.
 pub enum AnyModel {
     /// Witnessed-interleaving detection (Helgrind+ hybrid or DRD).
     Hb(HbAccess),
@@ -25,58 +24,93 @@ pub enum AnyModel {
     Predict(SyncPreserving),
 }
 
-/// Run `$body` on whichever model `$self` holds, bound to `$m`.
-macro_rules! each {
-    ($self:expr, $m:ident => $body:expr) => {
-        match $self {
-            AnyModel::Hb($m) => $body,
-            AnyModel::Predict($m) => $body,
-        }
-    };
-}
-
-impl AccessModel for AnyModel {
-    fn new(cfg: &DetectorConfig) -> AnyModel {
+impl AnyModel {
+    /// Fresh model state for one run of `cfg`'s family.
+    pub(crate) fn new(cfg: &DetectorConfig) -> AnyModel {
         if cfg.is_predictive() {
-            AnyModel::Predict(SyncPreserving::new(cfg))
+            AnyModel::Predict(SyncPreserving::default())
         } else {
-            AnyModel::Hb(HbAccess::new(cfg))
+            AnyModel::Hb(HbAccess::default())
         }
     }
 
+    /// The spin feature's claim on an event, asked before anything else
+    /// when `cfg.spin` is set. Returns whether the event was consumed.
+    /// The predictive pass makes no claim.
     #[inline]
-    fn spin(&mut self, e: &mut HbEngine, ev: &Event) -> bool {
-        each!(self, m => m.spin(e, ev))
+    pub(crate) fn spin(&mut self, e: &mut HbEngine, ev: &Event) -> bool {
+        match self {
+            AnyModel::Hb(m) => m.spin(e, ev),
+            AnyModel::Predict(_) => false,
+        }
     }
 
+    /// A plain (non-synchronizing) read.
     #[inline]
-    fn read(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
-        each!(self, m => m.read(e, tid, addr, pc, stack))
+    pub(crate) fn read(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
+        match self {
+            AnyModel::Hb(m) => m.read(e, tid, addr, pc, stack),
+            AnyModel::Predict(m) => m.access(e, tid, addr, pc, stack, false),
+        }
     }
 
+    /// A plain write.
     #[inline]
-    fn write(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
-        each!(self, m => m.write(e, tid, addr, pc, stack))
+    pub(crate) fn write(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
+        match self {
+            AnyModel::Hb(m) => m.write(e, tid, addr, pc, stack),
+            AnyModel::Predict(m) => m.access(e, tid, addr, pc, stack, true),
+        }
     }
 
-    fn lock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64) {
-        each!(self, m => m.lock(e, tid, mutex))
+    /// `tid` acquired `mutex`, which is already in its held list. The
+    /// predictive pass takes no unconditional edge: it applies a
+    /// section's edges per access, from its conflict maps.
+    #[inline]
+    pub(crate) fn lock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64) {
+        match self {
+            AnyModel::Hb(m) => m.lock(e, tid, mutex),
+            AnyModel::Predict(_) => {}
+        }
     }
 
-    fn unlock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64) {
-        each!(self, m => m.unlock(e, tid, mutex))
+    /// `tid` released `mutex`, which is already out of its held list;
+    /// the engine ticks `tid`'s clock after this returns.
+    #[inline]
+    pub(crate) fn unlock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64) {
+        match self {
+            AnyModel::Hb(m) => m.unlock(e, tid, mutex),
+            AnyModel::Predict(m) => m.unlock(e, tid, mutex),
+        }
     }
 
-    fn resident_bytes(&self) -> usize {
-        each!(self, m => m.resident_bytes())
+    /// Cheap estimate of the retained access history (budget polls).
+    #[inline]
+    pub(crate) fn resident_bytes(&self) -> usize {
+        match self {
+            AnyModel::Hb(m) => m.resident_bytes(),
+            AnyModel::Predict(m) => m.resident_bytes(),
+        }
     }
 
-    fn promoted_locations(&self) -> usize {
-        each!(self, m => m.promoted_locations())
+    /// Spin locations promoted to synchronization variables; the
+    /// predictive pass promotes none.
+    #[inline]
+    pub(crate) fn promoted_locations(&self) -> usize {
+        match self {
+            AnyModel::Hb(m) => m.promoted_locations(),
+            AnyModel::Predict(_) => 0,
+        }
     }
 
-    fn metrics(&self, out: &mut DetectorMetrics) {
-        each!(self, m => m.metrics(out))
+    /// Fill in the model's share of `m`: shadow, spin and lockset bytes,
+    /// plus its mutex-edge state added to `lib_sync_bytes`.
+    #[inline]
+    pub(crate) fn metrics(&self, out: &mut DetectorMetrics) {
+        match self {
+            AnyModel::Hb(m) => m.metrics(out),
+            AnyModel::Predict(m) => m.metrics(out),
+        }
     }
 }
 
@@ -84,6 +118,7 @@ impl AccessModel for AnyModel {
 mod tests {
     use super::*;
     use crate::config::MsmMode;
+    use crate::AnyDetector;
     use spinrace_tir::{BlockId, FuncId};
     use spinrace_vm::EventSink;
 

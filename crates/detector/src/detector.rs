@@ -39,8 +39,8 @@
 //! its epoch is exposed clears every other stamp, since those threads
 //! may cover its record.
 
-use crate::config::{DetectorConfig, MsmMode};
-use crate::engine::{acquire, bump, release, AccessModel, Detector, HbEngine, ThreadState};
+use crate::config::MsmMode;
+use crate::engine::{acquire, bump, release, HbEngine, ThreadState};
 use crate::lockset::{LocksetId, LocksetTable};
 use crate::metrics::{self, DetectorMetrics, SYNC_KEY_BYTES};
 use crate::report::{AccessSummary, RaceKind, RaceReport, ReportCollector};
@@ -50,14 +50,9 @@ use fxhash::FxHashMap;
 use spinrace_tir::Pc;
 use spinrace_vm::{Event, ThreadId};
 
-/// Dynamic race detector of the witnessed interleaving (Helgrind+
-/// hybrids and DRD). Feed it a VM event stream (it implements
-/// [`spinrace_vm::EventSink`]) and read the results from
-/// [`Detector::reports`].
-pub type RaceDetector = Detector<HbAccess>;
-
 /// Per-location access history, lockset stage, plain mutex edges and
 /// spin promotion of the happens-before detectors.
+#[derive(Default)]
 pub struct HbAccess {
     /// Interned id of each thread's held-lock list (grown on first lock).
     held_ids: Vec<LocksetId>,
@@ -73,18 +68,7 @@ pub struct HbAccess {
     read_scratch: Vec<AccessRecord>,
 }
 
-impl AccessModel for HbAccess {
-    fn new(_cfg: &DetectorConfig) -> HbAccess {
-        HbAccess {
-            held_ids: Vec::new(),
-            locksets: LocksetTable::default(),
-            mutex_vc: FxHashMap::default(),
-            sync_loc: FxHashMap::default(),
-            shadow: ShadowTable::new(),
-            read_scratch: Vec::new(),
-        }
-    }
-
+impl HbAccess {
     /// The paper's feature. Tagged spin-condition reads promote their
     /// address and, like every access to a promoted location, are exempt
     /// from race checks (synchronization-race suppression); a write to a
@@ -93,7 +77,7 @@ impl AccessModel for HbAccess {
     /// acquires every final-iteration read — the happens-before edge from
     /// the counterpart write to the loop exit.
     #[inline]
-    fn spin(&mut self, e: &mut HbEngine, ev: &Event) -> bool {
+    pub(crate) fn spin(&mut self, e: &mut HbEngine, ev: &Event) -> bool {
         match *ev {
             Event::Read {
                 addr,
@@ -129,7 +113,7 @@ impl AccessModel for HbAccess {
     }
 
     #[inline]
-    fn read(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
+    pub(crate) fn read(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
         let ti = tid as usize;
         let rec = AccessRecord::new(tid, e.vcs[ti].get(tid), pc, stack);
         let vc = &e.vcs[ti];
@@ -151,7 +135,7 @@ impl AccessModel for HbAccess {
     }
 
     #[inline]
-    fn write(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
+    pub(crate) fn write(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
         let ti = tid as usize;
         let rec = AccessRecord::new(tid, e.vcs[ti].get(tid), pc, stack);
         let vc = &e.vcs[ti];
@@ -225,7 +209,7 @@ impl AccessModel for HbAccess {
         cell.reads.clear();
     }
 
-    fn lock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64) {
+    pub(crate) fn lock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64) {
         let ti = tid as usize;
         acquire(
             &mut e.vcs[ti],
@@ -235,23 +219,23 @@ impl AccessModel for HbAccess {
         self.intern_held(e, tid);
     }
 
-    fn unlock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64) {
+    pub(crate) fn unlock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64) {
         let vc = &e.vcs[tid as usize];
         self.mutex_vc.entry(mutex).or_default().join(vc);
         self.intern_held(e, tid);
     }
 
-    fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.shadow.resident_bytes()
     }
 
-    fn promoted_locations(&self) -> usize {
+    pub(crate) fn promoted_locations(&self) -> usize {
         self.sync_loc.len()
     }
 
     /// Shadow bytes count touched cells and live read records, wherever
     /// the paged layout keeps them.
-    fn metrics(&self, m: &mut DetectorMetrics) {
+    pub(crate) fn metrics(&self, m: &mut DetectorMetrics) {
         let (cells, records) = self.shadow.counts();
         let (sets, locks, memo) = self.locksets.counts();
         m.shadow_bytes = metrics::shadow_bytes(cells, records);
@@ -261,9 +245,7 @@ impl AccessModel for HbAccess {
             + locks * metrics::LOCK_ENTRY_BYTES
             + memo * metrics::MEMO_ENTRY_BYTES;
     }
-}
 
-impl HbAccess {
     /// Re-intern `tid`'s held-lock list after it changed.
     fn intern_held(&mut self, e: &HbEngine, tid: ThreadId) {
         let ti = tid as usize;
@@ -442,7 +424,8 @@ fn push_read(reads: &mut ReadState, mut rec: AccessRecord, e: &HbEngine) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ReferenceDetector;
+    use crate::any::AnyModel;
+    use crate::{AnyDetector, DetectorConfig, ReferenceDetector};
     use spinrace_tir::{BlockId, FuncId, MemOrder, SpinLoopId};
     use spinrace_vm::EventSink;
 
@@ -483,7 +466,7 @@ mod tests {
 
     /// The fast detector and the reference, fed the same events.
     struct Both {
-        fast: RaceDetector,
+        fast: AnyDetector,
         slow: ReferenceDetector,
     }
 
@@ -498,7 +481,7 @@ mod tests {
         /// Threads 1..=3 spawned by thread 0.
         fn three_workers(cfg: DetectorConfig) -> Both {
             let mut b = Both {
-                fast: RaceDetector::new(cfg),
+                fast: AnyDetector::new(cfg),
                 slow: ReferenceDetector::new(cfg),
             };
             for child in 1..=3 {
@@ -509,7 +492,10 @@ mod tests {
 
         /// The fast detector's read records of `addr`, oldest first.
         fn reads(&self, addr: u64) -> Vec<AccessRecord> {
-            let cell = self.fast.model.shadow.get(addr).expect("cell exists");
+            let AnyModel::Hb(m) = &self.fast.model else {
+                unreachable!("a happens-before configuration")
+            };
+            let cell = m.shadow.get(addr).expect("cell exists");
             cell.reads.as_slice().to_vec()
         }
 
@@ -652,7 +638,7 @@ mod tests {
 
     #[test]
     fn unordered_writes_race() {
-        let mut d = RaceDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
+        let mut d = AnyDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
         spawn(&mut d, 0, 1);
         spawn(&mut d, 0, 2);
         write(&mut d, 1, 0x1000, 1);
@@ -663,7 +649,7 @@ mod tests {
 
     #[test]
     fn spawn_orders_parent_before_child() {
-        let mut d = RaceDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
+        let mut d = AnyDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
         write(&mut d, 0, 0x1000, 1);
         spawn(&mut d, 0, 1);
         read(&mut d, 1, 0x1000, 2);
@@ -672,7 +658,7 @@ mod tests {
 
     #[test]
     fn join_orders_child_before_parent() {
-        let mut d = RaceDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
+        let mut d = AnyDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
         spawn(&mut d, 0, 1);
         write(&mut d, 1, 0x1000, 1);
         d.on_event(&Event::Join {
@@ -686,7 +672,7 @@ mod tests {
 
     #[test]
     fn unjoined_child_write_races_with_parent_read() {
-        let mut d = RaceDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
+        let mut d = AnyDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
         spawn(&mut d, 0, 1);
         write(&mut d, 1, 0x1000, 1);
         read(&mut d, 0, 0x1000, 2);
@@ -696,7 +682,7 @@ mod tests {
 
     #[test]
     fn mutex_edges_order_critical_sections() {
-        let mut d = RaceDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
+        let mut d = AnyDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
         spawn(&mut d, 0, 1);
         spawn(&mut d, 0, 2);
         let mu = 0x2000;
@@ -727,7 +713,7 @@ mod tests {
 
     #[test]
     fn nolib_ignores_mutex_events() {
-        let mut d = RaceDetector::new(DetectorConfig::helgrind_nolib_spin(MsmMode::Short));
+        let mut d = AnyDetector::new(DetectorConfig::helgrind_nolib_spin(MsmMode::Short));
         spawn(&mut d, 0, 1);
         spawn(&mut d, 0, 2);
         let mu = 0x2000;
@@ -754,7 +740,7 @@ mod tests {
     #[test]
     fn spin_promotion_suppresses_and_orders() {
         // T1: data=1; flag=1.   T2: spin-reads flag, exits, reads data.
-        let mut d = RaceDetector::new(DetectorConfig::helgrind_lib_spin(MsmMode::Short));
+        let mut d = AnyDetector::new(DetectorConfig::helgrind_lib_spin(MsmMode::Short));
         spawn(&mut d, 0, 1);
         spawn(&mut d, 0, 2);
         let (data, flag) = (0x1000, 0x1001);
@@ -791,7 +777,7 @@ mod tests {
 
     #[test]
     fn without_spin_the_same_trace_floods() {
-        let mut d = RaceDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
+        let mut d = AnyDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
         spawn(&mut d, 0, 1);
         spawn(&mut d, 0, 2);
         let (data, flag) = (0x1000, 0x1001);
@@ -806,7 +792,7 @@ mod tests {
 
     #[test]
     fn update_is_sync_with_spin_feature() {
-        let mut d = RaceDetector::new(DetectorConfig::helgrind_lib_spin(MsmMode::Short));
+        let mut d = AnyDetector::new(DetectorConfig::helgrind_lib_spin(MsmMode::Short));
         spawn(&mut d, 0, 1);
         spawn(&mut d, 0, 2);
         let (data, cnt) = (0x1000, 0x1001);
@@ -835,7 +821,7 @@ mod tests {
 
     #[test]
     fn update_floods_without_spin_or_atomics() {
-        let mut d = RaceDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
+        let mut d = AnyDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
         spawn(&mut d, 0, 1);
         spawn(&mut d, 0, 2);
         let cnt = 0x1001;
@@ -862,7 +848,7 @@ mod tests {
 
     #[test]
     fn drd_handles_atomics_but_not_plain_flags() {
-        let mut d = RaceDetector::new(DetectorConfig::drd());
+        let mut d = AnyDetector::new(DetectorConfig::drd());
         spawn(&mut d, 0, 1);
         spawn(&mut d, 0, 2);
         let (data, cnt, flag) = (0x1000, 0x1001, 0x1002);
@@ -899,7 +885,7 @@ mod tests {
         // T1 writes x under m1; unrelated sync orders T2 after T1; T2
         // writes x under m2. Pure HB is silent; the hybrid's Eraser stage
         // reports a lockset violation.
-        let mut d = RaceDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
+        let mut d = AnyDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
         spawn(&mut d, 0, 1);
         let x = 0x1000;
         let (m1, m2, m3) = (0x2000, 0x2001, 0x2002);
@@ -949,7 +935,7 @@ mod tests {
         assert_eq!(d.racy_contexts(), 1);
         assert_eq!(d.reports().reports()[0].kind, RaceKind::LocksetViolation);
         // DRD on the same trace: silent (this is a DRD "missed race").
-        let mut drd = RaceDetector::new(DetectorConfig::drd());
+        let mut drd = AnyDetector::new(DetectorConfig::drd());
         // replay
         spawn(&mut drd, 0, 1);
         drd.on_event(&Event::MutexLock {
@@ -1001,7 +987,7 @@ mod tests {
     fn cv_handoff_has_no_lockset_false_positive() {
         // Producer/consumer with CV ordering and lock-free data writes —
         // the hybrid must stay silent (writers hold no locks).
-        let mut d = RaceDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
+        let mut d = AnyDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
         spawn(&mut d, 0, 1);
         let (data, cv) = (0x1000, 0x3000);
         write(&mut d, 0, data, 1);
@@ -1023,7 +1009,7 @@ mod tests {
     #[test]
     fn long_msm_requires_second_confirmation() {
         let short = {
-            let mut d = RaceDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
+            let mut d = AnyDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
             spawn(&mut d, 0, 1);
             spawn(&mut d, 0, 2);
             write(&mut d, 1, 0x1000, 1);
@@ -1031,7 +1017,7 @@ mod tests {
             d.racy_contexts()
         };
         assert_eq!(short, 1);
-        let mut d = RaceDetector::new(DetectorConfig::helgrind_lib(MsmMode::Long));
+        let mut d = AnyDetector::new(DetectorConfig::helgrind_lib(MsmMode::Long));
         spawn(&mut d, 0, 1);
         spawn(&mut d, 0, 2);
         write(&mut d, 1, 0x1000, 1);
@@ -1043,7 +1029,7 @@ mod tests {
 
     #[test]
     fn barrier_events_give_all_to_all_ordering() {
-        let mut d = RaceDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
+        let mut d = AnyDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short));
         spawn(&mut d, 0, 1);
         spawn(&mut d, 0, 2);
         let (a, b) = (0x1000, 0x1001);
@@ -1072,7 +1058,7 @@ mod tests {
 
     #[test]
     fn context_cap_saturates_at_configured_value() {
-        let mut d = RaceDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short).with_cap(5));
+        let mut d = AnyDetector::new(DetectorConfig::helgrind_lib(MsmMode::Short).with_cap(5));
         spawn(&mut d, 0, 1);
         spawn(&mut d, 0, 2);
         for i in 0..20 {

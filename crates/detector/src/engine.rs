@@ -1,4 +1,5 @@
-//! The happens-before engine both detector families run on.
+//! The happens-before engine both detector families run on, and the one
+//! detector type, [`AnyDetector`].
 //!
 //! Every detector here is a vector-clock happens-before detector; the
 //! families differ only in how they treat plain memory accesses and
@@ -8,12 +9,13 @@
 //! event count. It runs every edge that is not a mutex edge, gated by
 //! `cfg.lib` (library sync objects), `cfg.atomics_sync` (machine atomics)
 //! and `cfg.spin` (the paper's spin feature, which the access model
-//! implements). An [`AccessModel`] supplies the rest:
+//! implements). An [`AnyModel`], picked once from
+//! [`DetectorConfig::kind`], supplies the rest:
 //! [`crate::detector::HbAccess`] (shadow epochs, Eraser lockset, long
 //! MSM, spin promotion, plain mutex edges) or
 //! [`crate::predict::SyncPreserving`] (per-thread frontiers,
-//! conflict-conditional mutex edges). [`Detector`] pairs the engine with
-//! a model and is the [`EventSink`] every replay path drives.
+//! conflict-conditional mutex edges). [`AnyDetector`] pairs the engine
+//! with that model and is the [`EventSink`] every replay path drives.
 //!
 //! # Acquire counts and exposed epochs
 //!
@@ -36,13 +38,13 @@
 //!   initial clocks (thread 0 at 1, fresh threads at 0) break it, and `u`
 //!   is exposed while `C_u[u] <= exposed`.
 
+use crate::any::AnyModel;
 use crate::config::DetectorConfig;
 use crate::metrics::{self, DetectorMetrics, SYNC_KEY_BYTES};
 use crate::report::ReportCollector;
 use crate::shadow::AccessRecord;
 use crate::vc::VectorClock;
 use fxhash::FxHashMap;
-use spinrace_tir::Pc;
 use spinrace_vm::{Event, EventSink, ThreadId};
 
 /// The state every detector family shares.
@@ -75,48 +77,19 @@ pub(crate) struct ThreadState {
     pub(crate) exposed: u32,
 }
 
-/// What a detector family adds to the engine: how it checks plain
-/// accesses, which mutex edges it keeps, and the memory it retains.
-pub trait AccessModel {
-    /// Fresh model state for one run.
-    fn new(cfg: &DetectorConfig) -> Self;
-    /// The spin feature's claim on an event, asked before anything else
-    /// when `cfg.spin` is set. Returns whether the event was consumed.
-    fn spin(&mut self, _e: &mut HbEngine, _ev: &Event) -> bool {
-        false
-    }
-    /// A plain (non-synchronizing) read.
-    fn read(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64);
-    /// A plain write.
-    fn write(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64);
-    /// `tid` acquired `mutex`, which is already in its held list.
-    fn lock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64);
-    /// `tid` released `mutex`, which is already out of its held list;
-    /// the engine ticks `tid`'s clock after this returns.
-    fn unlock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64);
-    /// Cheap estimate of the retained access history (budget polls).
-    fn resident_bytes(&self) -> usize;
-    /// Spin locations promoted to synchronization variables.
-    fn promoted_locations(&self) -> usize {
-        0
-    }
-    /// Fill in the model's share of `m`: shadow, spin and lockset bytes,
-    /// plus its mutex-edge state added to `lib_sync_bytes`.
-    fn metrics(&self, m: &mut DetectorMetrics);
-}
-
-/// A race detector: the shared engine driving one family's access model.
-/// Feed it a VM event stream (it implements [`EventSink`]) and read the
-/// results from [`Detector::reports`].
-pub struct Detector<M> {
+/// A race detector of either family: the shared engine driving the
+/// access model [`DetectorConfig::kind`] picks. Feed it a VM event stream
+/// (it implements [`EventSink`]) and read the results from
+/// [`AnyDetector::reports`].
+pub struct AnyDetector {
     pub(crate) engine: HbEngine,
-    pub(crate) model: M,
+    pub(crate) model: AnyModel,
 }
 
-impl<M: AccessModel> Detector<M> {
+impl AnyDetector {
     /// Fresh detector for one run.
     pub fn new(cfg: DetectorConfig) -> Self {
-        Detector {
+        AnyDetector {
             engine: HbEngine {
                 cfg,
                 vcs: vec![initial_vc()],
@@ -132,7 +105,7 @@ impl<M: AccessModel> Detector<M> {
                 reports: ReportCollector::new(cfg.context_cap),
                 events_seen: 0,
             },
-            model: M::new(&cfg),
+            model: AnyModel::new(&cfg),
         }
     }
 
@@ -189,7 +162,8 @@ impl<M: AccessModel> Detector<M> {
     }
 }
 
-impl<M: AccessModel> EventSink for Detector<M> {
+impl EventSink for AnyDetector {
+    #[inline]
     fn on_event(&mut self, ev: &Event) {
         self.engine.step(&mut self.model, ev);
     }
@@ -214,7 +188,7 @@ impl HbEngine {
 
     /// The event cascade.
     #[inline]
-    fn step<M: AccessModel>(&mut self, m: &mut M, ev: &Event) {
+    fn step(&mut self, m: &mut AnyModel, ev: &Event) {
         self.events_seen += 1;
         if let Event::Spawn { child, .. } | Event::Join { child, .. } = *ev {
             self.ensure_thread(child);

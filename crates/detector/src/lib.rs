@@ -29,29 +29,30 @@
 //! instruction locations — and capped (default 1000, Helgrind's error
 //! cap, visible in the paper's PARSEC tables).
 //!
-//! ## One happens-before engine, two access models
+//! ## One detector type, two access models
 //!
-//! Every detector here is the [`engine::HbEngine`] driving an
-//! [`engine::AccessModel`], packaged as an [`engine::Detector`]. The
-//! engine owns the per-thread clocks and held-lock lists, every
-//! non-mutex edge (spawn/join, condvars, barriers, semaphores, machine
-//! atomics), the reports and the shared metrics. The models differ in
-//! how they check plain accesses and which mutex edges they keep:
+//! Every detector here is an [`AnyDetector`]: the [`engine::HbEngine`]
+//! driving an [`any::AnyModel`] that [`DetectorConfig::kind`] picks once,
+//! at construction. The engine owns the per-thread clocks and held-lock
+//! lists, every non-mutex edge (spawn/join, condvars, barriers,
+//! semaphores, machine atomics), the reports and the shared metrics. The
+//! two models differ in how they check plain accesses and which mutex
+//! edges they keep:
 //!
-//! * [`detector::HbAccess`] ([`RaceDetector`]) — the witnessed-interleaving
-//!   lineup above: shadow epochs, the Eraser lockset stage, the long
-//!   MSM, spin promotion, and a release→acquire edge for every mutex
-//!   hand-off;
-//! * [`predict::SyncPreserving`] ([`SyncPreservingDetector`],
-//!   [`DetectorKind::SyncPreserving`]) — sync-preserving prediction,
-//!   which reports races in *correct reorderings* of a recorded trace:
-//!   per-thread access frontiers, and mutex edges kept only between
-//!   critical sections that conflict on the accessed variable. Since it
-//!   only ever drops edges relative to happens-before, its race set is
-//!   a superset of the HB lineup's on the same stream.
+//! * [`detector::HbAccess`] ([`DetectorKind::HelgrindPlus`],
+//!   [`DetectorKind::Drd`]) — the witnessed-interleaving lineup above:
+//!   shadow epochs, the Eraser lockset stage, the long MSM, spin
+//!   promotion, and a release→acquire edge for every mutex hand-off;
+//! * [`predict::SyncPreserving`] ([`DetectorKind::SyncPreserving`]) —
+//!   sync-preserving prediction, which reports races in *correct
+//!   reorderings* of a recorded trace: per-thread access frontiers, and
+//!   mutex edges kept only between critical sections that conflict on
+//!   the accessed variable. Since it only ever drops edges relative to
+//!   happens-before, its race set is a superset of the HB lineup's on
+//!   the same stream.
 //!
-//! [`AnyDetector`] picks the model by [`DetectorConfig::kind`] behind
-//! one [`spinrace_vm::EventSink`] surface.
+//! Either way the detector is one [`spinrace_vm::EventSink`], and every
+//! replay path, test and benchmark drives that same type.
 
 pub mod any;
 pub mod config;
@@ -65,12 +66,10 @@ pub mod report;
 pub mod shadow;
 pub mod vc;
 
-pub use any::AnyDetector;
 pub use config::{DetectorConfig, DetectorKind, MsmMode};
-pub use detector::RaceDetector;
+pub use engine::AnyDetector;
 pub use lockset::{LocksetId, LocksetTable};
 pub use metrics::DetectorMetrics;
-pub use predict::SyncPreservingDetector;
 pub use reference::ReferenceDetector;
 pub use report::{AccessSummary, RaceKind, RaceReport, ReportCollector};
 pub use vc::{Epoch, VectorClock};

@@ -9,7 +9,7 @@
 //! representation had when this model was fixed, so the numbers stay
 //! familiar; they are a model, not a measurement. Budget polls guard the host instead, and read a
 //! physical estimate of the shadow table
-//! ([`Detector::shadow_resident_bytes`](crate::engine::Detector::shadow_resident_bytes)).
+//! ([`AnyDetector::shadow_resident_bytes`](crate::AnyDetector::shadow_resident_bytes)).
 //!
 //! | Field | Count | Cost per item (bytes) |
 //! |---|---|---|
@@ -123,7 +123,7 @@ mod tests {
             } else {
                 DetectorConfig::helgrind_lib(MsmMode::Short)
             };
-            let mut d = crate::RaceDetector::new(cfg);
+            let mut d = crate::AnyDetector::new(cfg);
             d.on_event(&Event::Spawn {
                 parent: 0,
                 child: 1,

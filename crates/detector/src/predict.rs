@@ -34,8 +34,7 @@
 //! chunk-streamed replay feed it the same sequence and are
 //! byte-identical.
 
-use crate::config::DetectorConfig;
-use crate::engine::{bump, AccessModel, Detector, HbEngine};
+use crate::engine::{bump, HbEngine};
 use crate::metrics::{
     self, DetectorMetrics, FRONTIER_ADDR_BYTES, FRONTIER_SITE_BYTES, SYNC_KEY_BYTES,
 };
@@ -45,11 +44,6 @@ use fxhash::FxHashMap;
 use spinrace_tir::Pc;
 use spinrace_vm::ThreadId;
 use std::collections::hash_map::Entry;
-
-/// The sync-preserving predictive detector: same surface as
-/// [`crate::RaceDetector`], same [`crate::ReportCollector`] dedup/cap
-/// semantics, reusable by every replay path.
-pub type SyncPreservingDetector = Detector<SyncPreserving>;
 
 /// A thread's last access to one address: its epoch plus the static
 /// site, enough to both order against and report.
@@ -69,6 +63,7 @@ struct AddrState {
 }
 
 /// Per-thread access frontiers and the conflict-conditional mutex edges.
+#[derive(Default)]
 pub struct SyncPreserving {
     /// Footprints of the open critical sections, keyed by (thread, lock):
     /// addr → (wrote, read), folded into the conflict maps at unlock.
@@ -88,32 +83,9 @@ pub struct SyncPreserving {
     scratch: Vec<(AccessSummary, RaceKind)>,
 }
 
-impl AccessModel for SyncPreserving {
-    fn new(_cfg: &DetectorConfig) -> SyncPreserving {
-        SyncPreserving {
-            cs: FxHashMap::default(),
-            rel_w: FxHashMap::default(),
-            rel_r: FxHashMap::default(),
-            state: FxHashMap::default(),
-            state_bytes: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    fn read(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
-        self.access(e, tid, addr, pc, stack, false);
-    }
-
-    fn write(&mut self, e: &mut HbEngine, tid: ThreadId, addr: u64, pc: Pc, stack: u64) {
-        self.access(e, tid, addr, pc, stack, true);
-    }
-
-    /// No unconditional acquire — the whole point: a section's edges are
-    /// applied per access, from the conflict maps.
-    fn lock(&mut self, _e: &mut HbEngine, _tid: ThreadId, _mutex: u64) {}
-
+impl SyncPreserving {
     /// Fold the closed section's footprint into the lock's conflict maps.
-    fn unlock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64) {
+    pub(crate) fn unlock(&mut self, e: &mut HbEngine, tid: ThreadId, mutex: u64) {
         let Some(fp) = self.cs.remove(&(tid, mutex)) else {
             return;
         };
@@ -132,13 +104,13 @@ impl AccessModel for SyncPreserving {
 
     /// Charged per-address frontier bytes — the analogue of shadow
     /// memory, and the quantity budget polls bound.
-    fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.state_bytes
     }
 
     /// Conflict maps count as library-sync state (they are the per-lock
     /// machinery), the per-address frontier as shadow state.
-    fn metrics(&self, m: &mut DetectorMetrics) {
+    pub(crate) fn metrics(&self, m: &mut DetectorMetrics) {
         let rel_bytes = |m: &FxHashMap<u64, FxHashMap<u64, VectorClock>>| -> usize {
             m.values()
                 .map(|per| SYNC_KEY_BYTES + metrics::clock_bytes(SYNC_KEY_BYTES, per.values()))
@@ -147,13 +119,11 @@ impl AccessModel for SyncPreserving {
         m.shadow_bytes = self.state_bytes;
         m.lib_sync_bytes += rel_bytes(&self.rel_w) + rel_bytes(&self.rel_r);
     }
-}
 
-impl SyncPreserving {
     /// A plain access: apply the conditional critical-section edges,
     /// check against every other thread's frontier, record the access in
     /// the history and in every open critical section's footprint.
-    fn access(
+    pub(crate) fn access(
         &mut self,
         e: &mut HbEngine,
         tid: ThreadId,
@@ -257,8 +227,9 @@ impl SyncPreserving {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::any::AnyModel;
     use crate::config::{DetectorConfig, MsmMode};
-    use crate::RaceDetector;
+    use crate::AnyDetector;
     use spinrace_tir::{BlockId, FuncId};
     use spinrace_vm::{Event, EventSink};
 
@@ -266,8 +237,8 @@ mod tests {
         Pc::new(FuncId(0), BlockId(0), n)
     }
 
-    fn sp() -> SyncPreservingDetector {
-        SyncPreservingDetector::new(DetectorConfig::sync_preserving())
+    fn sp() -> AnyDetector {
+        AnyDetector::new(DetectorConfig::sync_preserving())
     }
 
     fn spawn2(d: &mut dyn EventSink) {
@@ -346,7 +317,7 @@ mod tests {
             DetectorConfig::helgrind_lib(MsmMode::Short),
             DetectorConfig::drd(),
         ] {
-            let mut hb = RaceDetector::new(cfg);
+            let mut hb = AnyDetector::new(cfg);
             spawn2(&mut hb);
             write(&mut hb, 1, x, 1);
             lock(&mut hb, 1, mu, 2);
@@ -480,7 +451,7 @@ mod tests {
 
     #[test]
     fn context_cap_saturates() {
-        let mut d = SyncPreservingDetector::new(DetectorConfig::sync_preserving().with_cap(5));
+        let mut d = AnyDetector::new(DetectorConfig::sync_preserving().with_cap(5));
         spawn2(&mut d);
         for i in 0..20 {
             write(&mut d, 1, 0x1000 + i, i as u32);
@@ -513,13 +484,15 @@ mod tests {
                 unlock(&mut d, tid, 0x2000, i as u32);
             }
         }
-        let walked: usize = d
-            .model
-            .state
+        let AnyModel::Predict(m) = &d.model else {
+            unreachable!("a sync-preserving configuration")
+        };
+        let state = &m.state;
+        let walked: usize = state
             .values()
             .map(|s| FRONTIER_ADDR_BYTES + (s.writes.len() + s.reads.len()) * FRONTIER_SITE_BYTES)
             .sum();
-        assert_eq!(d.model.state.len(), 8);
+        assert_eq!(state.len(), 8);
         assert_eq!(d.shadow_resident_bytes(), walked);
         assert_eq!(d.metrics().shadow_bytes, walked);
     }

@@ -1,8 +1,8 @@
 //! The retained **slow full-vector-clock reference detector**.
 //!
-//! This is the pre-epoch-fast-path implementation of [`crate::RaceDetector`],
-//! kept verbatim as the semantic ground truth the fast paths must
-//! preserve: the differential tests (`tests/epoch_equivalence.rs`) replay
+//! This is the pre-epoch-fast-path implementation of the happens-before
+//! [`crate::AnyDetector`], kept verbatim as the semantic ground truth the
+//! fast paths must preserve: the differential tests (`tests/epoch_equivalence.rs`) replay
 //! random event schedules and recorded PARSEC streams through both
 //! detectors and assert identical reports.
 //!
@@ -31,7 +31,8 @@ struct RefShadowCell {
 }
 
 /// The slow reference detector. Same event-level semantics as
-/// [`crate::RaceDetector`], pre-optimization representation.
+/// the happens-before [`crate::AnyDetector`], pre-optimization
+/// representation.
 pub struct ReferenceDetector {
     cfg: DetectorConfig,
     vcs: Vec<VectorClock>,
@@ -175,7 +176,7 @@ impl ReferenceDetector {
             kind,
         });
         // "Detected", not "recorded": the Eraser gate must not observe the
-        // collector's global dedup/cap state (see RaceDetector::report_hb).
+        // collector's global dedup/cap state (see HbAccess::report_hb).
         true
     }
 

@@ -2,16 +2,16 @@
 //! races survive the suppression) and completeness (the installed edges
 //! are transitive enough for barriers and lock chains).
 
-use spinrace_detector::{DetectorConfig, MsmMode, RaceDetector};
+use spinrace_detector::{AnyDetector, DetectorConfig, MsmMode};
 use spinrace_spinfind::SpinFinder;
 use spinrace_synclib::{lower_to_spinlib_styled, LibStyle};
 use spinrace_tir::{Module, ModuleBuilder};
 use spinrace_vm::{run_module, VmConfig};
 
-fn analyze(m: &Module, cfg: DetectorConfig, seed: Option<u64>) -> RaceDetector {
+fn analyze(m: &Module, cfg: DetectorConfig, seed: Option<u64>) -> AnyDetector {
     let mut m = m.clone();
     let _ = SpinFinder::default().instrument(&mut m);
-    let mut det = RaceDetector::new(cfg);
+    let mut det = AnyDetector::new(cfg);
     let vm_cfg = match seed {
         Some(s) => VmConfig::random(s),
         None => VmConfig::round_robin(),
@@ -317,7 +317,7 @@ fn obscure_lowering_is_semantically_equivalent_but_noisier() {
     let run_one = |module: &Module| {
         let mut module = module.clone();
         let _ = SpinFinder::default().instrument(&mut module);
-        let mut det = RaceDetector::new(DetectorConfig::helgrind_nolib_spin(MsmMode::Short));
+        let mut det = AnyDetector::new(DetectorConfig::helgrind_nolib_spin(MsmMode::Short));
         let summary = run_module(&module, VmConfig::round_robin(), &mut det).expect("run");
         (
             summary.outputs.iter().map(|(_, v)| *v).collect::<Vec<_>>(),

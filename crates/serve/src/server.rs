@@ -14,7 +14,7 @@ use crate::outcome_json;
 use crate::wire::{
     read_request, wire_error, write_frame, DetectParams, FrameKind, WireError, PROTOCOL_VERSION,
 };
-use spinrace_core::{AnalyzeError, Budget, DetectRequest, Tool};
+use spinrace_core::{AnalyzeError, DetectRequest, EngineOptions, Tool};
 use spinrace_detector::MsmMode;
 use spinrace_tracefmt::ChunkedTraceReader;
 use std::io::{self, BufWriter, Read, Write};
@@ -31,13 +31,10 @@ pub struct ServeOptions {
     /// Concurrent session slots (worker threads popping the accept
     /// queue).
     pub sessions: usize,
-    /// Server-wide event ceiling per session (`None` = unlimited). A
-    /// client's requested ceiling is clamped to this.
-    pub max_events: Option<u64>,
-    /// Server-wide shadow-byte ceiling per session.
-    pub max_shadow_bytes: Option<usize>,
-    /// Server-wide watchdog per session, in milliseconds.
-    pub watchdog_ms: Option<u64>,
+    /// Server-wide ceilings per session (watchdog, event and
+    /// shadow-byte budgets; unlimited by default). A client's requested
+    /// limits are clamped under these.
+    pub limits: EngineOptions,
     /// Socket read timeout per session in milliseconds (`None` = no
     /// timeout). A client that stalls mid-upload fails its session with
     /// the stable `timeout` wire code instead of pinning a slot
@@ -52,9 +49,7 @@ impl Default for ServeOptions {
     fn default() -> ServeOptions {
         ServeOptions {
             sessions: 4,
-            max_events: None,
-            max_shadow_bytes: None,
-            watchdog_ms: None,
+            limits: EngineOptions::default(),
             read_timeout_ms: Some(60_000),
             write_timeout_ms: Some(60_000),
         }
@@ -371,16 +366,7 @@ fn session_body<R: Read + Send, W: Write>(
     };
 
     // Client limits clamp under the server-wide ceilings.
-    let budget = Budget {
-        max_events: min_opt(params.max_events, opts.max_events),
-        max_shadow_bytes: min_opt(params.max_shadow_bytes, opts.max_shadow_bytes),
-    };
-    let watchdog_ms = min_opt(params.watchdog_ms, opts.watchdog_ms);
-
-    let mut req = DetectRequest::tools(tools).budget(budget);
-    if let Some(ms) = watchdog_ms {
-        req = req.watchdog(Duration::from_millis(ms));
-    }
+    let req = DetectRequest::tools(tools).options(params.limits.within(opts.limits));
 
     // Verdicts flow as chunks decode, before the upload has finished.
     let mut frame_err: Option<io::Error> = None;
@@ -440,12 +426,4 @@ fn send_outcome<W: Write>(
         message: e.to_string(),
         partial: None,
     })
-}
-
-fn min_opt<T: Ord + Copy>(a: Option<T>, b: Option<T>) -> Option<T> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
-    }
 }

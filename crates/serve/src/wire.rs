@@ -20,9 +20,10 @@
 //!
 //! A session ends with exactly one `D` or one `E` frame.
 
-use spinrace_core::{AnalyzeError, EngineError};
+use spinrace_core::{AnalyzeError, EngineError, EngineOptions};
 use spinrace_vm::TraceError;
 use std::io::{self, Read, Write};
+use std::time::Duration;
 
 /// Magic prefix of a request frame.
 pub const REQUEST_MAGIC: [u8; 4] = *b"SPRQ";
@@ -147,13 +148,10 @@ pub fn read_request(r: &mut dyn Read) -> Result<serde_json::Value, String> {
 pub struct DetectParams {
     /// Tool labels to fan detection out over (short forms accepted).
     pub tools: Vec<String>,
-    /// Client-requested event ceiling (`None` = server default).
-    pub max_events: Option<u64>,
-    /// Client-requested shadow-byte ceiling (`None` = server default).
-    pub max_shadow_bytes: Option<usize>,
-    /// Client-requested watchdog in milliseconds (`None` = server
-    /// default).
-    pub watchdog_ms: Option<u64>,
+    /// Client-requested limits, from the `watchdog_ms`, `max_events`
+    /// and `max_shadow_bytes` fields (an absent one leaves the server's
+    /// ceiling).
+    pub limits: EngineOptions,
     /// Run detectors in long-MSM mode.
     pub long_msm: bool,
     /// Racy-context cap (default 1000, matching the session default).
@@ -164,9 +162,7 @@ impl Default for DetectParams {
     fn default() -> DetectParams {
         DetectParams {
             tools: Vec::new(),
-            max_events: None,
-            max_shadow_bytes: None,
-            watchdog_ms: None,
+            limits: EngineOptions::default(),
             long_msm: false,
             cap: 1000,
         }
@@ -193,14 +189,14 @@ impl DetectParams {
             return Err("tools must name at least one detector".into());
         }
         if !v["max_events"].is_null() {
-            p.max_events = Some(
+            p.limits.budget.max_events = Some(
                 v["max_events"]
                     .as_u64()
                     .ok_or("max_events must be a non-negative integer")?,
             );
         }
         if !v["max_shadow_bytes"].is_null() {
-            p.max_shadow_bytes = Some(
+            p.limits.budget.max_shadow_bytes = Some(
                 v["max_shadow_bytes"]
                     .as_u64()
                     .ok_or("max_shadow_bytes must be a non-negative integer")?
@@ -208,11 +204,11 @@ impl DetectParams {
             );
         }
         if !v["watchdog_ms"].is_null() {
-            p.watchdog_ms = Some(
+            p.limits.watchdog = Some(Duration::from_millis(
                 v["watchdog_ms"]
                     .as_u64()
                     .ok_or("watchdog_ms must be a non-negative integer")?,
-            );
+            ));
         }
         if !v["long_msm"].is_null() {
             p.long_msm = v["long_msm"]

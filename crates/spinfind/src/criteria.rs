@@ -5,7 +5,7 @@ use crate::summary::{summarize_functions, FnSummary};
 use spinrace_cfg::{
     backward_slice, find_candidate_loops, Cfg, Dominators, NaturalLoop, SliceInput,
 };
-use spinrace_tir::{AddrExpr, FuncId, Instr, Module, Pc, SpinLoopId, SpinLoopInfo, SpinTable};
+use spinrace_tir::{FuncId, Instr, Module, Pc, SpinLoopId, SpinLoopInfo, SpinTable};
 use std::collections::BTreeSet;
 
 /// Tunable knobs of the detection (paper defaults in parentheses).
@@ -17,9 +17,6 @@ pub struct SpinCriteria {
     /// Follow condition evaluation into pure callees (true). Disabling
     /// this models a purely intraprocedural binary analysis.
     pub interprocedural: bool,
-    /// Tolerate stores inside the loop that provably cannot alias the
-    /// condition loads (false — the strict "do-nothing body" reading).
-    pub allow_unrelated_stores: bool,
 }
 
 impl Default for SpinCriteria {
@@ -27,7 +24,6 @@ impl Default for SpinCriteria {
         SpinCriteria {
             window: 7,
             interprocedural: true,
-            allow_unrelated_stores: false,
         }
     }
 }
@@ -51,8 +47,6 @@ pub enum RejectReason {
     NoLoadInCondition,
     /// The loop itself changes its condition (CAS/RMW in the slice).
     ConditionChangedByLoop,
-    /// A store inside the loop may alias a condition load.
-    StoreMayAliasCondition { store: Pc },
     /// The body performs work (store/sync/IO/...) — not a waiting loop.
     SideEffectingBody { at: Pc },
     /// The condition calls a function with side effects; a binary
@@ -148,7 +142,7 @@ impl SpinFinder {
             // earlier one). The runtime needs a unique loop per header.
             let mut accepted_here: Vec<(spinrace_tir::BlockId, SpinLoopInfo)> = Vec::new();
             for l in find_candidate_loops(func, &cfg, &dom) {
-                let verdict = self.classify(m, fid, func, &cfg, &l, &summaries);
+                let verdict = self.classify(fid, func, &cfg, &l, &summaries);
                 if let Decision::Accepted { cond_loads } = &verdict.decision {
                     let info = SpinLoopInfo {
                         id: SpinLoopId(0), // assigned below
@@ -190,7 +184,6 @@ impl SpinFinder {
 
     fn classify(
         &self,
-        m: &Module,
         fid: FuncId,
         func: &spinrace_tir::Function,
         cfg: &Cfg,
@@ -298,25 +291,6 @@ impl SpinFinder {
                             return verdict;
                         }
                     }
-                    Instr::Store { addr, .. } => {
-                        if !self.criteria.allow_unrelated_stores {
-                            verdict.decision = Decision::Rejected {
-                                reason: RejectReason::SideEffectingBody { at: pc },
-                            };
-                            return verdict;
-                        }
-                        // Tolerated only if it cannot alias any condition load.
-                        let aliases = cond_loads.iter().any(|lp| {
-                            let li = m.instr_at(*lp).expect("load pc");
-                            may_alias(addr, li.load_addr().expect("load"))
-                        });
-                        if aliases {
-                            verdict.decision = Decision::Rejected {
-                                reason: RejectReason::StoreMayAliasCondition { store: pc },
-                            };
-                            return verdict;
-                        }
-                    }
                     _ => {
                         verdict.decision = Decision::Rejected {
                             reason: RejectReason::SideEffectingBody { at: pc },
@@ -329,32 +303,6 @@ impl SpinFinder {
 
         verdict.decision = Decision::Accepted { cond_loads };
         verdict
-    }
-}
-
-/// Conservative static may-alias test on address expressions.
-///
-/// Distinct globals never alias; identical static `(global, disp)` pairs
-/// alias; a static and an indexed access to the same global may alias;
-/// anything involving a pointer register may alias everything.
-pub fn may_alias(a: &AddrExpr, b: &AddrExpr) -> bool {
-    use AddrExpr::*;
-    match (a, b) {
-        (
-            Global {
-                global: g1,
-                disp: d1,
-            },
-            Global {
-                global: g2,
-                disp: d2,
-            },
-        ) => g1 == g2 && d1 == d2,
-        (Global { global: g1, .. }, GlobalIndexed { global: g2, .. })
-        | (GlobalIndexed { global: g1, .. }, Global { global: g2, .. })
-        | (GlobalIndexed { global: g1, .. }, GlobalIndexed { global: g2, .. }) => g1 == g2,
-        // Pointer-based addresses may point anywhere.
-        _ => true,
     }
 }
 
@@ -451,72 +399,6 @@ mod tests {
             a.verdicts[0].decision,
             Decision::Rejected {
                 reason: RejectReason::SideEffectingBody { .. }
-            }
-        ));
-    }
-
-    #[test]
-    fn unrelated_store_tolerated_when_allowed() {
-        // Same loop, but with the lenient knob and a store to a different
-        // global than the condition.
-        let mut mb = ModuleBuilder::new("w");
-        let done_g = mb.global("done", 1);
-        let stats = mb.global("stats", 1);
-        mb.entry("main", |f| {
-            let head = f.new_block();
-            let body = f.new_block();
-            let out = f.new_block();
-            f.jump(head);
-            f.switch_to(head);
-            let v = f.load(done_g.at(0));
-            f.branch(v, out, body);
-            f.switch_to(body);
-            f.store(stats.at(0), 1);
-            f.jump(head);
-            f.switch_to(out);
-            f.ret(None);
-        });
-        let m = mb.finish().unwrap();
-        let strict = SpinFinder::default().analyze(&m);
-        assert_eq!(strict.accepted(), 0);
-        let lenient = SpinFinder::new(SpinCriteria {
-            allow_unrelated_stores: true,
-            ..Default::default()
-        })
-        .analyze(&m);
-        assert_eq!(lenient.accepted(), 1);
-    }
-
-    #[test]
-    fn store_to_condition_rejected_even_when_lenient() {
-        // while(!flag) { flag = 0 } — loop writes its own condition.
-        let mut mb = ModuleBuilder::new("w");
-        let flag = mb.global("flag", 1);
-        mb.entry("main", |f| {
-            let head = f.new_block();
-            let body = f.new_block();
-            let out = f.new_block();
-            f.jump(head);
-            f.switch_to(head);
-            let v = f.load(flag.at(0));
-            f.branch(v, out, body);
-            f.switch_to(body);
-            f.store(flag.at(0), 0);
-            f.jump(head);
-            f.switch_to(out);
-            f.ret(None);
-        });
-        let m = mb.finish().unwrap();
-        let lenient = SpinFinder::new(SpinCriteria {
-            allow_unrelated_stores: true,
-            ..Default::default()
-        })
-        .analyze(&m);
-        assert_eq!(lenient.accepted(), 0);
-        assert!(matches!(
-            lenient.verdicts[0].decision,
-            Decision::Rejected {
-                reason: RejectReason::StoreMayAliasCondition { .. }
             }
         ));
     }

@@ -1,4 +1,4 @@
-//! Differential proptest: the epoch-fast-path [`RaceDetector`] and the
+//! Differential proptest: the epoch-fast-path [`AnyDetector`] and the
 //! retained slow full-VC [`ReferenceDetector`] must produce **identical**
 //! results on arbitrary event schedules — same racy contexts, same report
 //! lists (locations, kinds, order), same promoted locations — under every
@@ -19,7 +19,7 @@
 
 use proptest::prelude::*;
 use spinrace::core::{Session, Tool};
-use spinrace::detector::{DetectorConfig, MsmMode, RaceDetector, ReferenceDetector};
+use spinrace::detector::{AnyDetector, DetectorConfig, MsmMode, ReferenceDetector};
 use spinrace::suites::all_programs;
 use spinrace::tir::{BlockId, FuncId, MemOrder, Pc, SpinLoopId};
 use spinrace::tracefmt::{decode_trace, encode_trace, encode_trace_chunked};
@@ -224,7 +224,7 @@ fn assert_equivalent(
     trace: &Trace,
     parsed: &Trace,
 ) -> Result<(), TestCaseError> {
-    let mut fast = RaceDetector::new(cfg);
+    let mut fast = AnyDetector::new(cfg);
     trace.replay(&mut fast);
     let mut slow = ReferenceDetector::new(cfg);
     parsed.replay(&mut slow);
@@ -355,7 +355,7 @@ fn read_state_transitions_match_reference() {
     });
     let trace = trace_of(&events);
     for cfg in configs() {
-        let mut fast = RaceDetector::new(cfg);
+        let mut fast = AnyDetector::new(cfg);
         let mut slow = ReferenceDetector::new(cfg);
         trace.replay(&mut fast);
         trace.replay(&mut slow);
@@ -485,7 +485,7 @@ fn recorded_parsec_streams_match_reference() {
             if let Err(e) = assert_equivalent(cfg, &trace, &parsed) {
                 panic!("{} under {}: {e}", prog.name, tool.label());
             }
-            let mut fast = RaceDetector::new(cfg);
+            let mut fast = AnyDetector::new(cfg);
             trace.replay(&mut fast);
             saturated += usize::from(fast.reports().dropped() > 0);
         }

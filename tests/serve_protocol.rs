@@ -6,7 +6,7 @@
 //! disconnect must free its session slot, and sessions must emit
 //! verdicts before the upload has finished.
 
-use spinrace::core::{DetectRequest, ExecutedRun, Session, Tool};
+use spinrace::core::{Budget, DetectRequest, EngineOptions, ExecutedRun, Session, Tool};
 use spinrace::serve::{
     collect_frames, handle_session, outcome_json, read_frame, run_client, serve, write_request,
     FrameKind, ServeOptions,
@@ -195,24 +195,61 @@ fn budget_exhaustion_reports_partial_metrics() {
         err.partial.expect("budget errors carry partial metrics");
     assert_eq!(events_processed, limit);
     assert!(out.done.is_none());
-
-    // A server-side ceiling clamps a more generous client request.
-    let capped = serve(
-        "127.0.0.1:0",
-        ServeOptions {
-            max_events: Some(limit),
-            ..ServeOptions::default()
-        },
-    )
-    .unwrap();
-    let body = params(
-        Tool::HelgrindLib,
-        &[("max_events", serde_json::Value::U64(total * 10))],
-    );
-    let out = run_client(&capped.addr().to_string(), &body, &bytes).unwrap();
-    assert_eq!(out.error.expect("server ceiling").code, "budget-exhausted");
-    capped.shutdown();
     handle.shutdown();
+}
+
+/// The server's ceilings clamp a client's limits, each of the three on
+/// its own: a client asking for more than the ceiling trips at the
+/// ceiling, and a client asking for less keeps its own limit.
+#[test]
+fn server_ceilings_clamp_every_client_limit() {
+    let (_, trace) = recorded();
+    let total = trace.events.len() as u64;
+    let bytes = encode_trace_chunked(&trace, 16);
+    let ceiling = |field: &str, n: u64| {
+        let budget = Budget::default();
+        match field {
+            "max_events" => EngineOptions::default().with_budget(budget.with_max_events(n)),
+            "max_shadow_bytes" => {
+                EngineOptions::default().with_budget(budget.with_max_shadow_bytes(n as usize))
+            }
+            _ => EngineOptions::default().with_watchdog(Duration::from_millis(n)),
+        }
+    };
+    // (wire field, a limit this session trips, one it stays under, the
+    // error code)
+    let cases = [
+        ("max_events", total / 2, total * 10, "budget-exhausted"),
+        ("max_shadow_bytes", 1, 1 << 40, "budget-exhausted"),
+        ("watchdog_ms", 0, 3_600_000, "watchdog"),
+    ];
+    for (field, tight, loose, code) in cases {
+        // The tripped limit, as the error message names it.
+        let tripped = match code {
+            "watchdog" => format!("the {tight} ms watchdog"),
+            _ => format!("> {tight})"),
+        };
+        for (server, client) in [(tight, loose), (loose, tight)] {
+            let mut session: Vec<u8> = Vec::new();
+            let body = params(
+                Tool::HelgrindLib,
+                &[(field, serde_json::Value::U64(client))],
+            );
+            write_request(&mut session, &body).unwrap();
+            session.extend_from_slice(&bytes);
+            let opts = ServeOptions {
+                limits: ceiling(field, server),
+                ..ServeOptions::default()
+            };
+            let mut out = Vec::new();
+            let got = handle_session(&session[..], &mut out, opts)
+                .expect_err("the tighter limit must trip");
+            let case = format!("{field}: server {server}, client {client}");
+            assert_eq!(got, code, "{case}");
+            let err = collect_frames(&out[..]).unwrap().error.expect("an E frame");
+            assert!(err.message.contains(&tripped), "{case}: {}", err.message);
+        }
+    }
 }
 
 /// The predictive tool over the wire: a `tool=sync-preserving` upload
