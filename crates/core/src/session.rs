@@ -32,14 +32,15 @@ use crate::limits::{EngineError, ReplayLoop};
 use crate::request::{DetectOutcome, DetectRequest, DetectTarget};
 use crate::{AnalysisOutcome, AnalyzeError, DescribedReport, Tool};
 use spinrace_detector::{AnyDetector, DetectorConfig, MsmMode};
-use spinrace_spinfind::{SpinCriteria, SpinFinder};
-use spinrace_synclib::{lower_to_spinlib_styled, LibStyle};
+use spinrace_spinfind::{LibraryAnalysis, SpinFinder};
+use spinrace_synclib::{library_functions, lower_to_spinlib_styled, LibStyle};
 use spinrace_tir::Module;
 use spinrace_tracefmt::{ChunkedTraceReader, StreamStats};
 use spinrace_vm::{
     run_module, EventSink, NullSink, RunSummary, Tee, Trace, TraceRecorder, VmConfig,
 };
 use std::io;
+use std::sync::OnceLock;
 
 /// A configured analysis session over one source module.
 #[derive(Clone, Copy, Debug)]
@@ -101,19 +102,31 @@ impl<'m> Session<'m> {
 
     /// Run `tool`'s static phases: lower the module for `nolib` tools,
     /// instrument spin loops for `+spin` tools.
+    ///
+    /// A `nolib` preparation does not rebuild or re-analyse the spin
+    /// library: each [`LibStyle`]'s library is built and analysed once per
+    /// process, with no window bound, and both results are spliced into
+    /// the lowered module (ids shifted past its own functions, verdicts
+    /// projected to the tool's window). The prepared module equals a
+    /// from-scratch lowering and analysis.
     pub fn prepare(&self, tool: Tool) -> Result<PreparedModule, AnalyzeError> {
-        let mut module = match tool {
-            Tool::HelgrindNolibSpin { .. } => {
-                lower_to_spinlib_styled(self.module, self.nolib_style)?
+        let (module, spin_loops_found) = match tool {
+            Tool::HelgrindNolibSpin { window } => {
+                let mut module = lower_to_spinlib_styled(self.module, self.nolib_style)?;
+                let analysis = SpinFinder::with_window(window)
+                    .analyze_with_library(&module, spin_library(self.nolib_style));
+                let found = analysis.accepted();
+                module.spin = Some(analysis.table);
+                (module, found)
             }
-            _ => self.module.clone(),
-        };
-        let spin_loops_found = match tool {
-            Tool::HelgrindLibSpin { window } | Tool::HelgrindNolibSpin { window } => {
-                let finder = SpinFinder::new(SpinCriteria::with_window(window));
-                finder.instrument(&mut module).accepted()
+            Tool::HelgrindLibSpin { window } => {
+                let mut module = self.module.clone();
+                let found = SpinFinder::with_window(window)
+                    .instrument(&mut module)
+                    .accepted();
+                (module, found)
             }
-            _ => 0,
+            _ => (self.module.clone(), 0),
         };
         let fingerprint = module.fingerprint();
         Ok(PreparedModule {
@@ -127,6 +140,18 @@ impl<'m> Session<'m> {
             context_cap: self.context_cap,
         })
     }
+}
+
+/// The spin library of `style`, analysed once per process with no window
+/// bound: one entry per style, whatever windows preparations ask for.
+fn spin_library(style: LibStyle) -> &'static LibraryAnalysis {
+    static TEXTBOOK: OnceLock<LibraryAnalysis> = OnceLock::new();
+    static OBSCURE: OnceLock<LibraryAnalysis> = OnceLock::new();
+    let cell = match style {
+        LibStyle::Textbook => &TEXTBOOK,
+        LibStyle::Obscure => &OBSCURE,
+    };
+    cell.get_or_init(|| LibraryAnalysis::new(library_functions(style)))
 }
 
 /// A module after a tool's static phases, ready to execute. Carries the

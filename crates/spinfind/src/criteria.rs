@@ -1,11 +1,12 @@
 //! The spin-loop classifier: applies the paper's criteria to every natural
 //! loop and produces the instrumentation side table.
 
-use crate::summary::{summarize_functions, FnSummary};
+use crate::library::LibraryAnalysis;
+use crate::summary::{summarize_functions, summarize_with_tail, FnSummary};
 use spinrace_cfg::{
     backward_slice, find_candidate_loops, Cfg, Dominators, NaturalLoop, SliceInput,
 };
-use spinrace_tir::{FuncId, Instr, Module, Pc, SpinLoopId, SpinLoopInfo, SpinTable};
+use spinrace_tir::{FuncId, Function, Instr, Module, Pc, SpinLoopId, SpinLoopInfo, SpinTable};
 use std::collections::BTreeSet;
 
 /// Tunable knobs of the detection (paper defaults in parentheses).
@@ -94,6 +95,57 @@ pub struct SpinAnalysis {
 }
 
 impl SpinAnalysis {
+    /// The analysis made of `verdicts`, in function order and, within a
+    /// function, in candidate order; accepted loops are numbered in that
+    /// order.
+    fn from_verdicts(window: u32, verdicts: impl IntoIterator<Item = LoopVerdict>) -> Self {
+        // Per header, the accepted candidate with the most blocks wins
+        // (candidates are pre-sorted by (header, size) ascending, so a
+        // later accepted candidate with the same header supersedes an
+        // earlier one). The runtime needs a unique loop per header.
+        let mut accepted: Vec<SpinLoopInfo> = Vec::new();
+        let mut all = Vec::new();
+        for verdict in verdicts {
+            if let Decision::Accepted { cond_loads } = &verdict.decision {
+                let info = SpinLoopInfo {
+                    id: SpinLoopId(0), // numbered below
+                    func: verdict.func,
+                    header: verdict.header,
+                    blocks: verdict.blocks.iter().copied().collect(),
+                    cond_loads: cond_loads.clone(),
+                    weight: verdict.weight,
+                };
+                match accepted
+                    .iter_mut()
+                    .find(|i| (i.func, i.header) == (verdict.func, verdict.header))
+                {
+                    Some(slot) => *slot = info,
+                    None => accepted.push(info),
+                }
+            }
+            all.push(verdict);
+        }
+        let mut table = SpinTable {
+            window,
+            ..Default::default()
+        };
+        for (i, info) in accepted.iter_mut().enumerate() {
+            info.id = SpinLoopId(i as u32);
+            for pc in &info.cond_loads {
+                // A load shared by several loops (e.g. the same pure
+                // callee used by two spin loops) belongs to the loop with
+                // the lowest id; runtime attribution uses the active
+                // instance anyway.
+                table.tagged_loads.entry(*pc).or_insert(info.id);
+            }
+        }
+        table.loops = accepted;
+        SpinAnalysis {
+            verdicts: all,
+            table,
+        }
+    }
+
     /// Number of accepted spinning read loops.
     pub fn accepted(&self) -> usize {
         self.table.loops.len()
@@ -127,51 +179,26 @@ impl SpinFinder {
     /// Analyze every natural loop of every function.
     pub fn analyze(&self, m: &Module) -> SpinAnalysis {
         let summaries = summarize_functions(m);
-        let mut verdicts = Vec::new();
-        let mut table = SpinTable {
-            window: self.criteria.window,
-            ..Default::default()
-        };
-        for (fi, func) in m.functions.iter().enumerate() {
-            let fid = FuncId(fi as u32);
-            let cfg = Cfg::build(func);
-            let dom = Dominators::compute(&cfg);
-            // Per header, the accepted candidate with the most blocks wins
-            // (candidates are pre-sorted by (header, size) ascending, so a
-            // later accepted candidate with the same header supersedes an
-            // earlier one). The runtime needs a unique loop per header.
-            let mut accepted_here: Vec<(spinrace_tir::BlockId, SpinLoopInfo)> = Vec::new();
-            for l in find_candidate_loops(func, &cfg, &dom) {
-                let verdict = self.classify(fid, func, &cfg, &l, &summaries);
-                if let Decision::Accepted { cond_loads } = &verdict.decision {
-                    let info = SpinLoopInfo {
-                        id: SpinLoopId(0), // assigned below
-                        func: fid,
-                        header: l.header,
-                        blocks: l.blocks.iter().copied().collect(),
-                        cond_loads: cond_loads.clone(),
-                        weight: verdict.weight,
-                    };
-                    match accepted_here.iter_mut().find(|(h, _)| *h == l.header) {
-                        Some(slot) => slot.1 = info,
-                        None => accepted_here.push((l.header, info)),
-                    }
-                }
-                verdicts.push(verdict);
-            }
-            for (_, mut info) in accepted_here {
-                let id = SpinLoopId(table.loops.len() as u32);
-                info.id = id;
-                for pc in &info.cond_loads {
-                    // Innermost owner wins for shared loads (e.g. the same
-                    // pure callee used by two spin loops); runtime
-                    // attribution uses the active instance anyway.
-                    table.tagged_loads.entry(*pc).or_insert(id);
-                }
-                table.loops.push(info);
-            }
+        let verdicts = self.classify_functions(&m.functions, &summaries);
+        SpinAnalysis::from_verdicts(self.criteria.window, verdicts)
+    }
+
+    /// [`SpinFinder::analyze`] for a module that ends in the library `lib`
+    /// analysed, with the same result. Only the functions before the
+    /// library are classified (reading the library's summaries from
+    /// `lib`); the library's window-free verdicts are projected to this
+    /// finder's window and follow the user verdicts. Panics if `m` does
+    /// not end in `lib`'s functions.
+    pub fn analyze_with_library(&self, m: &Module, lib: &LibraryAnalysis) -> SpinAnalysis {
+        if !self.criteria.interprocedural {
+            // The library was analysed following pure callees.
+            return self.analyze(m);
         }
-        SpinAnalysis { verdicts, table }
+        let offset = lib.offset_in(m);
+        let summaries = summarize_with_tail(&m.functions, lib.summaries_at(offset));
+        let user = self.classify_functions(&m.functions[..offset], &summaries);
+        let library = lib.verdicts_at(offset, self.criteria.window);
+        SpinAnalysis::from_verdicts(self.criteria.window, user.into_iter().chain(library))
     }
 
     /// Analyze and attach the resulting [`SpinTable`] to the module.
@@ -182,10 +209,28 @@ impl SpinFinder {
         analysis
     }
 
+    /// Verdicts for every candidate loop of `functions` (ids from 0), in
+    /// function order and, within a function, in candidate order.
+    pub(crate) fn classify_functions(
+        &self,
+        functions: &[Function],
+        summaries: &[FnSummary],
+    ) -> Vec<LoopVerdict> {
+        let mut verdicts = Vec::new();
+        for (fi, func) in functions.iter().enumerate() {
+            let cfg = Cfg::build(func);
+            let dom = Dominators::compute(&cfg);
+            for l in find_candidate_loops(func, &cfg, &dom) {
+                verdicts.push(self.classify(FuncId(fi as u32), func, &cfg, &l, summaries));
+            }
+        }
+        verdicts
+    }
+
     fn classify(
         &self,
         fid: FuncId,
-        func: &spinrace_tir::Function,
+        func: &Function,
         cfg: &Cfg,
         l: &NaturalLoop,
         summaries: &[FnSummary],
@@ -309,7 +354,7 @@ impl SpinFinder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spinrace_tir::{MemOrder, ModuleBuilder, Operand};
+    use spinrace_tir::{FunctionBuilder, MemOrder, ModuleBuilder, Operand};
 
     /// Canonical 2-block flag spin: while(!flag){}.
     fn flag_spin() -> Module {
@@ -484,6 +529,44 @@ mod tests {
         // The load lives in the callee, not in main.
         assert_ne!(info.cond_loads[0].func, m.entry);
         assert!(a.table.tagged_loads.contains_key(&info.cond_loads[0]));
+    }
+
+    #[test]
+    fn a_shared_condition_load_belongs_to_the_lowest_loop_id() {
+        // Two waiters in different functions spin on the same pure reader.
+        let mut mb = ModuleBuilder::new("shared");
+        let flag = mb.global("flag", 1);
+        let reader = mb.function("reader", 0, |f| {
+            let v = f.load(flag.at(0));
+            f.ret(Some(Operand::Reg(v)));
+        });
+        let spin_on_reader = |f: &mut FunctionBuilder| {
+            let head = f.new_block();
+            let done = f.new_block();
+            f.jump(head);
+            f.switch_to(head);
+            let v = f.call(reader, &[]);
+            f.branch(v, done, head);
+            f.switch_to(done);
+            f.ret(None);
+        };
+        let first = mb.function("first_waiter", 0, spin_on_reader);
+        let second = mb.function("second_waiter", 0, spin_on_reader);
+        mb.entry("main", |f| {
+            f.call_void(second, &[]);
+            f.call_void(first, &[]);
+            f.ret(None);
+        });
+        let m = mb.finish().unwrap();
+        let a = SpinFinder::default().analyze(&m);
+        assert_eq!(a.accepted(), 2);
+        let (lo, hi) = (&a.table.loops[0], &a.table.loops[1]);
+        assert_eq!((lo.func, hi.func), (first, second));
+        assert_eq!(lo.cond_loads, hi.cond_loads);
+        let load = lo.cond_loads[0];
+        assert_eq!(load.func, reader);
+        assert_eq!(a.table.tagged_loads[&load], lo.id);
+        assert_eq!(a.table.tagged_loads.len(), 1);
     }
 
     #[test]

@@ -20,11 +20,19 @@
 //! [`SpinFinder::instrument`] attaches a [`spinrace_tir::SpinTable`] to the
 //! module; the VM uses it to emit spin events, and the detector derives
 //! happens-before edges from them (the runtime phase).
+//!
+//! A module that ends in a fixed library (the `nolib` spin library) need
+//! not have that library re-analysed: [`LibraryAnalysis`] analyses it once
+//! with no window bound, and [`SpinFinder::analyze_with_library`] splices
+//! that analysis in at any window, with the same result as
+//! [`SpinFinder::analyze`].
 
 pub mod criteria;
 pub mod inventory;
+mod library;
 pub mod summary;
 
 pub use criteria::{Decision, LoopVerdict, RejectReason, SpinAnalysis, SpinCriteria, SpinFinder};
 pub use inventory::{sync_inventory, SyncInventory};
+pub use library::LibraryAnalysis;
 pub use summary::{summarize_functions, FnSummary};

@@ -1,6 +1,6 @@
 //! Per-function summaries for the interprocedural condition extension.
 
-use spinrace_tir::{FuncId, Instr, Module, Pc};
+use spinrace_tir::{FuncId, Function, Instr, Module, Pc};
 
 /// Summary of one function as seen by the spin-loop analysis.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -22,19 +22,27 @@ pub struct FnSummary {
 /// Requires an acyclic call graph (guaranteed by `spinrace_tir::validate`);
 /// summaries are computed bottom-up with memoization.
 pub fn summarize_functions(m: &Module) -> Vec<FnSummary> {
-    let n = m.functions.len();
-    let mut memo: Vec<Option<FnSummary>> = vec![None; n];
+    summarize_with_tail(&m.functions, Vec::new())
+}
+
+/// Summaries of `functions` when those of its last `tail.len()` functions
+/// are already known (`tail`, in order). The tail must call nothing before
+/// it; only the functions before it are summarized.
+pub(crate) fn summarize_with_tail(functions: &[Function], tail: Vec<FnSummary>) -> Vec<FnSummary> {
+    let n = functions.len();
+    let mut memo: Vec<Option<FnSummary>> = vec![None; n - tail.len()];
+    memo.extend(tail.into_iter().map(Some));
     for f in 0..n {
-        summarize(m, FuncId(f as u32), &mut memo);
+        summarize(functions, FuncId(f as u32), &mut memo);
     }
     memo.into_iter().map(|s| s.expect("computed")).collect()
 }
 
-fn summarize(m: &Module, f: FuncId, memo: &mut Vec<Option<FnSummary>>) -> FnSummary {
+fn summarize(functions: &[Function], f: FuncId, memo: &mut Vec<Option<FnSummary>>) -> FnSummary {
     if let Some(s) = &memo[f.0 as usize] {
         return s.clone();
     }
-    let func = m.function(f);
+    let func = &functions[f.0 as usize];
     let mut pure = true;
     let mut blocks = func.blocks.len() as u32;
     let mut loads: Vec<Pc> = Vec::new();
@@ -43,7 +51,7 @@ fn summarize(m: &Module, f: FuncId, memo: &mut Vec<Option<FnSummary>>) -> FnSumm
             match instr {
                 Instr::Load { .. } => loads.push(Pc::new(f, b, i as u32)),
                 Instr::Call { func: callee, .. } => {
-                    let sub = summarize(m, *callee, memo);
+                    let sub = summarize(functions, *callee, memo);
                     pure &= sub.pure;
                     blocks += sub.blocks;
                     loads.extend_from_slice(&sub.loads);

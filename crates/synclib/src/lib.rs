@@ -12,7 +12,9 @@
 //!   every library synchronization instruction in a module with calls into
 //!   those implementations, in the [`LibStyle`] given. A lowered module
 //!   contains **no** library operations, so a detector run on it has no
-//!   library knowledge to exploit — the paper's `nolib` configuration;
+//!   library knowledge to exploit — the paper's `nolib` configuration.
+//!   Each style's library is built once per process
+//!   ([`library_functions`]) and spliced into every lowered module;
 //! * [`patterns`] — builder combinators for the ad-hoc spin patterns the
 //!   test suites use (flag waits, padded multi-block spin conditions).
 //!
@@ -33,4 +35,4 @@ pub mod patterns;
 pub mod primitives;
 
 pub use lower::{lower_to_spinlib_styled, LowerError};
-pub use primitives::{LibStyle, SpinLib};
+pub use primitives::{library_functions, LibStyle, SpinLib};

@@ -7,8 +7,10 @@
 //! lowered module then re-discovers the synchronization from the spin
 //! loops alone, which is the paper's *universal race detector*.
 
-use crate::primitives::{LibStyle, SpinLib};
-use spinrace_tir::{validate, AddrExpr, BinOp, Instr, Module, Operand, Reg, ValidationError};
+use crate::primitives::{library_functions, LibStyle, SpinLib};
+use spinrace_tir::{
+    validate, AddrExpr, BinOp, Function, Instr, Module, Operand, Reg, ValidationError,
+};
 use std::fmt;
 
 /// Lowering failures.
@@ -39,8 +41,16 @@ impl std::error::Error for LowerError {}
 /// has every library sync instruction replaced by a call and the spin
 /// library functions appended. Any previous spin table is dropped (the
 /// caller re-runs the instrumentation phase on the result).
+///
+/// The library is built once per style per process, at offset 0
+/// ([`library_functions`]), and spliced in here after `m`'s functions
+/// with every call target shifted by `m.functions.len()`; the result
+/// equals a library built at that offset. `Session::prepare` in
+/// `spinrace-core` analyses each style's library once too, and splices
+/// that analysis in the same way.
 pub fn lower_to_spinlib_styled(m: &Module, style: LibStyle) -> Result<Module, LowerError> {
-    let lib = SpinLib::at_offset(m.functions.len());
+    let offset = m.functions.len();
+    let lib = SpinLib::at_offset(offset);
 
     // Static sanity: barriers need 3 words.
     for func in &m.functions {
@@ -75,7 +85,8 @@ pub fn lower_to_spinlib_styled(m: &Module, style: LibStyle) -> Result<Module, Lo
         }
         func.num_regs = next_reg;
     }
-    out.functions.extend(lib.build_functions(style));
+    out.functions
+        .extend(library_functions(style).iter().map(|f| shifted(f, offset)));
 
     validate(&out).map_err(LowerError::Invalid)?;
     Ok(out)
@@ -85,6 +96,18 @@ pub fn lower_to_spinlib_styled(m: &Module, style: LibStyle) -> Result<Module, Lo
 /// diagnostics and tests).
 pub fn spinlib_ids(original: &Module) -> SpinLib {
     SpinLib::at_offset(original.functions.len())
+}
+
+/// A copy of library function `f` whose `Call`/`Spawn` targets are moved
+/// up by `offset`.
+fn shifted(f: &Function, offset: usize) -> Function {
+    let mut f = f.clone();
+    for instr in f.blocks.iter_mut().flat_map(|b| &mut b.instrs) {
+        if let Instr::Call { func, .. } | Instr::Spawn { func, .. } = instr {
+            func.0 += offset as u32;
+        }
+    }
+    f
 }
 
 fn lower_instr(instr: Instr, lib: &SpinLib, out: &mut Vec<Instr>, next_reg: &mut u16) {
@@ -267,6 +290,27 @@ mod tests {
             }
         }
         assert_eq!(low.functions.len(), m.functions.len() + 10);
+    }
+
+    #[test]
+    fn spliced_library_equals_one_built_at_its_offset() {
+        for helpers in 0..40 {
+            let mut mb = ModuleBuilder::new("t");
+            for i in 0..helpers {
+                mb.function(&format!("helper{i}"), 0, |f| f.ret(None));
+            }
+            mb.entry("main", |f| f.ret(None));
+            let m = mb.finish().unwrap();
+            let n = m.functions.len();
+            for style in [LibStyle::Textbook, LibStyle::Obscure] {
+                let low = lower_to_spinlib_styled(&m, style).unwrap();
+                assert_eq!(
+                    low.functions[n..],
+                    SpinLib::at_offset(n).build_functions(style),
+                    "{style:?} library at offset {n}"
+                );
+            }
+        }
     }
 
     #[test]

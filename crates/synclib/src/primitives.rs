@@ -6,6 +6,7 @@
 //! instrumentation phase detects. See the crate docs for object layouts.
 
 use spinrace_tir::{AddrExpr, FuncId, Function, FunctionBuilder, MemOrder, Operand, Reg, RmwOp};
+use std::sync::OnceLock;
 
 /// The function ids of the spin library inside a lowered module.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,7 +75,7 @@ impl SpinLib {
     }
 
     /// Build the library functions, in id order.
-    pub fn build_functions(&self, style: LibStyle) -> Vec<Function> {
+    pub(crate) fn build_functions(&self, style: LibStyle) -> Vec<Function> {
         match style {
             LibStyle::Textbook => vec![
                 build_mutex_lock(),
@@ -109,6 +110,20 @@ impl SpinLib {
             }
         }
     }
+}
+
+/// The library functions of `style` at offset 0, in id order: their
+/// `Call` targets are ids into this slice. Built once per style per
+/// process; lowering splices a copy into each module with every target
+/// moved up by the module's function count.
+pub fn library_functions(style: LibStyle) -> &'static [Function] {
+    static TEXTBOOK: OnceLock<Vec<Function>> = OnceLock::new();
+    static OBSCURE: OnceLock<Vec<Function>> = OnceLock::new();
+    let cell = match style {
+        LibStyle::Textbook => &TEXTBOOK,
+        LibStyle::Obscure => &OBSCURE,
+    };
+    cell.get_or_init(|| SpinLib::at_offset(0).build_functions(style))
 }
 
 fn based(p: Reg, disp: i64) -> AddrExpr {
