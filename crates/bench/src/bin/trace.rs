@@ -33,9 +33,9 @@
 //! **Trace files.** Traces are stored in the binary columnar format of
 //! `spinrace-tracefmt` (`.sptrace`, magic `SPINRTRC`); a file without
 //! the magic, a JSON document included, is refused as malformed input.
-//! `replay` streams the file chunk by chunk through the detector (decode
-//! one chunk ahead; peak memory O(chunk), detection starts before the
-//! file is fully read), and the printed rate is end to end (decode plus
+//! `replay` streams the file through the detector a slice of a chunk at
+//! a time (decode one slice ahead; peak memory O(slice), detection
+//! starts before the file is fully read), and the printed rate is end to end (decode plus
 //! detection). `inspect --events N` prints the header block and the
 //! first `N` events in a readable form; `stats` summarizes the whole
 //! stream without materializing it.

@@ -13,8 +13,8 @@
 //! * **recorded** — [`ExecutedRun::try_run`] feeds it the whole
 //!   in-memory trace as a single chunk;
 //! * **streamed** — the decode-ahead reader of
-//!   [`PreparedModule::try_run_streamed`] feeds it one decoded chunk at a
-//!   time.
+//!   [`PreparedModule::try_run_streamed`] feeds it one decoded slice of
+//!   a chunk at a time.
 //!
 //! All three trip the same limits at the same event with the same
 //! partial metrics.
@@ -250,9 +250,10 @@ impl ReplayLoop {
         self.events
     }
 
-    /// Feed the next chunk of the stream to every detector, event-major.
-    /// Fails on a tripped watchdog or shadow budget, and at the end of the
-    /// chunk in which the event budget runs out.
+    /// Feed the next run of events (a whole trace, or a slice of a chunk)
+    /// to every detector, event-major. Fails on a tripped watchdog or
+    /// shadow budget, and at the end of the run in which the event budget
+    /// runs out, having fed exactly the affordable prefix.
     pub fn feed(&mut self, chunk: &[Event]) -> Result<(), EngineError> {
         let affordable = (self.limit - self.events).min(chunk.len() as u64) as usize;
         for ev in &chunk[..affordable] {

@@ -295,9 +295,9 @@ impl PreparedModule {
 
     /// Execute a [`DetectRequest`] against a binary trace **stream**
     /// without materializing the event vector: the reader decodes one
-    /// chunk ahead of the detectors, so peak memory is O(chunk) rather
-    /// than O(trace) and detection starts before the stream has been
-    /// fully read. The request's targets fan out on one pass and its
+    /// slice of a chunk ahead of the detectors, so peak memory is
+    /// O(slice) rather than O(trace) and detection starts before the
+    /// stream has been fully read. The request's targets fan out on one pass and its
     /// watchdog and budgets are enforced exactly as
     /// [`ExecutedRun::try_run`] enforces them.
     ///
@@ -317,8 +317,8 @@ impl PreparedModule {
     }
 
     /// [`Self::try_run_streamed`] with a per-chunk progress observer:
-    /// after each decoded chunk has been fed to every target, `observe`
-    /// is called once per target with the running totals and the number
+    /// after the last slice of each decoded chunk has been fed to every
+    /// target, `observe` is called once per target with the running totals and the number
     /// of reports that chunk newly produced — the hook a streaming server
     /// uses to push incremental verdicts before end-of-upload.
     pub fn try_run_streamed_observed<R, F>(
@@ -341,8 +341,11 @@ impl PreparedModule {
         let (labels, mut replay) = self.start_replay(req, reader.header().events);
         let mut seen: Vec<usize> = vec![0; labels.len()];
         let mut chunk = 0u32;
-        let stats = reader.decode_ahead(|events| -> Result<(), AnalyzeError> {
-            replay.feed(events)?;
+        let stats = reader.decode_ahead(|slice| -> Result<(), AnalyzeError> {
+            replay.feed(slice)?;
+            if !slice.ends_chunk() {
+                return Ok(());
+            }
             chunk += 1;
             for (idx, det) in replay.detectors().iter().enumerate() {
                 let reports = det.reports().reports().len();
@@ -647,7 +650,7 @@ mod tests {
     }
 
     /// Streaming replay of the binary encoding produces the same outcome
-    /// as the in-memory replay, with O(chunk) resident memory.
+    /// as the in-memory replay, with O(slice) resident memory.
     #[test]
     fn streamed_detection_matches_in_memory_detection() {
         let m = racy();

@@ -3,8 +3,9 @@
 //! A long-lived analysis server that accepts framed binary trace
 //! uploads (the `spinrace-tracefmt` chunk encoding) over TCP or stdin,
 //! multiplexes concurrent sessions across a bounded worker pool, and
-//! streams verdicts back incrementally as chunks decode — `O(chunk)`
-//! resident memory per client.
+//! streams verdicts back incrementally as chunks decode — `O(slice)`
+//! resident memory per client, the upload decoded a slice of a chunk
+//! at a time.
 //!
 //! ## Protocol
 //!

@@ -17,7 +17,7 @@ use crate::wire::{
 use spinrace_core::{AnalyzeError, DetectRequest, EngineOptions, Tool};
 use spinrace_detector::MsmMode;
 use spinrace_tracefmt::ChunkedTraceReader;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver};
@@ -187,7 +187,11 @@ fn run_tcp_session(stream: TcpStream, opts: ServeOptions) -> Result<(usize, u64)
     let to_duration = |ms: Option<u64>| ms.filter(|&ms| ms > 0).map(Duration::from_millis);
     let _ = stream.set_read_timeout(to_duration(opts.read_timeout_ms));
     let _ = stream.set_write_timeout(to_duration(opts.write_timeout_ms));
-    let input = stream.try_clone().map_err(|e| e.to_string())?;
+    // Buffered: the trace reader pulls each column-length varint a byte
+    // at a time. A socket timeout still surfaces as a read error, so the
+    // session's `TimeoutFlagged` wrapper sees it.
+    let input =
+        BufReader::with_capacity(INPUT_BUFFER, stream.try_clone().map_err(|e| e.to_string())?);
     let mut output = BufWriter::new(stream);
     let result = handle_session(input, &mut output, opts);
     if result.is_err() {
@@ -212,6 +216,9 @@ fn run_tcp_session(stream: TcpStream, opts: ServeOptions) -> Result<(usize, u64)
     }
     result
 }
+
+/// Read buffer of a TCP session's input.
+const INPUT_BUFFER: usize = 64 << 10;
 
 /// Most bytes, and longest time, a failed session drains from its client
 /// before closing the connection.

@@ -434,6 +434,7 @@ pub fn encode_chunk(events: &[Event], out: &mut Vec<u8>) {
 }
 
 /// A read cursor over one column's byte block.
+#[derive(Clone, Copy)]
 struct Cur<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -522,294 +523,365 @@ fn never_spawned(v: i64) -> TraceError {
     TraceError::Corrupt(format!("thread {v} was never spawned"))
 }
 
-/// Decode one chunk's column blocks (everything between the column-count
-/// varint and the checksum) into `out`. `n` is the framed event count.
-/// `threads` counts the threads spawned before this chunk (thread 0
-/// included) and is advanced past every `Spawn` in it: as in the VM,
-/// each spawn's child must be the next fresh id. Returns the number of
-/// spin reads the chunk's `SpinExit` events carry, the heap the decoded
-/// events own beyond the event slots themselves.
-pub fn decode_chunk_columns(
-    n: usize,
-    cols: &[&[u8]; NUM_COLUMNS],
-    out: &mut Vec<Event>,
-    threads: &mut u32,
-) -> Result<usize, TraceError> {
-    // The kind column is one raw byte per event: its length is the one
-    // structural invariant checkable before decoding anything.
-    if cols[COL_KIND].len() != n {
-        return Err(TraceError::Corrupt(format!(
-            "kind column holds {} bytes for {n} events",
-            cols[COL_KIND].len()
-        )));
-    }
+fn spin_id(v: u64) -> Result<SpinLoopId, TraceError> {
+    u32::try_from(v)
+        .map(SpinLoopId)
+        .map_err(|_| TraceError::Corrupt("spin id out of range".into()))
+}
 
-    // Dictionaries first: both index columns resolve against them.
-    let mut pcd = Cur::new(cols[COL_PC_DICT]);
-    let pc_count = pcd.uvarint()?;
-    if pc_count > n as u64 * 2 + 16 {
-        return Err(TraceError::Corrupt(
-            "pc dictionary larger than chunk".into(),
-        ));
-    }
-    let mut pc_entries: Vec<Pc> = Vec::with_capacity(pc_count as usize);
-    let (mut lf, mut lb, mut li) = (0i64, 0i64, 0i64);
-    for _ in 0..pc_count {
-        lf = lf.wrapping_add(pcd.ivarint()?);
-        lb = lb.wrapping_add(pcd.ivarint()?);
-        li = li.wrapping_add(pcd.ivarint()?);
-        let (f, b, i) = (
-            u32::try_from(lf).map_err(|_| TraceError::Corrupt("pc func out of range".into()))?,
-            u32::try_from(lb).map_err(|_| TraceError::Corrupt("pc block out of range".into()))?,
-            u32::try_from(li).map_err(|_| TraceError::Corrupt("pc idx out of range".into()))?,
-        );
-        pc_entries.push(Pc::new(FuncId(f), BlockId(b), i));
-    }
-    if !pcd.finished() {
-        return Err(TraceError::Corrupt(
-            "trailing bytes in pc dictionary".into(),
-        ));
-    }
+/// The per-event column cursors of a [`ChunkDecoder`], copied into locals
+/// for each [`ChunkDecoder::decode`] call so the hot loop keeps them in
+/// registers.
+#[derive(Clone, Copy)]
+struct Cursors<'a> {
+    tid: Cur<'a>,
+    aux_tid: Cur<'a>,
+    obj: Cur<'a>,
+    obj2: Cur<'a>,
+    value: Cur<'a>,
+    value2: Cur<'a>,
+    pc_idx: Cur<'a>,
+    stack_idx: Cur<'a>,
+    order: Cur<'a>,
+    spin: Cur<'a>,
+    gen: Cur<'a>,
+    sr_addr: Cur<'a>,
+    sr_meta: Cur<'a>,
+}
 
-    let mut std_ = Cur::new(cols[COL_STACK_DICT]);
-    let stack_count = std_.uvarint()?;
-    if stack_count > n as u64 + 16 {
-        return Err(TraceError::Corrupt(
-            "stack dictionary larger than chunk".into(),
-        ));
-    }
-    let mut stack_entries: Vec<u64> = Vec::with_capacity(stack_count as usize);
-    let mut last = 0i64;
-    for _ in 0..stack_count {
-        last = last.wrapping_add(std_.ivarint()?);
-        stack_entries.push(last as u64);
-    }
-    if !std_.finished() {
-        return Err(TraceError::Corrupt(
-            "trailing bytes in stack dictionary".into(),
-        ));
-    }
+/// A resumable decoder over one chunk's column blocks (everything
+/// between the column-count varint and the checksum).
+///
+/// [`ChunkDecoder::new`] validates the kind column's length and both
+/// dictionaries once; each [`ChunkDecoder::decode`] call then decodes up
+/// to a given number of further events, resuming every column cursor
+/// where the previous call left it, so a chunk can be handed on in
+/// slices; [`ChunkDecoder::finish`] checks that every column was used up
+/// exactly. Decoding a chunk in one call or in many gives the same
+/// events and the same errors.
+pub struct ChunkDecoder<'a> {
+    kinds: &'a [u8],
+    /// Chunk offset of the next event to decode.
+    next: usize,
+    pc_entries: Vec<Pc>,
+    stack_entries: Vec<u64>,
+    cur: Cursors<'a>,
+}
 
-    // The spin-reads block carries its address sub-column inline.
-    let mut sr = Cur::new(cols[COL_SPIN_READS]);
-    let sr_addr_len = sr.uvarint()? as usize;
-    let rest = &cols[COL_SPIN_READS][sr.pos..];
-    if sr_addr_len > rest.len() {
-        return Err(TraceError::Corrupt(
-            "spin-read address block overruns its column".into(),
-        ));
-    }
-    let mut sr_addr = Cur::new(&rest[..sr_addr_len]);
-    let mut sr_meta = Cur::new(&rest[sr_addr_len..]);
-
-    let mut tid = Cur::new(cols[COL_TID]);
-    let mut aux_tid = Cur::new(cols[COL_AUX_TID]);
-    let mut obj = Cur::new(cols[COL_OBJ]);
-    let mut obj2 = Cur::new(cols[COL_OBJ2]);
-    let mut value = Cur::new(cols[COL_VALUE]);
-    let mut value2 = Cur::new(cols[COL_VALUE2]);
-    let mut pc_idx = Cur::new(cols[COL_PC_IDX]);
-    let mut stack_idx = Cur::new(cols[COL_STACK_IDX]);
-    let mut order_col = Cur::new(cols[COL_ORDER]);
-    let mut spin_col = Cur::new(cols[COL_SPIN]);
-    let mut gen_col = Cur::new(cols[COL_GEN]);
-
-    let mut spin_reads = 0;
-    out.reserve(n);
-    for (pos, &kind) in cols[COL_KIND].iter().enumerate() {
-        let tag = kind & TAG_MASK;
-        let atomic_flag = kind & FLAG_ATOMIC != 0;
-        let spin_flag = kind & FLAG_SPIN != 0;
-        if tag > TAG_MAX {
+impl<'a> ChunkDecoder<'a> {
+    /// Start decoding a chunk of `n` framed events from its column
+    /// blocks: check the kind column's length and decode both
+    /// dictionaries, which the index columns resolve against.
+    pub fn new(n: usize, cols: &[&'a [u8]; NUM_COLUMNS]) -> Result<Self, TraceError> {
+        // The kind column is one raw byte per event: its length is the one
+        // structural invariant checkable before decoding anything.
+        if cols[COL_KIND].len() != n {
             return Err(TraceError::Corrupt(format!(
-                "unknown event tag {tag} at chunk offset {pos}"
+                "kind column holds {} bytes for {n} events",
+                cols[COL_KIND].len()
             )));
         }
-        // Flags are only meaningful on data accesses; anywhere else they
-        // mean the byte was damaged in a way the checksum missed.
-        if (atomic_flag && !matches!(tag, TAG_READ | TAG_WRITE)) || (spin_flag && tag != TAG_READ) {
-            return Err(TraceError::Corrupt(format!(
-                "flag bits on event tag {tag} at chunk offset {pos}"
-            )));
+
+        let mut pcd = Cur::new(cols[COL_PC_DICT]);
+        let pc_count = pcd.uvarint()?;
+        if pc_count > n as u64 * 2 + 16 {
+            return Err(TraceError::Corrupt(
+                "pc dictionary larger than chunk".into(),
+            ));
         }
-        let t = spawned(tid.delta()?, *threads)?;
-        let ev = match tag {
-            TAG_SPAWN => {
-                let child = tid_u32(aux_tid.delta()?)?;
-                if child != *threads || child == u32::MAX {
-                    return Err(TraceError::Corrupt(format!(
-                        "spawn of thread {child}, expected the fresh id {threads}"
-                    )));
+        let mut pc_entries: Vec<Pc> = Vec::with_capacity(pc_count as usize);
+        let (mut lf, mut lb, mut li) = (0i64, 0i64, 0i64);
+        for _ in 0..pc_count {
+            lf = lf.wrapping_add(pcd.ivarint()?);
+            lb = lb.wrapping_add(pcd.ivarint()?);
+            li = li.wrapping_add(pcd.ivarint()?);
+            let (f, b, i) = (
+                u32::try_from(lf)
+                    .map_err(|_| TraceError::Corrupt("pc func out of range".into()))?,
+                u32::try_from(lb)
+                    .map_err(|_| TraceError::Corrupt("pc block out of range".into()))?,
+                u32::try_from(li).map_err(|_| TraceError::Corrupt("pc idx out of range".into()))?,
+            );
+            pc_entries.push(Pc::new(FuncId(f), BlockId(b), i));
+        }
+        if !pcd.finished() {
+            return Err(TraceError::Corrupt(
+                "trailing bytes in pc dictionary".into(),
+            ));
+        }
+
+        let mut std_ = Cur::new(cols[COL_STACK_DICT]);
+        let stack_count = std_.uvarint()?;
+        if stack_count > n as u64 + 16 {
+            return Err(TraceError::Corrupt(
+                "stack dictionary larger than chunk".into(),
+            ));
+        }
+        let mut stack_entries: Vec<u64> = Vec::with_capacity(stack_count as usize);
+        let mut last = 0i64;
+        for _ in 0..stack_count {
+            last = last.wrapping_add(std_.ivarint()?);
+            stack_entries.push(last as u64);
+        }
+        if !std_.finished() {
+            return Err(TraceError::Corrupt(
+                "trailing bytes in stack dictionary".into(),
+            ));
+        }
+
+        // The spin-reads block carries its address sub-column inline.
+        let mut sr = Cur::new(cols[COL_SPIN_READS]);
+        let sr_addr_len = sr.uvarint()? as usize;
+        let rest = &cols[COL_SPIN_READS][sr.pos..];
+        if sr_addr_len > rest.len() {
+            return Err(TraceError::Corrupt(
+                "spin-read address block overruns its column".into(),
+            ));
+        }
+
+        Ok(ChunkDecoder {
+            kinds: cols[COL_KIND],
+            next: 0,
+            pc_entries,
+            stack_entries,
+            cur: Cursors {
+                tid: Cur::new(cols[COL_TID]),
+                aux_tid: Cur::new(cols[COL_AUX_TID]),
+                obj: Cur::new(cols[COL_OBJ]),
+                obj2: Cur::new(cols[COL_OBJ2]),
+                value: Cur::new(cols[COL_VALUE]),
+                value2: Cur::new(cols[COL_VALUE2]),
+                pc_idx: Cur::new(cols[COL_PC_IDX]),
+                stack_idx: Cur::new(cols[COL_STACK_IDX]),
+                order: Cur::new(cols[COL_ORDER]),
+                spin: Cur::new(cols[COL_SPIN]),
+                gen: Cur::new(cols[COL_GEN]),
+                sr_addr: Cur::new(&rest[..sr_addr_len]),
+                sr_meta: Cur::new(&rest[sr_addr_len..]),
+            },
+        })
+    }
+
+    /// Events of the chunk not yet decoded.
+    pub fn remaining(&self) -> usize {
+        self.kinds.len() - self.next
+    }
+
+    /// Decode up to `max` more events onto the end of `out`. `threads`
+    /// counts the threads spawned before them (thread 0 included) and is
+    /// advanced past every `Spawn`: as in the VM, each spawn's child must
+    /// be the next fresh id. Returns the number of spin reads the decoded
+    /// `SpinExit` events carry, the heap they own beyond the event slots
+    /// themselves. After an error the decoder must not be used again.
+    pub fn decode(
+        &mut self,
+        max: usize,
+        out: &mut Vec<Event>,
+        threads: &mut u32,
+    ) -> Result<usize, TraceError> {
+        let start = self.next;
+        let end = start + max.min(self.remaining());
+        let (pcs, stacks) = (&self.pc_entries[..], &self.stack_entries[..]);
+        let mut c = self.cur;
+        let mut spin_reads = 0;
+        out.reserve(end - start);
+        for (pos, &kind) in (start..end).zip(&self.kinds[start..end]) {
+            let tag = kind & TAG_MASK;
+            let atomic_flag = kind & FLAG_ATOMIC != 0;
+            let spin_flag = kind & FLAG_SPIN != 0;
+            if tag > TAG_MAX {
+                return Err(TraceError::Corrupt(format!(
+                    "unknown event tag {tag} at chunk offset {pos}"
+                )));
+            }
+            // Flags are only meaningful on data accesses; anywhere else they
+            // mean the byte was damaged in a way the checksum missed.
+            if (atomic_flag && !matches!(tag, TAG_READ | TAG_WRITE))
+                || (spin_flag && tag != TAG_READ)
+            {
+                return Err(TraceError::Corrupt(format!(
+                    "flag bits on event tag {tag} at chunk offset {pos}"
+                )));
+            }
+            let t = spawned(c.tid.delta()?, *threads)?;
+            let ev = match tag {
+                TAG_SPAWN => {
+                    let child = tid_u32(c.aux_tid.delta()?)?;
+                    if child != *threads || child == u32::MAX {
+                        return Err(TraceError::Corrupt(format!(
+                            "spawn of thread {child}, expected the fresh id {threads}"
+                        )));
+                    }
+                    *threads += 1;
+                    Event::Spawn {
+                        parent: t,
+                        child,
+                        pc: c.pc_idx.lookup(pcs, "pc")?,
+                    }
                 }
-                *threads += 1;
-                Event::Spawn {
+                TAG_JOIN => Event::Join {
                     parent: t,
-                    child,
-                    pc: pc_idx.lookup(&pc_entries, "pc")?,
-                }
-            }
-            TAG_JOIN => Event::Join {
-                parent: t,
-                child: spawned(aux_tid.delta()?, *threads)?,
-                pc: pc_idx.lookup(&pc_entries, "pc")?,
-            },
-            TAG_THREAD_END => Event::ThreadEnd { tid: t },
-            TAG_READ => Event::Read {
-                tid: t,
-                addr: obj.delta()? as u64,
-                value: value.ivarint()?,
-                pc: pc_idx.lookup(&pc_entries, "pc")?,
-                stack: stack_idx.lookup(&stack_entries, "stack")?,
-                atomic: if atomic_flag {
-                    Some(order_from_u8(order_col.byte()?)?)
-                } else {
-                    None
+                    child: spawned(c.aux_tid.delta()?, *threads)?,
+                    pc: c.pc_idx.lookup(pcs, "pc")?,
                 },
-                spin: if spin_flag {
-                    Some(SpinLoopId(u32::try_from(spin_col.uvarint()?).map_err(
-                        |_| TraceError::Corrupt("spin id out of range".into()),
-                    )?))
-                } else {
-                    None
-                },
-            },
-            TAG_WRITE => Event::Write {
-                tid: t,
-                addr: obj.delta()? as u64,
-                value: value.ivarint()?,
-                pc: pc_idx.lookup(&pc_entries, "pc")?,
-                stack: stack_idx.lookup(&stack_entries, "stack")?,
-                atomic: if atomic_flag {
-                    Some(order_from_u8(order_col.byte()?)?)
-                } else {
-                    None
-                },
-            },
-            TAG_UPDATE => Event::Update {
-                tid: t,
-                addr: obj.delta()? as u64,
-                old: value.ivarint()?,
-                new: value2.ivarint()?,
-                pc: pc_idx.lookup(&pc_entries, "pc")?,
-                stack: stack_idx.lookup(&stack_entries, "stack")?,
-                order: order_from_u8(order_col.byte()?)?,
-            },
-            TAG_FENCE => Event::Fence {
-                tid: t,
-                order: order_from_u8(order_col.byte()?)?,
-                pc: pc_idx.lookup(&pc_entries, "pc")?,
-            },
-            TAG_MUTEX_LOCK => Event::MutexLock {
-                tid: t,
-                mutex: obj.delta()? as u64,
-                pc: pc_idx.lookup(&pc_entries, "pc")?,
-            },
-            TAG_MUTEX_UNLOCK => Event::MutexUnlock {
-                tid: t,
-                mutex: obj.delta()? as u64,
-                pc: pc_idx.lookup(&pc_entries, "pc")?,
-            },
-            TAG_COND_SIGNAL => Event::CondSignal {
-                tid: t,
-                cv: obj.delta()? as u64,
-                pc: pc_idx.lookup(&pc_entries, "pc")?,
-            },
-            TAG_COND_BROADCAST => Event::CondBroadcast {
-                tid: t,
-                cv: obj.delta()? as u64,
-                pc: pc_idx.lookup(&pc_entries, "pc")?,
-            },
-            TAG_COND_WAIT_RETURN => Event::CondWaitReturn {
-                tid: t,
-                cv: obj.delta()? as u64,
-                mutex: obj2.delta()? as u64,
-                pc: pc_idx.lookup(&pc_entries, "pc")?,
-            },
-            TAG_BARRIER_ENTER => Event::BarrierEnter {
-                tid: t,
-                barrier: obj.delta()? as u64,
-                gen: gen_col.delta()? as u64,
-                pc: pc_idx.lookup(&pc_entries, "pc")?,
-            },
-            TAG_BARRIER_LEAVE => Event::BarrierLeave {
-                tid: t,
-                barrier: obj.delta()? as u64,
-                gen: gen_col.delta()? as u64,
-                pc: pc_idx.lookup(&pc_entries, "pc")?,
-            },
-            TAG_SEM_POST => Event::SemPost {
-                tid: t,
-                sem: obj.delta()? as u64,
-                pc: pc_idx.lookup(&pc_entries, "pc")?,
-            },
-            TAG_SEM_ACQUIRED => Event::SemAcquired {
-                tid: t,
-                sem: obj.delta()? as u64,
-                pc: pc_idx.lookup(&pc_entries, "pc")?,
-            },
-            TAG_SPIN_ENTER => Event::SpinEnter {
-                tid: t,
-                spin: SpinLoopId(
-                    u32::try_from(spin_col.uvarint()?)
-                        .map_err(|_| TraceError::Corrupt("spin id out of range".into()))?,
-                ),
-            },
-            TAG_SPIN_EXIT => {
-                let spin = SpinLoopId(
-                    u32::try_from(spin_col.uvarint()?)
-                        .map_err(|_| TraceError::Corrupt("spin id out of range".into()))?,
-                );
-                let count = sr_meta.uvarint()?;
-                if count > 1 << 20 {
-                    return Err(TraceError::Corrupt("implausible spin-read count".into()));
-                }
-                spin_reads += count as usize;
-                let mut reads = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let addr = sr_addr.delta()? as u64;
-                    let pc = sr_meta.lookup(&pc_entries, "pc")?;
-                    reads.push((addr, pc));
-                }
-                Event::SpinExit {
+                TAG_THREAD_END => Event::ThreadEnd { tid: t },
+                TAG_READ => Event::Read {
                     tid: t,
-                    spin,
-                    reads,
+                    addr: c.obj.delta()? as u64,
+                    value: c.value.ivarint()?,
+                    pc: c.pc_idx.lookup(pcs, "pc")?,
+                    stack: c.stack_idx.lookup(stacks, "stack")?,
+                    atomic: if atomic_flag {
+                        Some(order_from_u8(c.order.byte()?)?)
+                    } else {
+                        None
+                    },
+                    spin: if spin_flag {
+                        Some(spin_id(c.spin.uvarint()?)?)
+                    } else {
+                        None
+                    },
+                },
+                TAG_WRITE => Event::Write {
+                    tid: t,
+                    addr: c.obj.delta()? as u64,
+                    value: c.value.ivarint()?,
+                    pc: c.pc_idx.lookup(pcs, "pc")?,
+                    stack: c.stack_idx.lookup(stacks, "stack")?,
+                    atomic: if atomic_flag {
+                        Some(order_from_u8(c.order.byte()?)?)
+                    } else {
+                        None
+                    },
+                },
+                TAG_UPDATE => Event::Update {
+                    tid: t,
+                    addr: c.obj.delta()? as u64,
+                    old: c.value.ivarint()?,
+                    new: c.value2.ivarint()?,
+                    pc: c.pc_idx.lookup(pcs, "pc")?,
+                    stack: c.stack_idx.lookup(stacks, "stack")?,
+                    order: order_from_u8(c.order.byte()?)?,
+                },
+                TAG_FENCE => Event::Fence {
+                    tid: t,
+                    order: order_from_u8(c.order.byte()?)?,
+                    pc: c.pc_idx.lookup(pcs, "pc")?,
+                },
+                TAG_MUTEX_LOCK => Event::MutexLock {
+                    tid: t,
+                    mutex: c.obj.delta()? as u64,
+                    pc: c.pc_idx.lookup(pcs, "pc")?,
+                },
+                TAG_MUTEX_UNLOCK => Event::MutexUnlock {
+                    tid: t,
+                    mutex: c.obj.delta()? as u64,
+                    pc: c.pc_idx.lookup(pcs, "pc")?,
+                },
+                TAG_COND_SIGNAL => Event::CondSignal {
+                    tid: t,
+                    cv: c.obj.delta()? as u64,
+                    pc: c.pc_idx.lookup(pcs, "pc")?,
+                },
+                TAG_COND_BROADCAST => Event::CondBroadcast {
+                    tid: t,
+                    cv: c.obj.delta()? as u64,
+                    pc: c.pc_idx.lookup(pcs, "pc")?,
+                },
+                TAG_COND_WAIT_RETURN => Event::CondWaitReturn {
+                    tid: t,
+                    cv: c.obj.delta()? as u64,
+                    mutex: c.obj2.delta()? as u64,
+                    pc: c.pc_idx.lookup(pcs, "pc")?,
+                },
+                TAG_BARRIER_ENTER => Event::BarrierEnter {
+                    tid: t,
+                    barrier: c.obj.delta()? as u64,
+                    gen: c.gen.delta()? as u64,
+                    pc: c.pc_idx.lookup(pcs, "pc")?,
+                },
+                TAG_BARRIER_LEAVE => Event::BarrierLeave {
+                    tid: t,
+                    barrier: c.obj.delta()? as u64,
+                    gen: c.gen.delta()? as u64,
+                    pc: c.pc_idx.lookup(pcs, "pc")?,
+                },
+                TAG_SEM_POST => Event::SemPost {
+                    tid: t,
+                    sem: c.obj.delta()? as u64,
+                    pc: c.pc_idx.lookup(pcs, "pc")?,
+                },
+                TAG_SEM_ACQUIRED => Event::SemAcquired {
+                    tid: t,
+                    sem: c.obj.delta()? as u64,
+                    pc: c.pc_idx.lookup(pcs, "pc")?,
+                },
+                TAG_SPIN_ENTER => Event::SpinEnter {
+                    tid: t,
+                    spin: spin_id(c.spin.uvarint()?)?,
+                },
+                TAG_SPIN_EXIT => {
+                    let spin = spin_id(c.spin.uvarint()?)?;
+                    let count = c.sr_meta.uvarint()?;
+                    if count > 1 << 20 {
+                        return Err(TraceError::Corrupt("implausible spin-read count".into()));
+                    }
+                    spin_reads += count as usize;
+                    let mut reads = Vec::with_capacity(count as usize);
+                    for _ in 0..count {
+                        let addr = c.sr_addr.delta()? as u64;
+                        let pc = c.sr_meta.lookup(pcs, "pc")?;
+                        reads.push((addr, pc));
+                    }
+                    Event::SpinExit {
+                        tid: t,
+                        spin,
+                        reads,
+                    }
                 }
-            }
-            TAG_OUTPUT => Event::Output {
-                tid: t,
-                value: value.ivarint()?,
-            },
-            _ => unreachable!("tag validated above"),
-        };
-        out.push(ev);
+                TAG_OUTPUT => Event::Output {
+                    tid: t,
+                    value: c.value.ivarint()?,
+                },
+                _ => unreachable!("tag validated above"),
+            };
+            out.push(ev);
+        }
+        self.cur = c;
+        self.next = end;
+        Ok(spin_reads)
     }
 
-    // Every cursor must land exactly on its column's end: leftover bytes
-    // mean the columns and the kind stream disagree about the chunk's
-    // shape — corruption the checksum may have missed only if the file
-    // was rewritten wholesale.
-    let cursors = [
-        (&tid, "tid"),
-        (&aux_tid, "aux-tid"),
-        (&obj, "object"),
-        (&obj2, "second object"),
-        (&value, "value"),
-        (&value2, "second value"),
-        (&pc_idx, "pc index"),
-        (&stack_idx, "stack index"),
-        (&order_col, "order"),
-        (&spin_col, "spin"),
-        (&gen_col, "generation"),
-        (&sr_addr, "spin-read address"),
-        (&sr_meta, "spin-read"),
-    ];
-    for (cur, name) in cursors {
-        if !cur.finished() {
-            return Err(TraceError::Corrupt(format!(
-                "trailing bytes in {name} column"
-            )));
+    /// End of the chunk: every event must have been decoded, and every
+    /// cursor must land exactly on its column's end. Leftover bytes mean
+    /// the columns and the kind stream disagree about the chunk's shape —
+    /// corruption the checksum may have missed only if the file was
+    /// rewritten wholesale.
+    pub fn finish(&self) -> Result<(), TraceError> {
+        debug_assert_eq!(self.remaining(), 0, "finish before the chunk's last event");
+        let c = &self.cur;
+        let cursors = [
+            (&c.tid, "tid"),
+            (&c.aux_tid, "aux-tid"),
+            (&c.obj, "object"),
+            (&c.obj2, "second object"),
+            (&c.value, "value"),
+            (&c.value2, "second value"),
+            (&c.pc_idx, "pc index"),
+            (&c.stack_idx, "stack index"),
+            (&c.order, "order"),
+            (&c.spin, "spin"),
+            (&c.gen, "generation"),
+            (&c.sr_addr, "spin-read address"),
+            (&c.sr_meta, "spin-read"),
+        ];
+        for (cur, name) in cursors {
+            if !cur.finished() {
+                return Err(TraceError::Corrupt(format!(
+                    "trailing bytes in {name} column"
+                )));
+            }
         }
+        Ok(())
     }
-    Ok(spin_reads)
 }

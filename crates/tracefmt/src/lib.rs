@@ -29,8 +29,10 @@
 //! * **Fixed-target-size chunks** (default 64k events): every chunk
 //!   carries its own column lengths and a CRC-64/XZ checksum and resets
 //!   all codec state, so chunks decode independently. That enables the
-//!   streaming reader (decode one chunk ahead of the detector, O(chunk)
-//!   peak memory) and localizes corruption detection to a single chunk.
+//!   streaming reader and localizes corruption detection to a single
+//!   chunk. The reader checks a chunk's checksum, then decodes it in
+//!   slices with a resumable [`chunk::ChunkDecoder`], one slice ahead of
+//!   the detector, so peak memory is O(slice) whatever the chunk size.
 //! * **CRC-64/XZ checksums** ([`checksum`], since binary version 2;
 //!   version 1 used FNV-1a and is refused with [`TraceError::Version`]):
 //!   every burst error of up to 64 bits is guaranteed to be caught, and
@@ -55,7 +57,7 @@ pub mod chunk;
 pub mod reader;
 pub mod varint;
 
-pub use reader::{ChunkedTraceReader, StreamStats};
+pub use reader::{ChunkedTraceReader, DecodedSlice, StreamStats};
 
 use spinrace_vm::{Trace, TraceError};
 use std::path::Path;

@@ -1,15 +1,20 @@
-//! Chunked streaming reader: decode one chunk ahead of the consumer.
+//! Chunked streaming reader: decode one slice ahead of the consumer.
 //!
 //! [`ChunkedTraceReader`] wraps any [`io::Read`] source, parses and
 //! validates the header block eagerly (magic, binary version, embedded
 //! trace header, checksum), then hands out decoded chunks one at a time.
+//! Reading a chunk is two steps: its frame is read and checksummed
+//! whole, then a resumable [`ChunkDecoder`] decodes its events. Whole
+//! chunks ([`ChunkedTraceReader::next_chunk`], [`ChunkedTraceReader::read_all`])
+//! run the decoder to the chunk's end in one call.
 //! [`ChunkedTraceReader::decode_ahead`] feeds a consumer directly from
-//! the stream with a decode-ahead thread: while the consumer handles
-//! chunk *k*, chunk *k+1* is being read and decoded, so replay starts
-//! before the file has been fully read and peak memory stays bounded by
-//! a couple of chunks — O(chunk), not O(trace).
+//! the stream with a decode-ahead thread that hands out slices of at
+//! most 16,384 events: while the consumer handles slice *k*, slice *k+1*
+//! is being decoded (and the next chunk read and checksummed), so replay
+//! starts before the file has been fully read and peak memory stays
+//! bounded by two slices — O(slice), not O(chunk) or O(trace).
 
-use crate::chunk::{decode_chunk_columns, NUM_COLUMNS};
+use crate::chunk::{ChunkDecoder, NUM_COLUMNS};
 use crate::varint::get_uvarint;
 use crate::{checksum, BINARY_FORMAT_VERSION, MAGIC};
 use spinrace_tir::Pc;
@@ -27,23 +32,30 @@ const MAX_JSON_BLOCK: u64 = 1 << 20;
 const MAX_CHUNK_EVENTS: u32 = 1 << 24;
 /// Largest accepted single column block.
 const MAX_COLUMN_BYTES: u64 = 1 << 31;
+/// Most events [`ChunkedTraceReader::decode_ahead`] hands its consumer
+/// at once: a slice of a chunk, so the pipeline's two in-flight buffers
+/// stay well below two 64k-event chunks.
+const SLICE_EVENTS: usize = 16_384;
 
 /// Statistics of one streamed replay.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Events delivered to the consumer.
     pub events: u64,
-    /// Chunks decoded.
+    /// Chunks decoded and consumed (a chunk counts once, however many
+    /// slices it was handed out in).
     pub chunks: u32,
     /// High-water mark of decoded-but-not-yet-consumed event memory
-    /// (bytes), across the decode-ahead pipeline. With chunked streaming
-    /// this is O(chunk); a whole-trace decode would make it O(trace).
+    /// (bytes), across the decode-ahead pipeline: at most two slices'
+    /// worth, the one being consumed and the one decoded ahead, so
+    /// O(slice) whatever the chunk size; a whole-trace decode would make
+    /// it O(trace).
     pub peak_resident_bytes: usize,
 }
 
-/// Approximate heap footprint of a decoded chunk of `events` events
-/// whose `SpinExit`s carry `spin_reads` reads in all — what the streaming
-/// pipeline holds resident per in-flight chunk.
+/// Approximate heap footprint of `events` decoded events whose
+/// `SpinExit`s carry `spin_reads` reads in all — what the streaming
+/// pipeline holds resident per in-flight slice.
 fn resident_bytes(events: usize, spin_reads: usize) -> usize {
     events * std::mem::size_of::<Event>() + spin_reads * std::mem::size_of::<(u64, Pc)>()
 }
@@ -234,6 +246,38 @@ impl<R: io::Read> ChunkedTraceReader<R> {
     /// Returns `Ok(None)` once the stream is complete and validated; on
     /// error `out` is left as it was.
     fn next_chunk_into(&mut self, out: &mut Vec<Event>) -> Result<Option<usize>, TraceError> {
+        let Some(frame) = self.next_frame()? else {
+            return Ok(None);
+        };
+        let before = out.len();
+        let cols = frame.columns(&self.raw);
+        let decoded = ChunkDecoder::new(frame.events, &cols).and_then(|mut dec| {
+            let spin_reads = dec.decode(frame.events, out, &mut self.threads)?;
+            dec.finish()?;
+            Ok(spin_reads)
+        });
+        match decoded {
+            Ok(spin_reads) => {
+                self.chunk_done(frame.events);
+                Ok(Some(resident_bytes(frame.events, spin_reads)))
+            }
+            Err(e) => {
+                out.truncate(before);
+                Err(e)
+            }
+        }
+    }
+
+    /// Count a fully decoded and validated chunk of `events` events.
+    fn chunk_done(&mut self, events: usize) {
+        self.chunks_read += 1;
+        self.events_read += events as u64;
+    }
+
+    /// Read and checksum the next chunk's frame into `self.raw`, or
+    /// `Ok(None)` once the stream is complete and validated (event total,
+    /// no trailing bytes). Nothing of the chunk is decoded yet.
+    fn next_frame(&mut self) -> Result<Option<Frame>, TraceError> {
         if self.done {
             return Ok(None);
         }
@@ -259,32 +303,17 @@ impl<R: io::Read> ChunkedTraceReader<R> {
             self.done = true;
             return Ok(None);
         }
-
-        let before = out.len();
-        match self.read_chunk(out) {
-            Ok(spin_reads) => {
-                let events = out.len() - before;
-                self.chunks_read += 1;
-                self.events_read += events as u64;
-                Ok(Some(resident_bytes(events, spin_reads)))
-            }
-            Err(e) => {
-                out.truncate(before);
-                // A chunk interrupted by EOF — anywhere inside it — is
-                // stream truncation, reported as the chunk-count
-                // shortfall.
-                if matches!(&e, TraceError::Corrupt(m) if m == "unexpected end of stream") {
-                    Err(self.truncated())
-                } else {
-                    Err(e)
-                }
-            }
+        match self.read_frame() {
+            Ok(frame) => Ok(Some(frame)),
+            // A chunk interrupted by EOF — anywhere inside it — is stream
+            // truncation, reported as the chunk-count shortfall.
+            Err(TraceError::Corrupt(m)) if m == "unexpected end of stream" => Err(self.truncated()),
+            Err(e) => Err(e),
         }
     }
 
-    /// Read, checksum and decode one chunk onto the end of `out`,
-    /// returning its spin-read count.
-    fn read_chunk(&mut self, out: &mut Vec<Event>) -> Result<usize, TraceError> {
+    /// Read one chunk's framing into `self.raw` and verify its checksum.
+    fn read_frame(&mut self) -> Result<Frame, TraceError> {
         let raw = &mut self.raw;
         raw.clear();
 
@@ -324,9 +353,10 @@ impl<R: io::Read> ChunkedTraceReader<R> {
                 chunk: self.chunks_read,
             });
         }
-
-        let cols: [&[u8]; NUM_COLUMNS] = std::array::from_fn(|i| &raw[spans[i].clone()]);
-        decode_chunk_columns(n as usize, &cols, out, &mut self.threads)
+        Ok(Frame {
+            events: n as usize,
+            spans,
+        })
     }
 
     /// Decode the entire stream into an in-memory [`Trace`], each chunk
@@ -344,62 +374,74 @@ impl<R: io::Read> ChunkedTraceReader<R> {
         })
     }
 
-    /// Drive `consume` over the stream with one chunk of decode-ahead —
-    /// the one streaming pipeline every streamed replay runs on.
+    /// Drive `consume` over the stream in slices of at most 16,384
+    /// events, decoded ahead on a worker thread — the one streaming
+    /// pipeline every streamed replay runs on.
     ///
-    /// A scoped worker thread reads and decodes chunks; the caller's
-    /// thread hands each decoded chunk to `consume`. The decoder owns
-    /// two event buffers: it decodes into one while the caller consumes
-    /// the other, and each consumed buffer goes back to it on a second
-    /// channel. So at most two decoded chunks are resident at once — one
-    /// being consumed, one decoded ahead — peak memory is O(chunk)
-    /// regardless of trace length, and no chunk allocates its event
-    /// vector afresh. The first error, from the decoder or from
-    /// `consume`, ends the stream: the channels close and the decoder
-    /// stops. The returned [`StreamStats`] count the consumed chunks and
-    /// report the observed high-water mark.
+    /// A scoped worker thread reads each chunk, verifies its checksum,
+    /// and only then decodes it slice by slice with a resumable
+    /// [`ChunkDecoder`]; the caller's thread hands each slice to
+    /// `consume`, in stream order. [`DecodedSlice::ends_chunk`] marks the
+    /// last slice of each chunk, which goes out only after the chunk's
+    /// trailing-bytes checks have passed. A chunk smaller than a slice is
+    /// one slice. The decoder owns two slice buffers, both allocated at
+    /// full size on its own thread before its first slice: it decodes
+    /// into one while the caller consumes the other, and each consumed
+    /// buffer goes back to it on a second channel. So at most two
+    /// decoded slices are resident at once — peak memory is O(slice)
+    /// regardless of trace and chunk length — and no slice allocates its
+    /// event vector afresh.
+    ///
+    /// The first error, from the decoder or from `consume`, ends the
+    /// stream: the channels close and the decoder stops. Errors come in
+    /// stream order. A chunk whose checksum fails hands out no slice, so
+    /// its checksum error wins over any error `consume` would have
+    /// raised on its events. A structural fault inside a chunk that
+    /// passed its checksum (a forged or re-checksummed file) surfaces
+    /// when the decoder reaches it, after the chunk's earlier slices have
+    /// been consumed: a limit in `consume` that trips on one of those
+    /// slices (an event budget, a watchdog) wins, and the fault is never
+    /// reported. Otherwise the fault is the same [`TraceError`]
+    /// [`Self::read_all`] gives on the same bytes. The returned
+    /// [`StreamStats`] count the consumed events and chunks and report
+    /// the observed high-water mark.
     pub fn decode_ahead<E, F>(mut self, mut consume: F) -> Result<StreamStats, E>
     where
         R: Send,
         E: From<TraceError>,
-        F: FnMut(&[Event]) -> Result<(), E>,
+        F: FnMut(&DecodedSlice) -> Result<(), E>,
     {
         let resident = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        // Each decoded chunk travels with its resident bytes.
-        let (tx, rx) = sync_channel::<Result<(Vec<Event>, usize), TraceError>>(1);
-        // The decoder's two buffers start out here; room for both, so
+        let (tx, rx) = sync_channel::<Result<DecodedSlice, TraceError>>(1);
+        // Consumed buffers go back to the decoder here; room for both, so
         // returning one never blocks.
         let (recycle_tx, recycle_rx) = sync_channel::<Vec<Event>>(2);
-        for _ in 0..2 {
-            recycle_tx
-                .send(Vec::new())
-                .expect("the channel holds both buffers");
-        }
+        let capacity = SLICE_EVENTS.min(self.header.events.try_into().unwrap_or(usize::MAX));
 
         let mut stats = std::thread::scope(|scope| -> Result<StreamStats, E> {
             let (resident, peak) = (&resident, &peak);
             let reader = &mut self;
             scope.spawn(move || {
-                // A consumed buffer comes back cleared. A closed channel
-                // means the consumer bailed on an error.
-                while let Ok(mut chunk) = recycle_rx.recv() {
-                    match reader.next_chunk_into(&mut chunk) {
-                        Ok(Some(mem)) => {
-                            let now = resident.fetch_add(mem, Ordering::Relaxed) + mem;
-                            peak.fetch_max(now, Ordering::Relaxed);
-                            // A closed receiver means the consumer bailed on
-                            // an earlier error; just stop decoding.
-                            if tx.send(Ok((chunk, mem))).is_err() {
-                                return;
-                            }
-                        }
-                        Ok(None) => return,
-                        Err(e) => {
-                            let _ = tx.send(Err(e));
-                            return;
-                        }
-                    }
+                // Both buffers are allocated at full size before the first
+                // slice, on the thread that fills them.
+                let mut fresh = vec![Vec::with_capacity(capacity), Vec::with_capacity(capacity)];
+                let buffers = || fresh.pop().or_else(|| recycle_rx.recv().ok());
+                // A send or a buffer wait fails only once the consumer has
+                // bailed on an error; then just stop decoding.
+                let handed = reader.decode_slices(buffers, |events, spin_reads, ends_chunk| {
+                    let mem = resident_bytes(events.len(), spin_reads);
+                    let now = resident.fetch_add(mem, Ordering::Relaxed) + mem;
+                    peak.fetch_max(now, Ordering::Relaxed);
+                    tx.send(Ok(DecodedSlice {
+                        events,
+                        mem,
+                        ends_chunk,
+                    }))
+                    .is_ok()
+                });
+                if let Err(e) = handed {
+                    let _ = tx.send(Err(e));
                 }
             });
 
@@ -408,20 +450,98 @@ impl<R: io::Read> ChunkedTraceReader<R> {
             let recycle_tx = recycle_tx;
             let mut stats = StreamStats::default();
             for msg in rx {
-                let (mut chunk, mem) = msg?;
-                let consumed = consume(&chunk);
-                resident.fetch_sub(mem, Ordering::Relaxed);
+                let slice = msg?;
+                let consumed = consume(&slice);
+                resident.fetch_sub(slice.mem, Ordering::Relaxed);
                 consumed?;
-                stats.events += chunk.len() as u64;
-                stats.chunks += 1;
-                chunk.clear();
+                stats.events += slice.events.len() as u64;
+                stats.chunks += u32::from(slice.ends_chunk);
+                let mut events = slice.events;
+                events.clear();
                 // Fails only once the decoder has finished.
-                let _ = recycle_tx.send(chunk);
+                let _ = recycle_tx.send(events);
             }
             Ok(stats)
         })?;
         stats.peak_resident_bytes = peak.load(Ordering::Relaxed);
         Ok(stats)
+    }
+
+    /// The decoder thread's half of [`Self::decode_ahead`]: frame and
+    /// checksum each chunk, then decode it in slices of at most
+    /// [`SLICE_EVENTS`] into empty buffers taken from `buffers`, and pass
+    /// each filled buffer to `hand` with its spin-read count and whether
+    /// it ends the chunk. Stops early, with `Ok`, when `buffers` has none
+    /// left or `hand` returns `false`.
+    fn decode_slices<B, H>(&mut self, mut buffers: B, mut hand: H) -> Result<(), TraceError>
+    where
+        B: FnMut() -> Option<Vec<Event>>,
+        H: FnMut(Vec<Event>, usize, bool) -> bool,
+    {
+        while let Some(frame) = self.next_frame()? {
+            let cols = frame.columns(&self.raw);
+            let mut dec = ChunkDecoder::new(frame.events, &cols)?;
+            loop {
+                let Some(mut events) = buffers() else {
+                    return Ok(());
+                };
+                let spin_reads = dec.decode(SLICE_EVENTS, &mut events, &mut self.threads)?;
+                let ends_chunk = dec.remaining() == 0;
+                if ends_chunk {
+                    dec.finish()?;
+                }
+                if !hand(events, spin_reads, ends_chunk) {
+                    return Ok(());
+                }
+                if ends_chunk {
+                    break;
+                }
+            }
+            self.chunk_done(frame.events);
+        }
+        Ok(())
+    }
+}
+
+/// One chunk's frame, read into the reader's framing buffer and
+/// checksummed.
+struct Frame {
+    /// The framed event count.
+    events: usize,
+    /// Where each column block sits in the framing buffer.
+    spans: [Range<usize>; NUM_COLUMNS],
+}
+
+impl Frame {
+    /// The column blocks, resolved against the framing buffer `raw`.
+    fn columns<'r>(&self, raw: &'r [u8]) -> [&'r [u8]; NUM_COLUMNS] {
+        std::array::from_fn(|i| &raw[self.spans[i].clone()])
+    }
+}
+
+/// Consecutive decoded events of one chunk, as
+/// [`ChunkedTraceReader::decode_ahead`] hands them to its consumer.
+/// Dereferences to the events.
+#[derive(Debug)]
+pub struct DecodedSlice {
+    events: Vec<Event>,
+    /// Its [`resident_bytes`].
+    mem: usize,
+    ends_chunk: bool,
+}
+
+impl DecodedSlice {
+    /// Whether this is the last slice of its chunk.
+    pub fn ends_chunk(&self) -> bool {
+        self.ends_chunk
+    }
+}
+
+impl std::ops::Deref for DecodedSlice {
+    type Target = [Event];
+
+    fn deref(&self) -> &[Event] {
+        &self.events
     }
 }
 
@@ -429,6 +549,7 @@ impl<R: io::Read> ChunkedTraceReader<R> {
 mod tests {
     use super::*;
     use crate::encode_trace_chunked;
+    use crate::MAGIC;
     use spinrace_tir::{BlockId, FuncId, SpinLoopId};
     use spinrace_vm::{record_run, VmConfig};
     use std::time::Duration;
@@ -552,6 +673,187 @@ mod tests {
                 peak_resident_bytes: expected_peak,
             }
         );
+    }
+
+    /// A trace of `n` events of thread 0 alone: writes and reads over a
+    /// few words, and a `SpinExit` carrying 0..=4 reads every seventh
+    /// event, so slices differ in heap footprint.
+    fn long_trace(n: usize) -> Trace {
+        let mut trace = spin_heavy();
+        let pc = |i: usize| Pc::new(FuncId(0), BlockId(i as u32 % 3), 1);
+        trace.events = (0..n)
+            .map(|i| match i % 7 {
+                0 => Event::SpinExit {
+                    tid: 0,
+                    spin: SpinLoopId(1),
+                    reads: (0..i % 5).map(|k| (8 * k as u64, pc(k))).collect(),
+                },
+                1 | 2 => Event::Read {
+                    tid: 0,
+                    addr: 8 * (i % 64) as u64,
+                    value: i as i64,
+                    pc: pc(i),
+                    stack: i as u64 % 5,
+                    atomic: None,
+                    spin: None,
+                },
+                _ => Event::Write {
+                    tid: 0,
+                    addr: 8 * (i % 64) as u64,
+                    value: -(i as i64),
+                    pc: pc(i),
+                    stack: i as u64 % 5,
+                    atomic: None,
+                },
+            })
+            .collect();
+        trace.header.events = n as u64;
+        trace
+    }
+
+    /// Every chunk frame of an encoded trace: the frame's byte range
+    /// (checksum included) and its column blocks' ranges.
+    fn chunk_frames(bytes: &[u8]) -> Vec<(Range<usize>, Vec<Range<usize>>)> {
+        let mut pos = MAGIC.len() + 4;
+        for _ in 0..2 {
+            let len = get_uvarint(bytes, &mut pos).unwrap() as usize;
+            pos += len;
+        }
+        let chunks = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+        pos += 16;
+        let mut frames = Vec::new();
+        for _ in 0..chunks {
+            let start = pos;
+            pos += 4;
+            let ncols = get_uvarint(bytes, &mut pos).unwrap();
+            let mut cols = Vec::new();
+            for _ in 0..ncols {
+                let len = get_uvarint(bytes, &mut pos).unwrap() as usize;
+                cols.push(pos..pos + len);
+                pos += len;
+            }
+            pos += 8;
+            frames.push((start..pos, cols));
+        }
+        assert_eq!(pos, bytes.len(), "walked past the framing");
+        frames
+    }
+
+    /// Drive `decode_ahead` over `bytes`, returning the result and every
+    /// event the consumer was handed.
+    fn consume_all(bytes: &[u8]) -> (Result<StreamStats, TraceError>, Vec<Event>) {
+        let mut seen = Vec::new();
+        let result = ChunkedTraceReader::new(bytes).unwrap().decode_ahead(
+            |slice| -> Result<(), TraceError> {
+                seen.extend_from_slice(slice);
+                Ok(())
+            },
+        );
+        (result, seen)
+    }
+
+    #[test]
+    fn decode_ahead_hands_out_chunks_in_slices() {
+        let chunk = 3 * SLICE_EVENTS + 100;
+        let trace = long_trace(2 * chunk + 5000);
+        let bytes = encode_trace_chunked(&trace, chunk);
+        let whole_chunk_mem = {
+            let mut reader = ChunkedTraceReader::new(&bytes[..]).unwrap();
+            chunk_mem(&reader.next_chunk().unwrap().unwrap())
+        };
+        let mut seen = Vec::new();
+        let mut slices = Vec::new();
+        let stats = ChunkedTraceReader::new(&bytes[..])
+            .unwrap()
+            .decode_ahead(|slice| -> Result<(), TraceError> {
+                // A slow consumer lets the decoder fill its second buffer.
+                std::thread::sleep(Duration::from_millis(5));
+                slices.push((slice.len(), slice.ends_chunk(), chunk_mem(slice)));
+                seen.extend_from_slice(slice);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(seen, trace.events, "every event, in order");
+        // Each chunk is cut into full slices and a remainder, and only its
+        // last slice ends it.
+        let expected: Vec<(usize, bool)> = trace
+            .events
+            .chunks(chunk)
+            .flat_map(|c| {
+                let k = c.len().div_ceil(SLICE_EVENTS);
+                (0..k).map(move |i| ((c.len() - i * SLICE_EVENTS).min(SLICE_EVENTS), i + 1 == k))
+            })
+            .collect();
+        let got: Vec<(usize, bool)> = slices.iter().map(|&(len, end, _)| (len, end)).collect();
+        assert_eq!(got, expected);
+        assert_eq!(stats.events, trace.events.len() as u64);
+        assert_eq!(stats.chunks, 3, "chunks are counted, not slices");
+        // At most two slices are resident, well under one whole chunk.
+        let two_slices = slices.windows(2).map(|w| w[0].2 + w[1].2).max().unwrap();
+        assert!(stats.peak_resident_bytes <= two_slices, "{stats:?}");
+        assert!(stats.peak_resident_bytes >= slices.iter().map(|s| s.2).max().unwrap());
+        assert!(two_slices < whole_chunk_mem);
+    }
+
+    #[test]
+    fn a_chunk_failing_its_checksum_hands_out_no_slice() {
+        let chunk = 2 * SLICE_EVENTS + 100;
+        let trace = long_trace(3 * chunk);
+        let mut bytes = encode_trace_chunked(&trace, chunk);
+        // A flipped kind byte in chunk 1's second slice.
+        let kinds = chunk_frames(&bytes)[1].1[0].clone();
+        bytes[kinds.start + SLICE_EVENTS + 10] ^= 0x04;
+        let (result, seen) = consume_all(&bytes);
+        assert_eq!(result, Err(TraceError::Checksum { chunk: 1 }));
+        assert_eq!(seen, trace.events[..chunk], "only chunk 0 was handed out");
+    }
+
+    #[test]
+    fn a_structural_fault_behind_a_valid_checksum_fails_like_read_all() {
+        let chunk = 2 * SLICE_EVENTS + 100;
+        let fault_at = chunk + SLICE_EVENTS + 10;
+        // An unknown event tag, the chunk re-checksummed after the damage.
+        let trace = long_trace(3 * chunk);
+        let mut bad_tag = encode_trace_chunked(&trace, chunk);
+        let (frame, cols) = chunk_frames(&bad_tag)[1].clone();
+        bad_tag[cols[0].start + SLICE_EVENTS + 10] = 0x1f;
+        let sum = checksum(&bad_tag[frame.start..frame.end - 8]);
+        bad_tag[frame.end - 8..frame.end].copy_from_slice(&sum.to_le_bytes());
+        // A thread that was never spawned, encoded with a valid checksum.
+        let mut forged = trace.clone();
+        if let Event::Write { tid, .. } | Event::Read { tid, .. } = &mut forged.events[fault_at] {
+            *tid = 1000;
+        }
+        let bad_tid = encode_trace_chunked(&forged, chunk);
+
+        for (bytes, message) in [
+            (
+                bad_tag,
+                format!("unknown event tag 31 at chunk offset {}", SLICE_EVENTS + 10),
+            ),
+            (bad_tid, "thread 1000 was never spawned".to_string()),
+        ] {
+            let expected = Err(TraceError::Corrupt(message));
+            let whole = ChunkedTraceReader::new(&bytes[..]).unwrap().read_all();
+            assert_eq!(whole.map(|_| ()), expected);
+            // The chunk's slices before the fault were consumed; the one
+            // holding it was not.
+            let (result, seen) = consume_all(&bytes);
+            assert_eq!(result.map(|_| ()), expected);
+            assert_eq!(seen, trace.events[..chunk + SLICE_EVENTS]);
+            // A consumer error on an earlier slice of that chunk wins.
+            let mut slices = 0;
+            let result = ChunkedTraceReader::new(&bytes[..]).unwrap().decode_ahead(
+                |_| -> Result<(), TraceError> {
+                    slices += 1;
+                    match slices {
+                        4 => Err(TraceError::Corrupt("consumer limit".into())),
+                        _ => Ok(()),
+                    }
+                },
+            );
+            assert_eq!(result, Err(TraceError::Corrupt("consumer limit".into())));
+        }
     }
 
     #[test]

@@ -482,3 +482,70 @@ fn streamed_sessions_emit_verdicts_before_end_of_upload() {
     assert!(saw_done, "session must end with a done frame");
     handle.shutdown();
 }
+
+/// An upload whose chunks are larger than the server's decode slices
+/// gets exactly one `V` frame per chunk per tool, not one per slice,
+/// and `O` frames byte-identical to an offline replay of the same trace
+/// encoded in chunks smaller than a slice.
+#[test]
+fn chunks_larger_than_a_slice_get_one_verdict_per_chunk_per_tool() {
+    let spec = WorkloadSpec::new(Family::Ring)
+        .threads(4)
+        .addr_space(256)
+        .seed(9)
+        .with_total_events(60_000);
+    let wl = spec.build();
+    let trace = Session::for_module(&wl.module)
+        .vm_config(spec.vm_config())
+        .prepare(Tool::HelgrindLib)
+        .unwrap()
+        .execute()
+        .unwrap()
+        .into_trace();
+    // 25,000-event chunks span two 16,384-event slices each.
+    let chunk = 25_000;
+    let chunks = trace.events.len().div_ceil(chunk);
+    assert!(chunks >= 2 && trace.events.len() > chunk);
+    let tools = [Tool::HelgrindLib, Tool::Drd];
+
+    let offline = |tool: Tool| {
+        let small = encode_trace_chunked(&trace, 512);
+        let reader = spinrace::tracefmt::ChunkedTraceReader::new(&small[..]).unwrap();
+        let prepared = spinrace::suites::prepared_for_replay(
+            reader.header(),
+            tool,
+            spinrace::detector::MsmMode::Short,
+            1000,
+        )
+        .unwrap();
+        let (out, _) = prepared
+            .try_run_streamed(&DetectRequest::tool(tool), reader)
+            .unwrap();
+        serde_json::to_string_pretty(&outcome_json(&out.into_single())).unwrap() + "\n"
+    };
+
+    let handle = serve("127.0.0.1:0", ServeOptions::default()).unwrap();
+    let body = serde_json::Value::Map(vec![(
+        serde_json::Value::Str("tools".into()),
+        serde_json::Value::Seq(
+            tools
+                .iter()
+                .map(|t| serde_json::Value::Str(t.label()))
+                .collect(),
+        ),
+    )]);
+    let bytes = encode_trace_chunked(&trace, chunk);
+    let out = run_client(&handle.addr().to_string(), &body, &bytes).unwrap();
+    handle.shutdown();
+    assert!(out.succeeded(), "session failed: {:?}", out.error);
+    assert_eq!(out.verdicts, chunks * tools.len());
+    assert_eq!(
+        out.done.as_ref().unwrap()["chunks"].as_u64(),
+        Some(chunks as u64)
+    );
+    assert_eq!(out.outcomes.len(), tools.len());
+    for (tool, (label, payload)) in tools.iter().zip(&out.outcomes) {
+        assert_eq!(label, &tool.label());
+        assert_eq!(payload, &offline(*tool), "{label}");
+    }
+}

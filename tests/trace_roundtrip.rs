@@ -24,12 +24,13 @@ mod common;
 use common::feature_mix;
 use proptest::prelude::*;
 use spinrace::core::{AnalysisOutcome, DetectRequest, ExecutedRun, Session, Tool};
+use spinrace::detector::AnyDetector;
 use spinrace::serve::outcome_json;
 use spinrace::suites::{all_programs, judge_outcome};
 use spinrace::tracefmt::{
     checksum, decode_trace, encode_trace, encode_trace_chunked, ChunkedTraceReader,
 };
-use spinrace::vm::VmConfig;
+use spinrace::vm::{EventSink, VmConfig};
 use spinrace::workloads::{Family, WorkloadSpec};
 use std::io::Cursor;
 
@@ -231,4 +232,79 @@ fn zipf_stream_matches_pin() {
     let session = Session::for_module(&wl.module).vm_config(spec.vm_config());
     let got = stream_crc(&session, Tool::HelgrindLibSpin { window: 7 });
     assert_eq!(got, 0x3a7d1410dfe04b29, "{}: stream changed", spec.name());
+}
+
+/// A streamed replay whose chunks are larger than the reader's decode
+/// slices reports progress once per chunk per target, never per slice,
+/// with the running totals that fresh detectors fed the trace chunk by
+/// chunk reach.
+#[test]
+fn streamed_progress_is_observed_per_chunk_not_per_slice() {
+    let spec = WorkloadSpec::new(Family::Zipf)
+        .threads(4)
+        .addr_space(64)
+        .seed(2)
+        .with_total_events(60_000);
+    let wl = spec.build();
+    let run = Session::for_module(&wl.module)
+        .vm_config(spec.vm_config())
+        .prepare(Tool::HelgrindLib)
+        .unwrap()
+        .execute()
+        .unwrap();
+    // 25,000-event chunks span two 16,384-event slices each.
+    let chunk = 25_000;
+    assert!(run.trace().events.len() > 2 * chunk);
+    let tools = [Tool::HelgrindLib, Tool::Drd];
+    let bytes = encode_trace_chunked(run.trace(), chunk);
+
+    let mut seen = Vec::new();
+    let (out, stats) = run
+        .prepared()
+        .try_run_streamed_observed(
+            &DetectRequest::tools(&tools),
+            ChunkedTraceReader::new(&bytes[..]).unwrap(),
+            |p| {
+                seen.push((
+                    p.target,
+                    p.tool_label.to_string(),
+                    p.chunk,
+                    p.events,
+                    p.contexts,
+                    p.new_reports,
+                ))
+            },
+        )
+        .unwrap();
+    let chunks = run.trace().events.len().div_ceil(chunk);
+    assert_eq!(stats.chunks as usize, chunks);
+
+    let mut dets: Vec<AnyDetector> = tools
+        .iter()
+        .map(|&t| AnyDetector::new(run.prepared().config_for(t)))
+        .collect();
+    let mut reports = vec![0; tools.len()];
+    let mut fed = 0;
+    let mut expected = Vec::new();
+    for (k, events) in run.trace().events.chunks(chunk).enumerate() {
+        for ev in events {
+            for det in &mut dets {
+                det.on_event(ev);
+            }
+        }
+        fed += events.len() as u64;
+        for (i, det) in dets.iter().enumerate() {
+            let now = det.reports().reports().len();
+            expected.push((
+                i,
+                out.outcomes[i].tool_label.clone(),
+                k as u32 + 1,
+                fed,
+                det.racy_contexts(),
+                now - reports[i],
+            ));
+            reports[i] = now;
+        }
+    }
+    assert_eq!(seen, expected);
 }
